@@ -1,14 +1,15 @@
-"""Benchmark the jit-compiled kernels against the pure-numpy fallback.
+"""Time the dense Bunch-Kaufman kernel and one end-to-end solve.
 
-Runs the dense Bunch-Kaufman factorization and the factor solve on both
-backends in one process (the undecorated functions are kept in
-``kernels.PY_FUNCS``), then times one full end-to-end solve on the current
-backend.  Usage::
+For each size, times ``dense_ldlt_bk`` on a random complex symmetric matrix
+and ``DenseFactor.solve`` with a multi-column right-hand side (the shape
+subdomain reduction uses), then times one full 2-wavelength, 4x4-tile solve.
+Usage::
 
-    python benchmarks/bench_kernels.py [--sizes 64,128,256] [--repeats 3]
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--sizes 64,144] \
+        [--rhs 25] [--repeats 3]
 
-Set DDSOLVE_DISABLE_JIT=1 to check that the package itself runs on the
-fallback; this script always compares both kernel variants regardless.
+Set ``OPENBLAS_NUM_THREADS`` to fix the BLAS thread count; factors and
+solves are bit-identical across runs for a fixed count.
 """
 
 from __future__ import annotations
@@ -18,74 +19,38 @@ import time
 
 import numpy as np
 
-from ddsolve import accel, kernels
 from ddsolve.config import RunConfig
 from ddsolve.driver import run_pipeline
+from ddsolve.factor import dense_ldlt_bk
 from ddsolve.mesh import ProblemConfig
 
 
 def rand_sym(n, seed):
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (G + G.T) / 2 + (2 * n) * np.eye(n)
+    return (G + G.T) / 2
 
 
-def time_call(fn, *args, repeats=3):
+def time_call(fn, repeats):
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn(*args)
+        fn()
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def bench_factor(sizes, repeats):
-    jit_fn = kernels.bk_factor
-    py_fn = kernels.PY_FUNCS["bk_factor"]
-    jitted = accel.JIT_ENABLED
-    print(f"numba available: {accel.HAS_NUMBA}; jit backend active: {jitted}")
-    print()
-    print(f"{'n':>6} {'factor jit (s)':>15} {'factor numpy (s)':>17} {'speedup':>8}")
+def bench_kernel(sizes, n_rhs, repeats):
+    print(f"{'n':>6} {'factor (s)':>12} {f'solve x{n_rhs} (s)':>15} {'2x2':>5} "
+          f"{'growth':>7}")
     for n in sizes:
         M = rand_sym(n, n)
-        tol = 1e-12 * np.abs(M).max()
-        if jitted:
-            jit_fn(M.copy(), tol)  # warm compile outside the timing
-        t_jit = time_call(lambda: jit_fn(M.copy(), tol), repeats=repeats)
-        t_py = time_call(lambda: py_fn(M.copy(), tol), repeats=repeats)
-        tag = f"{t_py / t_jit:8.1f}x" if jitted else "     n/a"
-        print(f"{n:>6} {t_jit:>15.4f} {t_py:>17.4f} {tag}")
-
-
-def bench_solve(sizes, repeats):
-    from ddsolve.factor import dense_ldlt_bk
-
-    print()
-    print(f"{'n':>6} {'solve jit (s)':>15} {'solve numpy (s)':>17} {'speedup':>8}")
-    for n in sizes:
-        M = rand_sym(n, n + 1)
+        B = np.ones((n, n_rhs), dtype=np.complex128)
         fac = dense_ldlt_bk(M)
-        B = np.ones((n, 8), dtype=np.complex128)
-
-        def run(sl, dl, slt):
-            Z = np.ascontiguousarray(B[fac.perm, :])
-            sl(fac.L, Z)
-            dl(fac.d, fac.e, fac.tags, Z)
-            slt(fac.L, Z)
-
-        if accel.JIT_ENABLED:
-            run(kernels.solve_unit_lower, kernels.apply_dinv_left,
-                kernels.solve_unit_lower_t)
-        t_jit = time_call(lambda: run(kernels.solve_unit_lower,
-                                      kernels.apply_dinv_left,
-                                      kernels.solve_unit_lower_t),
-                          repeats=repeats)
-        t_py = time_call(lambda: run(kernels.PY_FUNCS["solve_unit_lower"],
-                                     kernels.PY_FUNCS["apply_dinv_left"],
-                                     kernels.PY_FUNCS["solve_unit_lower_t"]),
-                         repeats=repeats)
-        tag = f"{t_py / t_jit:8.1f}x" if accel.JIT_ENABLED else "     n/a"
-        print(f"{n:>6} {t_jit:>15.4f} {t_py:>17.4f} {tag}")
+        t_fac = time_call(lambda: dense_ldlt_bk(M), repeats)
+        t_sol = time_call(lambda: fac.solve(B), repeats)
+        print(f"{n:>6} {t_fac:>12.4f} {t_sol:>15.5f} {fac.n_2x2:>5} "
+              f"{fac.growth:>7.3f}")
 
 
 def bench_pipeline():
@@ -95,19 +60,20 @@ def bench_pipeline():
     result = run_pipeline(run)
     total = time.perf_counter() - t0
     print()
-    print(f"end-to-end 2-wavelength 4x4 case on the active backend: "
-          f"{total:.2f}s total, residual {result.report.residual_inf:.2e}")
+    print(f"end-to-end 2-wavelength 4x4 case: {total:.2f}s total, "
+          f"residual {result.report.residual_inf:.2e}")
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", default="64,128,256",
-                    help="comma-separated dense block sizes")
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sizes", default="64,144,256",
+                    help="comma-separated dense matrix sizes")
+    ap.add_argument("--rhs", type=int, default=25,
+                    help="right-hand-side columns per solve")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
-    bench_factor(sizes, args.repeats)
-    bench_solve(sizes, args.repeats)
+    bench_kernel(sizes, args.rhs, args.repeats)
     bench_pipeline()
 
 

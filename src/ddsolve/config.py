@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .factor import DEFAULT_PIVOT_TOL
 from .mesh import ProblemConfig
 
 
@@ -29,7 +30,7 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 @dataclass
 class RunConfig:
     problem: ProblemConfig
-    pivot_tol: float = 1e-12
+    pivot_tol: float = DEFAULT_PIVOT_TOL
     ordering: str = "builtin"
     out_csv: str | None = None
     case_id: str = "case"
@@ -93,7 +94,7 @@ def parse_config_file(path) -> RunConfig:
         raise ConfigError(
             f"{path}: ordering must be 'builtin' or 'file:<path>', got {ordering!r}")
     return RunConfig(problem=problem,
-                     pivot_tol=get_float("pivot_tol", 1e-12),
+                     pivot_tol=get_float("pivot_tol", DEFAULT_PIVOT_TOL),
                      ordering=ordering,
                      out_csv=raw.get("out_csv"),
                      case_id=path.stem)

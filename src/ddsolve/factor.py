@@ -4,6 +4,12 @@ block LDL^T over an elimination plan, plus forward/backward substitution.
 Pivoting is restricted: each diagonal block is factored with pivot searches
 confined to itself, so no pivot is ever deferred into another supernode and
 the numeric factor occupies exactly the entries predicted symbolically.
+
+The dense kernel follows Bunch & Kaufman (1977) with pivot tests on the true
+complex modulus.  LAPACK ``?sytrf`` is not a drop-in replacement: it tests
+``|Re| + |Im|``, for which the 2.57 per-step growth bound does not hold.
+Each pivot step is one rank-1 or rank-2 numpy update of the trailing block;
+every triangular solve goes to BLAS ``ztrsm``.
 """
 
 from __future__ import annotations
@@ -11,12 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import ztrsm
 
-from . import kernels
 from .blockmat import BlockSparseSym
 from .symbolic import EliminationPlan
 
 DEFAULT_PIVOT_TOL = 1e-12
+
+# Pivot threshold constant from the 1977 Bunch-Kaufman analysis; bounds the
+# per-step element growth by 1 + 1/alpha < 2.57.
+BK_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
 
 
 class SingularBlockError(Exception):
@@ -27,6 +37,15 @@ class FactorConsistencyError(Exception):
     """Numeric factorization touched a block outside the symbolic pattern."""
 
 
+def _unit_lower_solve(L: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``L^-1 B`` (``trans=0``) or ``L^-T B`` (``trans=1``) for unit lower L.
+
+    Overwrites and returns ``B`` when it is a Fortran-ordered complex array;
+    ``L`` is read in place when Fortran-ordered.
+    """
+    return ztrsm(1.0, L, B, lower=1, trans_a=trans, diag=1, overwrite_b=1)
+
+
 @dataclass
 class DenseFactor:
     """P M P^T = L D L^T with unit lower L and 1x1/2x2 block diagonal D.
@@ -34,7 +53,8 @@ class DenseFactor:
     ``d`` holds the diagonal of D, ``e[k]`` the subdiagonal of a 2x2 pivot
     starting at ``k``; ``tags`` is the pivot-structure list (1 = 1x1,
     2 = 2x2 start, 0 = 2x2 partner) and ``perm[i]`` is the original index at
-    permuted position ``i``.
+    permuted position ``i``.  ``L`` is column-major so BLAS reads it without
+    a copy.
     """
 
     L: np.ndarray
@@ -57,13 +77,31 @@ class DenseFactor:
             Z = Z.T
         if Z.shape[0] != self.n:
             raise ValueError(f"rhs has {Z.shape[0]} rows, factor has {self.n}")
-        Z = np.ascontiguousarray(Z[self.perm, :])
-        kernels.solve_unit_lower(self.L, Z)
-        kernels.apply_dinv_left(self.d, self.e, self.tags, Z)
-        kernels.solve_unit_lower_t(self.L, Z)
+        Z = _unit_lower_solve(self.L, Z[self.perm, :])
+        self.apply_dinv(Z)
+        Z = _unit_lower_solve(self.L, Z, trans=1)
         X = np.empty_like(Z)
         X[self.perm, :] = Z
         return X[:, 0] if one_d else X
+
+    def apply_dinv(self, Z: np.ndarray) -> None:
+        """Overwrite the rows of ``Z`` (permuted positions) with D^-1 Z."""
+        if self.n_2x2 == 0:
+            Z /= self.d[:, None]
+            return
+        one = np.flatnonzero(self.tags == 1)
+        Z[one] /= self.d[one, None]
+        # 2x2 pivots solved by elimination on the dominant off-diagonal entry
+        # b (guaranteed largest in its column by the pivot tests).
+        s = np.flatnonzero(self.tags == 2)
+        b = self.e[s, None]
+        akm1 = self.d[s, None] / b
+        ak = self.d[s + 1, None] / b
+        denom = akm1 * ak - 1.0
+        t1 = Z[s] / b
+        t2 = Z[s + 1] / b
+        Z[s] = (ak * t1 - t2) / denom
+        Z[s + 1] = (akm1 * t2 - t1) / denom
 
     def dense_d(self) -> np.ndarray:
         D = np.zeros((self.n, self.n), dtype=np.complex128)
@@ -80,6 +118,111 @@ class DenseFactor:
         return D
 
 
+def _tril_absmax(T: np.ndarray, lower: np.ndarray) -> float:
+    """max |T| over the lower triangle; ``lower`` is the matching tri mask."""
+    return float(np.max(np.abs(T), where=lower, initial=0.0))
+
+
+def _bk_factor(W: np.ndarray, tol_abs: float, lower: np.ndarray):
+    """Bunch-Kaufman elimination of the lower triangle of ``W`` in place.
+
+    Returns ``(perm, tags, growth, info)``.  On return the strict lower
+    triangle of ``W`` holds the unit-L columns, the diagonal the 1x1 entries
+    of D and ``W[k+1, k]`` the subdiagonal of a 2x2 pivot starting at ``k``
+    (the L entry there is zero).  ``perm[i]`` is the original index at
+    position ``i``: interchanges also swap the L rows already computed, so
+    one permutation describes the whole factor.  ``info`` is the first step
+    with no pivot above ``tol_abs``, or -1.  The upper triangle is scratch.
+    ``lower`` is the column-major lower-triangle mask of ``W``.
+    """
+    n = W.shape[0]
+    perm = np.arange(n)
+    tags = np.zeros(n, dtype=np.int8)
+    growth = 1.0
+    if n == 0:
+        return perm, tags, growth, -1
+    trail_max = _tril_absmax(W, lower)
+    k = 0
+    while k < n:
+        kstep = 1
+        absakk = abs(W[k, k])
+        colmax = 0.0
+        imax = k
+        if k + 1 < n:
+            col = np.abs(W[k + 1:, k])
+            t = int(np.argmax(col))
+            imax = k + 1 + t
+            colmax = col[t]
+        if max(absakk, colmax) <= tol_abs:
+            # Neither a 1x1 nor a 2x2 candidate clears the threshold: the
+            # remaining column is numerically zero.
+            return perm, tags, growth, k
+        if absakk >= BK_ALPHA * colmax:
+            kp = k
+        else:
+            rowmax = np.abs(W[imax, k:imax]).max()
+            if imax + 1 < n:
+                rowmax = max(rowmax, np.abs(W[imax + 1:, imax]).max())
+            if absakk * rowmax >= BK_ALPHA * colmax * colmax:
+                kp = k
+            elif abs(W[imax, imax]) >= BK_ALPHA * rowmax:
+                kp = imax
+            else:
+                kp = imax
+                kstep = 2
+        kk = k + kstep - 1
+        if kp != kk:
+            # Lower-triangle interchange of kk and kp, including the already
+            # computed L rows left of column k.
+            tmp = W[kp + 1:, kk].copy()
+            W[kp + 1:, kk] = W[kp + 1:, kp]
+            W[kp + 1:, kp] = tmp
+            tmp = W[kk + 1:kp, kk].copy()
+            W[kk + 1:kp, kk] = W[kp, kk + 1:kp]
+            W[kp, kk + 1:kp] = tmp
+            W[kk, kk], W[kp, kp] = W[kp, kp], W[kk, kk]
+            if kstep == 2:
+                W[kk, k], W[kp, k] = W[kp, k], W[kk, k]
+            tmp = W[kk, :k].copy()
+            W[kk, :k] = W[kp, :k]
+            W[kp, :k] = tmp
+            perm[kk], perm[kp] = perm[kp], perm[kk]
+        kn = k + kstep
+        if kstep == 1:
+            tags[k] = 1
+            c = W[kn:, k]
+            lk = c / W[k, k]
+            # Outer products are formed transposed so that they share the
+            # column-major layout of W.
+            W[kn:, kn:] -= np.multiply.outer(lk, c).T
+            W[kn:, k] = lk
+        else:
+            tags[k] = 2
+            # |W[k+1, k]| equals the column maximum here, so the 2x2 pivot is
+            # safely invertible: |det| >= (1 - alpha^2) colmax^2.
+            d21 = W[k + 1, k]
+            d11 = W[k + 1, k + 1] / d21
+            d22 = W[k, k] / d21
+            d21s = (1.0 / (d11 * d22 - 1.0)) / d21
+            a = W[kn:, k]
+            b = W[kn:, k + 1]
+            wk = d21s * (d11 * a - b)
+            wkp = d21s * (d22 * b - a)
+            W[kn:, kn:] -= (np.multiply.outer(wk, a) + np.multiply.outer(wkp, b)).T
+            W[kn:, k] = wk
+            W[kn:, k + 1] = wkp
+        if kn < n:
+            step_max = _tril_absmax(W[kn:, kn:], lower[kn:, kn:])
+            if trail_max > 0.0:
+                r = step_max / trail_max
+                if kstep == 2:
+                    r = np.sqrt(r)
+                growth = max(growth, r)
+            trail_max = step_max
+        k = kn
+    return perm, tags, growth, -1
+
+
 def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseFactor:
     """Factor a complex symmetric matrix with Bunch-Kaufman partial pivoting.
 
@@ -90,30 +233,28 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     n = M.shape[0]
-    W = np.array(M, dtype=np.complex128, order="C")
+    W = np.array(M, dtype=np.complex128, order="F")
     scale = np.abs(W).max() if n else 0.0
     if n and scale > 0.0:
         asym = np.abs(W - W.T).max()
         if asym > 1e-12 * scale:
             raise ValueError(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
-    perm, tags, n2x2, growth, info = kernels.bk_factor(W, pivot_tol * scale)
+    lower = np.asfortranarray(np.tri(n, dtype=bool))
+    perm, tags, growth, info = _bk_factor(W, pivot_tol * scale, lower)
     if info >= 0:
         raise SingularBlockError(
             f"no acceptable pivot at elimination step {info} "
             f"(threshold {pivot_tol * scale:.3e})")
-    L = np.tril(W, -1)
     d = np.diagonal(W).copy()
+    s = np.flatnonzero(tags == 2)
     e = np.zeros(n, dtype=np.complex128)
-    k = 0
-    while k < n:
-        if tags[k] == 2:
-            e[k] = W[k + 1, k]
-            L[k + 1, k] = 0.0
-            k += 2
-        else:
-            k += 1
-    np.fill_diagonal(L, 1.0)
-    return DenseFactor(L, d, e, tags, perm, float(growth), int(n2x2))
+    e[s] = W[s + 1, s]
+    # W becomes L in place: clear the scratch upper triangle and the 2x2
+    # subdiagonals, then set the unit diagonal.
+    W[~lower] = 0.0
+    W[s + 1, s] = 0.0
+    np.fill_diagonal(W, 1.0)
+    return DenseFactor(W, d, e, tags, perm, float(growth), int(s.size))
 
 
 @dataclass
@@ -199,11 +340,10 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
                 Kij = np.zeros((ni, nj), dtype=np.complex128)
             else:
                 live_entries -= Kij.size
-            Y = np.ascontiguousarray(Kij[:, fac.perm].T)
-            kernels.solve_unit_lower(fac.L, Y)          # Y = L_jj^-1 (K_ij P^T)^T
-            Xij = np.ascontiguousarray(Y.T)             # X_ij = L_ij D_jj
+            Y = _unit_lower_solve(fac.L, Kij[:, fac.perm].T)  # L_jj^-1 (K_ij P^T)^T
+            Xij = Y.T                                   # X_ij = L_ij D_jj
             Lij = Xij.copy()
-            kernels.apply_dinv_right(fac.d, fac.e, fac.tags, Lij)
+            fac.apply_dinv(Lij.T)
             offdiag[(i, j)] = Lij
             X[i] = Xij
             stored_entries += ni * nj
@@ -217,7 +357,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
                 if i == kk:
                     # SYRK-style symmetrization keeps diagonal blocks exactly
                     # symmetric for the next diagonal factorization.
-                    upd = np.tril(upd) + np.tril(upd, -1).T
+                    upd = np.where(np.tri(len(upd), dtype=bool), upd, upd.T)
                 key = (i, kk)
                 tgt = W.get(key)
                 if tgt is None:
@@ -247,21 +387,19 @@ def _solve_one(F: BlockFactor, b: list[np.ndarray]) -> list[np.ndarray]:
     u: list[np.ndarray] = []
     for j in range(nb):
         fac = F.diag[j]
-        zj = np.ascontiguousarray(b[j][fac.perm, :])
-        kernels.solve_unit_lower(fac.L, zj)
+        zj = _unit_lower_solve(fac.L, b[j][fac.perm, :])
         for i in pattern[j]:
             b[int(i)] = b[int(i)] - F.offdiag[(int(i), j)] @ zj
         u.append(zj)
     for j in range(nb):
-        kernels.apply_dinv_left(F.diag[j].d, F.diag[j].e, F.diag[j].tags, u[j])
+        F.diag[j].apply_dinv(u[j])
     x: list[np.ndarray] = [None] * nb  # type: ignore[list-item]
     for j in range(nb - 1, -1, -1):
         fac = F.diag[j]
         w = u[j]
         for i in pattern[j]:
             w = w - F.offdiag[(int(i), j)].T @ x[int(i)]
-        w = np.ascontiguousarray(w)
-        kernels.solve_unit_lower_t(fac.L, w)
+        w = _unit_lower_solve(fac.L, w, trans=1)
         xj = np.empty_like(w)
         xj[fac.perm, :] = w
         x[j] = xj

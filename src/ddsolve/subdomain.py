@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockmat import BlockSparseSym, from_blocks
-from .factor import DenseFactor, SingularBlockError, dense_ldlt_bk
+from .factor import DEFAULT_PIVOT_TOL, DenseFactor, SingularBlockError, \
+    dense_ldlt_bk
 from .mesh import Mesh, Partition, ProblemConfig, assemble_helmholtz, \
     element_matrices, incident_boundary_load
-
-DEFAULT_PIVOT_TOL = 1e-12
 
 
 class SingularDomainError(Exception):

@@ -81,7 +81,7 @@ def scalar_permutation(sizes, perm) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def warm_kernels():
-    """Trigger jit compilation once so timed tests measure steady state."""
+    """Run one small factor and solve so timed tests measure steady state."""
     M = rand_complex_symmetric(8, 0) + 8 * np.eye(8)
     fac = factor.dense_ldlt_bk(M)
     fac.solve(np.ones((8, 2), dtype=complex))

@@ -187,3 +187,29 @@ def test_indefinite_block_system():
     b = rng.standard_normal(n) + 0j
     x = np.concatenate(block_solve(F, split_blocks(b, sizes)))
     assert np.linalg.norm(K.scatter() @ x - b) <= 1e-11 * np.linalg.norm(b)
+
+
+def test_tiny_blocks_with_2x2_pivot():
+    # blocks of 2, 1 and 2 rows eliminated in order; the first has a zero
+    # diagonal, so it is one 2x2 pivot and every off-diagonal block goes
+    # through the 2x2 branch of D^-1
+    sizes = [2, 1, 2]
+    S = np.array([[0.0, 4.0, 1.0, 0.5j, 2.0],
+                  [4.0, 0.0, 2.0j, 1.0, 0.0],
+                  [1.0, 2.0j, 5.0, 1.0, -1.0],
+                  [0.5j, 1.0, 1.0, 1.0, 0.5],
+                  [2.0, 0.0, -1.0, 0.5, -2.0]], dtype=complex)
+    off = [0, 2, 3, 5]
+    K = blockmat.from_blocks(sizes, [
+        (i, j, S[off[i]:off[i + 1], off[j]:off[j + 1]])
+        for i in range(3) for j in range(i + 1)])
+    F = block_ldlt(K, plan_for(K, identity_ordering(3)))
+    assert F.diag[0].n_2x2 == 1 and list(F.diag[0].tags) == [2, 0]
+    assert F.stats.n_2x2_pivots == sum(f.n_2x2 for f in F.diag)
+    L, D = scatter_factor(F)
+    assert np.abs(L @ D @ L.T - S).max() <= 1e-13 * np.abs(S).max()
+    rng = np.random.default_rng(63)
+    B = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    X = np.concatenate(block_solve(F, split_blocks(B, sizes)))
+    X_ref = np.linalg.solve(S, B)
+    assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import permuted, rand_complex_symmetric, reconstruct_dense
 from ddsolve import factor
-from ddsolve.factor import SingularBlockError, dense_ldlt_bk
-from ddsolve.kernels import BK_ALPHA
+from ddsolve.factor import BK_ALPHA, SingularBlockError, dense_ldlt_bk
 
 GROWTH_BOUND = 2.57
 
@@ -62,6 +62,117 @@ def test_indefinite_real_spectrum():
     assert err <= 1e-13 * np.linalg.norm(M, "fro")
 
 
+def test_pivot_test_uses_modulus_not_cabs1():
+    # |a21| = 0.9 sqrt(2) passes the 1x1 test |a11| >= alpha |a21|, while
+    # |Re a21| + |Im a21| = 1.8 fails it.  LAPACK ?sytrf tests the latter
+    # and takes a 2x2 pivot; the 2.57 growth bound holds only for the
+    # modulus rule, which keeps the 1x1 pivot in place.
+    a21 = 0.9 * (1.0 + 1.0j)
+    M = np.array([[1.0, a21], [a21, 0.0]])
+    assert 1.0 >= BK_ALPHA * abs(a21)
+    assert 1.0 < BK_ALPHA * (abs(a21.real) + abs(a21.imag))
+    fac = dense_ldlt_bk(M)
+    assert list(fac.tags) == [1, 1]
+    assert list(fac.perm) == [0, 1]
+    assert fac.growth == pytest.approx(abs(a21 * a21) / abs(a21), rel=1e-15)
+    assert fac.growth <= GROWTH_BOUND
+    _, d_lapack, _ = scipy.linalg.ldl(M, lower=True, hermitian=False)
+    assert d_lapack[1, 0] != 0.0    # LAPACK: one 2x2 pivot
+
+
+def _loop_bk(M):
+    """Column-by-column Bunch-Kaufman reference: same pivot rule, one
+    trailing column updated per statement.  Returns (L, d, e, perm, tags,
+    growth) in the packing of :class:`DenseFactor`."""
+    W = np.array(M, dtype=complex)
+    n = W.shape[0]
+    perm = np.arange(n)
+    tags = np.zeros(n, dtype=np.int8)
+    growth = 1.0
+    trail_max = np.abs(np.tril(W)).max()
+    k = 0
+    while k < n:
+        kstep, kp = 1, k
+        absakk = abs(W[k, k])
+        imax = k + 1 + int(np.argmax(np.abs(W[k + 1:, k]))) if k + 1 < n else k
+        colmax = abs(W[imax, k]) if imax > k else 0.0
+        if absakk < BK_ALPHA * colmax:
+            rowmax = max(np.abs(W[imax, k:imax]).max(),
+                         np.abs(W[imax + 1:, imax]).max(initial=0.0))
+            if absakk * rowmax >= BK_ALPHA * colmax * colmax:
+                kp = k
+            elif abs(W[imax, imax]) >= BK_ALPHA * rowmax:
+                kp = imax
+            else:
+                kp, kstep = imax, 2
+        kk = k + kstep - 1
+        if kp != kk:
+            # symmetric interchange on the full matrix, L rows included
+            W[[kk, kp], :] = W[[kp, kk], :]
+            W[:, [kk, kp]] = W[:, [kp, kk]]
+            perm[[kk, kp]] = perm[[kp, kk]]
+        kn = k + kstep
+        D = W[k:kn, k:kn].copy()
+        C = W[kn:, k:kn].copy()
+        Lk = np.linalg.solve(D, C.T).T
+        for j in range(kn, n):
+            W[j:, j] -= C[j - kn:] @ Lk[j - kn]
+            W[j, j + 1:] = W[j + 1:, j]
+        W[kn:, k:kn] = Lk
+        W[k:kn, kn:] = Lk.T
+        tags[k] = kstep
+        if kn < n:
+            step_max = np.abs(np.tril(W[kn:, kn:])).max()
+            if trail_max > 0.0:
+                growth = max(growth, (step_max / trail_max) ** (1.0 / kstep))
+            trail_max = step_max
+        k = kn
+    e = np.zeros(n, dtype=complex)
+    s = np.flatnonzero(tags == 2)
+    e[s] = W[s + 1, s]
+    L = np.tril(W, -1)
+    L[s + 1, s] = 0.0
+    np.fill_diagonal(L, 1.0)
+    return L, np.diagonal(W).copy(), e, perm, tags, growth
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_matches_column_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    M = rand_complex_symmetric(n, 700 + seed)
+    if seed % 2 == 0:
+        # zero diagonal entries force 2x2 pivots
+        idx = rng.integers(0, n, size=3)
+        M[idx, idx] = 0.0
+    fac = dense_ldlt_bk(M)
+    L, d, e, perm, tags, growth = _loop_bk(M)
+    assert np.array_equal(fac.perm, perm)
+    assert np.array_equal(fac.tags, tags)
+    assert fac.growth == pytest.approx(growth, rel=1e-12)
+    tol = 1e-12 * np.abs(M).max()
+    for got, ref in ((fac.L, L), (fac.d, d), (fac.e, e)):
+        assert np.abs(got - ref).max() <= tol
+
+
+def test_solve_mixed_pivots_multi_rhs_matches_dense():
+    rng = np.random.default_rng(13)
+    n = 12
+    M = rand_complex_symmetric(n, 13) + n * np.eye(n)
+    for i, j in ((0, 5), (3, 8)):
+        # a strongly coupled pair with zero diagonal forces a 2x2 pivot
+        M[i, i] = M[j, j] = 0.0
+        M[i, j] = M[j, i] = 3.0 * n
+    fac = dense_ldlt_bk(M)
+    assert fac.n_2x2 == 2 and 1 in fac.tags
+    B = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+    B0 = B.copy()
+    X = fac.solve(B)
+    assert np.array_equal(B, B0)      # the BLAS solves work on a copy
+    X_ref = np.linalg.solve(M, B)
+    assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+
+
 def test_growth_tracked_on_random_suite():
     for seed in range(30):
         M = rand_complex_symmetric(16, 100 + seed)
@@ -93,8 +204,21 @@ def test_pivot_tol_scales_with_matrix():
 def test_empty_matrix():
     fac = dense_ldlt_bk(np.zeros((0, 0), dtype=complex))
     assert fac.n == 0
+    assert fac.growth == 1.0 and fac.n_2x2 == 0 and fac.tags.size == 0
     out = fac.solve(np.zeros((0, 2), dtype=complex))
     assert out.shape == (0, 2)
+    assert fac.solve(np.zeros(0, dtype=complex)).shape == (0,)
+
+
+def test_one_by_one_matrix():
+    fac = dense_ldlt_bk(np.array([[2.0 + 1.0j]]))
+    assert np.array_equal(fac.L, np.ones((1, 1)))
+    assert np.array_equal(fac.d, [2.0 + 1.0j])
+    assert list(fac.tags) == [1] and list(fac.perm) == [0]
+    assert fac.growth == 1.0 and fac.n_2x2 == 0
+    assert fac.solve(np.array([4.0 + 2.0j])) == pytest.approx([2.0])
+    with pytest.raises(SingularBlockError):
+        dense_ldlt_bk(np.zeros((1, 1), dtype=complex))
 
 
 def test_rejects_unsymmetric():
