@@ -6,7 +6,7 @@ subdomain reduction uses), then times one full 2-wavelength, 4x4-tile solve.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--sizes 64,144] \
-        [--rhs 25] [--repeats 3]
+        [--repeats 3]
 
 Set ``OPENBLAS_NUM_THREADS`` to fix the BLAS thread count; factors and
 solves are bit-identical across runs for a fixed count.
@@ -23,6 +23,10 @@ from ddsolve.config import RunConfig
 from ddsolve.driver import run_pipeline
 from ddsolve.factor import dense_ldlt_bk
 from ddsolve.mesh import ProblemConfig
+
+# Right-hand-side columns per solve: the 24 interface unknowns plus the load
+# of a 144-dof subdomain in the 1-wavelength, ppw 22, 2x2-tile case.
+N_RHS = 25
 
 
 def rand_sym(n, seed):
@@ -68,12 +72,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--sizes", default="64,144,256",
                     help="comma-separated dense matrix sizes")
-    ap.add_argument("--rhs", type=int, default=25,
-                    help="right-hand-side columns per solve")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
-    bench_kernel(sizes, args.rhs, args.repeats)
+    bench_kernel(sizes, N_RHS, args.repeats)
     bench_pipeline()
 
 

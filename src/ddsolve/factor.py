@@ -8,8 +8,11 @@ the numeric factor occupies exactly the entries predicted symbolically.
 The dense kernel follows Bunch & Kaufman (1977) with pivot tests on the true
 complex modulus.  LAPACK ``?sytrf`` is not a drop-in replacement: it tests
 ``|Re| + |Im|``, for which the 2.57 per-step growth bound does not hold.
-Each pivot step is one rank-1 or rank-2 numpy update of the trailing block;
-every triangular solve goes to BLAS ``ztrsm``.
+Each pivot step is one rank-1 or rank-2 numpy update of the trailing block.
+The factor and solve loops call scipy's BLAS directly (``ztrsm``, ``zgemm``)
+rather than mixing it with numpy's ``@``: the two packages may bundle
+separate BLAS builds, each with its own thread pool, and alternating between
+two pools in a loop makes their idle-spinning workers compete for the CPUs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import ztrsm
+from scipy.linalg.blas import zgemm, ztrsm
 
 from .blockmat import BlockSparseSym
 from .symbolic import EliminationPlan
@@ -44,6 +47,17 @@ def _unit_lower_solve(L: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarra
     ``L`` is read in place when Fortran-ordered.
     """
     return ztrsm(1.0, L, B, lower=1, trans_a=trans, diag=1, overwrite_b=1)
+
+
+def blas_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` as a complex matrix on scipy's BLAS; a 1-D ``B`` is one column.
+
+    A C-ordered ``A`` is passed as its transpose, so neither layout of ``A``
+    is copied.
+    """
+    if A.flags.c_contiguous:
+        return zgemm(1.0, A.T, B, trans_a=1)
+    return zgemm(1.0, A, B)
 
 
 @dataclass
@@ -123,7 +137,7 @@ def _tril_absmax(T: np.ndarray, lower: np.ndarray) -> float:
     return float(np.max(np.abs(T), where=lower, initial=0.0))
 
 
-def _bk_factor(W: np.ndarray, tol_abs: float, lower: np.ndarray):
+def _bk_factor(W: np.ndarray, tol_abs: float):
     """Bunch-Kaufman elimination of the lower triangle of ``W`` in place.
 
     Returns ``(perm, tags, growth, info)``.  On return the strict lower
@@ -133,7 +147,6 @@ def _bk_factor(W: np.ndarray, tol_abs: float, lower: np.ndarray):
     position ``i``: interchanges also swap the L rows already computed, so
     one permutation describes the whole factor.  ``info`` is the first step
     with no pivot above ``tol_abs``, or -1.  The upper triangle is scratch.
-    ``lower`` is the column-major lower-triangle mask of ``W``.
     """
     n = W.shape[0]
     perm = np.arange(n)
@@ -141,6 +154,8 @@ def _bk_factor(W: np.ndarray, tol_abs: float, lower: np.ndarray):
     growth = 1.0
     if n == 0:
         return perm, tags, growth, -1
+    # Column-major like W, so that the masked reductions stream both alike.
+    lower = np.asfortranarray(np.tri(n, dtype=bool))
     trail_max = _tril_absmax(W, lower)
     k = 0
     while k < n:
@@ -239,8 +254,7 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
         asym = np.abs(W - W.T).max()
         if asym > 1e-12 * scale:
             raise ValueError(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
-    lower = np.asfortranarray(np.tri(n, dtype=bool))
-    perm, tags, growth, info = _bk_factor(W, pivot_tol * scale, lower)
+    perm, tags, growth, info = _bk_factor(W, pivot_tol * scale)
     if info >= 0:
         raise SingularBlockError(
             f"no acceptable pivot at elimination step {info} "
@@ -251,7 +265,7 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
     e[s] = W[s + 1, s]
     # W becomes L in place: clear the scratch upper triangle and the 2x2
     # subdiagonals, then set the unit diagonal.
-    W[~lower] = 0.0
+    W[np.triu_indices(n, 1)] = 0.0
     W[s + 1, s] = 0.0
     np.fill_diagonal(W, 1.0)
     return DenseFactor(W, d, e, tags, perm, float(growth), int(s.size))
@@ -352,12 +366,12 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         peak = max(peak, live_entries + stored_entries + transient)
         for a_i, i in enumerate(rows):
             for kk in rows[:a_i + 1]:
-                upd = X[i] @ offdiag[(kk, j)].T
+                upd = blas_matmul(X[i], offdiag[(kk, j)].T)
                 flops += int(sizes[i]) * nj * int(sizes[kk])
                 if i == kk:
                     # SYRK-style symmetrization keeps diagonal blocks exactly
                     # symmetric for the next diagonal factorization.
-                    upd = np.where(np.tri(len(upd), dtype=bool), upd, upd.T)
+                    upd = np.tril(upd) + np.tril(upd, -1).T
                 key = (i, kk)
                 tgt = W.get(key)
                 if tgt is None:
@@ -389,7 +403,7 @@ def _solve_one(F: BlockFactor, b: list[np.ndarray]) -> list[np.ndarray]:
         fac = F.diag[j]
         zj = _unit_lower_solve(fac.L, b[j][fac.perm, :])
         for i in pattern[j]:
-            b[int(i)] = b[int(i)] - F.offdiag[(int(i), j)] @ zj
+            b[int(i)] = b[int(i)] - blas_matmul(F.offdiag[(int(i), j)], zj)
         u.append(zj)
     for j in range(nb):
         F.diag[j].apply_dinv(u[j])
@@ -398,7 +412,7 @@ def _solve_one(F: BlockFactor, b: list[np.ndarray]) -> list[np.ndarray]:
         fac = F.diag[j]
         w = u[j]
         for i in pattern[j]:
-            w = w - F.offdiag[(int(i), j)].T @ x[int(i)]
+            w = w - blas_matmul(F.offdiag[(int(i), j)].T, x[int(i)])
         w = _unit_lower_solve(fac.L, w, trans=1)
         xj = np.empty_like(w)
         xj[fac.perm, :] = w

@@ -25,7 +25,7 @@ import numpy as np
 
 from .blockmat import BlockSparseSym, from_blocks
 from .factor import DEFAULT_PIVOT_TOL, DenseFactor, SingularBlockError, \
-    dense_ldlt_bk
+    blas_matmul, dense_ldlt_bk
 from .mesh import Mesh, Partition, ProblemConfig, assemble_helmholtz, \
     element_matrices, incident_boundary_load
 
@@ -177,10 +177,9 @@ def reduce_domain(sys: SubdomainSystem,
              if sys.couplings else np.zeros((sys.n_dofs, 0), dtype=np.complex128))
     rhs = np.concatenate([D_all, sys.f[:, None]], axis=1)
     X = fac.solve(rhs)
-    K_D = D_all.T @ X[:, :-1]
-    K_D = 0.5 * (K_D + K_D.T)
-    g_d = D_all.T @ X[:, -1]
-    return K_D, g_d
+    KG = blas_matmul(D_all.T, X)
+    K_D = 0.5 * (KG[:, :-1] + KG[:, :-1].T)
+    return K_D, KG[:, -1]
 
 
 def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
@@ -229,7 +228,7 @@ def recover_primal(systems: list[SubdomainSystem],
         rhs = sys.f.copy()
         for c in sys.couplings:
             if c.D.shape[1]:
-                rhs -= c.D @ lam[c.interface]
+                rhs -= blas_matmul(c.D, lam[c.interface])[:, 0]
         E = sys.factor.solve(rhs)
         acc[sys.dof_map] += E
         cnt[sys.dof_map] += 1.0

@@ -221,6 +221,19 @@ def test_one_by_one_matrix():
         dense_ldlt_bk(np.zeros((1, 1), dtype=complex))
 
 
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_blas_matmul_matches_matmul(order):
+    rng = np.random.default_rng(3)
+    A = np.array(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)),
+                 order=order)
+    B = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    assert np.allclose(factor.blas_matmul(A, B), A @ B, rtol=1e-14, atol=0)
+    assert np.allclose(factor.blas_matmul(A, B[:, 0])[:, 0], A @ B[:, 0],
+                       rtol=1e-14, atol=0)
+    assert np.array_equal(factor.blas_matmul(A[:, :0], B[:0]), np.zeros((5, 4)))
+
+
 def test_rejects_unsymmetric():
     M = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="not symmetric"):
