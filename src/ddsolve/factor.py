@@ -283,11 +283,18 @@ class FactorStats:
 @dataclass
 class BlockFactor:
     """Output of :func:`block_ldlt`: per-supernode dense factors in
-    elimination order plus the off-diagonal factor blocks of the pattern."""
+    elimination order plus the off-diagonal factor blocks of the pattern.
+
+    ``panels[j]`` stacks the blocks ``L_ij`` of column ``j`` in pattern
+    order, and ``offdiag[(i, j)]`` are views into it.  ``panel_rows[j]`` are
+    the panel's scalar rows in the permuted, concatenated unknown vector.
+    """
 
     plan: EliminationPlan
     diag: list[DenseFactor]
     offdiag: dict[tuple[int, int], np.ndarray]
+    panels: list[np.ndarray]
+    panel_rows: list[np.ndarray]
     stats: FactorStats = field(default_factory=FactorStats)
 
 
@@ -310,20 +317,27 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
                pivot_tol: float = DEFAULT_PIVOT_TOL) -> BlockFactor:
     """Right-looking block LDL^T of ``K`` following ``plan``.
 
-    Per block column j: factor the diagonal block, form X_ij = L_ij D_jj by a
-    triangular solve against every pattern row i, recover L_ij = X_ij D_jj^-1,
-    then update the trailing blocks K_ik -= X_ij L_kj^T for pattern pairs
-    i >= k.  The permutation of ``plan`` is applied internally.
+    Per block column j: factor the diagonal block, stack the pattern blocks
+    K_ij into one panel, form X = L D for the whole panel by one triangular
+    solve, recover L = X D_jj^-1, then form the update U = X L^T by one
+    product and subtract its blocks U_ik from the trailing blocks K_ik, for
+    pattern rows i >= k.  The permutation of ``plan`` is applied internally.
     """
     nb = K.nblocks
     if plan.nblocks != nb:
         raise ValueError("plan and matrix disagree on block count")
-    inv = plan.order.inverse()
     sizes = plan.sizes_perm
+    if not np.array_equal(sizes, K.sizes[plan.order.perm]):
+        raise ValueError("plan and matrix disagree on block sizes")
+    inv = plan.order.inverse()
     W = _permute_blocks(K, inv)
     pattern_sets = plan.pattern_sets()
+    offsets = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
     diag: list[DenseFactor] = []
     offdiag: dict[tuple[int, int], np.ndarray] = {}
+    panels: list[np.ndarray] = []
+    panel_rows: list[np.ndarray] = []
     stats = FactorStats()
 
     live_entries = sum(b.size for b in W.values())
@@ -345,33 +359,43 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         diag.append(fac)
         stored_entries += nj * (nj + 1) // 2
         flops += nj ** 3 // 3 + nj ** 2
-        rows = [int(r) for r in plan.pattern[j]]
-        X: dict[int, np.ndarray] = {}
-        for i in rows:
-            ni = int(sizes[i])
+        rows = plan.pattern[j].tolist()
+        row_sizes = sizes[plan.pattern[j]]
+        local = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(row_sizes, out=local[1:])
+        m = int(local[-1])
+        bounds = local.tolist()
+        spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        panel = np.zeros((m, nj), dtype=np.complex128)
+        for i, rs in zip(rows, spans):
             Kij = W.pop((i, j), None)
-            if Kij is None:
-                Kij = np.zeros((ni, nj), dtype=np.complex128)
-            else:
+            if Kij is not None:
                 live_entries -= Kij.size
-            Y = _unit_lower_solve(fac.L, Kij[:, fac.perm].T)  # L_jj^-1 (K_ij P^T)^T
-            Xij = Y.T                                   # X_ij = L_ij D_jj
-            Lij = Xij.copy()
-            fac.apply_dinv(Lij.T)
-            offdiag[(i, j)] = Lij
-            X[i] = Xij
-            stored_entries += ni * nj
-            flops += ni * nj * nj + ni * nj
-        transient = sum(x.size for x in X.values())
+                panel[rs] = Kij
+        # X = L D is the transpose of L_jj^-1 (panel P^T)^T; L = X D^-1.
+        X = _unit_lower_solve(fac.L, panel[:, fac.perm].T).T
+        Lp = X.copy()
+        fac.apply_dinv(Lp.T)
+        panels.append(Lp)
+        panel_rows.append(np.arange(m) + np.repeat(
+            offsets[plan.pattern[j]] - local[:-1], row_sizes))
+        for i, rs in zip(rows, spans):
+            offdiag[(i, j)] = Lp[rs]
+        stored_entries += m * nj
+        flops += m * nj * nj + m * nj
+        # The update covers every pattern pair i >= k, n_i * nj * n_k each.
+        flops += nj * (m * m + int(row_sizes @ row_sizes)) // 2
+        transient = X.size
         peak = max(peak, live_entries + stored_entries + transient)
-        for a_i, i in enumerate(rows):
-            for kk in rows[:a_i + 1]:
-                upd = blas_matmul(X[i], offdiag[(kk, j)].T)
-                flops += int(sizes[i]) * nj * int(sizes[kk])
-                if i == kk:
-                    # SYRK-style symmetrization keeps diagonal blocks exactly
-                    # symmetric for the next diagonal factorization.
-                    upd = np.tril(upd) + np.tril(upd, -1).T
+        if not rows:
+            continue
+        U = blas_matmul(X, Lp.T)
+        # SYRK-style symmetrization keeps diagonal blocks exactly symmetric
+        # for the next diagonal factorization; blocks below it are unchanged.
+        U = np.tril(U) + np.tril(U, -1).T
+        for a, (i, rs) in enumerate(zip(rows, spans)):
+            for kk, ks in zip(rows[:a + 1], spans[:a + 1]):
+                upd = U[rs, ks]
                 key = (i, kk)
                 tgt = W.get(key)
                 if tgt is None:
@@ -381,7 +405,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
                     W[key] = -upd
                     live_entries += upd.size
                 else:
-                    W[key] = tgt - upd
+                    tgt -= upd
         peak = max(peak, live_entries + stored_entries + transient)
 
     if W:
@@ -391,33 +415,29 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     stats.peak_bytes = 16 * peak
     stats.growth_factor = max((f.growth for f in diag), default=1.0)
     stats.n_2x2_pivots = sum(f.n_2x2 for f in diag)
-    return BlockFactor(plan, diag, offdiag, stats)
+    return BlockFactor(plan, diag, offdiag, panels, panel_rows, stats)
 
 
-def _solve_one(F: BlockFactor, b: list[np.ndarray]) -> list[np.ndarray]:
-    """Single-column block forward/backward substitution in plan order."""
-    nb = F.plan.nblocks
-    pattern = F.plan.pattern
-    u: list[np.ndarray] = []
-    for j in range(nb):
-        fac = F.diag[j]
-        zj = _unit_lower_solve(fac.L, b[j][fac.perm, :])
-        for i in pattern[j]:
-            b[int(i)] = b[int(i)] - blas_matmul(F.offdiag[(int(i), j)], zj)
-        u.append(zj)
-    for j in range(nb):
-        F.diag[j].apply_dinv(u[j])
-    x: list[np.ndarray] = [None] * nb  # type: ignore[list-item]
-    for j in range(nb - 1, -1, -1):
-        fac = F.diag[j]
-        w = u[j]
-        for i in pattern[j]:
-            w = w - blas_matmul(F.offdiag[(int(i), j)].T, x[int(i)])
-        w = _unit_lower_solve(fac.L, w, trans=1)
-        xj = np.empty_like(w)
-        xj[fac.perm, :] = w
-        x[j] = xj
-    return x
+def _solve_one(F: BlockFactor, spans: list[slice], b: np.ndarray) -> None:
+    """Block forward/backward substitution of one column, in place.
+
+    ``b`` is one right-hand-side column in permuted, concatenated order, and
+    ``spans[j]`` its rows of block column ``j``.  Each sweep makes one panel
+    product per block column.
+    """
+    for fac, Lp, rows, sj in zip(F.diag, F.panels, F.panel_rows, spans):
+        zj = _unit_lower_solve(fac.L, b[sj][fac.perm])
+        b[sj] = zj
+        if rows.size:
+            b[rows] -= blas_matmul(Lp, zj)
+    for fac, sj in zip(F.diag, spans):
+        fac.apply_dinv(b[sj])
+    for j in range(len(spans) - 1, -1, -1):
+        fac, rows, sj = F.diag[j], F.panel_rows[j], spans[j]
+        w = b[sj]
+        if rows.size:
+            w = w - blas_matmul(F.panels[j].T, b[rows])
+        b[sj.start + fac.perm] = _unit_lower_solve(fac.L, w, trans=1)
 
 
 def block_solve(F: BlockFactor, g: list[np.ndarray]) -> list[np.ndarray]:
@@ -451,14 +471,16 @@ def block_solve(F: BlockFactor, g: list[np.ndarray]) -> list[np.ndarray]:
     for j in range(nb):
         if blocks[int(perm[j])].shape[0] != int(sizes[j]):
             raise ValueError(f"block {int(perm[j])} has wrong length")
-    out = [np.empty((b.shape[0], cols), dtype=np.complex128) for b in blocks]
+    ends = np.cumsum(sizes).tolist()
+    spans = [slice(e - int(nj), e) for e, nj in zip(ends, sizes)]
+    B = np.concatenate([blocks[int(p)] for p in perm])
     for c in range(cols):
-        bcol = [blocks[int(perm[j])][:, c:c + 1].copy() for j in range(nb)]
-        xcol = _solve_one(F, bcol)
-        for j in range(nb):
-            out[int(perm[j])][:, c:c + 1] = xcol[j]
-    if one_d:
-        return [o[:, 0] for o in out]
+        col = B[:, c:c + 1].copy()
+        _solve_one(F, spans, col)
+        B[:, c:c + 1] = col
+    out: list[np.ndarray] = [None] * nb  # type: ignore[list-item]
+    for p, sj in zip(perm, spans):
+        out[int(p)] = B[sj, 0] if one_d else B[sj]
     return out
 
 

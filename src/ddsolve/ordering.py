@@ -10,11 +10,13 @@ file with one index per line instead.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blockmat import CliqueGraph
+from .symbolic import symbolic_factor
 
 
 class OrderingError(Exception):
@@ -49,57 +51,62 @@ def check_permutation(perm: np.ndarray) -> None:
         seen[v] = True
 
 
+def _simplicial(adj: list[set[int]], v: int) -> bool:
+    """Whether the neighbors of ``v`` form a clique (zero deficiency)."""
+    nbrs = adj[v]
+    return all(len(nbrs & adj[u]) == len(nbrs) - 1 for u in nbrs)
+
+
 def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
+    """Eliminate by the smallest key ``(not simplicial, weighted degree,
+    index)``, keys held in a heap with lazy invalidation.
+
+    Eliminating ``v`` turns its neighbors into a clique.  Only two kinds of
+    vertex can change key: the neighbors of ``v``, whose adjacency changed,
+    and vertices adjacent to both ends of a new fill edge, which may become
+    simplicial.  Every other vertex keeps its neighbors and the edges among
+    them, so only these keys are recomputed (George & Liu 1989).
+    """
     n = g.n
     adj = [set(s) for s in g.adj]
-    alive = [True] * n
+    w = weights.tolist()
+
+    def key(v: int) -> tuple[int, int, int]:
+        return (0 if _simplicial(adj, v) else 1, sum(w[u] for u in adj[v]), v)
+
+    keys: list = [key(v) for v in range(n)]
+    heap = list(keys)
+    heapq.heapify(heap)
     order = []
-    for _ in range(n):
-        best = -1
-        best_key = None
-        for v in range(n):
-            if not alive[v]:
-                continue
-            deg = int(sum(weights[u] for u in adj[v]))
-            nbrs = sorted(adj[v])
-            simplicial = all(w in adj[u] for a_i, u in enumerate(nbrs)
-                             for w in nbrs[a_i + 1:])
-            key = (0 if simplicial else 1, deg, v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        order.append(best)
-        alive[best] = False
-        nbrs = sorted(adj[best])
+    while heap:
+        k = heapq.heappop(heap)
+        v = k[2]
+        if keys[v] != k:
+            continue  # stale entry of an eliminated or re-keyed vertex
+        keys[v] = None
+        order.append(v)
+        nbrs = adj[v]
         for u in nbrs:
-            adj[u].discard(best)
-        for a_i, u in enumerate(nbrs):
-            for w in nbrs[a_i + 1:]:
-                adj[u].add(w)
-                adj[w].add(u)
+            adj[u].discard(v)
+        fill = []
+        for u in nbrs:
+            new = nbrs - adj[u]
+            new.discard(u)
+            if new:
+                adj[u] |= new
+                fill.extend((u, x) for x in new if x > u)
+        touched = set(nbrs)
+        for a, b in fill:
+            touched |= adj[a] & adj[b]
+        for u in touched:
+            # A vertex outside nbrs keeps its degree and can only become
+            # simplicial, so a simplicial one keeps its key.
+            if u in nbrs or keys[u][0]:
+                k = key(u)
+                if k != keys[u]:
+                    keys[u] = k
+                    heapq.heappush(heap, k)
     return np.array(order, dtype=np.int64)
-
-
-def _factor_entries(g: CliqueGraph, perm: np.ndarray, weights: np.ndarray) -> int:
-    """Predicted factor entries of an elimination order (local symbolic pass,
-    duplicated from the symbolic module to keep this module import-free)."""
-    n = g.n
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in g.adj[i]:
-            adj[inv[i]].add(int(inv[j]))
-    total = 0
-    for j in range(n):
-        rows = sorted(r for r in adj[j] if r > j)
-        nj = int(weights[perm[j]])
-        total += nj * (nj + 1) // 2
-        total += nj * int(sum(weights[perm[r]] for r in rows))
-        for a_i, u in enumerate(rows):
-            for w in rows[a_i + 1:]:
-                adj[u].add(w)
-                adj[w].add(u)
-    return total
 
 
 def reorder(g: CliqueGraph, weights) -> Ordering:
@@ -117,13 +124,14 @@ def reorder(g: CliqueGraph, weights) -> Ordering:
     weights = np.asarray(weights, dtype=np.int64)
     if weights.size != n:
         raise OrderingError("weights length does not match graph size")
-    perm_md = _min_degree_order(g, weights)
-    identity = np.arange(n, dtype=np.int64)
-    if np.array_equal(perm_md, identity):
-        return Ordering(perm_md, source="builtin")
-    if _factor_entries(g, perm_md, weights) <= _factor_entries(g, identity, weights):
-        return Ordering(perm_md, source="builtin")
-    return Ordering(identity, source="builtin")
+    md = Ordering(_min_degree_order(g, weights), source="builtin")
+    natural = identity_ordering(n)
+    if np.array_equal(md.perm, natural.perm):
+        return md
+    if (symbolic_factor(g, md, weights).total_factor_entries
+            <= symbolic_factor(g, natural, weights).total_factor_entries):
+        return md
+    return natural
 
 
 def identity_ordering(n: int) -> Ordering:

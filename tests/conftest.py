@@ -5,7 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ddsolve import blockmat, factor
+from ddsolve import blockmat, factor, mesh, subdomain
+
+# (side in wavelengths, points per wavelength, tiles per side) of the three
+# benchmark workloads, and one staircase tiling whose tiles do not divide the
+# grid (39 intervals over 7 tiles).
+GEOMETRIES = {
+    "subdomain-bound": (1.0, 22, 2),
+    "interface-bound": (2.4, 10, 12),
+    "angle-sweep": (2.0, 10, 4),
+    "staircase-7x7": (3.0, 13, 7),
+}
 
 
 def rand_complex_symmetric(n, seed, scale=1.0):
@@ -86,3 +96,18 @@ def warm_kernels():
     fac = factor.dense_ldlt_bk(M)
     fac.solve(np.ones((8, 2), dtype=complex))
     return True
+
+
+@pytest.fixture(scope="session")
+def reduced_systems():
+    """Reduced interface system of each geometry in ``GEOMETRIES``."""
+    out = {}
+    for name, (side, ppw, tiles) in GEOMETRIES.items():
+        cfg = mesh.ProblemConfig(side_lambda=side, ppw=ppw, px=tiles, py=tiles,
+                                 theta_inc=0.3)
+        m = mesh.build_rect_mesh(side, ppw)
+        part = mesh.partition_mesh(m, tiles, tiles)
+        systems = subdomain.build_subdomain_systems(m, part, cfg)
+        out[name] = subdomain.assemble_reduced(
+            [subdomain.reduce_domain(s) for s in systems], part)
+    return out

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import rand_block_system, rand_complex_symmetric, scalar_permutation
 from ddsolve import blockmat, factor, ordering, symbolic
-from ddsolve.factor import SingularBlockError, block_ldlt, block_solve, \
-    dense_ldlt_bk, scatter_factor
+from ddsolve.factor import FactorConsistencyError, SingularBlockError, \
+    block_ldlt, block_solve, dense_ldlt_bk, scatter_factor
 from ddsolve.ordering import identity_ordering
 
 
@@ -147,6 +147,79 @@ def test_singular_block_reports_column():
                                      (1, 1, np.eye(2, dtype=complex))])
     with pytest.raises(SingularBlockError, match="block column 0"):
         block_ldlt(K, plan_for(K, identity_ordering(2)))
+
+
+def test_cancelling_update_leaves_symmetric_diagonal_block():
+    # K_11 is the Schur complement K_10 K_00^-1 K_10^T plus 1e-9 I, so the
+    # update cancels it to about 1e-9: rounding asymmetry in the update,
+    # unless symmetrized, fails the next diagonal factor's symmetry check
+    rng = np.random.default_rng(7)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    G = cplx(2, 2)
+    K00 = G + G.T + 6 * np.eye(2)
+    K10 = cplx(3, 2)
+    S = K10 @ np.linalg.solve(K00, K10.T)
+    K = blockmat.from_blocks([2, 3], [(0, 0, K00), (1, 0, K10),
+                                      (1, 1, (S + S.T) / 2 + 1e-9 * np.eye(3))])
+    F = block_ldlt(K, plan_for(K, identity_ordering(2)))
+    L, D = scatter_factor(F)
+    Kd = K.scatter()
+    assert np.linalg.norm(Kd - L @ D @ L.T) <= 1e-13 * np.linalg.norm(Kd)
+
+
+def test_plan_for_other_block_sizes_rejected():
+    # same graph and block count, sizes swapped: the plan's panel offsets
+    # would mis-slice every block of K
+    rng = np.random.default_rng(63)
+    K = blockmat.from_blocks([2, 3], [
+        (0, 0, 4 * np.eye(2) + 0j), (1, 1, 4 * np.eye(3) + 0j),
+        (1, 0, rng.standard_normal((3, 2)) + 0j)])
+    plan = symbolic.symbolic_factor(blockmat.clique_graph(K),
+                                    identity_ordering(2), [3, 2])
+    with pytest.raises(ValueError, match="block sizes"):
+        block_ldlt(K, plan)
+
+
+def test_plan_missing_pattern_blocks_raises():
+    # K couples block 0 to blocks 1 and 2, so eliminating 0 updates (2, 1)
+    sizes = [2, 1, 2]
+    K = blockmat.from_blocks(sizes, [(i, i, 3 * np.eye(s) + 0j)
+                                     for i, s in enumerate(sizes)]
+                             + [(1, 0, np.ones((1, 2)) + 0j),
+                                (2, 0, np.ones((2, 2)) + 0j)])
+    order = identity_ordering(3)
+    no_fill = symbolic.EliminationPlan(
+        order, np.array([1, -1, -1]),
+        [np.array([1, 2]), np.array([], dtype=np.int64),
+         np.array([], dtype=np.int64)], np.array(sizes), 13)
+    with pytest.raises(FactorConsistencyError, match="outside pattern"):
+        block_ldlt(K, no_fill)
+    g = blockmat.CliqueGraph(3)
+    g.add_edge(1, 0)
+    with pytest.raises(FactorConsistencyError, match="unconsumed blocks"):
+        block_ldlt(K, symbolic.symbolic_factor(g, order, sizes))
+
+
+# FactorStats of the benchmark geometries as (factor_entries, flops,
+# peak_bytes, n_2x2_pivots); they do not depend on the incidence angle.
+BENCHMARK_STATS = {
+    "interface-bound": (16958, 305460, 274512, 0),
+    "angle-sweep": (3778, 82773, 66656, 0),
+    "subdomain-bound": (984, 22596, 23152, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_STATS))
+def test_benchmark_geometry_factor_stats(reduced_systems, name):
+    rsys = reduced_systems[name]
+    F = block_ldlt(rsys.K, plan_for(rsys.K))
+    s = F.stats
+    assert (s.factor_entries, s.flops, s.peak_bytes, s.n_2x2_pivots) == \
+        BENCHMARK_STATS[name]
+    assert s.growth_factor <= 2.57
 
 
 def test_growth_and_pivot_stats_propagate():

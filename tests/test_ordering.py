@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rand_clique_graph
+from conftest import GEOMETRIES, rand_clique_graph
 from ddsolve import symbolic
-from ddsolve.blockmat import CliqueGraph
-from ddsolve.ordering import Ordering, OrderingError, identity_ordering, \
-    load_ordering_file, reorder
+from ddsolve.blockmat import CliqueGraph, clique_graph
+from ddsolve.ordering import Ordering, OrderingError, _min_degree_order, \
+    identity_ordering, load_ordering_file, reorder
 
 
 def path_graph(n):
@@ -36,6 +37,80 @@ def n_fill(g, order, weights):
 
 def factor_entries(g, order, weights):
     return symbolic.symbolic_factor(g, order, weights).total_factor_entries
+
+
+def reference_min_degree_order(g, weights):
+    """Full-rescan minimum degree: every step recomputes the key of every
+    live vertex, including its simplicial test."""
+    n = g.n
+    adj = [set(s) for s in g.adj]
+    alive = [True] * n
+    order = []
+    for _ in range(n):
+        best = -1
+        best_key = None
+        for v in range(n):
+            if not alive[v]:
+                continue
+            deg = int(sum(weights[u] for u in adj[v]))
+            nbrs = sorted(adj[v])
+            simplicial = all(w in adj[u] for a_i, u in enumerate(nbrs)
+                             for w in nbrs[a_i + 1:])
+            key = (0 if simplicial else 1, deg, v)
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        order.append(best)
+        alive[best] = False
+        nbrs = sorted(adj[best])
+        for u in nbrs:
+            adj[u].discard(best)
+        for a_i, u in enumerate(nbrs):
+            for w in nbrs[a_i + 1:]:
+                adj[u].add(w)
+                adj[w].add(u)
+    return np.array(order, dtype=np.int64)
+
+
+def reference_reorder(g, weights):
+    """The natural-order guard of ``reorder`` around the reference order."""
+    md = Ordering(reference_min_degree_order(g, weights))
+    natural = identity_ordering(g.n)
+    if factor_entries(g, md, weights) <= factor_entries(g, natural, weights):
+        return md.perm
+    return natural.perm
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 24))
+    p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    rnd = draw(st.randoms(use_true_random=False))
+    g = CliqueGraph(n)
+    for i in range(n):
+        for j in range(i):
+            if rnd.random() < p:
+                g.add_edge(i, j)
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    return g, weights
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weighted_graphs())
+def test_min_degree_matches_full_rescan_reference(gw):
+    g, weights = gw
+    assert np.array_equal(_min_degree_order(g, weights),
+                          reference_min_degree_order(g, weights))
+    assert np.array_equal(reorder(g, weights).perm, reference_reorder(g, weights))
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_min_degree_matches_reference_on_reduced_graphs(reduced_systems, name):
+    K = reduced_systems[name].K
+    g = clique_graph(K)
+    assert np.array_equal(_min_degree_order(g, K.sizes),
+                          reference_min_degree_order(g, K.sizes))
+    assert np.array_equal(reorder(g, K.sizes).perm,
+                          reference_reorder(g, K.sizes))
 
 
 def test_edgeless_gives_ascending_order():
