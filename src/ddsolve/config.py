@@ -93,8 +93,12 @@ def parse_config_file(path) -> RunConfig:
     if ordering != "builtin" and not ordering.startswith("file:"):
         raise ConfigError(
             f"{path}: ordering must be 'builtin' or 'file:<path>', got {ordering!r}")
+    pivot_tol = get_float("pivot_tol", DEFAULT_PIVOT_TOL)
+    if not (math.isfinite(pivot_tol) and pivot_tol >= 0.0):
+        raise ConfigError(f"{path}: pivot_tol must be finite and non-negative, "
+                          f"got {raw['pivot_tol']!r}")
     return RunConfig(problem=problem,
-                     pivot_tol=get_float("pivot_tol", DEFAULT_PIVOT_TOL),
+                     pivot_tol=pivot_tol,
                      ordering=ordering,
                      out_csv=raw.get("out_csv"),
                      case_id=path.stem)

@@ -250,6 +250,8 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
     n = M.shape[0]
     W = np.array(M, dtype=np.complex128, order="F")
     scale = np.abs(W).max() if n else 0.0
+    if not np.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
     if n and scale > 0.0:
         asym = np.abs(W - W.T).max()
         if asym > 1e-12 * scale:

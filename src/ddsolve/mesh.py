@@ -13,6 +13,7 @@ symmetric under plain transposition (no conjugation).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,11 @@ class ProblemConfig:
     eps_r: float = 1.0
 
     def __post_init__(self):
+        for name in ("side_lambda", "ppw", "wavelength", "theta_inc", "alpha",
+                     "mu_r", "eps_r"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
         if self.side_lambda <= 0.0:
@@ -91,13 +97,12 @@ class Mesh:
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
     def edge_use_counts(self) -> dict[tuple[int, int], list[int]]:
-        """Map sorted edge -> list of triangles using it."""
-        use: dict[tuple[int, int], list[int]] = {}
-        for e, tri in enumerate(self.tris):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(min(a, b)), int(max(a, b)))
-                use.setdefault(key, []).append(e)
-        return use
+        """Map sorted edge -> list of triangles using it, in ascending order."""
+        tab = edge_table(self.tris)
+        owners = (tab.half // 3).tolist()
+        start = tab.start.tolist()
+        return {(lo, hi): owners[start[i]:start[i + 1]]
+                for i, (lo, hi) in enumerate(tab.edges.tolist())}
 
     def validate(self) -> None:
         areas = self.tri_areas()
@@ -105,12 +110,41 @@ class Mesh:
         if bad.size:
             raise AssemblyError(f"element {int(bad[0])} has non-positive area")
         use = self.edge_use_counts()
-        for a, b in self.boundary_edges:
-            key = (int(min(a, b)), int(max(a, b)))
+        for a, b in self.boundary_edges.tolist():
+            key = (min(a, b), max(a, b))
             owners = use.get(key, [])
             if len(owners) != 1:
                 raise AssemblyError(
                     f"boundary edge {key} used by {len(owners)} triangles")
+
+
+@dataclass
+class EdgeTable:
+    """Unique edges of a triangle list and the triangles that use each.
+
+    Half edge ``h = 3 t + j`` runs from ``tris[t, j]`` to
+    ``tris[t, (j + 1) % 3]``.  ``edges[i]`` is the ``(lo, hi)`` node pair of
+    edge ``i``, in lexicographic order, and ``half[start[i]:start[i + 1]]``
+    are its half edges in ascending order, hence in ascending triangle order.
+    """
+
+    edges: np.ndarray
+    half: np.ndarray
+    start: np.ndarray
+
+
+def edge_table(tris: np.ndarray) -> EdgeTable:
+    """Group the half edges of ``tris`` by edge with one stable sort."""
+    tris = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    a = tris.reshape(-1)
+    b = tris[:, [1, 2, 0]].reshape(-1)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    key = lo * (1 + int(tris.max(initial=-1))) + hi
+    half = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[half], prepend=-1))
+    edges = np.column_stack([lo[half[first]], hi[half[first]]])
+    return EdgeTable(edges, half, np.append(first, key.size))
 
 
 @dataclass
@@ -133,13 +167,29 @@ class Partition:
     interfaces: list[Interface]
     boundary: list[np.ndarray]        # per-domain outer boundary edges (m, 2)
     boundary_owner: list[np.ndarray]  # owning triangle per listed edge
+    # Per-domain incidence, filled once at construction.
+    _elements: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    _incident: list[list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dom = np.asarray(self.domain_of_elem)
+        order = np.argsort(dom, kind="stable")
+        order.flags.writeable = False
+        cut = [0] + np.cumsum(np.bincount(dom, minlength=self.n_domains)).tolist()
+        self._elements = [order[cut[d]:cut[d + 1]] for d in range(self.n_domains)]
+        self._incident = [[] for _ in range(self.n_domains)]
+        for i, itf in enumerate(self.interfaces):
+            self._incident[itf.dom_lo].append(i)
+            if itf.dom_hi != itf.dom_lo:
+                self._incident[itf.dom_hi].append(i)
 
     def elements_of(self, d: int) -> np.ndarray:
-        return np.flatnonzero(self.domain_of_elem == d)
+        """Elements of domain ``d`` in ascending order (read-only)."""
+        return self._elements[d]
 
     def incident_interfaces(self, d: int) -> list[int]:
-        return [i for i, itf in enumerate(self.interfaces)
-                if itf.dom_lo == d or itf.dom_hi == d]
+        """Indices of the interfaces touching domain ``d``, ascending."""
+        return list(self._incident[d])
 
 
 def grid_intervals(side_lambda: float, ppw: float) -> int:
@@ -163,37 +213,23 @@ def build_rect_mesh(side_lambda: float, ppw: float) -> Mesh:
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([X.reshape(-1), Y.reshape(-1)])
 
-    def nid(ix, iy):
-        return iy * (n + 1) + ix
+    # cell c = iy * n + ix holds triangles 2c = (v00, v10, v11) and
+    # 2c + 1 = (v00, v11, v01)
+    iy, ix = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = iy * (n + 1) + ix
+    v10 = v00 + 1
+    v01 = v00 + (n + 1)
+    v11 = v01 + 1
+    tris = np.stack([np.column_stack([v00, v10, v11]),
+                     np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
 
-    tris = np.empty((2 * n * n, 3), dtype=np.int64)
-    e = 0
-    for iy in range(n):
-        for ix in range(n):
-            v00 = nid(ix, iy)
-            v10 = nid(ix + 1, iy)
-            v11 = nid(ix + 1, iy + 1)
-            v01 = nid(ix, iy + 1)
-            tris[e] = (v00, v10, v11)
-            tris[e + 1] = (v00, v11, v01)
-            e += 2
-
-    edges = []
-    owners = []
-    use: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for t, tri in enumerate(tris):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            use.setdefault(key, []).append((t, int(a), int(b)))
-    for key in sorted(use):
-        hits = use[key]
-        if len(hits) == 1:
-            t, a, b = hits[0]
-            edges.append((a, b))
-            owners.append(t)
-    return Mesh(nodes, tris,
-                np.array(edges, dtype=np.int64).reshape(-1, 2),
-                np.array(owners, dtype=np.int64))
+    # boundary edges: used by one triangle, listed in sorted (lo, hi) order
+    # with the owner's orientation
+    tab = edge_table(tris)
+    single = tab.half[tab.start[:-1][np.diff(tab.start) == 1]]
+    owners, j = np.divmod(single, 3)
+    edges = np.column_stack([tris[owners, j], tris[owners, (j + 1) % 3]])
+    return Mesh(nodes, tris, edges, owners)
 
 
 def element_matrices(mesh: Mesh, mu_r: float = 1.0):
@@ -220,9 +256,21 @@ def element_matrices(mesh: Mesh, mu_r: float = 1.0):
     return areas, Ke, Me
 
 
-def edge_mass(h: float) -> np.ndarray:
-    """1-D P1 mass matrix of an edge of length ``h``."""
-    return (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+def edge_lengths(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Length of each ``(a, b)`` node pair.
+
+    ``np.vecdot`` runs the same BLAS dot per row as ``np.linalg.norm`` does
+    on one vector, so each length is bit-identical to that norm.
+    """
+    d = nodes[edges[:, 1]] - nodes[edges[:, 0]]
+    return np.sqrt(np.vecdot(d, d))
+
+
+def edge_mass(h) -> np.ndarray:
+    """1-D P1 mass matrix of an edge of length ``h``; for an array of
+    lengths, one ``(2, 2)`` block per entry."""
+    h = np.asarray(h, dtype=np.float64)
+    return (h / 6.0)[..., None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
 def _dedup_sum(rows, cols, vals, n) -> sp.csr_matrix:
@@ -297,13 +345,9 @@ def assemble_helmholtz(mesh: Mesh, cfg: ProblemConfig):
     vals = Ae.reshape(-1)
 
     be = mesh.boundary_edges
-    a = mesh.nodes[be[:, 0]]
-    b = mesh.nodes[be[:, 1]]
-    h = np.linalg.norm(b - a, axis=1)
-    scale = (-1j * k) * (h / 6.0)
     brows = np.column_stack([be[:, 0], be[:, 0], be[:, 1], be[:, 1]]).reshape(-1)
     bcols = np.column_stack([be[:, 0], be[:, 1], be[:, 0], be[:, 1]]).reshape(-1)
-    bvals = np.column_stack([2 * scale, scale, scale, 2 * scale]).reshape(-1)
+    bvals = ((-1j * k) * edge_mass(edge_lengths(mesh.nodes, be))).reshape(-1)
 
     A = _dedup_sum([rows, brows], [cols, bcols], [vals, bvals], mesh.n_nodes)
     f = incident_boundary_load(mesh, be, mesh.boundary_owner, k, cfg.theta_inc)
@@ -336,20 +380,23 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
             f"domain {int(empty[0])} contains no elements; "
             f"grid too coarse for a {px}x{py} tiling")
 
-    # shared edges between distinct domains, grouped per ordered pair
-    pair_edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    use = mesh.edge_use_counts()
-    for (a, b), tris in sorted(use.items()):
-        if len(tris) != 2:
-            continue
-        d0, d1 = int(dom[tris[0]]), int(dom[tris[1]])
-        if d0 == d1:
-            continue
-        key = (min(d0, d1), max(d0, d1))
-        pair_edges.setdefault(key, []).append((a, b))
+    # edges shared by two triangles of distinct domains, grouped per
+    # (lower, higher) domain pair, each group in sorted (lo, hi) edge order
+    tab = edge_table(mesh.tris)
+    two = np.flatnonzero(np.diff(tab.start) == 2)
+    d0 = dom[tab.half[tab.start[two]] // 3]
+    d1 = dom[tab.half[tab.start[two] + 1] // 3]
+    cross = np.flatnonzero(d0 != d1)
+    pair = (np.minimum(d0, d1) * n_domains + np.maximum(d0, d1))[cross]
+    by_pair = np.argsort(pair, kind="stable")
+    pairs, first = np.unique(pair[by_pair], return_index=True)
+    shared = [tuple(e) for e in tab.edges[two[cross[by_pair]]].tolist()]
+    bounds = np.append(first, len(shared)).tolist()
+    dlos, dhis = np.divmod(pairs, n_domains)
 
     interfaces: list[Interface] = []
-    for (dlo, dhi), edge_list in sorted(pair_edges.items()):
+    for g, (dlo, dhi) in enumerate(zip(dlos.tolist(), dhis.tolist())):
+        edge_list = shared[bounds[g]:bounds[g + 1]]
         nbr: dict[int, list[int]] = {}
         for a, b in edge_list:
             nbr.setdefault(a, []).append(b)
@@ -358,22 +405,25 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
             if len(ns) > 2:
                 raise PartitionError(
                     f"interface ({dlo}, {dhi}) branches at node {node}")
-        remaining = {tuple(sorted(e)) for e in edge_list}
+        # edges are (lo, hi) tuples
+        remaining = set(edge_list)
         endpoints = sorted(n for n, ns in nbr.items() if len(ns) == 1)
         chains = []
         for start in endpoints:
-            if not any(tuple(sorted((start, u))) in remaining for u in nbr[start]):
+            u = nbr[start][0]
+            if ((start, u) if start < u else (u, start)) not in remaining:
                 continue
             chain = [start]
             prev = -1
             cur = start
             while True:
-                nxt = [u for u in nbr[cur] if u != prev
-                       and tuple(sorted((cur, u))) in remaining]
-                if not nxt:
+                for u in nbr[cur]:
+                    e = (cur, u) if cur < u else (u, cur)
+                    if u != prev and e in remaining:
+                        break
+                else:
                     break
-                u = nxt[0]
-                remaining.discard(tuple(sorted((cur, u))))
+                remaining.discard(e)
                 chain.append(u)
                 prev, cur = cur, u
             chains.append(chain)
@@ -385,10 +435,11 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
                 chain = chain[::-1]
             interfaces.append(Interface(dlo, dhi, np.array(chain, dtype=np.int64)))
 
-    boundary = []
-    boundary_owner = []
-    for d in range(n_domains):
-        sel = dom[mesh.boundary_owner] == d
-        boundary.append(mesh.boundary_edges[sel])
-        boundary_owner.append(mesh.boundary_owner[sel])
+    # per-domain outer boundary, each in the mesh's boundary-edge order
+    bdom = dom[mesh.boundary_owner]
+    by_dom = np.argsort(bdom, kind="stable")
+    cut = [0] + np.cumsum(np.bincount(bdom, minlength=n_domains)).tolist()
+    edges, owners = mesh.boundary_edges[by_dom], mesh.boundary_owner[by_dom]
+    boundary = [edges[cut[d]:cut[d + 1]] for d in range(n_domains)]
+    boundary_owner = [owners[cut[d]:cut[d + 1]] for d in range(n_domains)]
     return Partition(n_domains, dom, interfaces, boundary, boundary_owner)

@@ -27,7 +27,7 @@ from .blockmat import BlockSparseSym, from_blocks
 from .factor import DEFAULT_PIVOT_TOL, DenseFactor, SingularBlockError, \
     blas_matmul, dense_ldlt_bk
 from .mesh import Mesh, Partition, ProblemConfig, assemble_helmholtz, \
-    element_matrices, incident_boundary_load
+    edge_lengths, edge_mass, element_matrices, incident_boundary_load
 
 
 class SingularDomainError(Exception):
@@ -71,23 +71,41 @@ class ReducedSystem:
         return int(self.interface_sizes.sum())
 
 
-def interface_lambda_nodes(part: Partition) -> list[np.ndarray]:
-    """Kept multiplier nodes per interface, in chain order.
+@dataclass
+class _Chains:
+    """All interface chains of a partition, concatenated in interface order.
+
+    ``nodes[start[i]:start[i + 1]]`` is the chain of interface ``i``;
+    ``kept`` marks the chain nodes that carry a multiplier dof, and
+    ``n_kept[i]`` counts them per interface.
+    """
+
+    nodes: np.ndarray
+    start: np.ndarray
+    kept: np.ndarray
+    n_kept: np.ndarray
+
+
+def _chains(part: Partition) -> _Chains:
+    """Concatenate the chains and mark their kept multiplier nodes.
 
     At every mesh node shared by two or more interfaces the incident
     interfaces are scanned in ascending index order; one dof is dropped for
     each interface whose (dom_lo, dom_hi) edge closes a cycle among the
     domains already connected at that node.
     """
-    node_ifaces: dict[int, list[int]] = {}
-    for idx, itf in enumerate(part.interfaces):
-        for v in itf.nodes:
-            node_ifaces.setdefault(int(v), []).append(idx)
-    drops: set[tuple[int, int]] = set()
-    for v in sorted(node_ifaces):
-        ifs = node_ifaces[v]
-        if len(ifs) < 2:
-            continue
+    itfs = part.interfaces
+    sizes = [itf.n_nodes for itf in itfs]
+    start = np.zeros(len(itfs) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=start[1:])
+    nodes = (np.concatenate([itf.nodes for itf in itfs]) if itfs
+             else np.zeros(0, dtype=np.int64))
+    owner = np.repeat(np.arange(len(itfs)), sizes)
+    kept = np.ones(nodes.size, dtype=bool)
+    # chain positions grouped by node: ascending node, then ascending interface
+    by_node = np.argsort(nodes, kind="stable")
+    cut = np.append(np.flatnonzero(np.diff(nodes[by_node], prepend=-1)), nodes.size)
+    for g in np.flatnonzero(np.diff(cut) > 1).tolist():
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:
@@ -96,69 +114,156 @@ def interface_lambda_nodes(part: Partition) -> list[np.ndarray]:
                 x = parent[x]
             return x
 
-        for i in sorted(ifs):
-            a = find(part.interfaces[i].dom_lo)
-            b = find(part.interfaces[i].dom_hi)
+        for pos in by_node[cut[g]:cut[g + 1]].tolist():
+            itf = itfs[owner[pos]]
+            a = find(itf.dom_lo)
+            b = find(itf.dom_hi)
             if a == b:
-                drops.add((i, v))
+                kept[pos] = False
             else:
                 parent[a] = b
-    kept = []
-    for idx, itf in enumerate(part.interfaces):
-        kept.append(np.array([int(v) for v in itf.nodes
-                              if (idx, int(v)) not in drops], dtype=np.int64))
-    return kept
+    n_kept = np.bincount(owner[kept], minlength=len(itfs))
+    return _Chains(nodes, start, kept, n_kept)
+
+
+def interface_lambda_nodes(part: Partition) -> list[np.ndarray]:
+    """Kept multiplier nodes per interface, in chain order (see
+    :func:`_chains` for which cross-point duplicates are dropped)."""
+    ch = _chains(part)
+    nodes = ch.nodes[ch.kept]
+    cut = [0] + np.cumsum(ch.n_kept).tolist()
+    return [nodes[cut[i]:cut[i + 1]] for i in range(ch.n_kept.size)]
+
+
+def _chain_mass(mesh: Mesh, nodes: np.ndarray, start: np.ndarray):
+    """Diagonal and superdiagonal of the 1-D P1 mass matrix of each chain.
+
+    ``diag[p]`` belongs to chain node ``p``; ``off[p]`` couples ``p`` and
+    ``p + 1`` within a chain and is zero at a chain's last node.
+    """
+    interior = np.ones(nodes.size, dtype=bool)
+    interior[start[1:] - 1] = False
+    e = np.flatnonzero(interior)
+    blk = edge_mass(edge_lengths(mesh.nodes, np.column_stack([nodes[e], nodes[e + 1]])))
+    diag = np.zeros(nodes.size)
+    diag[e] = blk[:, 0, 0]
+    diag[e + 1] += blk[:, 1, 1]
+    off = np.zeros(nodes.size)
+    off[e] = blk[:, 0, 1]
+    return diag, off
+
+
+def _mass_entries(diag, off, base, r, c):
+    """Entry ``(r, c)`` of the chain mass matrix whose first node is at
+    position ``base``; zero outside the tridiagonal band."""
+    band = np.where(np.abs(r - c) == 1, off[base + np.minimum(r, c)], 0.0)
+    return np.where(r == c, diag[base + r], band)
 
 
 def interface_mass_matrix(mesh: Mesh, nodes: np.ndarray) -> np.ndarray:
     """Tridiagonal 1-D P1 mass matrix along an ordered node chain."""
     n = nodes.size
-    M = np.zeros((n, n))
-    for t in range(n - 1):
-        h = float(np.linalg.norm(mesh.nodes[nodes[t + 1]] - mesh.nodes[nodes[t]]))
-        M[t:t + 2, t:t + 2] += (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-    return M
+    diag, off = _chain_mass(mesh, nodes, np.array([0, n]))
+    r, c = np.divmod(np.arange(n * n), n)
+    return _mass_entries(diag, off, 0, r, c).reshape(n, n)
+
+
+def _ragged_blocks(n_rows: np.ndarray, n_cols: np.ndarray):
+    """Block, row and column of every entry of a sequence of row-major
+    ``n_rows[b] x n_cols[b]`` blocks."""
+    size = n_rows * n_cols
+    block = np.repeat(np.arange(size.size), size)
+    pos = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
+    row, col = np.divmod(pos, n_cols[block])
+    return block, row, col
 
 
 def build_subdomain_systems(mesh: Mesh, part: Partition,
                             cfg: ProblemConfig) -> list[SubdomainSystem]:
+    """Dense system, couplings and load of every domain.
+
+    All matrices live in one buffer and are filled by one ``np.add.at``,
+    which adds sequentially.  Each entry receives its terms in a fixed
+    order: element blocks in ascending element order, the Robin blocks of
+    the domain's outer boundary edges, then ``+-alpha`` times the chain
+    mass of each incident interface in ascending interface order.  The
+    coupling blocks ``D = +-M_chain[:, kept]`` are scattered the same way
+    into a second buffer.
+    """
     k = cfg.k
     alpha = cfg.alpha
     _, Ke, Me = element_matrices(mesh, cfg.mu_r)
     Ae = Ke.astype(np.complex128) - (k * k * cfg.eps_r) * Me
-    lam_nodes = interface_lambda_nodes(part)
+    n_dom = part.n_domains
+    n_nodes = mesh.n_nodes
+    dom = np.asarray(part.domain_of_elem)
+
+    # local numbering: the sorted nodes of each domain's elements
+    keys = np.unique(dom[:, None] * n_nodes + mesh.tris)
+    first = np.searchsorted(keys, np.arange(n_dom + 1) * n_nodes)
+    nd = np.diff(first)
+    a_off = np.zeros(n_dom + 1, dtype=np.int64)
+    np.cumsum(nd * nd, out=a_off[1:])
+
+    def local(d, v):
+        return np.searchsorted(keys, d * n_nodes + v) - first[d]
+
+    def entry(d, rows, cols):
+        return a_off[d] + local(d, rows) * nd[d] + local(d, cols)
+
+    # element and Robin blocks
+    de = dom[:, None, None]
+    idx = [entry(de, mesh.tris[:, :, None], mesh.tris[:, None, :]).reshape(-1)]
+    vals = [Ae.reshape(-1)]
+    bd = np.concatenate(part.boundary).reshape(-1, 2)
+    db = np.repeat(np.arange(n_dom), [b.shape[0] for b in part.boundary])[:, None, None]
+    idx.append(entry(db, bd[:, :, None], bd[:, None, :]).reshape(-1))
+    vals.append(((-1j * k) * edge_mass(edge_lengths(mesh.nodes, bd))).reshape(-1))
+
+    # interface terms: block 2i is interface i on its lower side (+), block
+    # 2i + 1 on its higher side (-)
+    ch = _chains(part)
+    diag, off = _chain_mass(mesh, ch.nodes, ch.start)
+    side_dom = np.array([(itf.dom_lo, itf.dom_hi) for itf in part.interfaces],
+                        dtype=np.int64).reshape(-1)
+    n_chain = np.repeat(np.diff(ch.start), 2)
+    blk, r, c = _ragged_blocks(n_chain, n_chain)
+    i_itf, side = np.divmod(blk, 2)
+    d, base = side_dom[blk], ch.start[i_itf]
+    idx.append(entry(d, ch.nodes[base + r], ch.nodes[base + c]))
+    coef = np.array([1 * alpha, -1 * alpha])   # as sign * alpha, zero signs included
+    vals.append(coef[side] * _mass_entries(diag, off, base, r, c))
+
+    A_all = np.zeros(int(a_off[-1]), dtype=np.complex128)
+    np.add.at(A_all, np.concatenate(idx), np.concatenate(vals))
+
+    # coupling blocks, in the same block order; column j of interface i is
+    # the chain position of its j-th kept node
+    kept_at = np.flatnonzero(ch.kept)
+    kept_start = np.zeros(ch.n_kept.size + 1, dtype=np.int64)
+    np.cumsum(ch.n_kept, out=kept_start[1:])
+    n_kept = np.repeat(ch.n_kept, 2)
+    d_off = np.zeros(n_kept.size + 1, dtype=np.int64)
+    np.cumsum(nd[side_dom] * n_kept, out=d_off[1:])
+    blk, r, j = _ragged_blocks(n_chain, n_kept)
+    i_itf, side = np.divmod(blk, 2)
+    d, base = side_dom[blk], ch.start[i_itf]
+    col = kept_at[kept_start[i_itf] + j] - base
+    D_all = np.zeros(int(d_off[-1]), dtype=np.complex128)
+    D_all[d_off[blk] + local(d, ch.nodes[base + r]) * n_kept[blk] + j] = \
+        (1 - 2 * side) * _mass_entries(diag, off, base, r, col)
+
+    couplings: list[list[Coupling]] = [[] for _ in range(n_dom)]
+    for b, (dd, kk) in enumerate(zip(side_dom.tolist(), n_kept.tolist())):
+        D = D_all[d_off[b]:d_off[b + 1]].reshape(nd[dd], kk)
+        couplings[dd].append(Coupling(b // 2, D, 1 - 2 * (b % 2)))
     systems = []
-    for d in range(part.n_domains):
-        elems = part.elements_of(d)
-        loc_nodes = np.unique(mesh.tris[elems])
-        g2l = {int(gn): i for i, gn in enumerate(loc_nodes)}
-        nd = loc_nodes.size
-        A = np.zeros((nd, nd), dtype=np.complex128)
-        for e in elems:
-            idx = np.array([g2l[int(v)] for v in mesh.tris[e]])
-            A[np.ix_(idx, idx)] += Ae[e]
-        for a, b in part.boundary[d]:
-            h = float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
-            ia, ib = g2l[int(a)], g2l[int(b)]
-            blk = (-1j * k) * (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-            A[np.ix_([ia, ib], [ia, ib])] += blk
-        couplings = []
-        for i_itf in part.incident_interfaces(d):
-            itf = part.interfaces[i_itf]
-            sign = 1 if itf.dom_lo == d else -1
-            Mg = interface_mass_matrix(mesh, itf.nodes)
-            rows = np.array([g2l[int(v)] for v in itf.nodes])
-            A[np.ix_(rows, rows)] += (sign * alpha) * Mg
-            kept = lam_nodes[i_itf]
-            cols = np.array([int(np.flatnonzero(itf.nodes == v)[0]) for v in kept],
-                            dtype=np.int64)
-            D = np.zeros((nd, kept.size), dtype=np.complex128)
-            if kept.size:
-                D[rows[:, None], np.arange(kept.size)[None, :]] = sign * Mg[:, cols]
-            couplings.append(Coupling(i_itf, D, sign))
+    for d in range(n_dom):
+        loc_nodes = keys[first[d]:first[d + 1]] - d * n_nodes
+        A = A_all[a_off[d]:a_off[d + 1]].reshape(nd[d], nd[d])
         f = incident_boundary_load(mesh, part.boundary[d], part.boundary_owner[d],
                                    k, cfg.theta_inc)[loc_nodes]
-        systems.append(SubdomainSystem(d, A, f, loc_nodes, couplings))
+        systems.append(SubdomainSystem(d, A, f, loc_nodes, couplings[d]))
     return systems
 
 
@@ -188,9 +293,10 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     ``reduced[d]`` is the ``(K_D, g_d)`` pair of domain ``d`` with rows and
     columns ordered by ``part.incident_interfaces(d)``.
     """
-    lam_nodes = interface_lambda_nodes(part)
-    sizes = np.array([ln.size for ln in lam_nodes], dtype=np.int64)
-    n_i = len(part.interfaces)
+    if len(reduced) != part.n_domains:
+        raise ValueError(f"{len(reduced)} reduced domains given, the partition "
+                         f"has {part.n_domains}")
+    sizes = _chains(part).n_kept
     triples = []
     g = [np.zeros(int(s), dtype=np.complex128) for s in sizes]
     for d, (K_D, g_d) in enumerate(reduced):

@@ -61,6 +61,25 @@ class TestConfigFile:
             parse_config_file(p)
 
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("theta_inc_deg", "nan", "theta_inc"),
+        ("alpha_imag", "nan", "alpha"),
+        ("side_lambda", "inf", "side_lambda"),
+        ("pivot_tol", "nan", "pivot_tol"),
+        ("pivot_tol", "inf", "pivot_tol"),
+        ("pivot_tol", "-1", "pivot_tol"),
+    ])
+    def test_rejects_non_finite_and_negative(self, tmp_path, capsys, key,
+                                             value, named):
+        fields = dict(side_lambda=1.0, ppw=10, px=2, py=2)
+        fields[key] = value
+        p = write_cfg(tmp_path / "bad.cfg", **fields)
+        with pytest.raises(ConfigError, match=named):
+            parse_config_file(p)
+        assert main(["solve", p]) == 1
+        assert "config error" in capsys.readouterr().err
+
+
 class TestSolveVerify:
     def test_solve_exit_code_and_report(self, small_cfg, capsys):
         rc = main(["solve", small_cfg])

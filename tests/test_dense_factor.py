@@ -193,6 +193,15 @@ def test_zero_column_is_singular():
         dense_ldlt_bk(M)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (3, 1)])
+def test_non_finite_entries_rejected(bad, where):
+    M = rand_complex_symmetric(5, 11)
+    M[where] = M[where[::-1]] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dense_ldlt_bk(M)
+
+
 def test_pivot_tol_scales_with_matrix():
     M = np.diag([1.0, 1e-20]).astype(complex)
     with pytest.raises(SingularBlockError):

@@ -1,0 +1,353 @@
+"""The array front end against the element-by-element loops it replaced.
+
+``build_rect_mesh``, ``partition_mesh``, ``interface_lambda_nodes``,
+``build_subdomain_systems`` and ``assemble_helmholtz`` must reproduce these
+loop versions bit for bit: same dtype, same shape, same bytes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import GEOMETRIES
+from ddsolve import mesh as mm, subdomain as sd
+
+
+# ---------------------------------------------------------------- references
+
+def reference_build_rect_mesh(side_lambda, ppw):
+    n = mm.grid_intervals(side_lambda, ppw)
+    h = side_lambda / n
+    xs = np.arange(n + 1) * h
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    nodes = np.column_stack([X.reshape(-1), Y.reshape(-1)])
+
+    def nid(ix, iy):
+        return iy * (n + 1) + ix
+
+    tris = np.empty((2 * n * n, 3), dtype=np.int64)
+    e = 0
+    for iy in range(n):
+        for ix in range(n):
+            v00 = nid(ix, iy)
+            v10 = nid(ix + 1, iy)
+            v11 = nid(ix + 1, iy + 1)
+            v01 = nid(ix, iy + 1)
+            tris[e] = (v00, v10, v11)
+            tris[e + 1] = (v00, v11, v01)
+            e += 2
+
+    edges = []
+    owners = []
+    use = {}
+    for t, tri in enumerate(tris):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (int(min(a, b)), int(max(a, b)))
+            use.setdefault(key, []).append((t, int(a), int(b)))
+    for key in sorted(use):
+        hits = use[key]
+        if len(hits) == 1:
+            t, a, b = hits[0]
+            edges.append((a, b))
+            owners.append(t)
+    return mm.Mesh(nodes, tris,
+                   np.array(edges, dtype=np.int64).reshape(-1, 2),
+                   np.array(owners, dtype=np.int64))
+
+
+def reference_edge_use_counts(mesh):
+    use = {}
+    for e, tri in enumerate(mesh.tris):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (int(min(a, b)), int(max(a, b)))
+            use.setdefault(key, []).append(e)
+    return use
+
+
+def reference_partition_mesh(mesh, px, py):
+    lo = mesh.nodes.min(axis=0)
+    hi = mesh.nodes.max(axis=0)
+    span = hi - lo
+    centroids = mesh.nodes[mesh.tris].mean(axis=1)
+    tx = np.clip(((centroids[:, 0] - lo[0]) / span[0] * px).astype(np.int64), 0, px - 1)
+    ty = np.clip(((centroids[:, 1] - lo[1]) / span[1] * py).astype(np.int64), 0, py - 1)
+    dom = ty * px + tx
+    n_domains = px * py
+
+    pair_edges = {}
+    for (a, b), tris in sorted(reference_edge_use_counts(mesh).items()):
+        if len(tris) != 2:
+            continue
+        d0, d1 = int(dom[tris[0]]), int(dom[tris[1]])
+        if d0 == d1:
+            continue
+        key = (min(d0, d1), max(d0, d1))
+        pair_edges.setdefault(key, []).append((a, b))
+
+    interfaces = []
+    for (dlo, dhi), edge_list in sorted(pair_edges.items()):
+        nbr = {}
+        for a, b in edge_list:
+            nbr.setdefault(a, []).append(b)
+            nbr.setdefault(b, []).append(a)
+        for node, ns in nbr.items():
+            if len(ns) > 2:
+                raise mm.PartitionError(
+                    f"interface ({dlo}, {dhi}) branches at node {node}")
+        remaining = {tuple(sorted(e)) for e in edge_list}
+        endpoints = sorted(n for n, ns in nbr.items() if len(ns) == 1)
+        chains = []
+        for start in endpoints:
+            if not any(tuple(sorted((start, u))) in remaining for u in nbr[start]):
+                continue
+            chain = [start]
+            prev = -1
+            cur = start
+            while True:
+                nxt = [u for u in nbr[cur] if u != prev
+                       and tuple(sorted((cur, u))) in remaining]
+                if not nxt:
+                    break
+                u = nxt[0]
+                remaining.discard(tuple(sorted((cur, u))))
+                chain.append(u)
+                prev, cur = cur, u
+            chains.append(chain)
+        if remaining:
+            raise mm.PartitionError(
+                f"interface ({dlo}, {dhi}) contains a closed loop")
+        for chain in sorted(chains, key=lambda c: min(c[0], c[-1])):
+            if chain[-1] < chain[0]:
+                chain = chain[::-1]
+            interfaces.append(mm.Interface(dlo, dhi, np.array(chain, dtype=np.int64)))
+
+    boundary = []
+    boundary_owner = []
+    for d in range(n_domains):
+        sel = dom[mesh.boundary_owner] == d
+        boundary.append(mesh.boundary_edges[sel])
+        boundary_owner.append(mesh.boundary_owner[sel])
+    return mm.Partition(n_domains, dom, interfaces, boundary, boundary_owner)
+
+
+def reference_interface_lambda_nodes(part):
+    node_ifaces = {}
+    for idx, itf in enumerate(part.interfaces):
+        for v in itf.nodes:
+            node_ifaces.setdefault(int(v), []).append(idx)
+    drops = set()
+    for v in sorted(node_ifaces):
+        ifs = node_ifaces[v]
+        if len(ifs) < 2:
+            continue
+        parent = {}
+
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i in sorted(ifs):
+            a = find(part.interfaces[i].dom_lo)
+            b = find(part.interfaces[i].dom_hi)
+            if a == b:
+                drops.add((i, v))
+            else:
+                parent[a] = b
+    return [np.array([int(v) for v in itf.nodes if (idx, int(v)) not in drops],
+                     dtype=np.int64)
+            for idx, itf in enumerate(part.interfaces)]
+
+
+def reference_interface_mass_matrix(mesh, nodes):
+    n = nodes.size
+    M = np.zeros((n, n))
+    for t in range(n - 1):
+        h = float(np.linalg.norm(mesh.nodes[nodes[t + 1]] - mesh.nodes[nodes[t]]))
+        M[t:t + 2, t:t + 2] += (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    return M
+
+
+def reference_build_subdomain_systems(mesh, part, cfg):
+    k = cfg.k
+    alpha = cfg.alpha
+    _, Ke, Me = mm.element_matrices(mesh, cfg.mu_r)
+    Ae = Ke.astype(np.complex128) - (k * k * cfg.eps_r) * Me
+    lam_nodes = reference_interface_lambda_nodes(part)
+    systems = []
+    for d in range(part.n_domains):
+        elems = np.flatnonzero(part.domain_of_elem == d)
+        loc_nodes = np.unique(mesh.tris[elems])
+        g2l = {int(gn): i for i, gn in enumerate(loc_nodes)}
+        nd = loc_nodes.size
+        A = np.zeros((nd, nd), dtype=np.complex128)
+        for e in elems:
+            idx = np.array([g2l[int(v)] for v in mesh.tris[e]])
+            A[np.ix_(idx, idx)] += Ae[e]
+        for a, b in part.boundary[d]:
+            h = float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
+            ia, ib = g2l[int(a)], g2l[int(b)]
+            blk = (-1j * k) * (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+            A[np.ix_([ia, ib], [ia, ib])] += blk
+        couplings = []
+        incident = [i for i, itf in enumerate(part.interfaces)
+                    if itf.dom_lo == d or itf.dom_hi == d]
+        for i_itf in incident:
+            itf = part.interfaces[i_itf]
+            sign = 1 if itf.dom_lo == d else -1
+            Mg = reference_interface_mass_matrix(mesh, itf.nodes)
+            rows = np.array([g2l[int(v)] for v in itf.nodes])
+            A[np.ix_(rows, rows)] += (sign * alpha) * Mg
+            kept = lam_nodes[i_itf]
+            cols = np.array([int(np.flatnonzero(itf.nodes == v)[0]) for v in kept],
+                            dtype=np.int64)
+            D = np.zeros((nd, kept.size), dtype=np.complex128)
+            if kept.size:
+                D[rows[:, None], np.arange(kept.size)[None, :]] = sign * Mg[:, cols]
+            couplings.append(sd.Coupling(i_itf, D, sign))
+        f = mm.incident_boundary_load(mesh, part.boundary[d], part.boundary_owner[d],
+                                      k, cfg.theta_inc)[loc_nodes]
+        systems.append(sd.SubdomainSystem(d, A, f, loc_nodes, couplings))
+    return systems
+
+
+def reference_assemble_helmholtz(mesh, cfg):
+    k = cfg.k
+    _, Ke, Me = mm.element_matrices(mesh, cfg.mu_r)
+    Ae = Ke.astype(np.complex128) - (k * k * cfg.eps_r) * Me
+    rows = np.repeat(mesh.tris, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.tris, (1, 3)).reshape(-1)
+    vals = Ae.reshape(-1)
+    be = mesh.boundary_edges
+    a = mesh.nodes[be[:, 0]]
+    b = mesh.nodes[be[:, 1]]
+    h = np.linalg.norm(b - a, axis=1)
+    scale = (-1j * k) * (h / 6.0)
+    brows = np.column_stack([be[:, 0], be[:, 0], be[:, 1], be[:, 1]]).reshape(-1)
+    bcols = np.column_stack([be[:, 0], be[:, 1], be[:, 0], be[:, 1]]).reshape(-1)
+    bvals = np.column_stack([2 * scale, scale, scale, 2 * scale]).reshape(-1)
+    A = mm._dedup_sum([rows, brows], [cols, bcols], [vals, bvals], mesh.n_nodes)
+    f = mm.incident_boundary_load(mesh, be, mesh.boundary_owner, k, cfg.theta_inc)
+    return A, f
+
+
+# ---------------------------------------------------------------- comparison
+
+def assert_same(a, b, what):
+    a = np.asarray(a)
+    b = np.asarray(b)
+    assert a.dtype == b.dtype, f"{what}: dtype {a.dtype} != {b.dtype}"
+    assert a.shape == b.shape, f"{what}: shape {a.shape} != {b.shape}"
+    assert a.tobytes() == b.tobytes(), f"{what}: bytes differ"
+
+
+def assert_front_end_matches(side, ppw, px, py, theta=0.3):
+    m = mm.build_rect_mesh(side, ppw)
+    ref_m = reference_build_rect_mesh(side, ppw)
+    for name in ("nodes", "tris", "boundary_edges", "boundary_owner"):
+        assert_same(getattr(m, name), getattr(ref_m, name), f"mesh.{name}")
+
+    part = mm.partition_mesh(m, px, py)
+    ref_p = reference_partition_mesh(m, px, py)
+    assert part.n_domains == ref_p.n_domains
+    assert_same(part.domain_of_elem, ref_p.domain_of_elem, "domain_of_elem")
+    assert len(part.interfaces) == len(ref_p.interfaces)
+    for i, (itf, ref) in enumerate(zip(part.interfaces, ref_p.interfaces)):
+        assert (itf.dom_lo, itf.dom_hi) == (ref.dom_lo, ref.dom_hi)
+        assert_same(itf.nodes, ref.nodes, f"interface {i} nodes")
+    for d in range(part.n_domains):
+        assert_same(part.boundary[d], ref_p.boundary[d], f"boundary {d}")
+        assert_same(part.boundary_owner[d], ref_p.boundary_owner[d],
+                    f"boundary_owner {d}")
+        assert_same(part.elements_of(d), np.flatnonzero(part.domain_of_elem == d),
+                    f"elements_of({d})")
+        assert part.incident_interfaces(d) == [
+            i for i, itf in enumerate(part.interfaces)
+            if itf.dom_lo == d or itf.dom_hi == d]
+
+    for i, (kept, ref) in enumerate(zip(sd.interface_lambda_nodes(part),
+                                        reference_interface_lambda_nodes(part))):
+        assert_same(kept, ref, f"lambda nodes {i}")
+    assert len(sd.interface_lambda_nodes(part)) == len(part.interfaces)
+    for i, itf in enumerate(part.interfaces):
+        assert_same(sd.interface_mass_matrix(m, itf.nodes),
+                    reference_interface_mass_matrix(m, itf.nodes), f"chain mass {i}")
+
+    cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=px, py=py, theta_inc=theta)
+    systems = sd.build_subdomain_systems(m, part, cfg)
+    ref_s = reference_build_subdomain_systems(m, part, cfg)
+    assert len(systems) == len(ref_s)
+    for s, r in zip(systems, ref_s):
+        assert s.domain == r.domain
+        assert_same(s.A, r.A, f"A[{s.domain}]")
+        assert_same(s.f, r.f, f"f[{s.domain}]")
+        assert_same(s.dof_map, r.dof_map, f"dof_map[{s.domain}]")
+        assert [(c.interface, c.sign) for c in s.couplings] == \
+            [(c.interface, c.sign) for c in r.couplings]
+        for c, rc in zip(s.couplings, r.couplings):
+            assert_same(c.D, rc.D, f"D[{s.domain}, {c.interface}]")
+
+    A, f = mm.assemble_helmholtz(m, cfg)
+    ref_A, ref_f = reference_assemble_helmholtz(m, cfg)
+    for name in ("data", "indices", "indptr"):
+        assert_same(getattr(A, name), getattr(ref_A, name), f"monolithic A.{name}")
+    assert_same(f, ref_f, "monolithic f")
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_front_end_matches_loop_reference(name):
+    side, ppw, tiles = GEOMETRIES[name]
+    assert_front_end_matches(side, ppw, tiles, tiles)
+
+
+@pytest.mark.parametrize("side,ppw,px,py", [
+    (1.0, 10, 1, 1),      # no interfaces
+    (1.3, 11, 3, 2),
+    (0.7, 23, 5, 3),
+    (1.5, 10, 15, 15),    # one cell per tile
+    (1.7, 12, 6, 1),      # strips
+])
+def test_front_end_matches_loop_reference_on_tilings(side, ppw, px, py):
+    assert_front_end_matches(side, ppw, px, py)
+
+
+@st.composite
+def tilings(draw):
+    """(side, ppw, px, py) with at most one tile per grid interval, so
+    tile lines may cut through cells (staircase interfaces)."""
+    ppw = draw(st.integers(10, 16))
+    side = draw(st.integers(2, 25)) / 10.0
+    n = mm.grid_intervals(side, ppw)
+    px = draw(st.integers(1, min(n, 9)))
+    py = draw(st.integers(1, min(n, 9)))
+    return side, ppw, px, py
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tilings())
+def test_front_end_matches_loop_reference_on_random_tilings(tiling):
+    side, ppw, px, py = tiling
+    assert_front_end_matches(side, ppw, px, py, theta=math.radians(37.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tilings())
+def test_interfaces_partition_the_shared_edges(tiling):
+    side, ppw, px, py = tiling
+    m = mm.build_rect_mesh(side, ppw)
+    part = mm.partition_mesh(m, px, py)     # never raises on these tilings
+    shared = {}
+    for edge, tris in reference_edge_use_counts(m).items():
+        doms = {int(part.domain_of_elem[t]) for t in tris}
+        if len(tris) == 2 and len(doms) == 2:
+            shared[edge] = tuple(sorted(doms))
+    listed = {}
+    for itf in part.interfaces:
+        for a, b in zip(itf.nodes[:-1].tolist(), itf.nodes[1:].tolist()):
+            edge = (min(a, b), max(a, b))
+            assert edge not in listed, f"edge {edge} lies in two chains"
+            listed[edge] = (itf.dom_lo, itf.dom_hi)
+    assert listed == shared

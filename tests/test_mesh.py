@@ -141,6 +141,15 @@ class TestProblemConfig:
         with pytest.raises(ValueError):
             mm.ProblemConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["side_lambda", "ppw", "wavelength",
+                                      "theta_inc", "alpha", "mu_r", "eps_r"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        kwargs = dict(side_lambda=1.0, px=2, py=2)
+        kwargs[name] = complex(0.0, bad) if name == "alpha" else bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            mm.ProblemConfig(**kwargs)
+
 
 class TestPartition:
     def test_single_domain(self):

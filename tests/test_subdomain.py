@@ -261,6 +261,17 @@ class TestAssembleReduced:
             sd.assemble_reduced([bad, reduced[1]], part)
 
 
+    def test_wrong_domain_count_rejected(self):
+        cfg = mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2)
+        m = mm.build_rect_mesh(1.0, 10)
+        part = mm.partition_mesh(m, 2, 2)
+        reduced = [sd.reduce_domain(s)
+                   for s in sd.build_subdomain_systems(m, part, cfg)]
+        for wrong in (reduced[:3], reduced + reduced[:1]):
+            with pytest.raises(ValueError, match="partition has 4"):
+                sd.assemble_reduced(wrong, part)
+
+
 class TestEndToEnd:
     def test_lambda_zero_is_uncoupled_solve(self):
         cfg, m, part, systems, rsys, lam, sol = pipeline(1.0, 10, 2, 2)
