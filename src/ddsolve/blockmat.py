@@ -154,20 +154,30 @@ def load_blk(path) -> BlockSparseSym:
         header = fh.readline().split()
         if not header:
             raise BlockMatrixError("missing header line")
-        nb = int(header[0])
-        sizes = [int(s) for s in header[1:]]
+        try:
+            nb, *sizes = (int(s) for s in header)
+        except ValueError as err:
+            raise BlockMatrixError(f"bad header line {' '.join(header)!r}") from err
         if len(sizes) != nb:
             raise BlockMatrixError("header size list does not match block count")
         tokens = fh.read().split()
     K = BlockSparseSym(sizes)
     pos = 0
     while pos < len(tokens):
-        i = int(tokens[pos])
-        j = int(tokens[pos + 1])
+        head = tokens[pos:pos + 2]
+        try:
+            i, j = (int(t) for t in head)
+        except ValueError as err:
+            raise BlockMatrixError(f"bad block index pair {' '.join(head)!r}") from err
+        if not (0 <= j <= i < nb):
+            raise BlockMatrixError(f"block index ({i}, {j}) outside lower triangle")
         pos += 2
         ni, nj = int(K.sizes[i]), int(K.sizes[j])
         count = 2 * ni * nj
-        vals = np.array([float(t) for t in tokens[pos:pos + count]])
+        try:
+            vals = np.array([float(t) for t in tokens[pos:pos + count]])
+        except ValueError as err:
+            raise BlockMatrixError(f"block ({i}, {j}): {err}") from err
         if vals.size != count:
             raise BlockMatrixError(f"truncated data for block ({i}, {j})")
         pos += count

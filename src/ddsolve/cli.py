@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, RunConfig, parse_config_file
-from .driver import CSV_COLUMNS, RESIDUAL_GATE, PipelineError, run_pipeline, \
-    run_sweep, run_verify, sweep_csv_text
+from .config import ConfigError, RunConfig, check_ordering, check_pivot_tol, \
+    parse_config_file
+from .driver import RESIDUAL_GATE, PipelineError, csv_text, run_pipeline, \
+    run_sweep, run_verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,38 +33,35 @@ def _add_common(p):
                    help="builtin | file:<path> (overrides the config file)")
     p.add_argument("--pivot-tol", type=float, default=None,
                    help="relative pivot threshold (overrides the config file)")
-    p.add_argument("--dump-k", metavar="PATH", default=None,
-                   help="write the reduced block matrix (D3M-BLK v1)")
-    p.add_argument("--print-symbolic", action="store_true",
-                   help="print the elimination pattern, etree and factor bytes")
     p.add_argument("--csv", metavar="PATH", default=None,
-                   help="append/write a CSV report")
+                   help="write a CSV report, overwriting PATH")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ddsolve")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_solve = sub.add_parser("solve", help="run the decomposed direct solve")
-    p_solve.add_argument("config")
-    _add_common(p_solve)
-    p_verify = sub.add_parser("verify", help="solve and compare to a monolithic solve")
-    p_verify.add_argument("config")
-    _add_common(p_verify)
+    for name, text in (("solve", "run the decomposed direct solve"),
+                       ("verify", "solve and compare to a monolithic solve")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config")
+        _add_common(p)
+        p.add_argument("--dump-k", metavar="PATH", default=None,
+                       help="write the reduced block matrix (D3M-BLK v1)")
+        p.add_argument("--print-symbolic", action="store_true",
+                       help="print the elimination pattern, etree and factor bytes")
     p_sweep = sub.add_parser("sweep", help="run several configs and fit scaling slopes")
     p_sweep.add_argument("configs", nargs="+")
-    p_sweep.add_argument("--ordering", default=None)
-    p_sweep.add_argument("--pivot-tol", type=float, default=None)
-    p_sweep.add_argument("--csv", metavar="PATH", default=None)
+    _add_common(p_sweep)
     return parser
 
 
 def _load(path, args) -> RunConfig:
     run = parse_config_file(path)
     if args.ordering is not None:
-        run.ordering = args.ordering
+        run.ordering = check_ordering(args.ordering)
     if args.pivot_tol is not None:
-        run.pivot_tol = args.pivot_tol
-    if getattr(args, "csv", None) is not None:
+        run.pivot_tol = check_pivot_tol(args.pivot_tol)
+    if args.csv is not None:
         run.out_csv = args.csv
     return run
 
@@ -75,8 +73,7 @@ def _single(args, verify: bool) -> int:
     print(result.report.text())
     if run.out_csv:
         with open(run.out_csv, "w") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            fh.write(",".join(str(v) for v in result.report.csv_row()) + "\n")
+            fh.write(csv_text([result.report]))
     return 0 if result.report.residual_inf <= RESIDUAL_GATE else 2
 
 
@@ -95,7 +92,7 @@ def main(argv=None) -> int:
             return 1
         runs = [_load(p, args) for p in args.configs]
         reports, slopes = run_sweep(runs, csv_path=args.csv)
-        sys.stdout.write(sweep_csv_text(reports, slopes))
+        sys.stdout.write(csv_text(reports, slopes))
         good = all(r.status == "ok" and r.residual_inf <= RESIDUAL_GATE
                    for r in reports)
         return 0 if good else 2

@@ -1,9 +1,9 @@
 """Plain key=value configuration files.
 
 Recognized keys: wavelength, side_lambda, ppw, px, py, theta_inc_deg,
-alpha_imag, pivot_tol, ordering, out_csv.  Lengths are in wavelengths and
-angles in degrees in the file (radians internally).  Lines starting with
-``#`` and blank lines are ignored.
+alpha_imag, pivot_tol, ordering, out_csv.  Lengths are in wavelengths, so
+wavelength may only be 1.0, and angles in degrees in the file (radians
+internally).  Lines starting with ``#`` and blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -20,11 +20,23 @@ class ConfigError(Exception):
     pass
 
 
-_FLOAT_KEYS = {"wavelength", "side_lambda", "ppw", "theta_inc_deg",
-               "alpha_imag", "pivot_tol"}
-_INT_KEYS = {"px", "py"}
-_STR_KEYS = {"ordering", "out_csv"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+_KEYS = {"wavelength", "side_lambda", "ppw", "px", "py", "theta_inc_deg",
+         "alpha_imag", "pivot_tol", "ordering", "out_csv"}
+
+
+def check_ordering(spec: str) -> str:
+    """``spec`` if it names an ordering; config files and CLI flags alike."""
+    if spec != "builtin" and not spec.startswith("file:"):
+        raise ConfigError(
+            f"ordering must be 'builtin' or 'file:<path>', got {spec!r}")
+    return spec
+
+
+def check_pivot_tol(tol: float) -> float:
+    """``tol`` if it is a usable relative pivot threshold."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"pivot_tol must be finite and non-negative, got {tol!r}")
+    return tol
 
 
 @dataclass
@@ -50,53 +62,41 @@ def parse_config_file(path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    def get_float(key, default=None):
+    def get(key, default=None, kind=float):
         if key not in raw:
             if default is None:
                 raise ConfigError(f"{path}: missing required key {key!r}")
             return default
         try:
-            return float(raw[key])
+            return kind(raw[key])
         except ValueError as err:
-            raise ConfigError(f"{path}: bad float for {key!r}: {raw[key]!r}") from err
+            raise ConfigError(
+                f"{path}: bad {kind.__name__} for {key!r}: {raw[key]!r}") from err
 
-    def get_int(key, default):
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError as err:
-            raise ConfigError(f"{path}: bad int for {key!r}: {raw[key]!r}") from err
-
-    wavelength = get_float("wavelength", 1.0)
-    side = get_float("side_lambda")
-    ppw = get_float("ppw", 15.0)
-    px = get_int("px", 1)
-    py = get_int("py", 1)
-    theta = math.radians(get_float("theta_inc_deg", 0.0))
+    wavelength = get("wavelength", 1.0)
+    side = get("side_lambda")
+    ppw = get("ppw", 15.0)
+    px = get("px", 1, int)
+    py = get("py", 1, int)
+    theta = math.radians(get("theta_inc_deg", 0.0))
     alpha = None
     if "alpha_imag" in raw:
-        alpha = 1j * get_float("alpha_imag")
+        alpha = 1j * get("alpha_imag")
+    pivot_tol = get("pivot_tol", DEFAULT_PIVOT_TOL)
     try:
         problem = ProblemConfig(side_lambda=side, ppw=ppw, px=px, py=py,
                                 wavelength=wavelength, alpha=alpha,
                                 theta_inc=theta)
-    except ValueError as err:
+        ordering = check_ordering(raw.get("ordering", "builtin"))
+        pivot_tol = check_pivot_tol(pivot_tol)
+    except (ValueError, ConfigError) as err:
         raise ConfigError(f"{path}: {err}") from err
-    ordering = raw.get("ordering", "builtin")
-    if ordering != "builtin" and not ordering.startswith("file:"):
-        raise ConfigError(
-            f"{path}: ordering must be 'builtin' or 'file:<path>', got {ordering!r}")
-    pivot_tol = get_float("pivot_tol", DEFAULT_PIVOT_TOL)
-    if not (math.isfinite(pivot_tol) and pivot_tol >= 0.0):
-        raise ConfigError(f"{path}: pivot_tol must be finite and non-negative, "
-                          f"got {raw['pivot_tol']!r}")
     return RunConfig(problem=problem,
                      pivot_tol=pivot_tol,
                      ordering=ordering,

@@ -159,13 +159,13 @@ def fit_loglog_slope(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = (x > 0) & (y > 0)
-    if keep.sum() < 2:
+    if np.unique(x[keep]).size < 2:
         return float("nan")
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 
 
-def run_sweep(runs: list[RunConfig], csv_path: str | None = None,
-              out=None) -> tuple[list[SolveReport], dict[str, float]]:
+def run_sweep(runs: list[RunConfig], csv_path: str | None = None
+              ) -> tuple[list[SolveReport], dict[str, float]]:
     """Run every configuration, emit one CSV row each (failures recorded
     in-row), and fit log-log slopes of factor time and bytes vs dofs."""
     if len(runs) < 2:
@@ -187,21 +187,21 @@ def run_sweep(runs: list[RunConfig], csv_path: str | None = None,
         "factor_time_vs_dofs": fit_loglog_slope(
             [r.n_dofs for r in ok], [max(r.factor_time_s, 1e-3) for r in ok]),
     }
-    text = sweep_csv_text(reports, slopes)
     if csv_path:
         with open(csv_path, "w") as fh:
-            fh.write(text)
-    if out is not None:
-        out.write(text)
+            fh.write(csv_text(reports, slopes))
     return reports, slopes
 
 
-def sweep_csv_text(reports: list[SolveReport], slopes: dict[str, float]) -> str:
+def csv_text(reports: list[SolveReport],
+             slopes: dict[str, float] | None = None) -> str:
+    """The CSV report: header, one row per report, then ``# slope`` lines."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    # "\n" like the footer lines; the csv default ends rows with "\r\n".
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in reports:
         writer.writerow(r.csv_row())
-    for name, value in slopes.items():
+    for name, value in (slopes or {}).items():
         buf.write(f"# slope {name} = {value:.4f}\n")
     return buf.getvalue()

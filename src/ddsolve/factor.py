@@ -8,7 +8,8 @@ the numeric factor occupies exactly the entries predicted symbolically.
 The dense kernel follows Bunch & Kaufman (1977) with pivot tests on the true
 complex modulus.  LAPACK ``?sytrf`` is not a drop-in replacement: it tests
 ``|Re| + |Im|``, for which the 2.57 per-step growth bound does not hold.
-Each pivot step is one rank-1 or rank-2 numpy update of the trailing block.
+The trailing block is kept as one full square, symmetric to rounding, and
+each pivot step is one rank-1 or rank-2 numpy update of the whole square.
 The factor and solve loops call scipy's BLAS directly (``ztrsm``, ``zgemm``)
 rather than mixing it with numpy's ``@``: the two packages may bundle
 separate BLAS builds, each with its own thread pool, and alternating between
@@ -118,45 +119,29 @@ class DenseFactor:
         Z[s + 1] = (akm1 * t2 - t1) / denom
 
     def dense_d(self) -> np.ndarray:
-        D = np.zeros((self.n, self.n), dtype=np.complex128)
-        k = 0
-        while k < self.n:
-            if self.tags[k] == 1:
-                D[k, k] = self.d[k]
-                k += 1
-            else:
-                D[k, k] = self.d[k]
-                D[k + 1, k + 1] = self.d[k + 1]
-                D[k + 1, k] = D[k, k + 1] = self.e[k]
-                k += 2
+        D = np.diag(self.d)
+        s = np.flatnonzero(self.tags == 2)
+        D[s + 1, s] = D[s, s + 1] = self.e[s]
         return D
 
 
-def _tril_absmax(T: np.ndarray, lower: np.ndarray) -> float:
-    """max |T| over the lower triangle; ``lower`` is the matching tri mask."""
-    return float(np.max(np.abs(T), where=lower, initial=0.0))
-
-
 def _bk_factor(W: np.ndarray, tol_abs: float):
-    """Bunch-Kaufman elimination of the lower triangle of ``W`` in place.
+    """Bunch-Kaufman elimination of the symmetric square ``W`` in place.
 
-    Returns ``(perm, tags, growth, info)``.  On return the strict lower
-    triangle of ``W`` holds the unit-L columns, the diagonal the 1x1 entries
-    of D and ``W[k+1, k]`` the subdiagonal of a 2x2 pivot starting at ``k``
-    (the L entry there is zero).  ``perm[i]`` is the original index at
-    position ``i``: interchanges also swap the L rows already computed, so
-    one permutation describes the whole factor.  ``info`` is the first step
-    with no pivot above ``tol_abs``, or -1.  The upper triangle is scratch.
+    Returns ``(perm, tags, growth, info)``.  Each step updates the whole
+    trailing square, which stays symmetric to rounding.  On return the strict
+    lower triangle of ``W`` holds the unit-L columns, the diagonal the 1x1
+    entries of D and ``W[k+1, k]`` the subdiagonal of a 2x2 pivot starting at
+    ``k`` (the L entry there is zero).  ``perm[i]`` is the original index at
+    position ``i``: interchanges swap whole rows, L rows included, so one
+    permutation describes the whole factor.  ``info`` is the first step with
+    no pivot above ``tol_abs``, or -1.
     """
     n = W.shape[0]
     perm = np.arange(n)
     tags = np.zeros(n, dtype=np.int8)
     growth = 1.0
-    if n == 0:
-        return perm, tags, growth, -1
-    # Column-major like W, so that the masked reductions stream both alike.
-    lower = np.asfortranarray(np.tri(n, dtype=bool))
-    trail_max = _tril_absmax(W, lower)
+    trail_max = np.abs(W).max() if n else 0.0
     k = 0
     while k < n:
         kstep = 1
@@ -175,9 +160,9 @@ def _bk_factor(W: np.ndarray, tol_abs: float):
         if absakk >= BK_ALPHA * colmax:
             kp = k
         else:
-            rowmax = np.abs(W[imax, k:imax]).max()
-            if imax + 1 < n:
-                rowmax = max(rowmax, np.abs(W[imax + 1:, imax]).max())
+            row = np.abs(W[k:, imax])
+            row[imax - k] = 0.0
+            rowmax = row.max()
             if absakk * rowmax >= BK_ALPHA * colmax * colmax:
                 kp = k
             elif abs(W[imax, imax]) >= BK_ALPHA * rowmax:
@@ -187,21 +172,9 @@ def _bk_factor(W: np.ndarray, tol_abs: float):
                 kstep = 2
         kk = k + kstep - 1
         if kp != kk:
-            # Lower-triangle interchange of kk and kp, including the already
-            # computed L rows left of column k.
-            tmp = W[kp + 1:, kk].copy()
-            W[kp + 1:, kk] = W[kp + 1:, kp]
-            W[kp + 1:, kp] = tmp
-            tmp = W[kk + 1:kp, kk].copy()
-            W[kk + 1:kp, kk] = W[kp, kk + 1:kp]
-            W[kp, kk + 1:kp] = tmp
-            W[kk, kk], W[kp, kp] = W[kp, kp], W[kk, kk]
-            if kstep == 2:
-                W[kk, k], W[kp, k] = W[kp, k], W[kk, k]
-            tmp = W[kk, :k].copy()
-            W[kk, :k] = W[kp, :k]
-            W[kp, :k] = tmp
-            perm[kk], perm[kp] = perm[kp], perm[kk]
+            W[[kk, kp]] = W[[kp, kk]]
+            W[:, [kk, kp]] = W[:, [kp, kk]]
+            perm[[kk, kp]] = perm[[kp, kk]]
         kn = k + kstep
         if kstep == 1:
             tags[k] = 1
@@ -227,7 +200,7 @@ def _bk_factor(W: np.ndarray, tol_abs: float):
             W[kn:, k] = wk
             W[kn:, k + 1] = wkp
         if kn < n:
-            step_max = _tril_absmax(W[kn:, kn:], lower[kn:, kn:])
+            step_max = np.abs(W[kn:, kn:]).max()
             if trail_max > 0.0:
                 r = step_max / trail_max
                 if kstep == 2:
@@ -241,8 +214,10 @@ def _bk_factor(W: np.ndarray, tol_abs: float):
 def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseFactor:
     """Factor a complex symmetric matrix with Bunch-Kaufman partial pivoting.
 
-    Raises :class:`SingularBlockError` when a column offers neither an
-    acceptable 1x1 nor 2x2 pivot relative to ``pivot_tol * max|M|``.
+    The factor depends on the lower triangle of ``M`` only; the upper one
+    enters the symmetry check alone.  Raises :class:`SingularBlockError`
+    when a column offers neither an acceptable 1x1 nor 2x2 pivot relative to
+    ``pivot_tol * max|M|``.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -256,6 +231,8 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
         asym = np.abs(W - W.T).max()
         if asym > 1e-12 * scale:
             raise ValueError(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
+    # block_ldlt's two-tril rule: an exactly symmetric M is unchanged.
+    np.add(np.tril(W), np.tril(W, -1).T, out=W)
     perm, tags, growth, info = _bk_factor(W, pivot_tol * scale)
     if info >= 0:
         raise SingularBlockError(
@@ -265,12 +242,12 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
     s = np.flatnonzero(tags == 2)
     e = np.zeros(n, dtype=np.complex128)
     e[s] = W[s + 1, s]
-    # W becomes L in place: clear the scratch upper triangle and the 2x2
-    # subdiagonals, then set the unit diagonal.
-    W[np.triu_indices(n, 1)] = 0.0
-    W[s + 1, s] = 0.0
-    np.fill_diagonal(W, 1.0)
-    return DenseFactor(W, d, e, tags, perm, float(growth), int(s.size))
+    # W.T is row-major, so the transpose of its strict upper triangle is a
+    # column-major strict lower triangle of W.
+    L = np.triu(W.T, 1).T
+    L[s + 1, s] = 0.0
+    np.fill_diagonal(L, 1.0)
+    return DenseFactor(L, d, e, tags, perm, float(growth), int(s.size))
 
 
 @dataclass

@@ -57,8 +57,10 @@ class ProblemConfig:
             value = getattr(self, name)
             if value is not None and not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
+        if self.wavelength != 1.0:
+            raise ValueError(f"wavelength must be 1.0, got {self.wavelength!r}: "
+                             "side_lambda and ppw are in wavelengths, so another "
+                             "value would change k without refining the mesh")
         if self.side_lambda <= 0.0:
             raise ValueError("side_lambda must be positive")
         if self.ppw < 10:

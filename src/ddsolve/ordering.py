@@ -142,10 +142,14 @@ def load_ordering_file(path, n: int) -> Ordering:
     """Read one supernode index per line; blank lines and # comments skipped."""
     values = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if line:
-                values.append(int(line))
+                try:
+                    values.append(int(line))
+                except ValueError as err:
+                    raise OrderingError(
+                        f"{path}:{lineno}: bad index {line!r}") from err
     if len(values) != n:
         raise OrderingError(
             f"ordering file has {len(values)} entries, expected {n}")

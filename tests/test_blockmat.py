@@ -134,3 +134,14 @@ class TestBlkFormat:
         path.write_text("D3M-BLK v1\n1 2\n0 0\n1.0 0.0\n")
         with pytest.raises(BlockMatrixError):
             load_blk(path)
+
+    @pytest.mark.parametrize("body,named", [
+        ("1 0\n1.0 0.0\n", r"\(1, 0\)"),     # block index = block count
+        ("0 x\n1.0 0.0\n", "'0 x'"),          # non-numeric index
+        ("0 0\n1.0 abc\n", "'abc'"),          # non-numeric value
+    ])
+    def test_bad_entries_rejected(self, tmp_path, body, named):
+        path = tmp_path / "bad.blk"
+        path.write_text("D3M-BLK v1\n1 1\n" + body)
+        with pytest.raises(BlockMatrixError, match=named):
+            load_blk(path)

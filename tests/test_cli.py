@@ -1,5 +1,8 @@
+import csv
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from ddsolve import blockmat
 from ddsolve.cli import main
 from ddsolve.config import ConfigError, parse_config_file
-from ddsolve.driver import CSV_COLUMNS, run_sweep, run_verify
+from ddsolve.driver import CSV_COLUMNS, fit_loglog_slope, run_sweep, \
+    run_verify
 
 
 def write_cfg(path, **kv):
@@ -68,6 +72,7 @@ class TestConfigFile:
         ("pivot_tol", "nan", "pivot_tol"),
         ("pivot_tol", "inf", "pivot_tol"),
         ("pivot_tol", "-1", "pivot_tol"),
+        ("wavelength", "0.1", "wavelength"),
     ])
     def test_rejects_non_finite_and_negative(self, tmp_path, capsys, key,
                                              value, named):
@@ -78,6 +83,16 @@ class TestConfigFile:
             parse_config_file(p)
         assert main(["solve", p]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--pivot-tol=nan", "--pivot-tol=-1",
+                                      "--pivot-tol=inf", "--ordering=foo"])
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_cli_overrides_are_checked(self, small_cfg, capsys, command, flag):
+        configs = [small_cfg] * (2 if command == "sweep" else 1)
+        assert main([command, *configs, flag]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert flag[2:].split("=")[0].replace("-", "_") in err
 
 
 class TestSolveVerify:
@@ -125,6 +140,20 @@ class TestSolveVerify:
         assert lines[0].split(",") == CSV_COLUMNS
         assert lines[1].split(",")[0] == "small"
 
+    def test_csv_quotes_case_id_with_comma(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "plate,v2.cfg", side_lambda=1.0, ppw=10,
+                        px=2, py=2)
+        csv_path = tmp_path / "row.csv"
+        rc = main(["solve", cfg, "--csv", str(csv_path)])
+        capsys.readouterr()
+        assert rc == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CSV_COLUMNS
+        assert len(rows) == 2 and len(rows[1]) == len(CSV_COLUMNS)
+        assert rows[1][0] == "plate,v2"
+        assert b"\r" not in csv_path.read_bytes()
+
     def test_ordering_file_flag(self, small_cfg, tmp_path, capsys):
         ord_path = tmp_path / "perm.txt"
         ord_path.write_text("3\n2\n1\n0\n")
@@ -168,6 +197,13 @@ class TestSweep:
         assert dofs == sorted(dofs)
         assert fb == sorted(fb) and fb[0] < fb[-1]
         assert np.isfinite(slopes["factor_bytes_vs_dofs"])
+
+    def test_slope_needs_two_distinct_dofs(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(fit_loglog_slope([529, 529], [3.0e5, 3.1e5]))
+            assert math.isnan(fit_loglog_slope([0, 529], [1.0, 3.0e5]))
+        assert fit_loglog_slope([10, 100], [1.0, 100.0]) == pytest.approx(2.0)
 
     def test_sweep_records_failures_in_row(self, tmp_path, capsys):
         good = write_cfg(tmp_path / "good.cfg", side_lambda=1.0, ppw=10,

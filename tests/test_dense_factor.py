@@ -155,6 +155,29 @@ def test_kernel_matches_column_loop_reference(seed):
         assert np.abs(got - ref).max() <= tol
 
 
+@pytest.mark.parametrize("force_2x2", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_factor_reads_lower_triangle_only(seed, force_2x2):
+    # Noise in the upper triangle that passes the 1e-12 symmetry gate must
+    # not change a bit of the factor: the lower triangle is mirrored at entry.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 30))
+    M = rand_complex_symmetric(n, 800 + seed)
+    if force_2x2:
+        M[np.diag_indices(n)] = 0.0
+    P = M.copy()
+    iu = np.triu_indices(n, 1)
+    noise = rng.standard_normal(iu[0].size) + 1j * rng.standard_normal(iu[0].size)
+    P[iu] *= 1.0 + 1e-14 * noise
+    assert not np.array_equal(P, M)
+    assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
+    ref, got = dense_ldlt_bk(M), dense_ldlt_bk(P)
+    assert ref.n_2x2 > 0 or not force_2x2
+    for name in ("perm", "tags", "L", "d", "e"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert got.growth == ref.growth
+
+
 def test_solve_mixed_pivots_multi_rhs_matches_dense():
     rng = np.random.default_rng(13)
     n = 12

@@ -136,6 +136,8 @@ class TestProblemConfig:
         dict(side_lambda=1.0, px=0),
         dict(side_lambda=1.0, wavelength=-1.0),
         dict(side_lambda=1.0, alpha=2.0),   # real alpha not allowed
+        dict(side_lambda=1.0, wavelength=0.1),   # would mesh at 1 ppw
+        dict(side_lambda=1.0, wavelength=2.0),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -198,3 +198,9 @@ class TestOrderingFile:
         p.write_text("0\n0\n2\n")
         with pytest.raises(OrderingError):
             load_ordering_file(p, 3)
+
+    def test_non_integer_line(self, tmp_path):
+        p = tmp_path / "ord.txt"
+        p.write_text("0\n1.5\n2\n")
+        with pytest.raises(OrderingError, match="1.5"):
+            load_ordering_file(p, 3)
