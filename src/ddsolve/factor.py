@@ -5,8 +5,10 @@ Pivoting is restricted: each diagonal block is factored with pivot searches
 confined to itself, so no pivot is ever deferred into another supernode and
 the numeric factor occupies exactly the entries predicted symbolically.
 
-The dense kernel follows Bunch & Kaufman (1977) with pivot tests on the true
-complex modulus.  LAPACK ``?sytrf`` is not a drop-in replacement: it tests
+The dense kernel factors the reduced system's diagonal blocks; subdomain
+matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.  It
+follows Bunch & Kaufman (1977) with pivot tests on the true complex
+modulus.  LAPACK ``?sytrf`` is not a drop-in replacement: it tests
 ``|Re| + |Im|``, for which the 2.57 per-step growth bound does not hold.
 The trailing block is kept as one full square, symmetric to rounding, and
 each pivot step is one rank-1 or rank-2 numpy update of the whole square.

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .blockmat import BlockSparseSym, from_blocks
-from .factor import DEFAULT_PIVOT_TOL, DenseFactor, SingularBlockError, \
-    blas_matmul, dense_ldlt_bk
+from .factor import DEFAULT_PIVOT_TOL, blas_matmul
 from .mesh import Mesh, Partition, ProblemConfig, assemble_helmholtz, \
     edge_lengths, edge_mass, element_matrices, incident_boundary_load
 
@@ -46,13 +46,27 @@ class Coupling:
 
 
 @dataclass
+class LUFactor:
+    """LAPACK LU factors ``P A = L U`` of a subdomain matrix (``zgetrf``,
+    partial pivoting), in the ``(lu, piv)`` layout of ``scipy.linalg.lu_factor``."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """Solve A X = B (``zgetrs``); accepts a vector or a multi-column RHS."""
+        X, _ = zgetrs(self.lu, self.piv, B)
+        return X
+
+
+@dataclass
 class SubdomainSystem:
     domain: int
     A: np.ndarray
     f: np.ndarray
     dof_map: np.ndarray    # local -> global node index
     couplings: list[Coupling] = field(default_factory=list)
-    factor: DenseFactor | None = None
+    factor: LUFactor | None = None
 
     @property
     def n_dofs(self) -> int:
@@ -269,15 +283,26 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
 
 def reduce_domain(sys: SubdomainSystem,
                   pivot_tol: float = DEFAULT_PIVOT_TOL):
-    """Eliminate the subdomain unknowns: one dense factorization of A_d and
-    multi-RHS solves give ``K_D = D^T A^-1 D`` (symmetrized) and
-    ``g_d = D^T A^-1 f``, ordered by the domain's coupling list.  The
-    factorization is cached on the system for primal recovery."""
-    try:
-        fac = dense_ldlt_bk(sys.A, pivot_tol)
-    except SingularBlockError as err:
-        raise SingularDomainError(f"domain {sys.domain} is singular: {err}") from err
-    sys.factor = fac
+    """Eliminate the subdomain unknowns: one LAPACK LU factorization of A_d
+    (``zgetrf``, partial pivoting) and one multi-RHS solve give
+    ``K_D = D^T A^-1 D`` (symmetrized, as A_d is complex symmetric) and
+    ``g_d = D^T A^-1 f``, ordered by the domain's coupling list.  The factors
+    are cached on the system for primal recovery.
+
+    Raises ``ValueError`` when A_d has a non-finite entry and
+    :class:`SingularDomainError` when ``min|U_kk| <= pivot_tol * max|A_d|``,
+    an exactly singular A_d included.
+    """
+    scale = np.abs(sys.A).max()
+    if not np.isfinite(scale):
+        raise ValueError(f"domain {sys.domain}: matrix has non-finite entries")
+    lu, piv, _ = zgetrf(sys.A)
+    pivot_min = np.abs(np.diagonal(lu)).min()
+    if pivot_min <= pivot_tol * scale:
+        raise SingularDomainError(
+            f"domain {sys.domain} is singular: smallest LU pivot {pivot_min:.3e} "
+            f"(threshold {pivot_tol * scale:.3e})")
+    fac = sys.factor = LUFactor(lu, piv)
     D_all = (np.concatenate([c.D for c in sys.couplings], axis=1)
              if sys.couplings else np.zeros((sys.n_dofs, 0), dtype=np.complex128))
     rhs = np.concatenate([D_all, sys.f[:, None]], axis=1)
@@ -321,7 +346,7 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
 def recover_primal(systems: list[SubdomainSystem],
                    lam: list[np.ndarray]) -> np.ndarray:
     """Back-substitute ``E_d = A_d^-1 (f_d - D_d lambda)`` with the cached
-    factorizations and assemble the global vector, averaging the duplicated
+    LU factors and assemble the global vector, averaging the duplicated
     interface values."""
     n_glob = 1 + max(int(s.dof_map.max()) for s in systems)
     acc = np.zeros(n_glob, dtype=np.complex128)

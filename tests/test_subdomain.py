@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgWarning
 
+from conftest import GEOMETRIES
 from ddsolve import blockmat, factor, mesh as mm, ordering, subdomain as sd, symbolic
-from ddsolve.factor import DenseFactor
 
 
 def pipeline(side, ppw, px, py, theta=0.3, alpha=None):
@@ -181,7 +184,61 @@ class TestReduceDomain:
         systems = sd.build_subdomain_systems(m, part, cfg)
         assert systems[0].factor is None
         sd.reduce_domain(systems[0])
-        assert isinstance(systems[0].factor, DenseFactor)
+        assert isinstance(systems[0].factor, sd.LUFactor)
+
+    @staticmethod
+    def _bare(A):
+        A = np.asarray(A, dtype=complex)
+        n = A.shape[0]
+        return sd.SubdomainSystem(5, A, np.ones(n, dtype=complex), np.arange(n), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_matrix_rejected(self, bad):
+        A = 4.0 * np.eye(3, dtype=complex)
+        A[1, 2] = A[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sd.reduce_domain(self._bare(A))
+
+    def test_rank_deficient_matrix_is_singular(self):
+        # rank 3 of 6, and no entry of A is zero: only rounding is left in
+        # the trailing block after three elimination steps
+        rng = np.random.default_rng(3)
+        V = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        A = V @ V.T
+        assert np.abs(A).min() > 0.0
+        with pytest.raises(sd.SingularDomainError, match="domain 5"):
+            sd.reduce_domain(self._bare(A))
+
+    def test_pivot_tol_honoured(self):
+        A = np.diag([1.0, 1e-14])
+        with pytest.raises(sd.SingularDomainError):
+            sd.reduce_domain(self._bare(A), pivot_tol=1e-12)
+        s = self._bare(A)
+        sd.reduce_domain(s, pivot_tol=1e-16)
+        assert np.allclose(s.factor.solve(s.f), [1.0, 1e14], rtol=1e-15)
+
+    def test_exactly_singular_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            with pytest.raises(sd.SingularDomainError, match="domain 5"):
+                sd.reduce_domain(self._bare(np.zeros((2, 2))))
+            with pytest.raises(sd.SingularDomainError):
+                sd.reduce_domain(self._bare([[1.0, 2.0], [2.0, 4.0]]), pivot_tol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_matches_dense_solve_on_benchmark_geometries(self, name):
+        side, ppw, tiles = GEOMETRIES[name]
+        cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=tiles, py=tiles,
+                               theta_inc=0.3)
+        m = mm.build_rect_mesh(side, ppw)
+        part = mm.partition_mesh(m, tiles, tiles)
+        for s in sd.build_subdomain_systems(m, part, cfg):
+            K_D, g_d = sd.reduce_domain(s)
+            D = np.concatenate([c.D for c in s.couplings], axis=1)
+            X = np.linalg.solve(s.A, np.concatenate([D, s.f[:, None]], axis=1))
+            K_ref, g_ref = D.T @ X[:, :-1], D.T @ X[:, -1]
+            assert np.abs(K_D - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
+            assert np.abs(g_d - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
 
 
 class TestAssembleReduced:
