@@ -3,7 +3,11 @@ block LDL^T over an elimination plan, plus forward/backward substitution.
 
 Pivoting is restricted: each diagonal block is factored with pivot searches
 confined to itself, so no pivot is ever deferred into another supernode and
-the numeric factor occupies exactly the entries predicted symbolically.
+the numeric factor occupies exactly the entries predicted symbolically.  The
+block factor holds each block column in one panel allocated from the plan
+(supernodal column storage, Ng & Peyton 1993), and updates reach a later
+panel by relative row indices, so a block outside the pattern has no storage
+and raises instead.
 
 The dense kernel factors the reduced system's diagonal blocks; subdomain
 matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.  It
@@ -267,7 +271,8 @@ class BlockFactor:
     elimination order plus the off-diagonal factor blocks of the pattern.
 
     ``panels[j]`` stacks the blocks ``L_ij`` of column ``j`` in pattern
-    order, and ``offdiag[(i, j)]`` are views into it.  ``panel_rows[j]`` are
+    order (a view below the diagonal block of the column's working panel),
+    and ``offdiag[(i, j)]`` are views into it.  ``panel_rows[j]`` are
     the panel's scalar rows in the permuted, concatenated unknown vector.
     """
 
@@ -279,30 +284,19 @@ class BlockFactor:
     stats: FactorStats = field(default_factory=FactorStats)
 
 
-def _permute_blocks(K: BlockSparseSym, inv: np.ndarray) -> dict:
-    W: dict[tuple[int, int], np.ndarray] = {}
-    for (i, j), blk in K.blocks.items():
-        a, b = int(inv[i]), int(inv[j])
-        if a >= b:
-            key, val = (a, b), blk
-        else:
-            key, val = (b, a), blk.T
-        if key in W:
-            W[key] = W[key] + val
-        else:
-            W[key] = np.array(val, dtype=np.complex128, order="C")
-    return W
-
-
 def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
                pivot_tol: float = DEFAULT_PIVOT_TOL) -> BlockFactor:
     """Right-looking block LDL^T of ``K`` following ``plan``.
 
-    Per block column j: factor the diagonal block, stack the pattern blocks
-    K_ij into one panel, form X = L D for the whole panel by one triangular
-    solve, recover L = X D_jj^-1, then form the update U = X L^T by one
-    product and subtract its blocks U_ik from the trailing blocks K_ik, for
-    pattern rows i >= k.  The permutation of ``plan`` is applied internally.
+    Block column j lives in one zero-initialised panel allocated from the
+    plan: block rows ``[j] + pattern[j]``, diagonal block on top.  K's blocks
+    are written once into their column's panel, transposed where the
+    permutation of ``plan`` flips them.  Per column: factor the top block,
+    form X = L D for the rows below it by one triangular solve, recover
+    L = X D_jj^-1 in place, form the update U = X L^T by one product, and
+    subtract U's rows at and below each pattern row k from panel k by one
+    indexed subtraction.  A block of K or of an update that has no place in
+    the plan raises :class:`FactorConsistencyError`.
     """
     nb = K.nblocks
     if plan.nblocks != nb:
@@ -310,87 +304,95 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     sizes = plan.sizes_perm
     if not np.array_equal(sizes, K.sizes[plan.order.perm]):
         raise ValueError("plan and matrix disagree on block sizes")
-    inv = plan.order.inverse()
-    W = _permute_blocks(K, inv)
-    pattern_sets = plan.pattern_sets()
+    inv = plan.order.inverse().tolist()
+    n = sizes.tolist()
     offsets = np.zeros(nb + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
+    # start[j][i]: first row of block i in panel j; rows[j]: the panel's
+    # ascending scalar rows in the permuted, concatenated unknown vector.
+    work: list[np.ndarray] = []
+    start: list[dict[int, int]] = []
+    rows: list[np.ndarray] = []
+    for j in range(nb):
+        blocks = np.concatenate(([j], plan.pattern[j]))
+        bs = sizes[blocks]
+        local = np.zeros(blocks.size + 1, dtype=np.int64)
+        np.cumsum(bs, out=local[1:])
+        start.append(dict(zip(blocks.tolist(), local[:-1].tolist())))
+        rows.append(np.arange(local[-1]) + np.repeat(offsets[blocks] - local[:-1], bs))
+        work.append(np.zeros((int(local[-1]), n[j]), dtype=np.complex128))
+    # Block rows written into each column's panel so far: the peak model
+    # counts a trailing block as live from its first write.
+    written: list[set[int]] = [set() for _ in range(nb)]
+    for (i, j), blk in K.blocks.items():
+        a, b = inv[i], inv[j]
+        if a < b:
+            a, b, blk = b, a, blk.T
+        r = start[b].get(a)
+        if r is None:
+            raise FactorConsistencyError(
+                f"unconsumed blocks: block {(a, b)} of K has no place in the plan")
+        work[b][r:r + n[a]] = blk
+        written[b].add(a)
+
     diag: list[DenseFactor] = []
     offdiag: dict[tuple[int, int], np.ndarray] = {}
     panels: list[np.ndarray] = []
     panel_rows: list[np.ndarray] = []
     stats = FactorStats()
-
-    live_entries = sum(b.size for b in W.values())
+    live_entries = sum(b.size for b in K.blocks.values())
     stored_entries = 0
     flops = 0
     peak = live_entries
 
     for j in range(nb):
-        nj = int(sizes[j])
-        Kjj = W.pop((j, j), None)
-        if Kjj is None:
-            Kjj = np.zeros((nj, nj), dtype=np.complex128)
-        else:
-            live_entries -= Kjj.size
+        nj = n[j]
+        live_entries -= nj * sum(n[i] for i in written[j])
         try:
-            fac = dense_ldlt_bk(Kjj, pivot_tol)
+            fac = dense_ldlt_bk(work[j][:nj], pivot_tol)
         except SingularBlockError as err:
             raise SingularBlockError(f"block column {j}: {err}") from err
         diag.append(fac)
         stored_entries += nj * (nj + 1) // 2
         flops += nj ** 3 // 3 + nj ** 2
-        rows = plan.pattern[j].tolist()
-        row_sizes = sizes[plan.pattern[j]]
-        local = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(row_sizes, out=local[1:])
-        m = int(local[-1])
-        bounds = local.tolist()
-        spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        panel = np.zeros((m, nj), dtype=np.complex128)
-        for i, rs in zip(rows, spans):
-            Kij = W.pop((i, j), None)
-            if Kij is not None:
-                live_entries -= Kij.size
-                panel[rs] = Kij
+        pat = plan.pattern[j].tolist()
         # X = L D is the transpose of L_jj^-1 (panel P^T)^T; L = X D^-1.
-        X = _unit_lower_solve(fac.L, panel[:, fac.perm].T).T
-        Lp = X.copy()
+        Lp = work[j][nj:]
+        m = Lp.shape[0]
+        X = _unit_lower_solve(fac.L, Lp[:, fac.perm].T).T
+        Lp[...] = X
         fac.apply_dinv(Lp.T)
         panels.append(Lp)
-        panel_rows.append(np.arange(m) + np.repeat(
-            offsets[plan.pattern[j]] - local[:-1], row_sizes))
-        for i, rs in zip(rows, spans):
-            offdiag[(i, j)] = Lp[rs]
+        prow = rows[j][nj:]
+        panel_rows.append(prow)
+        lo = [start[j][i] - nj for i in pat]
+        for i, s in zip(pat, lo):
+            offdiag[(i, j)] = Lp[s:s + n[i]]
         stored_entries += m * nj
         flops += m * nj * nj + m * nj
         # The update covers every pattern pair i >= k, n_i * nj * n_k each.
-        flops += nj * (m * m + int(row_sizes @ row_sizes)) // 2
+        flops += nj * (m * m + sum(n[i] * n[i] for i in pat)) // 2
         transient = X.size
         peak = max(peak, live_entries + stored_entries + transient)
-        if not rows:
+        if not pat:
             continue
         U = blas_matmul(X, Lp.T)
         # SYRK-style symmetrization keeps diagonal blocks exactly symmetric
         # for the next diagonal factorization; blocks below it are unchanged.
         U = np.tril(U) + np.tril(U, -1).T
-        for a, (i, rs) in enumerate(zip(rows, spans)):
-            for kk, ks in zip(rows[:a + 1], spans[:a + 1]):
-                upd = U[rs, ks]
-                key = (i, kk)
-                tgt = W.get(key)
-                if tgt is None:
-                    if i != kk and i not in pattern_sets[kk]:
-                        raise FactorConsistencyError(
-                            f"update targets block {key} outside pattern")
-                    W[key] = -upd
-                    live_entries += upd.size
-                else:
-                    tgt -= upd
+        for a, (k, s) in enumerate(zip(pat, lo)):
+            into, seen = start[k], written[k]
+            for i in pat[a:]:
+                if i not in into:
+                    raise FactorConsistencyError(
+                        f"update targets block {(i, k)} outside pattern")
+                if i not in seen:
+                    seen.add(i)
+                    live_entries += n[i] * n[k]
+            pos = rows[k].searchsorted(prow[s:])
+            work[k][pos] -= U[s:, s:s + n[k]]
         peak = max(peak, live_entries + stored_entries + transient)
 
-    if W:
-        raise FactorConsistencyError(f"unconsumed blocks remain: {sorted(W)}")
     stats.factor_entries = stored_entries
     stats.flops = flops
     stats.peak_bytes = 16 * peak

@@ -323,7 +323,7 @@ def incident_boundary_load(mesh: Mesh, edges: np.ndarray, owners: np.ndarray,
     d = np.array([math.cos(theta_inc), math.sin(theta_inc)])
     a = mesh.nodes[edges[:, 0]]
     b = mesh.nodes[edges[:, 1]]
-    h = np.linalg.norm(b - a, axis=1)
+    h = edge_lengths(mesh.nodes, edges)
     coef = -1j * k * (nrm @ d + 1.0)              # g = coef * u_inc on each edge
     for t, w in zip(_GAUSS_T, _GAUSS_W):
         pts = a + t * (b - a)

@@ -34,9 +34,6 @@ class EliminationPlan:
     def nblocks(self) -> int:
         return int(self.sizes_perm.size)
 
-    def pattern_sets(self) -> list[set[int]]:
-        return [set(int(i) for i in rows) for rows in self.pattern]
-
 
 def symbolic_factor(g: CliqueGraph, order: Ordering, sizes) -> EliminationPlan:
     n = g.n

@@ -203,6 +203,48 @@ def test_plan_missing_pattern_blocks_raises():
         block_ldlt(K, symbolic.symbolic_factor(g, order, sizes))
 
 
+@pytest.mark.parametrize("order, stats", [
+    (None, (15, 60, 352, 0)),
+    (identity_ordering(3), (15, 60, 384, 0))])
+def test_zero_size_block(order, stats):
+    # block 1 has no rows but is coupled to both others, so it sits in the
+    # patterns and takes part in updates; stats as (factor_entries, flops,
+    # peak_bytes, n_2x2_pivots)
+    sizes = [2, 0, 3]
+    S = rand_complex_symmetric(5, 64) + 10.0 * np.eye(5)
+    off = [0, 2, 2, 5]
+    K = blockmat.from_blocks(sizes, [
+        (i, j, S[off[i]:off[i + 1], off[j]:off[j + 1]])
+        for i in range(3) for j in range(i + 1)])
+    F = block_ldlt(K, plan_for(K, order))
+    s = F.stats
+    assert (s.factor_entries, s.flops, s.peak_bytes, s.n_2x2_pivots) == stats
+    rng = np.random.default_rng(65)
+    b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    x = np.concatenate(block_solve(F, split_blocks(b, sizes)))
+    assert x.shape == (5,)
+    assert np.linalg.norm(K.scatter() @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def _block_bytes(K):
+    return {key: blk.tobytes() for key, blk in K.blocks.items()}
+
+
+def test_factor_leaves_matrix_unchanged(reduced_systems):
+    # the factor's panels must own their storage: a panel aliasing a block
+    # of K would overwrite it with L or with trailing updates
+    cases = [rand_block_system(seed) for seed in (40, 41, 42, 43)]
+    cases.append((reduced_systems["interface-bound"].K, None))
+    n_fill = 0
+    for K, _ in cases:
+        plan = plan_for(K)
+        n_fill += len(symbolic.fill_blocks(plan, blockmat.clique_graph(K)))
+        before = _block_bytes(K)
+        block_ldlt(K, plan)
+        assert _block_bytes(K) == before
+    assert n_fill > 0
+
+
 # FactorStats of the benchmark geometries as (factor_entries, flops,
 # peak_bytes, n_2x2_pivots); they do not depend on the incidence angle.
 BENCHMARK_STATS = {
