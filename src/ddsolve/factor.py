@@ -5,9 +5,10 @@ Pivoting is restricted: each diagonal block is factored with pivot searches
 confined to itself, so no pivot is ever deferred into another supernode and
 the numeric factor occupies exactly the entries predicted symbolically.  The
 block factor holds each block column in one panel allocated from the plan
-(supernodal column storage, Ng & Peyton 1993), and updates reach a later
-panel by relative row indices, so a block outside the pattern has no storage
-and raises instead.
+(supernodal column storage, Ng & Peyton 1993), all panels in one buffer.
+Each column's update reaches the later panels by one indexed subtraction
+whose positions come from one sorted search over the rows of all panels, so
+an update entry outside the pattern finds no storage and raises instead.
 
 The dense kernel factors the reduced system's diagonal blocks; subdomain
 matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.  It
@@ -24,7 +25,9 @@ two pools in a loop makes their idle-spinning workers compete for the CPUs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 
 import numpy as np
 from scipy.linalg.blas import zgemm, ztrsm
@@ -131,11 +134,13 @@ class DenseFactor:
         return D
 
 
-def _bk_factor(W: np.ndarray, tol_abs: float):
-    """Bunch-Kaufman elimination of the symmetric square ``W`` in place.
+def _bk_factor(W: np.ndarray, tol_abs: float, w_max: float):
+    """Bunch-Kaufman elimination of the symmetric square ``W`` in place;
+    ``w_max`` is ``max|W|``, the base of the growth factor.
 
-    Returns ``(perm, tags, growth, info)``.  Each step updates the whole
-    trailing square, which stays symmetric to rounding.  On return the strict
+    Returns ``(perm, tags, twos, growth, info)``, ``twos`` listing the steps
+    that start a 2x2 pivot.  Each step updates the whole trailing square,
+    which stays symmetric to rounding.  On return the strict
     lower triangle of ``W`` holds the unit-L columns, the diagonal the 1x1
     entries of D and ``W[k+1, k]`` the subdiagonal of a 2x2 pivot starting at
     ``k`` (the L entry there is zero).  ``perm[i]`` is the original index at
@@ -146,8 +151,9 @@ def _bk_factor(W: np.ndarray, tol_abs: float):
     n = W.shape[0]
     perm = np.arange(n)
     tags = np.zeros(n, dtype=np.int8)
+    twos: list[int] = []
     growth = 1.0
-    trail_max = np.abs(W).max() if n else 0.0
+    trail_max = w_max
     k = 0
     while k < n:
         kstep = 1
@@ -156,13 +162,13 @@ def _bk_factor(W: np.ndarray, tol_abs: float):
         imax = k
         if k + 1 < n:
             col = np.abs(W[k + 1:, k])
-            t = int(np.argmax(col))
+            t = int(col.argmax())
             imax = k + 1 + t
             colmax = col[t]
         if max(absakk, colmax) <= tol_abs:
             # Neither a 1x1 nor a 2x2 candidate clears the threshold: the
             # remaining column is numerically zero.
-            return perm, tags, growth, k
+            return perm, tags, twos, growth, k
         if absakk >= BK_ALPHA * colmax:
             kp = k
         else:
@@ -182,8 +188,12 @@ def _bk_factor(W: np.ndarray, tol_abs: float):
             W[:, [kk, kp]] = W[:, [kp, kk]]
             perm[[kk, kp]] = perm[[kp, kk]]
         kn = k + kstep
+        tags[k] = kstep
+        if kstep == 2:
+            twos.append(k)
+        if kn == n:
+            break
         if kstep == 1:
-            tags[k] = 1
             c = W[kn:, k]
             lk = c / W[k, k]
             # Outer products are formed transposed so that they share the
@@ -191,7 +201,6 @@ def _bk_factor(W: np.ndarray, tol_abs: float):
             W[kn:, kn:] -= np.multiply.outer(lk, c).T
             W[kn:, k] = lk
         else:
-            tags[k] = 2
             # |W[k+1, k]| equals the column maximum here, so the 2x2 pivot is
             # safely invertible: |det| >= (1 - alpha^2) colmax^2.
             d21 = W[k + 1, k]
@@ -205,16 +214,85 @@ def _bk_factor(W: np.ndarray, tol_abs: float):
             W[kn:, kn:] -= (np.multiply.outer(wk, a) + np.multiply.outer(wkp, b)).T
             W[kn:, k] = wk
             W[kn:, k + 1] = wkp
-        if kn < n:
-            step_max = np.abs(W[kn:, kn:]).max()
-            if trail_max > 0.0:
-                r = step_max / trail_max
-                if kstep == 2:
-                    r = np.sqrt(r)
-                growth = max(growth, r)
-            trail_max = step_max
+        step_max = np.abs(W[kn:, kn:]).max()
+        if trail_max > 0.0:
+            r = step_max / trail_max
+            if kstep == 2:
+                r = np.sqrt(r)
+            growth = max(growth, r)
+        trail_max = step_max
         k = kn
-    return perm, tags, growth, -1
+    return perm, tags, twos, growth, -1
+
+
+def _cache_small(fn):
+    """Cache the index arrays ``fn(n)`` for n <= 64 only: they cost
+    memory for the life of the process, and for larger squares building
+    them is cheap next to the arithmetic they index.  Cached arrays are
+    read-only, as every caller shares them."""
+    def frozen(n: int):
+        out = fn(n)
+        for a in out:
+            a.flags.writeable = False
+        return out
+    cached = lru_cache(maxsize=None)(frozen)
+
+    @wraps(fn)
+    def get(n: int):
+        return cached(n) if n <= 64 else fn(n)
+    return get
+
+
+@_cache_small
+def _square_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of an n x n square.
+
+    ``sym[q]`` is the row-major position of ``(max(a, b), min(a, b))`` for
+    column-major position ``q`` of ``(a, b)``, so taking it from a block
+    mirrors the block's lower triangle into a column-major symmetric square.
+    ``strict_lower`` masks the strict lower triangle in column-major order,
+    ``diag`` holds the diagonal's positions and ``eye`` is the flat identity.
+    """
+    b, a = np.divmod(np.arange(n * n), n)
+    sym = np.maximum(a, b) * n + np.minimum(a, b)
+    eye = (a == b).astype(np.complex128)
+    return sym, a > b, np.flatnonzero(a == b), eye
+
+
+def _factor_lower(B: np.ndarray, pivot_tol: float,
+                  scale: float | None = None) -> DenseFactor:
+    """Bunch-Kaufman factor of the symmetric matrix whose lower triangle is
+    that of the square ``B``; the upper triangle of ``B`` is not read.
+
+    The pivot threshold is ``pivot_tol * scale``, ``scale`` defaulting to
+    ``max|B|`` over the lower triangle.  Raises :class:`SingularBlockError`
+    like :func:`dense_ldlt_bk`, and ``ValueError`` on non-finite entries.
+    """
+    n = B.shape[0]
+    sym, strict_lower, diag, eye = _square_index(n)
+    W = B.take(sym)
+    # +0.0 turns -0.0 into +0.0, as tril(B) + tril(B, -1).T would.
+    W += 0.0
+    W = W.reshape((n, n), order="F")
+    w_max = np.abs(W).max() if n else 0.0
+    if not math.isfinite(w_max):
+        raise ValueError("matrix has non-finite entries")
+    if scale is None:
+        scale = w_max
+    perm, tags, twos, growth, info = _bk_factor(W, pivot_tol * scale, w_max)
+    if info >= 0:
+        raise SingularBlockError(
+            f"no acceptable pivot at elimination step {info} "
+            f"(threshold {pivot_tol * scale:.3e})")
+    Wf = W.reshape(-1, order="F")
+    d = Wf[diag]
+    L = np.where(strict_lower, Wf, eye).reshape((n, n), order="F")
+    e = np.zeros(n, dtype=np.complex128)
+    if twos:
+        s = np.array(twos)
+        e[s] = W[s + 1, s]
+        L[s + 1, s] = 0.0
+    return DenseFactor(L, d, e, tags, perm, float(growth), len(twos))
 
 
 def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseFactor:
@@ -228,36 +306,29 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    n = M.shape[0]
-    W = np.array(M, dtype=np.complex128, order="F")
-    scale = np.abs(W).max() if n else 0.0
+    M = M.astype(np.complex128, copy=False)
+    scale = np.abs(M).max() if M.size else 0.0
     if not np.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    if n and scale > 0.0:
-        asym = np.abs(W - W.T).max()
+    if scale > 0.0:
+        asym = np.abs(M - M.T).max()
         if asym > 1e-12 * scale:
             raise ValueError(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
-    # block_ldlt's two-tril rule: an exactly symmetric M is unchanged.
-    np.add(np.tril(W), np.tril(W, -1).T, out=W)
-    perm, tags, growth, info = _bk_factor(W, pivot_tol * scale)
-    if info >= 0:
-        raise SingularBlockError(
-            f"no acceptable pivot at elimination step {info} "
-            f"(threshold {pivot_tol * scale:.3e})")
-    d = np.diagonal(W).copy()
-    s = np.flatnonzero(tags == 2)
-    e = np.zeros(n, dtype=np.complex128)
-    e[s] = W[s + 1, s]
-    # W.T is row-major, so the transpose of its strict upper triangle is a
-    # column-major strict lower triangle of W.
-    L = np.triu(W.T, 1).T
-    L[s + 1, s] = 0.0
-    np.fill_diagonal(L, 1.0)
-    return DenseFactor(L, d, e, tags, perm, float(growth), int(s.size))
+    return _factor_lower(M, pivot_tol, scale)
 
 
 @dataclass
 class FactorStats:
+    """Counts of one block factorization.
+
+    ``peak_bytes`` is a right-looking model of the working set: K's blocks
+    count as live until their column is eliminated, a trailing block from its
+    first write by an update, each factored column from its elimination on,
+    and one column's X = L D while it lives.  :func:`block_ldlt` allocates
+    every panel up front, so its storage already exceeds this model before
+    the first column.
+    """
+
     factor_entries: int = 0
     flops: int = 0
     peak_bytes: int = 0
@@ -284,19 +355,36 @@ class BlockFactor:
     stats: FactorStats = field(default_factory=FactorStats)
 
 
+def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
+    out = np.zeros(x.size + 1, dtype=np.int64)
+    np.cumsum(x, out=out[1:])
+    return out
+
+
+@_cache_small
+def _lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and column-major flat positions of the lower triangle
+    (diagonal included) of an m x m square, column by column."""
+    cols, rows = np.triu_indices(m)
+    return rows, cols, rows + cols * m
+
+
 def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
                pivot_tol: float = DEFAULT_PIVOT_TOL) -> BlockFactor:
     """Right-looking block LDL^T of ``K`` following ``plan``.
 
-    Block column j lives in one zero-initialised panel allocated from the
-    plan: block rows ``[j] + pattern[j]``, diagonal block on top.  K's blocks
-    are written once into their column's panel, transposed where the
-    permutation of ``plan`` flips them.  Per column: factor the top block,
-    form X = L D for the rows below it by one triangular solve, recover
-    L = X D_jj^-1 in place, form the update U = X L^T by one product, and
-    subtract U's rows at and below each pattern row k from panel k by one
-    indexed subtraction.  A block of K or of an update that has no place in
-    the plan raises :class:`FactorConsistencyError`.
+    Block column j lives in one zero-initialised, row-major panel allocated
+    from the plan: block rows ``[j] + pattern[j]``, diagonal block on top.
+    All panels share one buffer.  K's blocks are written once into their
+    column's panel, transposed where the permutation of ``plan`` flips
+    them, and K's diagonal blocks are checked for symmetry there.  Per
+    column: factor the lower triangle of the top block, form X = L D for the
+    rows below it by one triangular solve, recover L = X D_jj^-1 in place,
+    form the update U = X L^T by one product, and subtract the lower
+    triangle of U from the later panels by one indexed subtraction; past the
+    symmetry check, only the lower triangle of a diagonal block is read.  A
+    block of K or of an update that has no place in the plan raises
+    :class:`FactorConsistencyError`.
     """
     nb = K.nblocks
     if plan.nblocks != nb:
@@ -304,36 +392,74 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     sizes = plan.sizes_perm
     if not np.array_equal(sizes, K.sizes[plan.order.perm]):
         raise ValueError("plan and matrix disagree on block sizes")
-    inv = plan.order.inverse().tolist()
+    if nb == 0:
+        return BlockFactor(plan, [], {}, [], [], FactorStats())
     n = sizes.tolist()
-    offsets = np.zeros(nb + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    # start[j][i]: first row of block i in panel j; rows[j]: the panel's
-    # ascending scalar rows in the permuted, concatenated unknown vector.
-    work: list[np.ndarray] = []
-    start: list[dict[int, int]] = []
-    rows: list[np.ndarray] = []
-    for j in range(nb):
-        blocks = np.concatenate(([j], plan.pattern[j]))
-        bs = sizes[blocks]
-        local = np.zeros(blocks.size + 1, dtype=np.int64)
-        np.cumsum(bs, out=local[1:])
-        start.append(dict(zip(blocks.tolist(), local[:-1].tolist())))
-        rows.append(np.arange(local[-1]) + np.repeat(offsets[blocks] - local[:-1], bs))
-        work.append(np.zeros((int(local[-1]), n[j]), dtype=np.complex128))
-    # Block rows written into each column's panel so far: the peak model
-    # counts a trailing block as live from its first write.
-    written: list[set[int]] = [set() for _ in range(nb)]
-    for (i, j), blk in K.blocks.items():
-        a, b = inv[i], inv[j]
-        if a < b:
-            a, b, blk = b, a, blk.T
-        r = start[b].get(a)
-        if r is None:
+    offsets = _exclusive_cumsum(sizes)
+    n_scalar = int(offsets[-1])
+
+    # Slots are the block rows [j] + pattern[j] of every panel j, panel by
+    # panel; rows are the scalar rows of the slots.
+    slot_blk = np.concatenate([x for j, p in enumerate(plan.pattern)
+                               for x in ((j,), p)])
+    n_slots = np.array([p.size + 1 for p in plan.pattern], dtype=np.int64)
+    slot_start = _exclusive_cumsum(n_slots)
+    slot_panel = np.repeat(np.arange(nb), n_slots)
+    slot_rows = sizes[slot_blk]
+    slot_row0 = _exclusive_cumsum(slot_rows)
+    panel_row0 = slot_row0[slot_start]
+    slot_local = slot_row0[:-1] - panel_row0[slot_panel]
+    row_slot = np.repeat(np.arange(slot_blk.size), slot_rows)
+    row_panel = slot_panel[row_slot]
+    row_blk = slot_blk[row_slot]
+    row_in_blk = np.arange(row_slot.size) - slot_row0[row_slot]
+    row_scalar = offsets[row_blk] + row_in_blk
+    row_width = sizes[row_panel]
+    base = _exclusive_cumsum(np.diff(panel_row0) * sizes)
+    buf = np.zeros(int(base[-1]), dtype=np.complex128)
+    # Buffer position of each row, and the sorted (panel, scalar row) keys
+    # an update's entries are looked up in; the sentinel matches no key.
+    row_base = base[row_panel] + (np.arange(row_slot.size)
+                                  - panel_row0[row_panel]) * row_width
+    row_key = np.append(row_panel * n_scalar + row_scalar, nb * n_scalar)
+    blk_key = row_blk * n_scalar
+
+    # Place K: each block at its slot, found by its (panel, block row) key.
+    placed = np.zeros(slot_blk.size, dtype=bool)
+    if K.blocks:
+        inv = plan.order.inverse()
+        ij = inv[np.array(list(K.blocks), dtype=np.int64)]
+        lo, hi = ij.min(axis=1), ij.max(axis=1)
+        slot_key = np.append(slot_panel * nb + slot_blk, nb * nb)
+        key = lo * nb + hi
+        at = slot_key.searchsorted(key)
+        miss = np.flatnonzero(slot_key[at] != key)
+        if miss.size:
+            t = miss[0]
             raise FactorConsistencyError(
-                f"unconsumed blocks: block {(a, b)} of K has no place in the plan")
-        work[b][r:r + n[a]] = blk
-        written[b].add(a)
+                f"unconsumed blocks: block {(int(hi[t]), int(lo[t]))} "
+                f"of K has no place in the plan")
+        dest = (base[slot_panel[at]] + slot_local[at] * sizes[lo]).tolist()
+        flip = (ij[:, 0] < ij[:, 1]).tolist()
+        for blk, o, f in zip(K.blocks.values(), dest, flip):
+            buf[o:o + blk.size] = (blk.T if f else blk).ravel()
+        placed[at] = True
+    # The symmetry check of dense_ldlt_bk, once per diagonal block of K,
+    # batched over the diagonal blocks of each size.
+    for size in set(n) - {0}:
+        cols = np.flatnonzero(sizes == size)
+        D = buf[base[cols, None] + np.arange(size * size)].reshape(-1, size, size)
+        scale = np.abs(D).max(axis=(1, 2))
+        asym = np.abs(D - D.transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = np.flatnonzero(~(asym <= 1e-12 * scale))
+        if bad.size:
+            t = bad[0]
+            raise ValueError(f"block column {cols[t]}: " + (
+                f"matrix is not symmetric: max|M - M^T| = {asym[t]:.3e}"
+                if np.isfinite(scale[t]) else "matrix has non-finite entries"))
+    # Block rows written into each panel so far, one flag per scalar row: the
+    # peak model counts a trailing block as live from its first write.
+    written = placed[row_slot]
 
     diag: list[DenseFactor] = []
     offdiag: dict[tuple[int, int], np.ndarray] = {}
@@ -344,53 +470,64 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     stored_entries = 0
     flops = 0
     peak = live_entries
+    sq = sizes * sizes
+    pattern_sq = (np.add.reduceat(sq[slot_blk], slot_start[:-1]) - sq).tolist()
+    row0 = panel_row0.tolist()
+    local = slot_local.tolist()
+    starts = slot_start.tolist()
+    bases = base.tolist()
 
     for j in range(nb):
         nj = n[j]
-        live_entries -= nj * sum(n[i] for i in written[j])
+        r0, r1 = row0[j], row0[j + 1]
+        panel = buf[bases[j]:bases[j + 1]].reshape(r1 - r0, nj)
+        live_entries -= nj * int(np.count_nonzero(written[r0:r1]))
         try:
-            fac = dense_ldlt_bk(work[j][:nj], pivot_tol)
+            fac = _factor_lower(panel[:nj], pivot_tol)
         except SingularBlockError as err:
             raise SingularBlockError(f"block column {j}: {err}") from err
         diag.append(fac)
         stored_entries += nj * (nj + 1) // 2
         flops += nj ** 3 // 3 + nj ** 2
-        pat = plan.pattern[j].tolist()
         # X = L D is the transpose of L_jj^-1 (panel P^T)^T; L = X D^-1.
-        Lp = work[j][nj:]
+        Lp = panel[nj:]
         m = Lp.shape[0]
         X = _unit_lower_solve(fac.L, Lp[:, fac.perm].T).T
         Lp[...] = X
         fac.apply_dinv(Lp.T)
         panels.append(Lp)
-        prow = rows[j][nj:]
+        below = slice(r0 + nj, r1)
+        prow = row_scalar[below]
         panel_rows.append(prow)
-        lo = [start[j][i] - nj for i in pat]
-        for i, s in zip(pat, lo):
-            offdiag[(i, j)] = Lp[s:s + n[i]]
+        for i, s in zip(plan.pattern[j].tolist(), local[starts[j] + 1:starts[j + 1]]):
+            offdiag[(i, j)] = Lp[s - nj:s - nj + n[i]]
         stored_entries += m * nj
         flops += m * nj * nj + m * nj
         # The update covers every pattern pair i >= k, n_i * nj * n_k each.
-        flops += nj * (m * m + sum(n[i] * n[i] for i in pat)) // 2
+        flops += nj * (m * m + pattern_sq[j]) // 2
         transient = X.size
         peak = max(peak, live_entries + stored_entries + transient)
-        if not pat:
+        if not m:
             continue
         U = blas_matmul(X, Lp.T)
-        # SYRK-style symmetrization keeps diagonal blocks exactly symmetric
-        # for the next diagonal factorization; blocks below it are unchanged.
-        U = np.tril(U) + np.tril(U, -1).T
-        for a, (k, s) in enumerate(zip(pat, lo)):
-            into, seen = start[k], written[k]
-            for i in pat[a:]:
-                if i not in into:
-                    raise FactorConsistencyError(
-                        f"update targets block {(i, k)} outside pattern")
-                if i not in seen:
-                    seen.add(i)
-                    live_entries += n[i] * n[k]
-            pos = rows[k].searchsorted(prow[s:])
-            work[k][pos] -= U[s:, s:s + n[k]]
+        # Entry (a, b) of U's lower triangle goes to row prow[a] of the panel
+        # of b's block, at b's column within that block.
+        rows, cols, at_u = _lower_triangle(m)
+        key = blk_key[below][cols] + prow[rows]
+        at = row_key.searchsorted(key)
+        bad = row_key[at] != key
+        if bad.any():
+            # Column by column, the first miss is the first in (k, i) order.
+            t = np.flatnonzero(bad)[0]
+            i, k = row_blk[below][[rows[t], cols[t]]].tolist()
+            raise FactorConsistencyError(
+                f"update targets block {(i, k)} outside pattern")
+        col = row_in_blk[below][cols]
+        buf[row_base[at] + col] -= U.ravel("F").take(at_u)
+        hit = at[col == 0]
+        hit = hit[~written[hit]]
+        live_entries += int(row_width[hit].sum())
+        written[hit] = True
         peak = max(peak, live_entries + stored_entries + transient)
 
     stats.factor_entries = stored_entries

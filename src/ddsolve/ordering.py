@@ -51,15 +51,15 @@ def check_permutation(perm: np.ndarray) -> None:
         seen[v] = True
 
 
-def _simplicial(adj: list[set[int]], v: int) -> bool:
-    """Whether the neighbors of ``v`` form a clique (zero deficiency)."""
-    nbrs = adj[v]
-    return all(len(nbrs & adj[u]) == len(nbrs) - 1 for u in nbrs)
-
-
 def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
     """Eliminate by the smallest key ``(not simplicial, weighted degree,
     index)``, keys held in a heap with lazy invalidation.
+
+    Neighborhoods are kept closed (``v`` in ``nb[v]``), so ``v`` is
+    simplicial (its neighbors form a clique) exactly when ``nb[v] <= nb[u]``
+    for every neighbor ``u``.  Weighted degrees are kept incrementally:
+    eliminating ``v`` takes ``w[v]`` from each neighbor and adds the weights
+    of its new fill neighbors.
 
     Eliminating ``v`` turns its neighbors into a clique.  Only two kinds of
     vertex can change key: the neighbors of ``v``, whose adjacency changed,
@@ -68,11 +68,13 @@ def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
     them, so only these keys are recomputed (George & Liu 1989).
     """
     n = g.n
-    adj = [set(s) for s in g.adj]
     w = weights.tolist()
+    nb = [s | {v} for v, s in enumerate(g.adj)]
+    deg = [sum(w[u] for u in s) for s in g.adj]
 
     def key(v: int) -> tuple[int, int, int]:
-        return (0 if _simplicial(adj, v) else 1, sum(w[u] for u in adj[v]), v)
+        nv = nb[v]
+        return (0 if all(nv <= nb[u] for u in nv) else 1, deg[v], v)
 
     keys: list = [key(v) for v in range(n)]
     heap = list(keys)
@@ -85,19 +87,23 @@ def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
             continue  # stale entry of an eliminated or re-keyed vertex
         keys[v] = None
         order.append(v)
-        nbrs = adj[v]
+        nbrs = nb[v]
+        nbrs.discard(v)
+        wv = w[v]
         for u in nbrs:
-            adj[u].discard(v)
+            nb[u].discard(v)
+            deg[u] -= wv
         fill = []
         for u in nbrs:
-            new = nbrs - adj[u]
-            new.discard(u)
+            nu = nb[u]
+            new = nbrs - nu
             if new:
-                adj[u] |= new
+                nu |= new
+                deg[u] += sum(w[x] for x in new)
                 fill.extend((u, x) for x in new if x > u)
         touched = set(nbrs)
         for a, b in fill:
-            touched |= adj[a] & adj[b]
+            touched |= nb[a] & nb[b]
         for u in touched:
             # A vertex outside nbrs keeps its degree and can only become
             # simplicial, so a simplicial one keeps its key.

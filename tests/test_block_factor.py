@@ -1,10 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_block_system, rand_complex_symmetric, scalar_permutation
 from ddsolve import blockmat, factor, ordering, symbolic
-from ddsolve.factor import FactorConsistencyError, SingularBlockError, \
-    block_ldlt, block_solve, dense_ldlt_bk, scatter_factor
+from ddsolve.factor import BlockFactor, FactorConsistencyError, FactorStats, \
+    SingularBlockError, _unit_lower_solve, blas_matmul, block_ldlt, \
+    block_solve, dense_ldlt_bk, scatter_factor
 from ddsolve.ordering import identity_ordering
 
 
@@ -195,12 +199,55 @@ def test_plan_missing_pattern_blocks_raises():
         order, np.array([1, -1, -1]),
         [np.array([1, 2]), np.array([], dtype=np.int64),
          np.array([], dtype=np.int64)], np.array(sizes), 13)
-    with pytest.raises(FactorConsistencyError, match="outside pattern"):
+    with pytest.raises(FactorConsistencyError,
+                       match=r"update targets block \(2, 1\) outside pattern"):
         block_ldlt(K, no_fill)
     g = blockmat.CliqueGraph(3)
     g.add_edge(1, 0)
-    with pytest.raises(FactorConsistencyError, match="unconsumed blocks"):
+    with pytest.raises(FactorConsistencyError,
+                       match=r"unconsumed blocks: block \(2, 0\) of K"):
         block_ldlt(K, symbolic.symbolic_factor(g, order, sizes))
+
+
+def test_consistency_errors_name_blocks_in_elimination_order():
+    # the reversed order transposes every block of K into place: (2, 1)
+    # lands on (1, 0) and (2, 0) on itself, so eliminating column 0 needs
+    # the fill block (2, 1); errors name blocks of the permuted matrix
+    sizes = [2, 2, 1]
+    K = blockmat.from_blocks(sizes, [(i, i, 3 * np.eye(s) + 0j)
+                                     for i, s in enumerate(sizes)]
+                             + [(2, 1, np.ones((1, 2)) + 0j),
+                                (2, 0, np.ones((1, 2)) + 0j)])
+    order = ordering.Ordering(np.array([2, 1, 0]))
+    no_fill = symbolic.EliminationPlan(
+        order, np.array([1, -1, -1]),
+        [np.array([1, 2]), np.array([], dtype=np.int64),
+         np.array([], dtype=np.int64)], np.array([1, 2, 2]), 11)
+    with pytest.raises(FactorConsistencyError, match=r"block \(2, 1\) outside"):
+        block_ldlt(K, no_fill)
+    g = blockmat.CliqueGraph(3)
+    g.add_edge(2, 1)
+    with pytest.raises(FactorConsistencyError, match=r"block \(2, 0\) of K"):
+        block_ldlt(K, symbolic.symbolic_factor(g, order, sizes))
+
+
+@pytest.mark.parametrize("order", [None, identity_ordering(3)])
+def test_asymmetric_diagonal_block_rejected(order):
+    # add_block alone does not validate, so only the factor sees the
+    # asymmetric diagonal block (1, 1)
+    sizes = [2, 3, 2]
+    K = blockmat.BlockSparseSym(sizes)
+    for i, s in enumerate(sizes):
+        K.add_block(i, i, rand_complex_symmetric(s, 70 + i) + 6 * np.eye(s))
+    K.add_block(1, 0, np.ones((3, 2)) + 0j)
+    K.add_block(2, 1, np.ones((2, 3)) + 0j)
+    K.blocks[(1, 1)][0, 2] += 1e-9
+    with pytest.raises(ValueError, match="not symmetric"):
+        block_ldlt(K, plan_for(K, order))
+    K.blocks[(1, 1)][0, 2] -= 1e-9
+    K.blocks[(1, 1)][2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        block_ldlt(K, plan_for(K, order))
 
 
 @pytest.mark.parametrize("order, stats", [
@@ -328,3 +375,182 @@ def test_tiny_blocks_with_2x2_pivot():
     X = np.concatenate(block_solve(F, split_blocks(B, sizes)))
     X_ref = np.linalg.solve(S, B)
     assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+
+
+def reference_block_ldlt(K, plan, pivot_tol=factor.DEFAULT_PIVOT_TOL):
+    """Block LDL^T with one working panel per column, per-pair pattern
+    checks and a symmetrized update, each diagonal block factored by the
+    public dense kernel."""
+    nb = K.nblocks
+    if plan.nblocks != nb:
+        raise ValueError("plan and matrix disagree on block count")
+    sizes = plan.sizes_perm
+    if not np.array_equal(sizes, K.sizes[plan.order.perm]):
+        raise ValueError("plan and matrix disagree on block sizes")
+    inv = plan.order.inverse().tolist()
+    n = sizes.tolist()
+    offsets = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    work, start, rows = [], [], []
+    for j in range(nb):
+        blocks = np.concatenate(([j], plan.pattern[j]))
+        bs = sizes[blocks]
+        local = np.zeros(blocks.size + 1, dtype=np.int64)
+        np.cumsum(bs, out=local[1:])
+        start.append(dict(zip(blocks.tolist(), local[:-1].tolist())))
+        rows.append(np.arange(local[-1]) + np.repeat(offsets[blocks] - local[:-1], bs))
+        work.append(np.zeros((int(local[-1]), n[j]), dtype=np.complex128))
+    written = [set() for _ in range(nb)]
+    for (i, j), blk in K.blocks.items():
+        a, b = inv[i], inv[j]
+        if a < b:
+            a, b, blk = b, a, blk.T
+        r = start[b].get(a)
+        if r is None:
+            raise FactorConsistencyError(
+                f"unconsumed blocks: block {(a, b)} of K has no place in the plan")
+        work[b][r:r + n[a]] = blk
+        written[b].add(a)
+
+    diag, offdiag, panels, panel_rows = [], {}, [], []
+    stats = FactorStats()
+    live_entries = sum(b.size for b in K.blocks.values())
+    stored_entries = 0
+    flops = 0
+    peak = live_entries
+    for j in range(nb):
+        nj = n[j]
+        live_entries -= nj * sum(n[i] for i in written[j])
+        try:
+            fac = dense_ldlt_bk(work[j][:nj], pivot_tol)
+        except SingularBlockError as err:
+            raise SingularBlockError(f"block column {j}: {err}") from err
+        diag.append(fac)
+        stored_entries += nj * (nj + 1) // 2
+        flops += nj ** 3 // 3 + nj ** 2
+        pat = plan.pattern[j].tolist()
+        Lp = work[j][nj:]
+        m = Lp.shape[0]
+        X = _unit_lower_solve(fac.L, Lp[:, fac.perm].T).T
+        Lp[...] = X
+        fac.apply_dinv(Lp.T)
+        panels.append(Lp)
+        prow = rows[j][nj:]
+        panel_rows.append(prow)
+        lo = [start[j][i] - nj for i in pat]
+        for i, s in zip(pat, lo):
+            offdiag[(i, j)] = Lp[s:s + n[i]]
+        stored_entries += m * nj
+        flops += m * nj * nj + m * nj
+        flops += nj * (m * m + sum(n[i] * n[i] for i in pat)) // 2
+        transient = X.size
+        peak = max(peak, live_entries + stored_entries + transient)
+        if not pat:
+            continue
+        U = blas_matmul(X, Lp.T)
+        U = np.tril(U) + np.tril(U, -1).T
+        for a, (k, s) in enumerate(zip(pat, lo)):
+            into, seen = start[k], written[k]
+            for i in pat[a:]:
+                if i not in into:
+                    raise FactorConsistencyError(
+                        f"update targets block {(i, k)} outside pattern")
+                if i not in seen:
+                    seen.add(i)
+                    live_entries += n[i] * n[k]
+            pos = rows[k].searchsorted(prow[s:])
+            work[k][pos] -= U[s:, s:s + n[k]]
+        peak = max(peak, live_entries + stored_entries + transient)
+
+    stats.factor_entries = stored_entries
+    stats.flops = flops
+    stats.peak_bytes = 16 * peak
+    stats.growth_factor = max((f.growth for f in diag), default=1.0)
+    stats.n_2x2_pivots = sum(f.n_2x2 for f in diag)
+    return BlockFactor(plan, diag, offdiag, panels, panel_rows, stats)
+
+
+def factor_bytes(F):
+    """Every array of a block factor as bytes, with its shape and dtype,
+    plus the stats."""
+    def b(a):
+        return (a.shape, a.dtype.str, a.tobytes())
+    return ([b(p) for p in F.panels], [b(r) for r in F.panel_rows],
+            [(b(f.L), b(f.d), b(f.e), b(f.perm), b(f.tags), f.growth, f.n_2x2)
+             for f in F.diag],
+            sorted((key, b(blk)) for key, blk in F.offdiag.items()),
+            F.stats)
+
+
+def assert_matches_reference(K, plan):
+    try:
+        ref = reference_block_ldlt(K, plan)
+    except (SingularBlockError, ValueError) as err:
+        with pytest.raises(type(err)) as got:
+            block_ldlt(K, plan)
+        assert str(got.value) == str(err)
+        return None
+    F = block_ldlt(K, plan)
+    assert factor_bytes(F) == factor_bytes(ref)
+    return F
+
+
+@st.composite
+def block_systems(draw):
+    """Block systems with zero-size blocks, couplings that leave fill, and
+    diagonal blocks with a zero diagonal, which take 2x2 pivots.  Real
+    systems carry imaginary parts of +0.0 or -0.0, so that the factor's
+    signed zeros are compared too."""
+    nb = draw(st.integers(1, 7))
+    sizes = draw(st.lists(st.integers(0, 4), min_size=nb, max_size=nb))
+    pairs = [(i, j) for i in range(nb) for j in range(i)]
+    coupled = draw(st.lists(st.booleans(), min_size=len(pairs),
+                            max_size=len(pairs)))
+    hollow = draw(st.lists(st.booleans(), min_size=nb, max_size=nb))
+    kind = draw(st.sampled_from(["complex", "real", "real, -0.0 imag"]))
+    natural = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rand(*shape):
+        z = rng.standard_normal(shape)
+        if kind == "complex":
+            return z + 1j * rng.standard_normal(shape)
+        return z + 0j if kind == "real" else np.conj(z + 0j)
+
+    triples = []
+    for i, s in enumerate(sizes):
+        G = rand(s, s)
+        D = (G + G.T) / 2
+        if hollow[i] and s >= 2:
+            np.fill_diagonal(D, -0.0)
+            D *= 8.0
+        else:
+            D += 4.0 * s * np.eye(s)
+        triples.append((i, i, D))
+    triples += [(i, j, 0.3 * rand(sizes[i], sizes[j]))
+                for (i, j), c in zip(pairs, coupled) if c]
+    K = blockmat.from_blocks(sizes, triples)
+    return K, identity_ordering(nb) if natural else None
+
+
+def test_matches_reference_on_drawn_systems():
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(block_systems())
+    def check(case):
+        K, order = case
+        plan = plan_for(K, order)
+        F = assert_matches_reference(K, plan)
+        if F is not None:
+            seen["2x2"] += F.stats.n_2x2_pivots > 0
+            seen["fill"] += bool(symbolic.fill_blocks(plan, blockmat.clique_graph(K)))
+            seen["empty"] += bool((K.sizes == 0).any())
+
+    check()
+    assert min(seen[k] for k in ("2x2", "fill", "empty")) > 0, seen
+
+
+def test_matches_reference_on_reduced_systems(reduced_systems):
+    for rsys in reduced_systems.values():
+        assert assert_matches_reference(rsys.K, plan_for(rsys.K)) is not None

@@ -3,11 +3,12 @@ import math
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ddsolve import blockmat
+from ddsolve import blockmat, driver
 from ddsolve.cli import main
 from ddsolve.config import ConfigError, parse_config_file
 from ddsolve.driver import CSV_COLUMNS, fit_loglog_slope, run_sweep, \
@@ -204,6 +205,45 @@ class TestSweep:
             assert math.isnan(fit_loglog_slope([529, 529], [3.0e5, 3.1e5]))
             assert math.isnan(fit_loglog_slope([0, 529], [1.0, 3.0e5]))
         assert fit_loglog_slope([10, 100], [1.0, 100.0]) == pytest.approx(2.0)
+
+    def test_time_slope_fitted_on_unrounded_times(self, tmp_path,
+                                                  monkeypatch):
+        # factor times like those of a small sweep: rounded to 3 decimals
+        # they read 0.001/0.001/0.002/0.002 and the fitted slope would be
+        # quantisation
+        dofs = [121, 225, 361, 529]
+        times = [0.00071, 0.00124, 0.00183, 0.00246]
+
+        def fake_pipeline(run):
+            i = int(run.case_id)
+            return SimpleNamespace(report=driver.SolveReport(
+                case_id=run.case_id, n_dofs=dofs[i], n_lambda=1, n_blocks=1,
+                factor_time_s=times[i], solve_time_s=times[i] / 7,
+                factor_bytes=16 * dofs[i], peak_bytes=32 * dofs[i],
+                residual_inf=1e-15, growth_factor=1.0))
+
+        monkeypatch.setattr(driver, "run_pipeline", fake_pipeline)
+        runs = [parse_config_file(write_cfg(tmp_path / f"{i}.cfg",
+                                            side_lambda=1.0, ppw=10))
+                for i in range(len(dofs))]
+        csv_path = tmp_path / "sweep.csv"
+        reports, slopes = run_sweep(runs, csv_path=str(csv_path))
+        assert [r.factor_time_s for r in reports] == times
+        assert slopes["factor_time_vs_dofs"] == fit_loglog_slope(dofs, times)
+        assert abs(slopes["factor_time_vs_dofs"] - fit_loglog_slope(
+            dofs, [round(t, 3) for t in times])) > 0.1
+        rows = list(csv.reader(csv_path.read_text().splitlines()[1:5]))
+        assert [r[4] for r in rows] == ["0.001", "0.001", "0.002", "0.002"]
+
+    def test_pipeline_report_keeps_unrounded_times(self, small_cfg,
+                                                   monkeypatch):
+        clock = iter([10.0, 10.0004567, 20.0, 20.0001234])
+        monkeypatch.setattr(driver, "time",
+                            SimpleNamespace(perf_counter=lambda: next(clock)))
+        report = driver.run_pipeline(parse_config_file(small_cfg)).report
+        assert report.factor_time_s == 10.0004567 - 10.0
+        assert report.solve_time_s == 20.0001234 - 20.0
+        assert "factor time     : 0.000 s" in report.text()
 
     def test_sweep_records_failures_in_row(self, tmp_path, capsys):
         good = write_cfg(tmp_path / "good.cfg", side_lambda=1.0, ppw=10,

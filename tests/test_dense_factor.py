@@ -272,6 +272,20 @@ def test_rejects_unsymmetric():
         dense_ldlt_bk(M)
 
 
+def test_negative_zeros_read_as_positive():
+    # -0.0 entries factor like +0.0 ones, as in tril(M) + tril(M, -1).T;
+    # the zero diagonal forces 2x2 pivots, which keep theirs in d
+    M = rand_complex_symmetric(5, 13)
+    M[np.diag_indices(5)] = complex(-0.0, -0.0)
+    M[4, 1] = M[1, 4] = complex(-0.0, 0.0)
+    S = np.tril(M) + np.tril(M, -1).T
+    a, b = dense_ldlt_bk(M), dense_ldlt_bk(S)
+    assert a.n_2x2 > 0
+    for name in ("perm", "tags", "L", "d", "e"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.growth == b.growth
+
+
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         dense_ldlt_bk(np.ones((2, 3), dtype=complex))
