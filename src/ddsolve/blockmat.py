@@ -66,7 +66,7 @@ class BlockSparseSym:
     def order(self) -> int:
         return int(self.sizes.sum())
 
-    def add_block(self, i: int, j: int, block) -> None:
+    def _checked(self, i: int, j: int, block) -> np.ndarray:
         if not (0 <= j <= i < self.nblocks):
             raise BlockMatrixError(f"block index ({i}, {j}) outside lower triangle")
         block = np.asarray(block, dtype=np.complex128)
@@ -74,6 +74,10 @@ class BlockSparseSym:
         if block.shape != want:
             raise BlockMatrixError(
                 f"block ({i}, {j}) has shape {block.shape}, expected {want}")
+        return block
+
+    def add_block(self, i: int, j: int, block) -> None:
+        block = self._checked(i, j, block)
         key = (i, j)
         if key in self.blocks:
             self.blocks[key] = self.blocks[key] + block
@@ -101,21 +105,81 @@ class BlockSparseSym:
         return S
 
     def validate(self) -> None:
-        for (i, j), blk in self.blocks.items():
-            if i == j:
-                scale = np.abs(blk).max() if blk.size else 0.0
-                if scale > 0.0:
-                    asym = np.abs(blk - blk.T).max()
-                    if asym > _DIAG_SYM_RTOL * scale:
-                        raise BlockMatrixError(
-                            f"diagonal block {i} asymmetric: {asym:.3e}")
+        """Check the diagonal blocks for symmetry, batched over the blocks of
+        each size; raises for the lowest-numbered asymmetric block.  A block
+        with a non-finite entry is not checked."""
+        by_size: dict[int, list[int]] = {}
+        for i, n in enumerate(self.sizes.tolist()):
+            if n and (i, i) in self.blocks:
+                by_size.setdefault(n, []).append(i)
+        bad = []
+        for ids in by_size.values():
+            D = np.stack([self.blocks[(i, i)] for i in ids])
+            scale = np.abs(D).max(axis=(1, 2))
+            with np.errstate(invalid="ignore"):     # inf - inf in a skipped block
+                asym = np.abs(D - D.transpose(0, 2, 1)).max(axis=(1, 2))
+            hit = np.flatnonzero((scale > 0.0) & (asym > _DIAG_SYM_RTOL * scale))
+            if hit.size:
+                bad.append((ids[hit[0]], asym[hit[0]]))
+        if bad:
+            i, asym = min(bad)
+            raise BlockMatrixError(f"diagonal block {i} asymmetric: {asym:.3e}")
+
+
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """``arange(c)`` for every ``c`` in ``counts``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if ends.size else 0) - np.repeat(ends - counts, counts)
+
+
+def from_block_entries(sizes, ij, values) -> BlockSparseSym:
+    """Build a block matrix from the keys ``ij`` (one ``(i, j)`` row per
+    block, lower triangle) and the blocks' row-major entries, concatenated
+    in the same order; duplicates sum in list order.
+
+    All blocks live in one buffer filled by one sequential ``np.add.at``.
+    The buffer starts at ``-0.0``, which leaves the bits of the first term
+    of every entry unchanged, so each block is its first term plus the later
+    ones, as summing copies would give.  Stored blocks are views into the
+    buffer, keyed in order of first appearance.
+    """
+    K = BlockSparseSym(sizes)
+    ij = np.asarray(ij, dtype=np.int64).reshape(-1, 2)
+    i, j = ij[:, 0], ij[:, 1]
+    nb = K.nblocks
+    bad = np.flatnonzero(~((0 <= j) & (j <= i) & (i < nb)))
+    if bad.size:
+        t = bad[0]
+        raise BlockMatrixError(
+            f"block index ({int(i[t])}, {int(j[t])}) outside lower triangle")
+    count = K.sizes[i] * K.sizes[j]
+    if values.size != count.sum():
+        raise BlockMatrixError(f"{values.size} block entries given, "
+                               f"the keys need {int(count.sum())}")
+    _, first, which = np.unique(i * nb + j, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    keys = ij[first[by_first]]
+    off = np.zeros(keys.shape[0] + 1, dtype=np.int64)
+    np.cumsum(count[first[by_first]], out=off[1:])
+    buf = np.full(int(off[-1]), complex(-0.0, -0.0))
+    np.add.at(buf, np.repeat(off[rank[which]], count) + ragged_arange(count), values)
+    K.blocks = {(a, b): buf[o:o1].reshape(shape) for (a, b), shape, o, o1 in zip(
+        keys.tolist(), K.sizes[keys].tolist(), off[:-1].tolist(), off[1:].tolist())}
+    return K
 
 
 def from_blocks(sizes, block_list) -> BlockSparseSym:
     """Build a block matrix from ``(i, j, array)`` triples; duplicates sum."""
     K = BlockSparseSym(sizes)
+    keys = []
+    values = []
     for i, j, blk in block_list:
-        K.add_block(int(i), int(j), blk)
+        keys.append((int(i), int(j)))
+        values.append(K._checked(int(i), int(j), blk).reshape(-1))
+    K = from_block_entries(K.sizes, keys, np.concatenate(values) if values
+                           else np.zeros(0, dtype=np.complex128))
     K.validate()
     return K
 
@@ -161,7 +225,8 @@ def load_blk(path) -> BlockSparseSym:
         if len(sizes) != nb:
             raise BlockMatrixError("header size list does not match block count")
         tokens = fh.read().split()
-    K = BlockSparseSym(sizes)
+    sizes = BlockSparseSym(sizes).sizes
+    triples = []
     pos = 0
     while pos < len(tokens):
         head = tokens[pos:pos + 2]
@@ -172,7 +237,7 @@ def load_blk(path) -> BlockSparseSym:
         if not (0 <= j <= i < nb):
             raise BlockMatrixError(f"block index ({i}, {j}) outside lower triangle")
         pos += 2
-        ni, nj = int(K.sizes[i]), int(K.sizes[j])
+        ni, nj = int(sizes[i]), int(sizes[j])
         count = 2 * ni * nj
         try:
             vals = np.array([float(t) for t in tokens[pos:pos + count]])
@@ -181,7 +246,5 @@ def load_blk(path) -> BlockSparseSym:
         if vals.size != count:
             raise BlockMatrixError(f"truncated data for block ({i}, {j})")
         pos += count
-        blk = (vals[0::2] + 1j * vals[1::2]).reshape(ni, nj)
-        K.add_block(i, j, blk)
-    K.validate()
-    return K
+        triples.append((i, j, (vals[0::2] + 1j * vals[1::2]).reshape(ni, nj)))
+    return from_blocks(sizes, triples)

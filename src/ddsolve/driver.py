@@ -8,7 +8,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import blockmat, factor, ordering, subdomain, symbolic
 from .config import RunConfig
@@ -95,12 +94,15 @@ def _staged(stage: str, fn, *args, **kwargs):
         raise PipelineError(stage, err) from err
 
 
-def make_ordering(spec: str, g, sizes) -> ordering.Ordering:
+def make_plan(spec: str, g, sizes) -> symbolic.EliminationPlan:
+    """Symbolic plan of the ordering named by ``spec``.  The builtin order
+    comes with the plan its guard computed; a file order is analysed here."""
     if spec == "builtin":
-        return ordering.reorder(g, sizes)
+        return _staged("ordering", ordering.reorder_with_plan, g, sizes)
     if spec.startswith("file:"):
-        return ordering.load_ordering_file(spec[5:], g.n)
-    raise ValueError(f"unknown ordering spec {spec!r}")
+        order = _staged("ordering", ordering.load_ordering_file, spec[5:], g.n)
+        return _staged("symbolic", symbolic.symbolic_factor, g, order, sizes)
+    raise PipelineError("ordering", ValueError(f"unknown ordering spec {spec!r}"))
 
 
 def run_pipeline(run: RunConfig, print_symbolic: bool = False,
@@ -117,8 +119,7 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
     if dump_k is not None:
         _staged("dump-k", blockmat.save_blk, dump_k, rsys.K)
     g = _staged("clique-graph", blockmat.clique_graph, rsys.K)
-    order = _staged("ordering", make_ordering, run.ordering, g, rsys.K.sizes)
-    plan = _staged("symbolic", symbolic.symbolic_factor, g, order, rsys.K.sizes)
+    plan = make_plan(run.ordering, g, rsys.K.sizes)
     if print_symbolic:
         print(format_plan(plan))
     t0 = time.perf_counter()
@@ -148,6 +149,9 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
 def run_verify(run: RunConfig, print_symbolic: bool = False,
                dump_k: str | None = None) -> PipelineResult:
     """Full solve plus comparison against a monolithic sparse direct solve."""
+    # Imported here, its only use, so that importing ddsolve stays cheap.
+    import scipy.sparse.linalg as spla
+
     result = run_pipeline(run, print_symbolic=print_symbolic, dump_k=dump_k)
     cfg = run.problem
     A, f = _staged("monolithic", assemble_helmholtz, result.mesh, cfg)

@@ -110,28 +110,36 @@ class DenseFactor:
 
     def apply_dinv(self, Z: np.ndarray) -> None:
         """Overwrite the rows of ``Z`` (permuted positions) with D^-1 Z."""
-        if self.n_2x2 == 0:
-            Z /= self.d[:, None]
-            return
-        one = np.flatnonzero(self.tags == 1)
-        Z[one] /= self.d[one, None]
-        # 2x2 pivots solved by elimination on the dominant off-diagonal entry
-        # b (guaranteed largest in its column by the pivot tests).
-        s = np.flatnonzero(self.tags == 2)
-        b = self.e[s, None]
-        akm1 = self.d[s, None] / b
-        ak = self.d[s + 1, None] / b
-        denom = akm1 * ak - 1.0
-        t1 = Z[s] / b
-        t2 = Z[s + 1] / b
-        Z[s] = (ak * t1 - t2) / denom
-        Z[s + 1] = (akm1 * t2 - t1) / denom
+        _apply_dinv(self.d, self.e, self.tags, Z)
 
     def dense_d(self) -> np.ndarray:
         D = np.diag(self.d)
         s = np.flatnonzero(self.tags == 2)
         D[s + 1, s] = D[s, s + 1] = self.e[s]
         return D
+
+
+def _apply_dinv(d: np.ndarray, e: np.ndarray, tags: np.ndarray,
+                Z: np.ndarray) -> None:
+    """Overwrite the rows of ``Z`` with D^-1 Z for the block diagonal D
+    given by ``d``, ``e`` and ``tags`` as in :class:`DenseFactor`; the
+    arrays may concatenate the D of several factors."""
+    s = np.flatnonzero(tags == 2)
+    if not s.size:
+        Z /= d[:, None]
+        return
+    one = np.flatnonzero(tags == 1)
+    Z[one] /= d[one, None]
+    # 2x2 pivots solved by elimination on the dominant off-diagonal entry
+    # b (guaranteed largest in its column by the pivot tests).
+    b = e[s, None]
+    akm1 = d[s, None] / b
+    ak = d[s + 1, None] / b
+    denom = akm1 * ak - 1.0
+    t1 = Z[s] / b
+    t2 = Z[s + 1] / b
+    Z[s] = (ak * t1 - t2) / denom
+    Z[s + 1] = (akm1 * t2 - t1) / denom
 
 
 def _bk_factor(W: np.ndarray, tol_abs: float, w_max: float):
@@ -538,20 +546,20 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     return BlockFactor(plan, diag, offdiag, panels, panel_rows, stats)
 
 
-def _solve_one(F: BlockFactor, spans: list[slice], b: np.ndarray) -> None:
+def _solve_one(F: BlockFactor, spans: list[slice], dinv, b: np.ndarray) -> None:
     """Block forward/backward substitution of one column, in place.
 
     ``b`` is one right-hand-side column in permuted, concatenated order, and
     ``spans[j]`` its rows of block column ``j``.  Each sweep makes one panel
-    product per block column.
+    product per block column; D^-1 is applied to the whole column at once,
+    ``dinv`` being the ``(d, e, tags)`` of all diagonal factors concatenated.
     """
     for fac, Lp, rows, sj in zip(F.diag, F.panels, F.panel_rows, spans):
         zj = _unit_lower_solve(fac.L, b[sj][fac.perm])
         b[sj] = zj
         if rows.size:
             b[rows] -= blas_matmul(Lp, zj)
-    for fac, sj in zip(F.diag, spans):
-        fac.apply_dinv(b[sj])
+    _apply_dinv(*dinv, b)
     for j in range(len(spans) - 1, -1, -1):
         fac, rows, sj = F.diag[j], F.panel_rows[j], spans[j]
         w = b[sj]
@@ -594,9 +602,11 @@ def block_solve(F: BlockFactor, g: list[np.ndarray]) -> list[np.ndarray]:
     ends = np.cumsum(sizes).tolist()
     spans = [slice(e - int(nj), e) for e, nj in zip(ends, sizes)]
     B = np.concatenate([blocks[int(p)] for p in perm])
+    dinv = tuple(np.concatenate([getattr(f, name) for f in F.diag])
+                 for name in ("d", "e", "tags"))
     for c in range(cols):
         col = B[:, c:c + 1].copy()
-        _solve_one(F, spans, col)
+        _solve_one(F, spans, dinv, col)
         B[:, c:c + 1] = col
     out: list[np.ndarray] = [None] * nb  # type: ignore[list-item]
     for p, sj in zip(perm, spans):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -163,15 +164,33 @@ class Interface:
 
 
 @dataclass
+class Chains:
+    """All interface chains of a partition, concatenated in interface order.
+
+    ``nodes[start[i]:start[i + 1]]`` is the chain of interface ``i``;
+    ``kept`` marks the chain nodes that carry a multiplier dof, and
+    ``n_kept[i]`` counts them per interface.
+    """
+
+    nodes: np.ndarray
+    start: np.ndarray
+    kept: np.ndarray
+    n_kept: np.ndarray
+
+
+@dataclass
 class Partition:
     n_domains: int
     domain_of_elem: np.ndarray
     interfaces: list[Interface]
     boundary: list[np.ndarray]        # per-domain outer boundary edges (m, 2)
     boundary_owner: list[np.ndarray]  # owning triangle per listed edge
-    # Per-domain incidence, filled once at construction.
+    # Per-domain incidence, filled once at construction: the incident
+    # interfaces of domain d, ascending, are
+    # incident[incident_start[d]:incident_start[d + 1]].
     _elements: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    _incident: list[list[int]] = field(init=False, repr=False, compare=False)
+    incident: np.ndarray = field(init=False, repr=False, compare=False)
+    incident_start: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dom = np.asarray(self.domain_of_elem)
@@ -179,11 +198,18 @@ class Partition:
         order.flags.writeable = False
         cut = [0] + np.cumsum(np.bincount(dom, minlength=self.n_domains)).tolist()
         self._elements = [order[cut[d]:cut[d + 1]] for d in range(self.n_domains)]
-        self._incident = [[] for _ in range(self.n_domains)]
-        for i, itf in enumerate(self.interfaces):
-            self._incident[itf.dom_lo].append(i)
-            if itf.dom_hi != itf.dom_lo:
-                self._incident[itf.dom_hi].append(i)
+        ends = np.array([(itf.dom_lo, itf.dom_hi) for itf in self.interfaces],
+                        dtype=np.int64).reshape(-1, 2)
+        keep = np.ones(ends.shape, dtype=bool)
+        keep[:, 1] = ends[:, 1] != ends[:, 0]
+        side = ends[keep]
+        # a stable sort keeps each domain's interfaces ascending
+        self.incident = np.nonzero(keep)[0][np.argsort(side, kind="stable")]
+        self.incident_start = np.zeros(self.n_domains + 1, dtype=np.int64)
+        np.cumsum(np.bincount(side, minlength=self.n_domains),
+                  out=self.incident_start[1:])
+        for a in (self.incident, self.incident_start):
+            a.flags.writeable = False
 
     def elements_of(self, d: int) -> np.ndarray:
         """Elements of domain ``d`` in ascending order (read-only)."""
@@ -191,7 +217,50 @@ class Partition:
 
     def incident_interfaces(self, d: int) -> list[int]:
         """Indices of the interfaces touching domain ``d``, ascending."""
-        return list(self._incident[d])
+        return self.incident[self.incident_start[d]:self.incident_start[d + 1]].tolist()
+
+    @cached_property
+    def chains(self) -> Chains:
+        """The interface chains and their kept multiplier nodes, computed on
+        first use.
+
+        At every mesh node shared by two or more interfaces the incident
+        interfaces are scanned in ascending index order; one dof is dropped
+        for each interface whose (dom_lo, dom_hi) edge closes a cycle among
+        the domains already connected at that node.
+        """
+        itfs = self.interfaces
+        sizes = [itf.n_nodes for itf in itfs]
+        start = np.zeros(len(itfs) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=start[1:])
+        nodes = (np.concatenate([itf.nodes for itf in itfs]) if itfs
+                 else np.zeros(0, dtype=np.int64))
+        owner = np.repeat(np.arange(len(itfs)), sizes)
+        kept = np.ones(nodes.size, dtype=bool)
+        # chain positions grouped by node: ascending node, then ascending
+        # interface
+        by_node = np.argsort(nodes, kind="stable")
+        cut = np.append(np.flatnonzero(np.diff(nodes[by_node], prepend=-1)),
+                        nodes.size)
+        for g in np.flatnonzero(np.diff(cut) > 1).tolist():
+            parent: dict[int, int] = {}
+
+            def find(x: int) -> int:
+                while parent.setdefault(x, x) != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for pos in by_node[cut[g]:cut[g + 1]].tolist():
+                itf = itfs[owner[pos]]
+                a = find(itf.dom_lo)
+                b = find(itf.dom_hi)
+                if a == b:
+                    kept[pos] = False
+                else:
+                    parent[a] = b
+        n_kept = np.bincount(owner[kept], minlength=len(itfs))
+        return Chains(nodes, start, kept, n_kept)
 
 
 def grid_intervals(side_lambda: float, ppw: float) -> int:
@@ -308,32 +377,55 @@ def boundary_normals(mesh: Mesh, edges: np.ndarray, owners: np.ndarray) -> np.nd
     return nrm
 
 
-def incident_boundary_load(mesh: Mesh, edges: np.ndarray, owners: np.ndarray,
-                           k: float, theta_inc: float) -> np.ndarray:
-    """Load vector from a plane wave entering the absorbing boundary.
+def boundary_load(mesh: Mesh, edges: np.ndarray, owners: np.ndarray,
+                  start: np.ndarray, at: np.ndarray, size: int,
+                  k: float, theta_inc: float) -> np.ndarray:
+    """Plane-wave loads of several boundary pieces in one pass.
 
-    The incident field is ``exp(-jk (x cos t + y sin t))`` and the boundary
-    data ``g = dn(u_inc) - jk u_inc`` is integrated against the P1 traces on
-    each listed edge with 4-point Gauss quadrature.
+    ``edges[start[s]:start[s + 1]]`` are the edges of piece ``s`` and
+    ``at`` (shaped like ``edges``) the positions their endpoints add into,
+    in a vector of length ``size``.  The incident field is
+    ``exp(-jk (x cos t + y sin t))`` and the boundary data
+    ``g = dn(u_inc) - jk u_inc`` is integrated against the P1 traces on each
+    edge with 4-point Gauss quadrature.
+
+    Every step but one runs once over all edges.  The projections on the
+    direction (``@``, a BLAS ``dgemv``) round a row differently depending on
+    the batch it is in, so they are taken piece by piece: each piece gets the
+    bits it would get alone.  Contributions add in the order (Gauss point,
+    endpoint, edge), as when each piece is integrated on its own.
     """
-    f = np.zeros(mesh.n_nodes, dtype=np.complex128)
+    f = np.zeros(size, dtype=np.complex128)
     if edges.size == 0:
         return f
-    nrm = boundary_normals(mesh, edges, owners)
     d = np.array([math.cos(theta_inc), math.sin(theta_inc)])
     a = mesh.nodes[edges[:, 0]]
     b = mesh.nodes[edges[:, 1]]
     h = edge_lengths(mesh.nodes, edges)
-    coef = -1j * k * (nrm @ d + 1.0)              # g = coef * u_inc on each edge
-    for t, w in zip(_GAUSS_T, _GAUSS_W):
-        pts = a + t * (b - a)
-        uinc = np.exp(-1j * k * (pts @ d))
-        g = coef * uinc
-        f_a = w * h * g * (1.0 - t)
-        f_b = w * h * g * t
-        np.add.at(f, edges[:, 0], f_a)
-        np.add.at(f, edges[:, 1], f_b)
+    # row 0: the outward normals; row 1 + q: Gauss point q of every edge
+    x = np.concatenate([boundary_normals(mesh, edges, owners)[None],
+                        a + _GAUSS_T[:, None, None] * (b - a)])
+    proj = np.empty(x.shape[:2])
+    bounds = np.asarray(start).tolist()
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if e > s:
+            proj[:, s:e] = x[:, s:e] @ d
+    coef = -1j * k * (proj[0] + 1.0)              # g = coef * u_inc on each edge
+    vals = []
+    for t, w, p in zip(_GAUSS_T, _GAUSS_W, proj[1:]):
+        g = coef * np.exp(-1j * k * p)
+        vals += [w * h * g * (1.0 - t), w * h * g * t]
+    np.add.at(f, np.tile(np.asarray(at).T, (_GAUSS_T.size, 1)).reshape(-1),
+              np.concatenate(vals))
     return f
+
+
+def incident_boundary_load(mesh: Mesh, edges: np.ndarray, owners: np.ndarray,
+                           k: float, theta_inc: float) -> np.ndarray:
+    """Load vector over all mesh nodes from a plane wave entering through
+    ``edges``: :func:`boundary_load` with one piece."""
+    return boundary_load(mesh, edges, owners, [0, edges.shape[0]], edges,
+                         mesh.n_nodes, k, theta_inc)
 
 
 def assemble_helmholtz(mesh: Mesh, cfg: ProblemConfig):

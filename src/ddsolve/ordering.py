@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmat import CliqueGraph
-from .symbolic import symbolic_factor
+from .symbolic import EliminationPlan, symbolic_factor
 
 
 class OrderingError(Exception):
@@ -44,11 +44,9 @@ class Ordering:
 
 def check_permutation(perm: np.ndarray) -> None:
     n = perm.size
-    seen = np.zeros(n, dtype=bool)
-    for v in perm:
-        if v < 0 or v >= n or seen[v]:
-            raise OrderingError("ordering is not a bijection on 0..n-1")
-        seen[v] = True
+    if n and (perm.min() < 0 or perm.max() >= n
+              or np.bincount(perm, minlength=n).max() > 1):
+        raise OrderingError("ordering is not a bijection on 0..n-1")
 
 
 def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
@@ -126,16 +124,22 @@ def reorder(g: CliqueGraph, weights) -> Ordering:
     sparse direct solvers; minimum degree alone is a heuristic and can lose
     to the natural order on small graphs.
     """
+    return reorder_with_plan(g, weights).order
+
+
+def reorder_with_plan(g: CliqueGraph, weights) -> EliminationPlan:
+    """The symbolic plan of :func:`reorder`'s order; ``plan.order`` is that
+    order.  The guard's own plan of the chosen order is returned, so no
+    symbolic pass is repeated."""
     n = g.n
     weights = np.asarray(weights, dtype=np.int64)
     if weights.size != n:
         raise OrderingError("weights length does not match graph size")
-    md = Ordering(_min_degree_order(g, weights), source="builtin")
-    natural = identity_ordering(n)
-    if np.array_equal(md.perm, natural.perm):
+    md = symbolic_factor(g, Ordering(_min_degree_order(g, weights)), weights)
+    if np.array_equal(md.order.perm, np.arange(n)):
         return md
-    if (symbolic_factor(g, md, weights).total_factor_entries
-            <= symbolic_factor(g, natural, weights).total_factor_entries):
+    natural = symbolic_factor(g, identity_ordering(n), weights)
+    if md.total_factor_entries <= natural.total_factor_entries:
         return md
     return natural
 

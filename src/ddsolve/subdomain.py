@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import zgetrf, zgetrs
 
-from .blockmat import BlockSparseSym, from_blocks
+from .blockmat import BlockSparseSym, from_block_entries, ragged_arange
 from .factor import DEFAULT_PIVOT_TOL, blas_matmul
 from .mesh import Mesh, Partition, ProblemConfig, assemble_helmholtz, \
-    edge_lengths, edge_mass, element_matrices, incident_boundary_load
+    boundary_load, edge_lengths, edge_mass, element_matrices
 
 
 class SingularDomainError(Exception):
@@ -85,65 +85,10 @@ class ReducedSystem:
         return int(self.interface_sizes.sum())
 
 
-@dataclass
-class _Chains:
-    """All interface chains of a partition, concatenated in interface order.
-
-    ``nodes[start[i]:start[i + 1]]`` is the chain of interface ``i``;
-    ``kept`` marks the chain nodes that carry a multiplier dof, and
-    ``n_kept[i]`` counts them per interface.
-    """
-
-    nodes: np.ndarray
-    start: np.ndarray
-    kept: np.ndarray
-    n_kept: np.ndarray
-
-
-def _chains(part: Partition) -> _Chains:
-    """Concatenate the chains and mark their kept multiplier nodes.
-
-    At every mesh node shared by two or more interfaces the incident
-    interfaces are scanned in ascending index order; one dof is dropped for
-    each interface whose (dom_lo, dom_hi) edge closes a cycle among the
-    domains already connected at that node.
-    """
-    itfs = part.interfaces
-    sizes = [itf.n_nodes for itf in itfs]
-    start = np.zeros(len(itfs) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=start[1:])
-    nodes = (np.concatenate([itf.nodes for itf in itfs]) if itfs
-             else np.zeros(0, dtype=np.int64))
-    owner = np.repeat(np.arange(len(itfs)), sizes)
-    kept = np.ones(nodes.size, dtype=bool)
-    # chain positions grouped by node: ascending node, then ascending interface
-    by_node = np.argsort(nodes, kind="stable")
-    cut = np.append(np.flatnonzero(np.diff(nodes[by_node], prepend=-1)), nodes.size)
-    for g in np.flatnonzero(np.diff(cut) > 1).tolist():
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pos in by_node[cut[g]:cut[g + 1]].tolist():
-            itf = itfs[owner[pos]]
-            a = find(itf.dom_lo)
-            b = find(itf.dom_hi)
-            if a == b:
-                kept[pos] = False
-            else:
-                parent[a] = b
-    n_kept = np.bincount(owner[kept], minlength=len(itfs))
-    return _Chains(nodes, start, kept, n_kept)
-
-
 def interface_lambda_nodes(part: Partition) -> list[np.ndarray]:
     """Kept multiplier nodes per interface, in chain order (see
-    :func:`_chains` for which cross-point duplicates are dropped)."""
-    ch = _chains(part)
+    :attr:`Partition.chains` for which cross-point duplicates are dropped)."""
+    ch = part.chains
     nodes = ch.nodes[ch.kept]
     cut = [0] + np.cumsum(ch.n_kept).tolist()
     return [nodes[cut[i]:cut[i + 1]] for i in range(ch.n_kept.size)]
@@ -187,8 +132,7 @@ def _ragged_blocks(n_rows: np.ndarray, n_cols: np.ndarray):
     ``n_rows[b] x n_cols[b]`` blocks."""
     size = n_rows * n_cols
     block = np.repeat(np.arange(size.size), size)
-    pos = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
-    row, col = np.divmod(pos, n_cols[block])
+    row, col = np.divmod(ragged_arange(size), n_cols[block])
     return block, row, col
 
 
@@ -230,13 +174,14 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     idx = [entry(de, mesh.tris[:, :, None], mesh.tris[:, None, :]).reshape(-1)]
     vals = [Ae.reshape(-1)]
     bd = np.concatenate(part.boundary).reshape(-1, 2)
-    db = np.repeat(np.arange(n_dom), [b.shape[0] for b in part.boundary])[:, None, None]
+    n_bd = [b.shape[0] for b in part.boundary]
+    db = np.repeat(np.arange(n_dom), n_bd)[:, None, None]
     idx.append(entry(db, bd[:, :, None], bd[:, None, :]).reshape(-1))
     vals.append(((-1j * k) * edge_mass(edge_lengths(mesh.nodes, bd))).reshape(-1))
 
     # interface terms: block 2i is interface i on its lower side (+), block
     # 2i + 1 on its higher side (-)
-    ch = _chains(part)
+    ch = part.chains
     diag, off = _chain_mass(mesh, ch.nodes, ch.start)
     side_dom = np.array([(itf.dom_lo, itf.dom_hi) for itf in part.interfaces],
                         dtype=np.int64).reshape(-1)
@@ -271,12 +216,18 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     for b, (dd, kk) in enumerate(zip(side_dom.tolist(), n_kept.tolist())):
         D = D_all[d_off[b]:d_off[b + 1]].reshape(nd[dd], kk)
         couplings[dd].append(Coupling(b // 2, D, 1 - 2 * (b % 2)))
+    # loads: one piece per domain, scattered at the domains' local numbering
+    bd_start = np.zeros(n_dom + 1, dtype=np.int64)
+    np.cumsum(n_bd, out=bd_start[1:])
+    f_all = boundary_load(mesh, bd, np.concatenate(part.boundary_owner), bd_start,
+                          np.searchsorted(keys, db[:, :, 0] * n_nodes + bd),
+                          keys.size, k, cfg.theta_inc)
+
     systems = []
     for d in range(n_dom):
         loc_nodes = keys[first[d]:first[d + 1]] - d * n_nodes
         A = A_all[a_off[d]:a_off[d + 1]].reshape(nd[d], nd[d])
-        f = incident_boundary_load(mesh, part.boundary[d], part.boundary_owner[d],
-                                   k, cfg.theta_inc)[loc_nodes]
+        f = f_all[first[d]:first[d + 1]]
         systems.append(SubdomainSystem(d, A, f, loc_nodes, couplings[d]))
     return systems
 
@@ -316,30 +267,54 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     """Scatter per-domain Schur blocks into the block-sparse reduced system.
 
     ``reduced[d]`` is the ``(K_D, g_d)`` pair of domain ``d`` with rows and
-    columns ordered by ``part.incident_interfaces(d)``.
+    columns ordered by ``part.incident_interfaces(d)``.  Every domain's
+    interface pairs ``(a, b)``, ``a >= b``, go to block ``(a, b)`` of K by one
+    grouped scatter in domain order (:func:`blockmat.from_block_entries`),
+    and ``g`` is summed by one ``np.add.at`` in the same order.
     """
     if len(reduced) != part.n_domains:
         raise ValueError(f"{len(reduced)} reduced domains given, the partition "
                          f"has {part.n_domains}")
-    sizes = _chains(part).n_kept
-    triples = []
-    g = [np.zeros(int(s), dtype=np.complex128) for s in sizes]
+    sizes = part.chains.n_kept
+    # slot s: interface inc[s] of domain dom[s]; its rows in K_D start at
+    # row0[s], and K_D's entries at k_off[dom[s]] in the concatenated K_D's
+    inc, start = part.incident, part.incident_start
+    n_slot = sizes[inc]
+    cum = np.zeros(inc.size + 1, dtype=np.int64)
+    np.cumsum(n_slot, out=cum[1:])
+    nd = cum[start[1:]] - cum[start[:-1]]
     for d, (K_D, g_d) in enumerate(reduced):
-        ifaces = part.incident_interfaces(d)
-        off = np.zeros(len(ifaces) + 1, dtype=np.int64)
-        np.cumsum(sizes[ifaces], out=off[1:])
-        if K_D.shape != (off[-1], off[-1]):
-            raise ValueError(
-                f"domain {d}: reduced block is {K_D.shape}, expected "
-                f"({int(off[-1])}, {int(off[-1])})")
-        for a, ia in enumerate(ifaces):
-            g[ia] += g_d[off[a]:off[a + 1]]
-            for b, ib in enumerate(ifaces):
-                if ia < ib:
-                    continue
-                sub = K_D[off[a]:off[a + 1], off[b]:off[b + 1]]
-                triples.append((ia, ib, sub))
-    K = from_blocks(sizes, triples)
+        n = int(nd[d])
+        if K_D.shape != (n, n):
+            raise ValueError(f"domain {d}: reduced block is {K_D.shape}, "
+                             f"expected ({n}, {n})")
+        if g_d.shape != (n,):
+            raise ValueError(f"domain {d}: reduced load is {g_d.shape}, "
+                             f"expected ({n},)")
+    k_off = np.zeros(part.n_domains + 1, dtype=np.int64)
+    np.cumsum(nd * nd, out=k_off[1:])
+    dom = np.repeat(np.arange(part.n_domains), np.diff(start))
+    row0 = cum[:-1] - cum[start[dom]]
+
+    # pairs (a, b) of slots of one domain with b <= a, domain by domain,
+    # then their entries row by row
+    n_pair = np.arange(inc.size) - start[dom] + 1
+    a = np.repeat(np.arange(inc.size), n_pair)
+    b = start[dom[a]] + ragged_arange(n_pair)
+    pair, r, c = _ragged_blocks(n_slot[a], n_slot[b])
+    ea, eb = a[pair], b[pair]
+    src = k_off[dom[ea]] + (row0[ea] + r) * nd[dom[ea]] + row0[eb] + c
+    K_all = np.concatenate([K_D.reshape(-1) for K_D, _ in reduced])
+    K = from_block_entries(sizes, np.column_stack([inc[a], inc[b]]), K_all[src])
+    K.validate()
+
+    g_off = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=g_off[1:])
+    g_all = np.zeros(int(g_off[-1]), dtype=np.complex128)
+    slot = np.repeat(np.arange(inc.size), n_slot)
+    np.add.at(g_all, g_off[inc[slot]] + np.arange(slot.size) - cum[slot],
+              np.concatenate([g_d for _, g_d in reduced]))
+    g = [g_all[g_off[i]:g_off[i + 1]] for i in range(sizes.size)]
     return ReducedSystem(K, g, sizes)
 
 

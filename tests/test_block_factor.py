@@ -470,6 +470,42 @@ def reference_block_ldlt(K, plan, pivot_tol=factor.DEFAULT_PIVOT_TOL):
     return BlockFactor(plan, diag, offdiag, panels, panel_rows, stats)
 
 
+def reference_block_solve(F, g):
+    """Block substitution of a block vector of 1-D right-hand sides, with
+    D^-1 applied block column by block column."""
+    perm = F.plan.order.perm
+    ends = np.cumsum(F.plan.sizes_perm).tolist()
+    spans = [slice(e - int(n), e) for e, n in zip(ends, F.plan.sizes_perm)]
+    b = np.concatenate([np.asarray(g[int(p)], dtype=np.complex128)
+                        for p in perm])[:, None]
+    for fac, Lp, rows, sj in zip(F.diag, F.panels, F.panel_rows, spans):
+        zj = _unit_lower_solve(fac.L, b[sj][fac.perm])
+        b[sj] = zj
+        if rows.size:
+            b[rows] -= blas_matmul(Lp, zj)
+    for fac, sj in zip(F.diag, spans):
+        fac.apply_dinv(b[sj])
+    for j in range(len(spans) - 1, -1, -1):
+        fac, rows, sj = F.diag[j], F.panel_rows[j], spans[j]
+        w = b[sj]
+        if rows.size:
+            w = w - blas_matmul(F.panels[j].T, b[rows])
+        b[sj.start + fac.perm] = _unit_lower_solve(fac.L, w, trans=1)
+    out = [None] * len(spans)
+    for p, sj in zip(perm, spans):
+        out[int(p)] = b[sj, 0]
+    return out
+
+
+def assert_solve_matches_reference(F, sizes, seed):
+    rng = np.random.default_rng(seed)
+    g = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in sizes.tolist()]
+    got = block_solve(F, g)
+    ref = reference_block_solve(F, g)
+    assert [(x.shape, x.tobytes()) for x in got] == \
+        [(x.shape, x.tobytes()) for x in ref]
+
+
 def factor_bytes(F):
     """Every array of a block factor as bytes, with its shape and dtype,
     plus the stats."""
@@ -543,6 +579,7 @@ def test_matches_reference_on_drawn_systems():
         plan = plan_for(K, order)
         F = assert_matches_reference(K, plan)
         if F is not None:
+            assert_solve_matches_reference(F, K.sizes, K.nblocks)
             seen["2x2"] += F.stats.n_2x2_pivots > 0
             seen["fill"] += bool(symbolic.fill_blocks(plan, blockmat.clique_graph(K)))
             seen["empty"] += bool((K.sizes == 0).any())
@@ -553,4 +590,7 @@ def test_matches_reference_on_drawn_systems():
 
 def test_matches_reference_on_reduced_systems(reduced_systems):
     for rsys in reduced_systems.values():
-        assert assert_matches_reference(rsys.K, plan_for(rsys.K)) is not None
+        F = assert_matches_reference(rsys.K, plan_for(rsys.K))
+        assert F is not None
+        assert [x.tobytes() for x in block_solve(F, rsys.g)] == \
+            [x.tobytes() for x in reference_block_solve(F, rsys.g)]

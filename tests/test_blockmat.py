@@ -60,6 +60,42 @@ class TestFromBlocks:
         with pytest.raises(BlockMatrixError):
             from_blocks([2], [(0, 0, bad)])
 
+    def test_keys_in_order_of_first_appearance(self):
+        one = np.ones((1, 1))
+        K = from_blocks([1, 1, 1], [(2, 2, one), (1, 0, one), (2, 2, one),
+                                    (0, 0, one), (1, 0, one)])
+        assert list(K.blocks) == [(2, 2), (1, 0), (0, 0)]
+
+    def test_matches_add_block_bit_for_bit(self):
+        """Signed zeros survive a single term, and duplicates sum in list
+        order, as a copy of the first block plus the later ones would."""
+        rng = np.random.default_rng(3)
+        sizes = [2, 0, 3]
+        zeros = np.array([[-0.0, 0.0], [0.0, -0.0]]) + np.array(
+            [[-0.0, 0.0], [-0.0, 0.0]]) * 1j
+        triples = [(0, 0, zeros), (2, 0, 1e16 * rng.standard_normal((3, 2))),
+                   (1, 0, np.zeros((0, 2))), (2, 2, sym(rng, 3)),
+                   (2, 0, rng.standard_normal((3, 2)) + 0j),
+                   (2, 0, -1e16 * rng.standard_normal((3, 2)) - 0j),
+                   (0, 0, np.conj(zeros)), (2, 2, -sym(rng, 3))]
+        ref = blockmat.BlockSparseSym(sizes)
+        for i, j, blk in triples:
+            ref.add_block(i, j, blk)
+        K = from_blocks(sizes, triples)
+        assert list(K.blocks) == list(ref.blocks)
+        for key, blk in ref.blocks.items():
+            assert K.blocks[key].shape == blk.shape
+            assert K.blocks[key].tobytes() == blk.tobytes(), key
+        # a single -0.0 term keeps its sign
+        K = from_blocks([2], [(0, 0, zeros)])
+        assert K.blocks[(0, 0)].tobytes() == zeros.tobytes()
+
+    def test_block_entries_checked(self):
+        with pytest.raises(BlockMatrixError, match=r"\(0, 1\) outside lower"):
+            blockmat.from_block_entries([1, 1], [(1, 0), (0, 1)], np.ones(2))
+        with pytest.raises(BlockMatrixError, match="3 block entries given"):
+            blockmat.from_block_entries([2, 1], [(1, 0)], np.ones(3))
+
     def test_iteration_order_deterministic(self):
         rng = np.random.default_rng(1)
         K = from_blocks([1, 1, 1], [(2, 2, sym(rng, 1)), (0, 0, sym(rng, 1)),
@@ -67,6 +103,48 @@ class TestFromBlocks:
                                     (1, 1, sym(rng, 1))])
         keys = [ij for ij, _ in K.items()]
         assert keys == [(0, 0), (1, 0), (2, 0), (1, 1), (2, 2)]
+
+
+class TestValidate:
+    def test_names_lowest_numbered_bad_block(self):
+        """Blocks of different sizes are checked in separate batches; the
+        lowest-numbered asymmetric one is named, whatever the insertion
+        order."""
+        rng = np.random.default_rng(5)
+        sizes = [2, 3, 2, 3]
+        K = blockmat.BlockSparseSym(sizes)
+        for i in (3, 2, 0, 1):
+            blk = sym(rng, sizes[i])
+            if i in (1, 2, 3):
+                blk[0, -1] += 1e-6
+            K.add_block(i, i, blk)
+        with pytest.raises(BlockMatrixError, match="diagonal block 1 asymmetric"):
+            K.validate()
+        K.blocks[(1, 1)] = (K.blocks[(1, 1)] + K.blocks[(1, 1)].T) / 2
+        with pytest.raises(BlockMatrixError, match="diagonal block 2 asymmetric"):
+            K.validate()
+
+    def test_reports_the_asymmetry(self):
+        blk = np.array([[1.0, 2.0], [2.5, 1.0]], dtype=complex)
+        K = blockmat.BlockSparseSym([2])
+        K.add_block(0, 0, blk)
+        with pytest.raises(BlockMatrixError, match="asymmetric: 5.000e-01"):
+            K.validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_not_checked(self, bad):
+        blk = np.array([[1.0, 2.0], [0.0, bad]], dtype=complex)
+        K = blockmat.BlockSparseSym([2, 1, 2])
+        K.add_block(0, 0, blk)
+        K.add_block(1, 1, np.ones((1, 1)))
+        K.add_block(2, 2, np.zeros((2, 2)))
+        K.validate()
+
+    def test_zero_size_and_missing_blocks_pass(self):
+        K = blockmat.BlockSparseSym([0, 2, 3])
+        K.add_block(0, 0, np.zeros((0, 0)))
+        K.add_block(2, 2, np.eye(3))
+        K.validate()
 
 
 class TestCliqueGraph:

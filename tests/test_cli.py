@@ -3,12 +3,14 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ddsolve import blockmat, driver
+import ddsolve
+from ddsolve import blockmat, driver, ordering, symbolic
 from ddsolve.cli import main
 from ddsolve.config import ConfigError, parse_config_file
 from ddsolve.driver import CSV_COLUMNS, fit_loglog_slope, run_sweep, \
@@ -172,6 +174,27 @@ class TestSolveVerify:
         assert "stage ordering" in err
 
 
+    def test_builtin_plan_is_the_separate_passes_plan(self, small_cfg):
+        """The pipeline takes the plan the ordering guard computed; it is
+        the one a separate symbolic pass over the same order gives."""
+        result = driver.run_pipeline(parse_config_file(small_cfg))
+        K = result.reduced_system.K
+        g = blockmat.clique_graph(K)
+        ref = symbolic.symbolic_factor(g, ordering.reorder(g, K.sizes), K.sizes)
+        plan = result.plan
+        assert np.array_equal(plan.order.perm, ref.order.perm)
+        assert np.array_equal(plan.etree_parent, ref.etree_parent)
+        assert [p.tolist() for p in plan.pattern] == [p.tolist() for p in ref.pattern]
+        assert plan.total_factor_entries == ref.total_factor_entries
+
+    def test_unknown_ordering_spec_is_ordering_stage(self, small_cfg):
+        run = parse_config_file(small_cfg)
+        run.ordering = "metis"
+        with pytest.raises(driver.PipelineError, match="stage ordering") as err:
+            driver.run_pipeline(run)
+        assert err.value.stage == "ordering"
+
+
 class TestSweep:
     def test_sweep_csv_and_slopes(self, tmp_path, capsys):
         cfgs = [write_cfg(tmp_path / f"s{i}.cfg", side_lambda=s, ppw=16,
@@ -295,3 +318,13 @@ class TestExitCodes:
                                small_cfg], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "residual (inf)" in proc.stdout
+
+    def test_import_leaves_sparse_linalg_unloaded(self):
+        """Only ``run_verify`` needs scipy.sparse.linalg; importing the
+        package in a fresh process does not load it."""
+        src = str(Path(ddsolve.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import ddsolve; "
+                "sys.exit('scipy.sparse.linalg' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr or "scipy.sparse.linalg loaded"

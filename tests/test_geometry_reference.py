@@ -1,8 +1,9 @@
 """The array front end against the element-by-element loops it replaced.
 
 ``build_rect_mesh``, ``partition_mesh``, ``interface_lambda_nodes``,
-``build_subdomain_systems`` and ``assemble_helmholtz`` must reproduce these
-loop versions bit for bit: same dtype, same shape, same bytes.
+``build_subdomain_systems``, ``assemble_helmholtz`` and ``assemble_reduced``
+must reproduce these loop versions bit for bit: same dtype, same shape, same
+bytes.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GEOMETRIES
-from ddsolve import mesh as mm, subdomain as sd
+from ddsolve import blockmat, mesh as mm, subdomain as sd
 
 
 # ---------------------------------------------------------------- references
@@ -162,6 +163,48 @@ def reference_interface_lambda_nodes(part):
             for idx, itf in enumerate(part.interfaces)]
 
 
+def reference_incident_boundary_load(mesh, edges, owners, k, theta_inc):
+    """The load of one boundary piece, integrated on its own."""
+    f = np.zeros(mesh.n_nodes, dtype=np.complex128)
+    if edges.size == 0:
+        return f
+    nrm = mm.boundary_normals(mesh, edges, owners)
+    d = np.array([math.cos(theta_inc), math.sin(theta_inc)])
+    a = mesh.nodes[edges[:, 0]]
+    b = mesh.nodes[edges[:, 1]]
+    h = mm.edge_lengths(mesh.nodes, edges)
+    coef = -1j * k * (nrm @ d + 1.0)
+    for t, w in zip(mm._GAUSS_T, mm._GAUSS_W):
+        pts = a + t * (b - a)
+        uinc = np.exp(-1j * k * (pts @ d))
+        g = coef * uinc
+        f_a = w * h * g * (1.0 - t)
+        f_b = w * h * g * t
+        np.add.at(f, edges[:, 0], f_a)
+        np.add.at(f, edges[:, 1], f_b)
+    return f
+
+
+def reference_assemble_reduced(reduced, part):
+    """K block by block through ``add_block`` (a copy, then sums), and g
+    interface by interface."""
+    sizes = np.array([x.size for x in reference_interface_lambda_nodes(part)],
+                     dtype=np.int64)
+    K = blockmat.BlockSparseSym(sizes)
+    g = [np.zeros(int(s), dtype=np.complex128) for s in sizes]
+    for d, (K_D, g_d) in enumerate(reduced):
+        ifaces = [i for i, itf in enumerate(part.interfaces)
+                  if itf.dom_lo == d or itf.dom_hi == d]
+        off = np.zeros(len(ifaces) + 1, dtype=np.int64)
+        np.cumsum(sizes[ifaces], out=off[1:])
+        for a, ia in enumerate(ifaces):
+            g[ia] += g_d[off[a]:off[a + 1]]
+            for b, ib in enumerate(ifaces):
+                if ia >= ib:
+                    K.add_block(ia, ib, K_D[off[a]:off[a + 1], off[b]:off[b + 1]])
+    return K, g
+
+
 def reference_interface_mass_matrix(mesh, nodes):
     n = nodes.size
     M = np.zeros((n, n))
@@ -208,8 +251,8 @@ def reference_build_subdomain_systems(mesh, part, cfg):
             if kept.size:
                 D[rows[:, None], np.arange(kept.size)[None, :]] = sign * Mg[:, cols]
             couplings.append(sd.Coupling(i_itf, D, sign))
-        f = mm.incident_boundary_load(mesh, part.boundary[d], part.boundary_owner[d],
-                                      k, cfg.theta_inc)[loc_nodes]
+        f = reference_incident_boundary_load(
+            mesh, part.boundary[d], part.boundary_owner[d], k, cfg.theta_inc)[loc_nodes]
         systems.append(sd.SubdomainSystem(d, A, f, loc_nodes, couplings))
     return systems
 
@@ -230,7 +273,7 @@ def reference_assemble_helmholtz(mesh, cfg):
     bcols = np.column_stack([be[:, 0], be[:, 1], be[:, 0], be[:, 1]]).reshape(-1)
     bvals = np.column_stack([2 * scale, scale, scale, 2 * scale]).reshape(-1)
     A = mm._dedup_sum([rows, brows], [cols, bcols], [vals, bvals], mesh.n_nodes)
-    f = mm.incident_boundary_load(mesh, be, mesh.boundary_owner, k, cfg.theta_inc)
+    f = reference_incident_boundary_load(mesh, be, mesh.boundary_owner, k, cfg.theta_inc)
     return A, f
 
 
@@ -296,6 +339,21 @@ def assert_front_end_matches(side, ppw, px, py, theta=0.3):
         assert_same(getattr(A, name), getattr(ref_A, name), f"monolithic A.{name}")
     assert_same(f, ref_f, "monolithic f")
 
+    reduced = [sd.reduce_domain(s) for s in systems]
+    assert_reduced_matches(sd.assemble_reduced(reduced, part),
+                           *reference_assemble_reduced(reduced, part))
+
+
+def assert_reduced_matches(rsys, ref_K, ref_g):
+    assert_same(rsys.K.sizes, ref_K.sizes, "K sizes")
+    assert_same(rsys.interface_sizes, ref_K.sizes, "interface sizes")
+    assert list(rsys.K.blocks) == list(ref_K.blocks), "K keys or their order"
+    for key, blk in ref_K.blocks.items():
+        assert_same(rsys.K.blocks[key], blk, f"K block {key}")
+    assert len(rsys.g) == len(ref_g)
+    for i, (gi, ref) in enumerate(zip(rsys.g, ref_g)):
+        assert_same(gi, ref, f"g[{i}]")
+
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_front_end_matches_loop_reference(name):
@@ -312,6 +370,32 @@ def test_front_end_matches_loop_reference(name):
 ])
 def test_front_end_matches_loop_reference_on_tilings(side, ppw, px, py):
     assert_front_end_matches(side, ppw, px, py)
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 37.0, 123.4, 200.0, 271.9, 333.3])
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_loads_and_reduced_system_match_reference_at_angles(name, theta_deg):
+    """Every domain's load, K and g at angles whose cos and sin are
+    inexact, against each domain's load integrated on its own."""
+    side, ppw, tiles = GEOMETRIES[name]
+    theta = math.radians(theta_deg)
+    cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=tiles, py=tiles,
+                           theta_inc=theta)
+    m = mm.build_rect_mesh(side, ppw)
+    part = mm.partition_mesh(m, tiles, tiles)
+    systems = sd.build_subdomain_systems(m, part, cfg)
+    for d, s in enumerate(systems):
+        ref = reference_incident_boundary_load(
+            m, part.boundary[d], part.boundary_owner[d], cfg.k, theta)
+        assert_same(s.f, ref[s.dof_map], f"f[{d}]")
+    assert_same(mm.incident_boundary_load(m, m.boundary_edges, m.boundary_owner,
+                                          cfg.k, theta),
+                reference_incident_boundary_load(m, m.boundary_edges,
+                                                 m.boundary_owner, cfg.k, theta),
+                "monolithic f")
+    reduced = [sd.reduce_domain(s) for s in systems]
+    assert_reduced_matches(sd.assemble_reduced(reduced, part),
+                           *reference_assemble_reduced(reduced, part))
 
 
 @st.composite

@@ -207,6 +207,26 @@ class TestPartition:
             assert itf.n_nodes >= 2
             assert len(set(itf.nodes.tolist())) == itf.n_nodes
 
+    def test_chains_computed_once_per_partition(self):
+        m = mm.build_rect_mesh(2.0, 15)
+        p = mm.partition_mesh(m, 4, 4)
+        ch = p.chains
+        assert p.chains is ch
+        assert ch.start.tolist() == [0] + np.cumsum(
+            [itf.n_nodes for itf in p.interfaces]).tolist()
+        # a new partition computes its own
+        assert mm.partition_mesh(m, 4, 4).chains is not ch
+
+    def test_incidence_arrays(self):
+        m = mm.build_rect_mesh(1.3, 11)
+        p = mm.partition_mesh(m, 3, 2)
+        flat = [i for d in range(p.n_domains) for i in p.incident_interfaces(d)]
+        assert p.incident.tolist() == flat
+        assert np.diff(p.incident_start).tolist() == [
+            sum(d in (itf.dom_lo, itf.dom_hi) for itf in p.interfaces)
+            for d in range(p.n_domains)]
+        assert not p.incident.flags.writeable
+
     def test_domain_boundary_edges(self):
         m = mm.build_rect_mesh(1.0, 10)
         p = mm.partition_mesh(m, 2, 2)

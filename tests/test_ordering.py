@@ -6,7 +6,8 @@ from conftest import GEOMETRIES, rand_clique_graph
 from ddsolve import symbolic
 from ddsolve.blockmat import CliqueGraph, clique_graph
 from ddsolve.ordering import Ordering, OrderingError, _min_degree_order, \
-    identity_ordering, load_ordering_file, reorder
+    check_permutation, identity_ordering, load_ordering_file, reorder, \
+    reorder_with_plan
 
 
 def path_graph(n):
@@ -113,6 +114,36 @@ def test_min_degree_matches_reference_on_reduced_graphs(reduced_systems, name):
                           reference_reorder(g, K.sizes))
 
 
+def assert_same_plan(plan, ref):
+    assert np.array_equal(plan.order.perm, ref.order.perm)
+    assert plan.order.source == ref.order.source
+    for name in ("etree_parent", "sizes_perm"):
+        a, b = getattr(plan, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert len(plan.pattern) == len(ref.pattern)
+    for a, b in zip(plan.pattern, ref.pattern):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert plan.total_factor_entries == ref.total_factor_entries
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weighted_graphs())
+def test_plan_is_that_of_the_chosen_order(gw):
+    """The guard's plan is returned, whichever order wins, and it is the
+    plan a separate symbolic pass over the chosen order gives."""
+    g, weights = gw
+    plan = reorder_with_plan(g, weights)
+    assert_same_plan(plan, symbolic.symbolic_factor(g, reorder(g, weights), weights))
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_plan_is_that_of_the_chosen_order_on_reduced_graphs(reduced_systems, name):
+    K = reduced_systems[name].K
+    g = clique_graph(K)
+    assert_same_plan(reorder_with_plan(g, K.sizes),
+                     symbolic.symbolic_factor(g, reorder(g, K.sizes), K.sizes))
+
+
 def test_edgeless_gives_ascending_order():
     g = CliqueGraph(6)
     o = reorder(g, np.ones(6, dtype=int))
@@ -172,6 +203,19 @@ def test_invalid_permutation_rejected():
         Ordering(np.array([0, 0, 1]))
     with pytest.raises(OrderingError):
         Ordering(np.array([0, 3]))
+
+
+@pytest.mark.parametrize("perm", [[0, -1, 1], [0, 3, 1], [2, 0, 2], [1, 1, 1],
+                                  [-3, 1, 2], [3]])
+def test_check_permutation_rejects(perm):
+    with pytest.raises(OrderingError, match="not a bijection on 0..n-1"):
+        check_permutation(np.array(perm, dtype=np.int64))
+
+
+@pytest.mark.parametrize("perm", [[], [0], [2, 0, 1], list(range(9, -1, -1))])
+def test_check_permutation_accepts(perm):
+    check_permutation(np.array(perm, dtype=np.int64))
+    assert Ordering(np.array(perm, dtype=np.int64)).n == len(perm)
 
 
 def test_weight_length_check():
