@@ -132,6 +132,15 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(ends[-1]) if ends.size else 0) - np.repeat(ends - counts, counts)
 
 
+def _ragged_blocks(n_rows: np.ndarray, n_cols: np.ndarray):
+    """Block, row and column of every entry of a sequence of row-major
+    ``n_rows[b] x n_cols[b]`` blocks."""
+    size = n_rows * n_cols
+    block = np.repeat(np.arange(size.size), size)
+    row, col = np.divmod(ragged_arange(size), n_cols[block])
+    return block, row, col
+
+
 def from_block_entries(sizes, ij, values) -> BlockSparseSym:
     """Build a block matrix from the keys ``ij`` (one ``(i, j)`` row per
     block, lower triangle) and the blocks' row-major entries, concatenated
@@ -246,5 +255,7 @@ def load_blk(path) -> BlockSparseSym:
         if vals.size != count:
             raise BlockMatrixError(f"truncated data for block ({i}, {j})")
         pos += count
-        triples.append((i, j, (vals[0::2] + 1j * vals[1::2]).reshape(ni, nj)))
+        # Each (re, im) pair read as one complex number: re + 1j * im would
+        # turn a -0.0 part into +0.0.
+        triples.append((i, j, vals.view(np.complex128).reshape(ni, nj)))
     return from_blocks(sizes, triples)

@@ -6,9 +6,9 @@ confined to itself, so no pivot is ever deferred into another supernode and
 the numeric factor occupies exactly the entries predicted symbolically.  The
 block factor holds each block column in one panel allocated from the plan
 (supernodal column storage, Ng & Peyton 1993), all panels in one buffer.
-Each column's update reaches the later panels by one indexed subtraction
+K's entries and each column's update reach the panels by one indexed write
 whose positions come from one sorted search over the rows of all panels, so
-an update entry outside the pattern finds no storage and raises instead.
+an entry outside the pattern finds no storage and raises instead.
 
 The dense kernel factors the reduced system's diagonal blocks; subdomain
 matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.  It
@@ -32,7 +32,7 @@ from functools import lru_cache, wraps
 import numpy as np
 from scipy.linalg.blas import zgemm, ztrsm
 
-from .blockmat import BlockSparseSym
+from .blockmat import BlockSparseSym, _ragged_blocks, ragged_arange
 from .symbolic import EliminationPlan
 
 DEFAULT_PIVOT_TOL = 1e-12
@@ -327,14 +327,15 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
 
 @dataclass
 class FactorStats:
-    """Counts of one block factorization.
+    """Counts of one block factorization, computed from the plan's layout.
 
-    ``peak_bytes`` is a right-looking model of the working set: K's blocks
-    count as live until their column is eliminated, a trailing block from its
-    first write by an update, each factored column from its elimination on,
-    and one column's X = L D while it lives.  :func:`block_ldlt` allocates
-    every panel up front, so its storage already exceeds this model before
-    the first column.
+    ``factor_entries`` counts the lower triangles of the diagonal blocks and
+    the panels' entries.  ``flops`` counts per block column j, with n_j rows
+    and m_j panel rows below them, the diagonal factor, X = L D and its
+    scaling, and the update of every pattern pair.  ``peak_bytes`` is 16
+    bytes per complex entry held at once: K's stored blocks, the buffer of
+    all panels, the dense L of every diagonal factor (n_j^2 each), and X and
+    U = X L^T of the column with the largest m_j n_j + m_j^2.
     """
 
     factor_entries: int = 0
@@ -347,17 +348,16 @@ class FactorStats:
 @dataclass
 class BlockFactor:
     """Output of :func:`block_ldlt`: per-supernode dense factors in
-    elimination order plus the off-diagonal factor blocks of the pattern.
+    elimination order plus the off-diagonal factor of every block column.
 
-    ``panels[j]`` stacks the blocks ``L_ij`` of column ``j`` in pattern
-    order (a view below the diagonal block of the column's working panel),
-    and ``offdiag[(i, j)]`` are views into it.  ``panel_rows[j]`` are
-    the panel's scalar rows in the permuted, concatenated unknown vector.
+    ``panels[j]`` stacks the blocks ``L_ij`` of column ``j``, ``i`` in
+    ``plan.pattern[j]`` order; it is a view below the diagonal block of the
+    column's working panel.  ``panel_rows[j]`` are the panel's scalar rows in
+    the permuted, concatenated unknown vector.
     """
 
     plan: EliminationPlan
     diag: list[DenseFactor]
-    offdiag: dict[tuple[int, int], np.ndarray]
     panels: list[np.ndarray]
     panel_rows: list[np.ndarray]
     stats: FactorStats = field(default_factory=FactorStats)
@@ -383,15 +383,17 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
 
     Block column j lives in one zero-initialised, row-major panel allocated
     from the plan: block rows ``[j] + pattern[j]``, diagonal block on top.
-    All panels share one buffer.  K's blocks are written once into their
-    column's panel, transposed where the permutation of ``plan`` flips
-    them, and K's diagonal blocks are checked for symmetry there.  Per
-    column: factor the lower triangle of the top block, form X = L D for the
-    rows below it by one triangular solve, recover L = X D_jj^-1 in place,
-    form the update U = X L^T by one product, and subtract the lower
-    triangle of U from the later panels by one indexed subtraction; past the
-    symmetry check, only the lower triangle of a diagonal block is read.  A
-    block of K or of an update that has no place in the plan raises
+    All panels share one buffer, and every entry written into it is found
+    by one sorted search over the (panel, scalar row) keys of all panel
+    rows.  K's entries are written first, with rows and columns swapped
+    where the permutation of ``plan`` flips a block, and K's diagonal
+    blocks are checked for symmetry there.  Per column: factor the lower
+    triangle of the top block, form X = L D for the rows below it by one
+    triangular solve, recover L = X D_jj^-1 in place, form the update
+    U = X L^T by one product, and subtract the lower triangle of U from the
+    later panels by one indexed subtraction; past the symmetry check, only
+    the lower triangle of a diagonal block is read.  An entry of K or of an
+    update that has no place in the plan raises
     :class:`FactorConsistencyError`.
     """
     nb = K.nblocks
@@ -401,57 +403,52 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     if not np.array_equal(sizes, K.sizes[plan.order.perm]):
         raise ValueError("plan and matrix disagree on block sizes")
     if nb == 0:
-        return BlockFactor(plan, [], {}, [], [], FactorStats())
+        return BlockFactor(plan, [], [], [], FactorStats())
     n = sizes.tolist()
     offsets = _exclusive_cumsum(sizes)
     n_scalar = int(offsets[-1])
 
     # Slots are the block rows [j] + pattern[j] of every panel j, panel by
-    # panel; rows are the scalar rows of the slots.
+    # panel; rows are the scalar rows of the slots, each as wide as its panel.
     slot_blk = np.concatenate([x for j, p in enumerate(plan.pattern)
                                for x in ((j,), p)])
     n_slots = np.array([p.size + 1 for p in plan.pattern], dtype=np.int64)
     slot_start = _exclusive_cumsum(n_slots)
     slot_panel = np.repeat(np.arange(nb), n_slots)
     slot_rows = sizes[slot_blk]
-    slot_row0 = _exclusive_cumsum(slot_rows)
-    panel_row0 = slot_row0[slot_start]
-    slot_local = slot_row0[:-1] - panel_row0[slot_panel]
-    row_slot = np.repeat(np.arange(slot_blk.size), slot_rows)
-    row_panel = slot_panel[row_slot]
-    row_blk = slot_blk[row_slot]
-    row_in_blk = np.arange(row_slot.size) - slot_row0[row_slot]
+    panel_row0 = _exclusive_cumsum(slot_rows)[slot_start]
+    row_blk = np.repeat(slot_blk, slot_rows)
+    row_panel = np.repeat(slot_panel, slot_rows)
+    row_in_blk = ragged_arange(slot_rows)
     row_scalar = offsets[row_blk] + row_in_blk
-    row_width = sizes[row_panel]
-    base = _exclusive_cumsum(np.diff(panel_row0) * sizes)
+    # Buffer position of each row (and the end), and the sorted keys every
+    # entry is looked up in; the sentinel matches no key.
+    row_base = _exclusive_cumsum(sizes[row_panel])
+    base = row_base[panel_row0]
     buf = np.zeros(int(base[-1]), dtype=np.complex128)
-    # Buffer position of each row, and the sorted (panel, scalar row) keys
-    # an update's entries are looked up in; the sentinel matches no key.
-    row_base = base[row_panel] + (np.arange(row_slot.size)
-                                  - panel_row0[row_panel]) * row_width
     row_key = np.append(row_panel * n_scalar + row_scalar, nb * n_scalar)
-    blk_key = row_blk * n_scalar
 
-    # Place K: each block at its slot, found by its (panel, block row) key.
-    placed = np.zeros(slot_blk.size, dtype=bool)
-    if K.blocks:
-        inv = plan.order.inverse()
-        ij = inv[np.array(list(K.blocks), dtype=np.int64)]
-        lo, hi = ij.min(axis=1), ij.max(axis=1)
-        slot_key = np.append(slot_panel * nb + slot_blk, nb * nb)
-        key = lo * nb + hi
-        at = slot_key.searchsorted(key)
-        miss = np.flatnonzero(slot_key[at] != key)
-        if miss.size:
-            t = miss[0]
-            raise FactorConsistencyError(
-                f"unconsumed blocks: block {(int(hi[t]), int(lo[t]))} "
-                f"of K has no place in the plan")
-        dest = (base[slot_panel[at]] + slot_local[at] * sizes[lo]).tolist()
-        flip = (ij[:, 0] < ij[:, 1]).tolist()
-        for blk, o, f in zip(K.blocks.values(), dest, flip):
-            buf[o:o + blk.size] = (blk.T if f else blk).ravel()
-        placed[at] = True
+    def find(key):
+        at = row_key.searchsorted(key)
+        return at, np.flatnonzero(row_key[at] != key)
+
+    # Place K: entry (r, c) of a block goes to row r of its (hi, lo) block
+    # in panel lo, at column c; a flipped block swaps r and c.
+    keys = np.array(list(K.blocks), dtype=np.int64).reshape(-1, 2)
+    ij = plan.order.inverse()[keys]
+    hi, lo = ij.max(axis=1), ij.min(axis=1)
+    flip = ij[:, 0] < ij[:, 1]
+    k_vals = np.concatenate([np.zeros(0, dtype=np.complex128), *K.blocks.values()],
+                            axis=None)
+    blk, r, c = _ragged_blocks(K.sizes[keys[:, 0]], K.sizes[keys[:, 1]])
+    r, c = np.where(flip[blk], c, r), np.where(flip[blk], r, c)
+    at, miss = find(lo[blk] * n_scalar + offsets[hi[blk]] + r)
+    if miss.size:
+        t = blk[miss[0]]
+        raise FactorConsistencyError(
+            f"unconsumed blocks: block {(int(hi[t]), int(lo[t]))} "
+            f"of K has no place in the plan")
+    buf[row_base[at] + c] = k_vals
     # The symmetry check of dense_ldlt_bk, once per diagonal block of K,
     # batched over the diagonal blocks of each size.
     for size in set(n) - {0}:
@@ -465,41 +462,23 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
             raise ValueError(f"block column {cols[t]}: " + (
                 f"matrix is not symmetric: max|M - M^T| = {asym[t]:.3e}"
                 if np.isfinite(scale[t]) else "matrix has non-finite entries"))
-    # Block rows written into each panel so far, one flag per scalar row: the
-    # peak model counts a trailing block as live from its first write.
-    written = placed[row_slot]
 
     diag: list[DenseFactor] = []
-    offdiag: dict[tuple[int, int], np.ndarray] = {}
     panels: list[np.ndarray] = []
     panel_rows: list[np.ndarray] = []
-    stats = FactorStats()
-    live_entries = sum(b.size for b in K.blocks.values())
-    stored_entries = 0
-    flops = 0
-    peak = live_entries
-    sq = sizes * sizes
-    pattern_sq = (np.add.reduceat(sq[slot_blk], slot_start[:-1]) - sq).tolist()
     row0 = panel_row0.tolist()
-    local = slot_local.tolist()
-    starts = slot_start.tolist()
     bases = base.tolist()
-
     for j in range(nb):
         nj = n[j]
         r0, r1 = row0[j], row0[j + 1]
         panel = buf[bases[j]:bases[j + 1]].reshape(r1 - r0, nj)
-        live_entries -= nj * int(np.count_nonzero(written[r0:r1]))
         try:
             fac = _factor_lower(panel[:nj], pivot_tol)
         except SingularBlockError as err:
             raise SingularBlockError(f"block column {j}: {err}") from err
         diag.append(fac)
-        stored_entries += nj * (nj + 1) // 2
-        flops += nj ** 3 // 3 + nj ** 2
         # X = L D is the transpose of L_jj^-1 (panel P^T)^T; L = X D^-1.
         Lp = panel[nj:]
-        m = Lp.shape[0]
         X = _unit_lower_solve(fac.L, Lp[:, fac.perm].T).T
         Lp[...] = X
         fac.apply_dinv(Lp.T)
@@ -507,43 +486,35 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         below = slice(r0 + nj, r1)
         prow = row_scalar[below]
         panel_rows.append(prow)
-        for i, s in zip(plan.pattern[j].tolist(), local[starts[j] + 1:starts[j + 1]]):
-            offdiag[(i, j)] = Lp[s - nj:s - nj + n[i]]
-        stored_entries += m * nj
-        flops += m * nj * nj + m * nj
-        # The update covers every pattern pair i >= k, n_i * nj * n_k each.
-        flops += nj * (m * m + pattern_sq[j]) // 2
-        transient = X.size
-        peak = max(peak, live_entries + stored_entries + transient)
-        if not m:
+        if not prow.size:
             continue
         U = blas_matmul(X, Lp.T)
         # Entry (a, b) of U's lower triangle goes to row prow[a] of the panel
         # of b's block, at b's column within that block.
-        rows, cols, at_u = _lower_triangle(m)
-        key = blk_key[below][cols] + prow[rows]
-        at = row_key.searchsorted(key)
-        bad = row_key[at] != key
-        if bad.any():
+        rows, cols, at_u = _lower_triangle(prow.size)
+        pblk = row_blk[below]
+        at, miss = find(pblk[cols] * n_scalar + prow[rows])
+        if miss.size:
             # Column by column, the first miss is the first in (k, i) order.
-            t = np.flatnonzero(bad)[0]
-            i, k = row_blk[below][[rows[t], cols[t]]].tolist()
+            t = miss[0]
             raise FactorConsistencyError(
-                f"update targets block {(i, k)} outside pattern")
-        col = row_in_blk[below][cols]
-        buf[row_base[at] + col] -= U.ravel("F").take(at_u)
-        hit = at[col == 0]
-        hit = hit[~written[hit]]
-        live_entries += int(row_width[hit].sum())
-        written[hit] = True
-        peak = max(peak, live_entries + stored_entries + transient)
+                f"update targets block {(int(pblk[rows[t]]), int(pblk[cols[t]]))} "
+                f"outside pattern")
+        buf[row_base[at] + row_in_blk[below][cols]] -= U.ravel("F").take(at_u)
 
-    stats.factor_entries = stored_entries
-    stats.flops = flops
-    stats.peak_bytes = 16 * peak
-    stats.growth_factor = max((f.growth for f in diag), default=1.0)
-    stats.n_2x2_pivots = sum(f.n_2x2 for f in diag)
-    return BlockFactor(plan, diag, offdiag, panels, panel_rows, stats)
+    m = np.diff(panel_row0) - sizes
+    sq = sizes * sizes
+    pattern_sq = np.add.reduceat(sq[slot_blk], slot_start[:-1]) - sq
+    flops = (sizes ** 3 // 3 + sq + m * sq + m * sizes
+             + sizes * (m * m + pattern_sq) // 2)
+    stats = FactorStats(
+        factor_entries=int((sizes * (sizes + 1) // 2 + m * sizes).sum()),
+        flops=int(flops.sum()),
+        peak_bytes=16 * int(k_vals.size + buf.size + sq.sum()
+                            + (m * sizes + m * m).max()),
+        growth_factor=max(f.growth for f in diag),
+        n_2x2_pivots=sum(f.n_2x2 for f in diag))
+    return BlockFactor(plan, diag, panels, panel_rows, stats)
 
 
 def _solve_one(F: BlockFactor, spans: list[slice], dinv, b: np.ndarray) -> None:
@@ -620,19 +591,13 @@ def scatter_factor(F: BlockFactor) -> tuple[np.ndarray, np.ndarray]:
     Returns block-lower L with diagonal blocks P_jj^T L_jj and the block
     diagonal D, satisfying K_perm = L D L^T.
     """
-    sizes = F.plan.sizes_perm
-    off = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=off[1:])
+    off = _exclusive_cumsum(F.plan.sizes_perm)
     n = int(off[-1])
     L = np.zeros((n, n), dtype=np.complex128)
     D = np.zeros((n, n), dtype=np.complex128)
-    for j in range(F.plan.nblocks):
-        fac = F.diag[j]
-        lb = np.zeros_like(fac.L)
-        lb[fac.perm, :] = fac.L
-        L[off[j]:off[j + 1], off[j]:off[j + 1]] = lb
-        D[off[j]:off[j + 1], off[j]:off[j + 1]] = fac.dense_d()
-        for i in F.plan.pattern[j]:
-            i = int(i)
-            L[off[i]:off[i + 1], off[j]:off[j + 1]] = F.offdiag[(i, j)]
+    for j, (fac, Lp, rows) in enumerate(zip(F.diag, F.panels, F.panel_rows)):
+        sj = slice(off[j], off[j + 1])
+        L[off[j] + fac.perm, sj] = fac.L
+        L[rows, sj] = Lp
+        D[sj, sj] = fac.dense_d()
     return L, D

@@ -188,16 +188,10 @@ class Partition:
     # Per-domain incidence, filled once at construction: the incident
     # interfaces of domain d, ascending, are
     # incident[incident_start[d]:incident_start[d + 1]].
-    _elements: list[np.ndarray] = field(init=False, repr=False, compare=False)
     incident: np.ndarray = field(init=False, repr=False, compare=False)
     incident_start: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dom = np.asarray(self.domain_of_elem)
-        order = np.argsort(dom, kind="stable")
-        order.flags.writeable = False
-        cut = [0] + np.cumsum(np.bincount(dom, minlength=self.n_domains)).tolist()
-        self._elements = [order[cut[d]:cut[d + 1]] for d in range(self.n_domains)]
         ends = np.array([(itf.dom_lo, itf.dom_hi) for itf in self.interfaces],
                         dtype=np.int64).reshape(-1, 2)
         keep = np.ones(ends.shape, dtype=bool)
@@ -210,14 +204,6 @@ class Partition:
                   out=self.incident_start[1:])
         for a in (self.incident, self.incident_start):
             a.flags.writeable = False
-
-    def elements_of(self, d: int) -> np.ndarray:
-        """Elements of domain ``d`` in ascending order (read-only)."""
-        return self._elements[d]
-
-    def incident_interfaces(self, d: int) -> list[int]:
-        """Indices of the interfaces touching domain ``d``, ascending."""
-        return self.incident[self.incident_start[d]:self.incident_start[d + 1]].tolist()
 
     @cached_property
     def chains(self) -> Chains:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import zgetrf, zgetrs
 
-from .blockmat import BlockSparseSym, from_block_entries, ragged_arange
+from .blockmat import BlockSparseSym, _ragged_blocks, from_block_entries, ragged_arange
 from .factor import DEFAULT_PIVOT_TOL, blas_matmul
 from .mesh import Mesh, Partition, ProblemConfig, assemble_helmholtz, \
     boundary_load, edge_lengths, edge_mass, element_matrices
@@ -125,15 +125,6 @@ def interface_mass_matrix(mesh: Mesh, nodes: np.ndarray) -> np.ndarray:
     diag, off = _chain_mass(mesh, nodes, np.array([0, n]))
     r, c = np.divmod(np.arange(n * n), n)
     return _mass_entries(diag, off, 0, r, c).reshape(n, n)
-
-
-def _ragged_blocks(n_rows: np.ndarray, n_cols: np.ndarray):
-    """Block, row and column of every entry of a sequence of row-major
-    ``n_rows[b] x n_cols[b]`` blocks."""
-    size = n_rows * n_cols
-    block = np.repeat(np.arange(size.size), size)
-    row, col = np.divmod(ragged_arange(size), n_cols[block])
-    return block, row, col
 
 
 def build_subdomain_systems(mesh: Mesh, part: Partition,
@@ -267,9 +258,9 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     """Scatter per-domain Schur blocks into the block-sparse reduced system.
 
     ``reduced[d]`` is the ``(K_D, g_d)`` pair of domain ``d`` with rows and
-    columns ordered by ``part.incident_interfaces(d)``.  Every domain's
-    interface pairs ``(a, b)``, ``a >= b``, go to block ``(a, b)`` of K by one
-    grouped scatter in domain order (:func:`blockmat.from_block_entries`),
+    columns ordered by its interfaces in ``part.incident``.  Every domain's
+    interface pairs ``(a, b)``, ``a >= b``, go to block ``(a, b)`` of K by
+    one grouped scatter in domain order (:func:`blockmat.from_block_entries`),
     and ``g`` is summed by one ``np.add.at`` in the same order.
     """
     if len(reduced) != part.n_domains:

@@ -89,6 +89,33 @@ def scalar_permutation(sizes, perm) -> np.ndarray:
     return np.concatenate([np.arange(off[p], off[p + 1]) for p in perm])
 
 
+def factor_blocks(F: factor.BlockFactor) -> set[tuple[int, int]]:
+    """Off-diagonal blocks ``(i, j)`` of the permuted matrix, either
+    triangle, in which the dense L of :func:`factor.scatter_factor` holds a
+    nonzero entry."""
+    sizes = F.plan.sizes_perm
+    blk = np.repeat(np.arange(sizes.size), sizes)
+    L, _ = factor.scatter_factor(F)
+    r, c = np.nonzero(L)
+    return {(int(i), int(j)) for i, j in zip(blk[r], blk[c]) if i != j}
+
+
+def assert_factor_in_pattern(F: factor.BlockFactor) -> None:
+    """The factor holds exactly the rows its plan predicts: panel j has the
+    scalar rows of the blocks of ``pattern[j]``, in order, and the dense L
+    is zero outside the diagonal blocks and the pattern's blocks."""
+    plan = F.plan
+    sizes = plan.sizes_perm
+    off = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=off[1:])
+    for j, (Lp, rows) in enumerate(zip(F.panels, F.panel_rows)):
+        want = [r for i in plan.pattern[j].tolist() for r in range(off[i], off[i + 1])]
+        assert rows.tolist() == want, f"panel {j} rows"
+        assert Lp.shape == (len(want), int(sizes[j])), f"panel {j} shape"
+    allowed = {(int(i), j) for j in range(plan.nblocks) for i in plan.pattern[j]}
+    assert factor_blocks(F) <= allowed
+
+
 @pytest.fixture(scope="session")
 def warm_kernels():
     """Run one small factor and solve so timed tests measure steady state."""

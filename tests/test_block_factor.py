@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_block_system, rand_complex_symmetric, scalar_permutation
+from conftest import factor_blocks, rand_block_system, rand_complex_symmetric, \
+    scalar_permutation
 from ddsolve import blockmat, factor, ordering, symbolic
 from ddsolve.factor import BlockFactor, FactorConsistencyError, FactorStats, \
     SingularBlockError, _unit_lower_solve, blas_matmul, block_ldlt, \
@@ -33,7 +34,7 @@ def test_single_block_equals_dense_kernel():
     assert np.array_equal(F.diag[0].L, ref.L)
     assert np.array_equal(F.diag[0].d, ref.d)
     assert np.array_equal(F.diag[0].perm, ref.perm)
-    assert F.offdiag == {}
+    assert F.panels[0].shape == (0, 9) and F.panel_rows[0].size == 0
 
 
 def test_arrow_matrix_vs_dense_oracle():
@@ -72,7 +73,7 @@ def test_four_cycle_creates_single_fill_block():
     fills = symbolic.fill_blocks(plan, g)
     assert fills == [(3, 1)]
     F = block_ldlt(K, plan)
-    created = set(F.offdiag) - {(i, j) for (i, j) in K.blocks if i != j}
+    created = factor_blocks(F) - {(i, j) for (i, j) in K.blocks if i != j}
     assert created == {(3, 1)}
 
 
@@ -141,8 +142,7 @@ def test_determinism_bit_identical():
     for j in range(K.nblocks):
         assert np.array_equal(F1.diag[j].L, F2.diag[j].L)
         assert np.array_equal(F1.diag[j].d, F2.diag[j].d)
-    for key in F1.offdiag:
-        assert np.array_equal(F1.offdiag[key], F2.offdiag[key])
+        assert np.array_equal(F1.panels[j], F2.panels[j])
 
 
 def test_singular_block_reports_column():
@@ -251,8 +251,8 @@ def test_asymmetric_diagonal_block_rejected(order):
 
 
 @pytest.mark.parametrize("order, stats", [
-    (None, (15, 60, 352, 0)),
-    (identity_ordering(3), (15, 60, 384, 0))])
+    (None, (15, 60, 976, 0)),
+    (identity_ordering(3), (15, 60, 1056, 0))])
 def test_zero_size_block(order, stats):
     # block 1 has no rows but is coupled to both others, so it sits in the
     # patterns and takes part in updates; stats as (factor_entries, flops,
@@ -295,9 +295,9 @@ def test_factor_leaves_matrix_unchanged(reduced_systems):
 # FactorStats of the benchmark geometries as (factor_entries, flops,
 # peak_bytes, n_2x2_pivots); they do not depend on the incidence angle.
 BENCHMARK_STATS = {
-    "interface-bound": (16958, 305460, 274512, 0),
-    "angle-sweep": (3778, 82773, 66656, 0),
-    "subdomain-bound": (984, 22596, 23152, 0),
+    "interface-bound": (16958, 305460, 457568, 0),
+    "angle-sweep": (3778, 82773, 149696, 0),
+    "subdomain-bound": (984, 22596, 59200, 0),
 }
 
 
@@ -309,6 +309,24 @@ def test_benchmark_geometry_factor_stats(reduced_systems, name):
     assert (s.factor_entries, s.flops, s.peak_bytes, s.n_2x2_pivots) == \
         BENCHMARK_STATS[name]
     assert s.growth_factor <= 2.57
+
+
+def test_peak_bytes_counts_what_the_factor_holds(reduced_systems):
+    # 16 bytes per entry of K, of the panel buffer (diagonal blocks on top
+    # of the panels), of the diagonal L factors and of the widest column's
+    # X (m x n) and update U (m x m), all held at once
+    for name, rsys in reduced_systems.items():
+        F = block_ldlt(rsys.K, plan_for(rsys.K))
+        n = F.plan.sizes_perm
+        m = np.array([p.shape[0] for p in F.panels])
+        k_entries = sum(b.size for b in rsys.K.blocks.values())
+        buffer = sum(p.size for p in F.panels) + int((n * n).sum())
+        diag_l = sum(f.L.size for f in F.diag)
+        widest = int((m * n + m * m).max())
+        assert F.stats.peak_bytes == 16 * (k_entries + buffer + diag_l + widest), name
+        if name == "interface-bound":
+            assert buffer == 17508
+            assert F.stats.peak_bytes >= 16 * buffer
 
 
 def test_growth_and_pivot_stats_propagate():
@@ -400,7 +418,6 @@ def reference_block_ldlt(K, plan, pivot_tol=factor.DEFAULT_PIVOT_TOL):
         start.append(dict(zip(blocks.tolist(), local[:-1].tolist())))
         rows.append(np.arange(local[-1]) + np.repeat(offsets[blocks] - local[:-1], bs))
         work.append(np.zeros((int(local[-1]), n[j]), dtype=np.complex128))
-    written = [set() for _ in range(nb)]
     for (i, j), blk in K.blocks.items():
         a, b = inv[i], inv[j]
         if a < b:
@@ -410,17 +427,14 @@ def reference_block_ldlt(K, plan, pivot_tol=factor.DEFAULT_PIVOT_TOL):
             raise FactorConsistencyError(
                 f"unconsumed blocks: block {(a, b)} of K has no place in the plan")
         work[b][r:r + n[a]] = blk
-        written[b].add(a)
 
-    diag, offdiag, panels, panel_rows = [], {}, [], []
+    diag, panels, panel_rows = [], [], []
     stats = FactorStats()
-    live_entries = sum(b.size for b in K.blocks.values())
     stored_entries = 0
     flops = 0
-    peak = live_entries
+    widest = 0
     for j in range(nb):
         nj = n[j]
-        live_entries -= nj * sum(n[i] for i in written[j])
         try:
             fac = dense_ldlt_bk(work[j][:nj], pivot_tol)
         except SingularBlockError as err:
@@ -438,36 +452,33 @@ def reference_block_ldlt(K, plan, pivot_tol=factor.DEFAULT_PIVOT_TOL):
         prow = rows[j][nj:]
         panel_rows.append(prow)
         lo = [start[j][i] - nj for i in pat]
-        for i, s in zip(pat, lo):
-            offdiag[(i, j)] = Lp[s:s + n[i]]
         stored_entries += m * nj
         flops += m * nj * nj + m * nj
         flops += nj * (m * m + sum(n[i] * n[i] for i in pat)) // 2
-        transient = X.size
-        peak = max(peak, live_entries + stored_entries + transient)
+        # X and the update U = X L^T, m x m
+        widest = max(widest, X.size + m * m)
         if not pat:
             continue
         U = blas_matmul(X, Lp.T)
         U = np.tril(U) + np.tril(U, -1).T
         for a, (k, s) in enumerate(zip(pat, lo)):
-            into, seen = start[k], written[k]
+            into = start[k]
             for i in pat[a:]:
                 if i not in into:
                     raise FactorConsistencyError(
                         f"update targets block {(i, k)} outside pattern")
-                if i not in seen:
-                    seen.add(i)
-                    live_entries += n[i] * n[k]
             pos = rows[k].searchsorted(prow[s:])
             work[k][pos] -= U[s:, s:s + n[k]]
-        peak = max(peak, live_entries + stored_entries + transient)
 
     stats.factor_entries = stored_entries
     stats.flops = flops
-    stats.peak_bytes = 16 * peak
+    # K, every working panel, every diagonal L and the widest column's X, U
+    stats.peak_bytes = 16 * (sum(b.size for b in K.blocks.values())
+                             + sum(w.size for w in work)
+                             + sum(f.L.size for f in diag) + widest)
     stats.growth_factor = max((f.growth for f in diag), default=1.0)
     stats.n_2x2_pivots = sum(f.n_2x2 for f in diag)
-    return BlockFactor(plan, diag, offdiag, panels, panel_rows, stats)
+    return BlockFactor(plan, diag, panels, panel_rows, stats)
 
 
 def reference_block_solve(F, g):
@@ -514,7 +525,6 @@ def factor_bytes(F):
     return ([b(p) for p in F.panels], [b(r) for r in F.panel_rows],
             [(b(f.L), b(f.d), b(f.e), b(f.perm), b(f.tags), f.growth, f.n_2x2)
              for f in F.diag],
-            sorted((key, b(blk)) for key, blk in F.offdiag.items()),
             F.stats)
 
 

@@ -193,6 +193,15 @@ class TestBlkFormat:
         for key, blk in K.blocks.items():
             assert np.array_equal(K2.blocks[key], blk)
 
+    def test_round_trip_keeps_signed_zeros(self, tmp_path):
+        zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        K = from_blocks([1] * 4, [(i, i, np.array([[z]])) for i, z in enumerate(zeros)])
+        path = tmp_path / "k.blk"
+        save_blk(path, K)
+        K2 = load_blk(path)
+        assert [K2.blocks[(i, i)].tobytes() for i in range(4)] == \
+            [np.array([[z]]).tobytes() for z in zeros]
+
     def test_header_contents(self, tmp_path):
         K = from_blocks([2, 1], [(0, 0, np.eye(2, dtype=complex))])
         path = tmp_path / "k.blk"

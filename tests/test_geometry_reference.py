@@ -305,9 +305,8 @@ def assert_front_end_matches(side, ppw, px, py, theta=0.3):
         assert_same(part.boundary[d], ref_p.boundary[d], f"boundary {d}")
         assert_same(part.boundary_owner[d], ref_p.boundary_owner[d],
                     f"boundary_owner {d}")
-        assert_same(part.elements_of(d), np.flatnonzero(part.domain_of_elem == d),
-                    f"elements_of({d})")
-        assert part.incident_interfaces(d) == [
+        start, end = part.incident_start[d:d + 2]
+        assert part.incident[start:end].tolist() == [
             i for i, itf in enumerate(part.interfaces)
             if itf.dom_lo == d or itf.dom_hi == d]
 

@@ -159,7 +159,7 @@ class TestPartition:
         p = mm.partition_mesh(m, 1, 1)
         assert p.n_domains == 1
         assert p.interfaces == []
-        assert p.elements_of(0).size == m.n_tris
+        assert p.domain_of_elem.tolist() == [0] * m.n_tris
 
     def test_two_by_two_has_four_interfaces(self):
         m = mm.build_rect_mesh(1.0, 10)
@@ -220,7 +220,8 @@ class TestPartition:
     def test_incidence_arrays(self):
         m = mm.build_rect_mesh(1.3, 11)
         p = mm.partition_mesh(m, 3, 2)
-        flat = [i for d in range(p.n_domains) for i in p.incident_interfaces(d)]
+        flat = [i for d in range(p.n_domains) for i, itf in enumerate(p.interfaces)
+                if d in (itf.dom_lo, itf.dom_hi)]
         assert p.incident.tolist() == flat
         assert np.diff(p.incident_start).tolist() == [
             sum(d in (itf.dom_lo, itf.dom_hi) for itf in p.interfaces)
