@@ -76,14 +76,6 @@ class BlockSparseSym:
                 f"block ({i}, {j}) has shape {block.shape}, expected {want}")
         return block
 
-    def add_block(self, i: int, j: int, block) -> None:
-        block = self._checked(i, j, block)
-        key = (i, j)
-        if key in self.blocks:
-            self.blocks[key] = self.blocks[key] + block
-        else:
-            self.blocks[key] = block.copy()
-
     def items(self):
         """Stored blocks in deterministic (column, row) order."""
         for i, j in sorted(self.blocks, key=lambda ij: (ij[1], ij[0])):

@@ -449,6 +449,8 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
             f"unconsumed blocks: block {(int(hi[t]), int(lo[t]))} "
             f"of K has no place in the plan")
     buf[row_base[at] + c] = k_vals
+    k_entries = k_vals.size
+    del k_vals, blk, r, c, at, miss     # K is placed: free its per-entry arrays
     # The symmetry check of dense_ldlt_bk, once per diagonal block of K,
     # batched over the diagonal blocks of each size.
     for size in set(n) - {0}:
@@ -510,7 +512,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     stats = FactorStats(
         factor_entries=int((sizes * (sizes + 1) // 2 + m * sizes).sum()),
         flops=int(flops.sum()),
-        peak_bytes=16 * int(k_vals.size + buf.size + sq.sum()
+        peak_bytes=16 * int(k_entries + buf.size + sq.sum()
                             + (m * sizes + m * m).max()),
         growth_factor=max(f.growth for f in diag),
         n_2x2_pivots=sum(f.n_2x2 for f in diag))

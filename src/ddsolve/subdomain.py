@@ -1,14 +1,17 @@
 """Per-subdomain systems, interface multipliers, and the reduced system.
 
-Each subdomain gets a dense complex-symmetric matrix
+Each subdomain gets a sparse complex-symmetric matrix
 
     A_d = S_d - k^2 eps_r M_d - jk B_d(outer) + s * alpha * M_interface
 
 with ``s = +1`` on the lower-indexed side of every incident interface and
 ``-1`` on the higher-indexed side, a coupling block ``D = s * M_interface``
 into the single multiplier set of that interface, and the restriction of the
-incident-wave load.  Eliminating the subdomain unknowns yields the reduced
-block system ``K lambda = g`` with one supernode per interface.
+incident-wave load.  Under the mesh's natural numbering A_d of a tile is
+banded, with a lower and upper bandwidth ``kl`` of about one tile row of
+nodes, so it is built and factored in LAPACK band storage (``zgbtrf``); no
+dense n_d x n_d array is formed.  Eliminating the subdomain unknowns yields
+the reduced block system ``K lambda = g`` with one supernode per interface.
 
 Multiplier space: one dof per interface chain node, except that at nodes
 where several interfaces meet, the interfaces whose domain pair closes a
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, zgetrs
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .blockmat import BlockSparseSym, _ragged_blocks, from_block_entries, ragged_arange
 from .factor import DEFAULT_PIVOT_TOL, blas_matmul
@@ -41,36 +44,53 @@ class SolverStateError(Exception):
 @dataclass
 class Coupling:
     interface: int
-    D: np.ndarray          # local dofs x kept multiplier dofs
+    D: np.ndarray          # domain's interface rows x kept multiplier dofs
     sign: int
 
 
 @dataclass
 class LUFactor:
-    """LAPACK LU factors ``P A = L U`` of a subdomain matrix (``zgetrf``,
-    partial pivoting), in the ``(lu, piv)`` layout of ``scipy.linalg.lu_factor``."""
+    """LAPACK band LU factors ``P A = L U`` of a subdomain matrix
+    (``zgbtrf``, partial pivoting), in the band layout of ``zgbtrf``: U has
+    ``2 kl`` superdiagonals and its diagonal is row ``2 kl``."""
 
     lu: np.ndarray
     piv: np.ndarray
 
+    @property
+    def kl(self) -> int:
+        return (self.lu.shape[0] - 1) // 3
+
     def solve(self, B: np.ndarray) -> np.ndarray:
-        """Solve A X = B (``zgetrs``); accepts a vector or a multi-column RHS."""
-        X, _ = zgetrs(self.lu, self.piv, B)
+        """Solve A X = B (``zgbtrs``); accepts a vector or a multi-column RHS."""
+        X, _ = zgbtrs(self.lu, self.kl, self.kl, B, self.piv)
         return X
 
 
 @dataclass
 class SubdomainSystem:
+    """``A`` is A_d in LAPACK band storage with ``kl`` sub- and ``kl``
+    superdiagonals and room for the LU's fill: a Fortran-ordered
+    ``(3 kl + 1) x n_dofs`` array whose entry ``[2 kl + i - j, j]`` is
+    ``A_d[i, j]`` for ``|i - j| <= kl``; its first ``kl`` rows are zero.
+    Every coupling block is zero outside the rows ``interface_rows`` and
+    stores only those rows."""
+
     domain: int
     A: np.ndarray
     f: np.ndarray
     dof_map: np.ndarray    # local -> global node index
+    interface_rows: np.ndarray   # sorted local dofs of the interface chain nodes
     couplings: list[Coupling] = field(default_factory=list)
     factor: LUFactor | None = None
 
     @property
     def n_dofs(self) -> int:
         return int(self.dof_map.size)
+
+    @property
+    def kl(self) -> int:
+        return (self.A.shape[0] - 1) // 3
 
 
 @dataclass
@@ -119,25 +139,21 @@ def _mass_entries(diag, off, base, r, c):
     return np.where(r == c, diag[base + r], band)
 
 
-def interface_mass_matrix(mesh: Mesh, nodes: np.ndarray) -> np.ndarray:
-    """Tridiagonal 1-D P1 mass matrix along an ordered node chain."""
-    n = nodes.size
-    diag, off = _chain_mass(mesh, nodes, np.array([0, n]))
-    r, c = np.divmod(np.arange(n * n), n)
-    return _mass_entries(diag, off, 0, r, c).reshape(n, n)
-
-
 def build_subdomain_systems(mesh: Mesh, part: Partition,
                             cfg: ProblemConfig) -> list[SubdomainSystem]:
-    """Dense system, couplings and load of every domain.
+    """Band system, couplings and load of every domain.
 
-    All matrices live in one buffer and are filled by one ``np.add.at``,
+    A domain's local numbering is its sorted global node indices, and its
+    bandwidth ``kl`` is the widest local index span of its elements.  All
+    band matrices live in one buffer and are filled by one ``np.add.at``,
     which adds sequentially.  Each entry receives its terms in a fixed
     order: element blocks in ascending element order, the Robin blocks of
     the domain's outer boundary edges, then ``+-alpha`` times the chain
-    mass of each incident interface in ascending interface order.  The
-    coupling blocks ``D = +-M_chain[:, kept]`` are scattered the same way
-    into a second buffer.
+    mass of each incident interface in ascending interface order.  Chain
+    mass terms outside its tridiagonal band are exact zeros and are left
+    out, so every entry has the bits of the same sums into a dense matrix.
+    The coupling blocks ``D = +-M_chain[:, kept]`` hold the domain's
+    interface rows only.
     """
     k = cfg.k
     alpha = cfg.alpha
@@ -151,62 +167,83 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     keys = np.unique(dom[:, None] * n_nodes + mesh.tris)
     first = np.searchsorted(keys, np.arange(n_dom + 1) * n_nodes)
     nd = np.diff(first)
-    a_off = np.zeros(n_dom + 1, dtype=np.int64)
-    np.cumsum(nd * nd, out=a_off[1:])
 
     def local(d, v):
         return np.searchsorted(keys, d * n_nodes + v) - first[d]
 
-    def entry(d, rows, cols):
-        return a_off[d] + local(d, rows) * nd[d] + local(d, cols)
+    loc = local(dom[:, None], mesh.tris)
+    kl = np.zeros(n_dom, dtype=np.int64)
+    np.maximum.at(kl, dom, loc.max(axis=1) - loc.min(axis=1))
+    ld = 3 * kl + 1
+    a_off = np.zeros(n_dom + 1, dtype=np.int64)
+    np.cumsum(ld * nd, out=a_off[1:])
+
+    def entry(d, i, j):
+        """Buffer position of local entry (i, j) of domain d's band."""
+        return a_off[d] + j * ld[d] + 2 * kl[d] + i - j
 
     # element and Robin blocks
     de = dom[:, None, None]
-    idx = [entry(de, mesh.tris[:, :, None], mesh.tris[:, None, :]).reshape(-1)]
+    idx = [entry(de, loc[:, :, None], loc[:, None, :]).reshape(-1)]
     vals = [Ae.reshape(-1)]
     bd = np.concatenate(part.boundary).reshape(-1, 2)
     n_bd = [b.shape[0] for b in part.boundary]
     db = np.repeat(np.arange(n_dom), n_bd)[:, None, None]
-    idx.append(entry(db, bd[:, :, None], bd[:, None, :]).reshape(-1))
+    idx.append(entry(db, local(db, bd[:, :, None]), local(db, bd[:, None, :])).reshape(-1))
     vals.append(((-1j * k) * edge_mass(edge_lengths(mesh.nodes, bd))).reshape(-1))
 
     # interface terms: block 2i is interface i on its lower side (+), block
-    # 2i + 1 on its higher side (-)
+    # 2i + 1 on its higher side (-); row r of a block's chain mass holds
+    # columns r - 1, r, r + 1.  at[r_off[b] + r] is the position in keys of
+    # chain node r of block b.
     ch = part.chains
     diag, off = _chain_mass(mesh, ch.nodes, ch.start)
     side_dom = np.array([(itf.dom_lo, itf.dom_hi) for itf in part.interfaces],
                         dtype=np.int64).reshape(-1)
     n_chain = np.repeat(np.diff(ch.start), 2)
-    blk, r, c = _ragged_blocks(n_chain, n_chain)
+    r_off = np.zeros(n_chain.size + 1, dtype=np.int64)
+    np.cumsum(n_chain, out=r_off[1:])
+    blk = np.repeat(np.arange(n_chain.size), n_chain)
+    at = np.searchsorted(keys, side_dom[blk] * n_nodes
+                         + ch.nodes[ch.start[blk // 2] + ragged_arange(n_chain)])
+    blk, r, c = _ragged_blocks(n_chain, np.full_like(n_chain, 3))
+    c += r - 1
+    inside = (c >= 0) & (c < n_chain[blk])
+    blk, r, c = blk[inside], r[inside], c[inside]
     i_itf, side = np.divmod(blk, 2)
     d, base = side_dom[blk], ch.start[i_itf]
-    idx.append(entry(d, ch.nodes[base + r], ch.nodes[base + c]))
+    idx.append(entry(d, at[r_off[blk] + r] - first[d], at[r_off[blk] + c] - first[d]))
     coef = np.array([1 * alpha, -1 * alpha])   # as sign * alpha, zero signs included
     vals.append(coef[side] * _mass_entries(diag, off, base, r, c))
 
     A_all = np.zeros(int(a_off[-1]), dtype=np.complex128)
     np.add.at(A_all, np.concatenate(idx), np.concatenate(vals))
 
-    # coupling blocks, in the same block order; column j of interface i is
-    # the chain position of its j-th kept node
+    # coupling blocks, in the same block order.  A domain's interface rows
+    # are its chain nodes, sorted, and each of its blocks holds those rows
+    # only; column j of interface i is the chain position of its j-th kept
+    # node.
+    is_row = np.zeros(keys.size, dtype=bool)
+    is_row[at] = True
+    row_at = np.flatnonzero(is_row)
+    u_first = np.searchsorted(row_at, first)
+    n_u = np.diff(u_first)
     kept_at = np.flatnonzero(ch.kept)
     kept_start = np.zeros(ch.n_kept.size + 1, dtype=np.int64)
     np.cumsum(ch.n_kept, out=kept_start[1:])
     n_kept = np.repeat(ch.n_kept, 2)
     d_off = np.zeros(n_kept.size + 1, dtype=np.int64)
-    np.cumsum(nd[side_dom] * n_kept, out=d_off[1:])
+    np.cumsum(n_u[side_dom] * n_kept, out=d_off[1:])
     blk, r, j = _ragged_blocks(n_chain, n_kept)
     i_itf, side = np.divmod(blk, 2)
     d, base = side_dom[blk], ch.start[i_itf]
+    u = np.searchsorted(row_at, at[r_off[blk] + r]) - u_first[d]
     col = kept_at[kept_start[i_itf] + j] - base
     D_all = np.zeros(int(d_off[-1]), dtype=np.complex128)
-    D_all[d_off[blk] + local(d, ch.nodes[base + r]) * n_kept[blk] + j] = \
+    D_all[d_off[blk] + u * n_kept[blk] + j] = \
         (1 - 2 * side) * _mass_entries(diag, off, base, r, col)
+    rows_all = row_at - np.repeat(first[:-1], n_u)
 
-    couplings: list[list[Coupling]] = [[] for _ in range(n_dom)]
-    for b, (dd, kk) in enumerate(zip(side_dom.tolist(), n_kept.tolist())):
-        D = D_all[d_off[b]:d_off[b + 1]].reshape(nd[dd], kk)
-        couplings[dd].append(Coupling(b // 2, D, 1 - 2 * (b % 2)))
     # loads: one piece per domain, scattered at the domains' local numbering
     bd_start = np.zeros(n_dom + 1, dtype=np.int64)
     np.cumsum(n_bd, out=bd_start[1:])
@@ -214,22 +251,37 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
                           np.searchsorted(keys, db[:, :, 0] * n_nodes + bd),
                           keys.size, k, cfg.theta_inc)
 
+    nodes_all = keys - np.repeat(np.arange(n_dom) * n_nodes, nd)
+    first, a_off, u_first, d_off, n_u = (
+        x.tolist() for x in (first, a_off, u_first, d_off, n_u))
     systems = []
-    for d in range(n_dom):
-        loc_nodes = keys[first[d]:first[d + 1]] - d * n_nodes
-        A = A_all[a_off[d]:a_off[d + 1]].reshape(nd[d], nd[d])
-        f = f_all[first[d]:first[d + 1]]
-        systems.append(SubdomainSystem(d, A, f, loc_nodes, couplings[d]))
+    for d, (n, w) in enumerate(zip(nd.tolist(), ld.tolist())):
+        p, q = first[d], first[d + 1]
+        systems.append(SubdomainSystem(
+            d, A_all[a_off[d]:a_off[d + 1]].reshape(n, w).T, f_all[p:q], nodes_all[p:q],
+            rows_all[u_first[d]:u_first[d + 1]]))
+    for b, (dd, kk) in enumerate(zip(side_dom.tolist(), n_kept.tolist())):
+        D = D_all[d_off[b]:d_off[b + 1]].reshape(n_u[dd], kk)
+        systems[dd].couplings.append(Coupling(b // 2, D, 1 - 2 * (b % 2)))
     return systems
+
+
+def _coupling_matrix(sys: SubdomainSystem) -> np.ndarray:
+    """The domain's coupling blocks side by side, at its interface rows."""
+    if not sys.couplings:
+        return np.zeros((sys.interface_rows.size, 0), dtype=np.complex128)
+    return np.concatenate([c.D for c in sys.couplings], axis=1)
 
 
 def reduce_domain(sys: SubdomainSystem,
                   pivot_tol: float = DEFAULT_PIVOT_TOL):
-    """Eliminate the subdomain unknowns: one LAPACK LU factorization of A_d
-    (``zgetrf``, partial pivoting) and one multi-RHS solve give
+    """Eliminate the subdomain unknowns: one LAPACK band LU factorization of
+    A_d (``zgbtrf``, partial pivoting) and one multi-RHS solve give
     ``K_D = D^T A^-1 D`` (symmetrized, as A_d is complex symmetric) and
-    ``g_d = D^T A^-1 f``, ordered by the domain's coupling list.  The factors
-    are cached on the system for primal recovery.
+    ``g_d = D^T A^-1 f``, ordered by the domain's coupling list.  D is
+    nonzero only at the interface rows r, so it enters the right-hand side
+    there, and ``[K_D g_d] = D_r^T X[r]``.  The factors are cached on the
+    system for primal recovery.
 
     Raises ``ValueError`` when A_d has a non-finite entry and
     :class:`SingularDomainError` when ``min|U_kk| <= pivot_tol * max|A_d|``,
@@ -238,20 +290,24 @@ def reduce_domain(sys: SubdomainSystem,
     scale = np.abs(sys.A).max()
     if not np.isfinite(scale):
         raise ValueError(f"domain {sys.domain}: matrix has non-finite entries")
-    lu, piv, _ = zgetrf(sys.A)
-    pivot_min = np.abs(np.diagonal(lu)).min()
+    kl = sys.kl
+    lu, piv, _ = zgbtrf(sys.A, kl, kl)
+    pivot_min = np.abs(lu[2 * kl]).min()
     if pivot_min <= pivot_tol * scale:
         raise SingularDomainError(
             f"domain {sys.domain} is singular: smallest LU pivot {pivot_min:.3e} "
             f"(threshold {pivot_tol * scale:.3e})")
     fac = sys.factor = LUFactor(lu, piv)
-    D_all = (np.concatenate([c.D for c in sys.couplings], axis=1)
-             if sys.couplings else np.zeros((sys.n_dofs, 0), dtype=np.complex128))
-    rhs = np.concatenate([D_all, sys.f[:, None]], axis=1)
+    rows = sys.interface_rows
+    D_r = _coupling_matrix(sys)
+    m = D_r.shape[1]
+    rhs = np.zeros((sys.n_dofs, m + 1), dtype=np.complex128, order="F")
+    rhs[rows, :m] = D_r
+    rhs[:, m] = sys.f
     X = fac.solve(rhs)
-    KG = blas_matmul(D_all.T, X)
+    KG = blas_matmul(D_r.T, X[rows])
     K_D = 0.5 * (KG[:, :-1] + KG[:, :-1].T)
-    return K_D, KG[:, -1]
+    return K_D, KG[:, -1].copy()    # a view would keep all of KG alive
 
 
 def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
@@ -312,8 +368,8 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
 def recover_primal(systems: list[SubdomainSystem],
                    lam: list[np.ndarray]) -> np.ndarray:
     """Back-substitute ``E_d = A_d^-1 (f_d - D_d lambda)`` with the cached
-    LU factors and assemble the global vector, averaging the duplicated
-    interface values."""
+    band LU factors and assemble the global vector, averaging the duplicated
+    interface values.  ``D_d lambda`` is one product at the interface rows."""
     n_glob = 1 + max(int(s.dof_map.max()) for s in systems)
     acc = np.zeros(n_glob, dtype=np.complex128)
     cnt = np.zeros(n_glob)
@@ -323,9 +379,10 @@ def recover_primal(systems: list[SubdomainSystem],
                 f"domain {sys.domain} has no cached factorization; "
                 "run reduce_domain first")
         rhs = sys.f.copy()
-        for c in sys.couplings:
-            if c.D.shape[1]:
-                rhs -= blas_matmul(c.D, lam[c.interface])[:, 0]
+        D_r = _coupling_matrix(sys)
+        if D_r.size:
+            lam_d = np.concatenate([lam[c.interface] for c in sys.couplings])
+            rhs[sys.interface_rows] -= blas_matmul(D_r, lam_d)[:, 0]
         E = sys.factor.solve(rhs)
         acc[sys.dof_map] += E
         cnt[sys.dof_map] += 1.0

@@ -63,23 +63,6 @@ def symbolic_factor(g: CliqueGraph, order: Ordering, sizes) -> EliminationPlan:
     return EliminationPlan(order, parent, pattern, sizes_perm, total)
 
 
-def fill_blocks(plan: EliminationPlan, g: CliqueGraph) -> list[tuple[int, int]]:
-    """Pattern positions that are fill, i.e. not original graph edges."""
-    inv = plan.order.inverse()
-    orig = set()
-    for i in range(g.n):
-        for j in g.adj[i]:
-            a, b = int(inv[i]), int(inv[j])
-            if a > b:
-                orig.add((a, b))
-    fills = []
-    for j, rows in enumerate(plan.pattern):
-        for i in rows:
-            if (int(i), j) not in orig:
-                fills.append((int(i), j))
-    return sorted(fills)
-
-
 def format_plan(plan: EliminationPlan) -> str:
     """Human-readable symbolic summary (used by --print-symbolic)."""
     lines = []

@@ -18,6 +18,80 @@ GEOMETRIES = {
 }
 
 
+def add_block(K: blockmat.BlockSparseSym, i: int, j: int, block) -> None:
+    """Add ``block`` to block ``(i, j)`` of ``K``: a copy when the block is
+    new, a sum otherwise.  No validation beyond the block's key and shape."""
+    block = K._checked(i, j, block)
+    K.blocks[(i, j)] = K.blocks[(i, j)] + block if (i, j) in K.blocks else block.copy()
+
+
+def fill_blocks(plan, g: blockmat.CliqueGraph) -> list[tuple[int, int]]:
+    """Pattern positions of ``plan`` that are fill, i.e. not edges of ``g``."""
+    inv = plan.order.inverse()
+    orig = set()
+    for i in range(g.n):
+        for j in g.adj[i]:
+            a, b = int(inv[i]), int(inv[j])
+            if a > b:
+                orig.add((a, b))
+    return sorted((int(i), j) for j, rows in enumerate(plan.pattern)
+                  for i in rows if (int(i), j) not in orig)
+
+
+def _in_band(n: int, kl: int):
+    """Row and column indices of the entries of an n x n matrix within
+    ``kl`` of the diagonal."""
+    return np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kl)
+
+
+def band_storage(A: np.ndarray) -> np.ndarray:
+    """LAPACK band storage of a dense matrix, as ``SubdomainSystem.A`` holds
+    it: ``kl`` is the widest distance of a nonzero from the diagonal, and
+    the Fortran-ordered ``(3 kl + 1) x n`` array has ``A[i, j]`` at
+    ``[2 kl + i - j, j]``."""
+    A = np.asarray(A, dtype=np.complex128)
+    n = A.shape[0]
+    i, j = np.nonzero(A)
+    kl = int(np.abs(i - j).max()) if i.size else 0
+    B = np.zeros((3 * kl + 1, n), dtype=np.complex128, order="F")
+    i, j = _in_band(n, kl)
+    B[2 * kl + i - j, j] = A[i, j]
+    return B
+
+
+def dense_matrix(s: subdomain.SubdomainSystem) -> np.ndarray:
+    """Densify the band ``A`` of a subdomain system; entries outside the
+    band are +0.0."""
+    n, kl = s.n_dofs, s.kl
+    A = np.zeros((n, n), dtype=np.complex128)
+    i, j = _in_band(n, kl)
+    A[i, j] = s.A[2 * kl + i - j, j]
+    return A
+
+
+def dense_coupling(s: subdomain.SubdomainSystem, c: subdomain.Coupling) -> np.ndarray:
+    """A coupling block over all local dofs; rows outside the domain's
+    interface rows are +0.0."""
+    D = np.zeros((s.n_dofs, c.D.shape[1]), dtype=np.complex128)
+    D[s.interface_rows] = c.D
+    return D
+
+
+def subdomain_system(domain, A, f, couplings=()):
+    """A subdomain system from a dense matrix and dense coupling blocks
+    ``(interface, D, sign)``: every row where some ``D`` is nonzero becomes
+    an interface row."""
+    A = np.asarray(A, dtype=np.complex128)
+    n = A.shape[0]
+    rows = np.flatnonzero(np.any([np.any(D != 0, axis=1) for _, D, _ in couplings]
+                                 + [np.zeros(n, dtype=bool)], axis=0))
+    return subdomain.SubdomainSystem(
+        domain, band_storage(A), np.asarray(f, dtype=np.complex128),
+        np.arange(n), rows,
+        [subdomain.Coupling(i, np.asarray(D, dtype=np.complex128)[rows], sign)
+         for i, D, sign in couplings])
+
+
 def rand_complex_symmetric(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

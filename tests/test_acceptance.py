@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import assert_factor_in_pattern, permuted, rand_block_system, \
+from conftest import assert_factor_in_pattern, fill_blocks, permuted, rand_block_system, \
     rand_complex_symmetric, reconstruct_dense
 from ddsolve import blockmat, factor, mesh as mm, ordering, subdomain as sd, \
     symbolic
@@ -137,7 +137,7 @@ def test_criterion_5_symbolic_soundness(warm_kernels):
                 g.add_edge(i, i + 1)
             w = np.ones(n, dtype=int)
             plan = symbolic.symbolic_factor(g, ordering.reorder(g, w), w)
-            assert symbolic.fill_blocks(plan, g) == []
+            assert fill_blocks(plan, g) == []
         for seed in range(30):
             n = int(rng.integers(2, 14))
             g = blockmat.CliqueGraph(n)
@@ -145,7 +145,7 @@ def test_criterion_5_symbolic_soundness(warm_kernels):
                 g.add_edge(v, int(rng.integers(0, v)))
             w = rng.integers(1, 8, size=n)
             plan = symbolic.symbolic_factor(g, ordering.reorder(g, w), w)
-            assert symbolic.fill_blocks(plan, g) == []
+            assert fill_blocks(plan, g) == []
         print("  pattern containment and zero-fill tree orders hold")
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import factor_blocks, rand_block_system, rand_complex_symmetric, \
-    scalar_permutation
+from conftest import add_block, factor_blocks, fill_blocks, rand_block_system, \
+    rand_complex_symmetric, scalar_permutation
 from ddsolve import blockmat, factor, ordering, symbolic
 from ddsolve.factor import BlockFactor, FactorConsistencyError, FactorStats, \
     SingularBlockError, _unit_lower_solve, blas_matmul, block_ldlt, \
@@ -70,7 +70,7 @@ def test_four_cycle_creates_single_fill_block():
     K = blockmat.from_blocks(sizes, tri)
     g = blockmat.clique_graph(K)
     plan = plan_for(K, identity_ordering(4))
-    fills = symbolic.fill_blocks(plan, g)
+    fills = fill_blocks(plan, g)
     assert fills == [(3, 1)]
     F = block_ldlt(K, plan)
     created = factor_blocks(F) - {(i, j) for (i, j) in K.blocks if i != j}
@@ -238,9 +238,9 @@ def test_asymmetric_diagonal_block_rejected(order):
     sizes = [2, 3, 2]
     K = blockmat.BlockSparseSym(sizes)
     for i, s in enumerate(sizes):
-        K.add_block(i, i, rand_complex_symmetric(s, 70 + i) + 6 * np.eye(s))
-    K.add_block(1, 0, np.ones((3, 2)) + 0j)
-    K.add_block(2, 1, np.ones((2, 3)) + 0j)
+        add_block(K, i, i, rand_complex_symmetric(s, 70 + i) + 6 * np.eye(s))
+    add_block(K, 1, 0, np.ones((3, 2)) + 0j)
+    add_block(K, 2, 1, np.ones((2, 3)) + 0j)
     K.blocks[(1, 1)][0, 2] += 1e-9
     with pytest.raises(ValueError, match="not symmetric"):
         block_ldlt(K, plan_for(K, order))
@@ -285,7 +285,7 @@ def test_factor_leaves_matrix_unchanged(reduced_systems):
     n_fill = 0
     for K, _ in cases:
         plan = plan_for(K)
-        n_fill += len(symbolic.fill_blocks(plan, blockmat.clique_graph(K)))
+        n_fill += len(fill_blocks(plan, blockmat.clique_graph(K)))
         before = _block_bytes(K)
         block_ldlt(K, plan)
         assert _block_bytes(K) == before
@@ -591,7 +591,7 @@ def test_matches_reference_on_drawn_systems():
         if F is not None:
             assert_solve_matches_reference(F, K.sizes, K.nblocks)
             seen["2x2"] += F.stats.n_2x2_pivots > 0
-            seen["fill"] += bool(symbolic.fill_blocks(plan, blockmat.clique_graph(K)))
+            seen["fill"] += bool(fill_blocks(plan, blockmat.clique_graph(K)))
             seen["empty"] += bool((K.sizes == 0).any())
 
     check()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rand_block_system
+from conftest import add_block, rand_block_system
 from ddsolve import blockmat
 from ddsolve.blockmat import BlockMatrixError, clique_graph, from_blocks, \
     load_blk, save_blk
@@ -80,7 +80,7 @@ class TestFromBlocks:
                    (0, 0, np.conj(zeros)), (2, 2, -sym(rng, 3))]
         ref = blockmat.BlockSparseSym(sizes)
         for i, j, blk in triples:
-            ref.add_block(i, j, blk)
+            add_block(ref, i, j, blk)
         K = from_blocks(sizes, triples)
         assert list(K.blocks) == list(ref.blocks)
         for key, blk in ref.blocks.items():
@@ -117,7 +117,7 @@ class TestValidate:
             blk = sym(rng, sizes[i])
             if i in (1, 2, 3):
                 blk[0, -1] += 1e-6
-            K.add_block(i, i, blk)
+            add_block(K, i, i, blk)
         with pytest.raises(BlockMatrixError, match="diagonal block 1 asymmetric"):
             K.validate()
         K.blocks[(1, 1)] = (K.blocks[(1, 1)] + K.blocks[(1, 1)].T) / 2
@@ -127,7 +127,7 @@ class TestValidate:
     def test_reports_the_asymmetry(self):
         blk = np.array([[1.0, 2.0], [2.5, 1.0]], dtype=complex)
         K = blockmat.BlockSparseSym([2])
-        K.add_block(0, 0, blk)
+        add_block(K, 0, 0, blk)
         with pytest.raises(BlockMatrixError, match="asymmetric: 5.000e-01"):
             K.validate()
 
@@ -135,15 +135,15 @@ class TestValidate:
     def test_non_finite_block_not_checked(self, bad):
         blk = np.array([[1.0, 2.0], [0.0, bad]], dtype=complex)
         K = blockmat.BlockSparseSym([2, 1, 2])
-        K.add_block(0, 0, blk)
-        K.add_block(1, 1, np.ones((1, 1)))
-        K.add_block(2, 2, np.zeros((2, 2)))
+        add_block(K, 0, 0, blk)
+        add_block(K, 1, 1, np.ones((1, 1)))
+        add_block(K, 2, 2, np.zeros((2, 2)))
         K.validate()
 
     def test_zero_size_and_missing_blocks_pass(self):
         K = blockmat.BlockSparseSym([0, 2, 3])
-        K.add_block(0, 0, np.zeros((0, 0)))
-        K.add_block(2, 2, np.eye(3))
+        add_block(K, 0, 0, np.zeros((0, 0)))
+        add_block(K, 2, 2, np.eye(3))
         K.validate()
 
 

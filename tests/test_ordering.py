@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GEOMETRIES, rand_clique_graph
+from conftest import GEOMETRIES, fill_blocks, rand_clique_graph
 from ddsolve import symbolic
 from ddsolve.blockmat import CliqueGraph, clique_graph
 from ddsolve.ordering import Ordering, OrderingError, _min_degree_order, \
@@ -33,7 +33,7 @@ def rand_tree(rng, n):
 
 def n_fill(g, order, weights):
     plan = symbolic.symbolic_factor(g, order, weights)
-    return len(symbolic.fill_blocks(plan, g))
+    return len(fill_blocks(plan, g))
 
 
 def factor_entries(g, order, weights):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,18 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgWarning
 
-from conftest import GEOMETRIES
+from conftest import GEOMETRIES, dense_coupling, dense_matrix, subdomain_system
 from ddsolve import blockmat, factor, mesh as mm, ordering, subdomain as sd, symbolic
+
+
+def chain_mass(mesh, nodes):
+    """Tridiagonal 1-D P1 mass matrix along an ordered node chain."""
+    n = nodes.size
+    M = np.zeros((n, n))
+    for t in range(n - 1):
+        h = mm.edge_lengths(mesh.nodes, nodes[None, t:t + 2])[0]
+        M[t:t + 2, t:t + 2] += mm.edge_mass(h)
+    return M
 
 
 def pipeline(side, ppw, px, py, theta=0.3, alpha=None):
@@ -35,7 +46,7 @@ class TestBuildSystems:
         (sys,) = sd.build_subdomain_systems(m, part, cfg)
         A, f = mm.assemble_helmholtz(m, cfg)
         assert sys.couplings == []
-        assert np.abs(sys.A - A.toarray()).max() < 1e-14
+        assert np.abs(dense_matrix(sys) - A.toarray()).max() < 1e-14
         assert np.array_equal(sys.f, f)
 
     def test_two_domain_interface_terms_cancel_to_monolithic(self):
@@ -46,10 +57,10 @@ class TestBuildSystems:
         A = mm.assemble_helmholtz(m, cfg)[0].toarray()
         acc = np.zeros_like(A)
         for s in systems:
-            As = s.A.copy()
+            As = dense_matrix(s)
             for c in s.couplings:
                 itf = part.interfaces[c.interface]
-                Mg = sd.interface_mass_matrix(m, itf.nodes)
+                Mg = chain_mass(m, itf.nodes)
                 rows = np.searchsorted(s.dof_map, itf.nodes)
                 As[np.ix_(rows, rows)] -= (c.sign * cfg.alpha) * Mg
             acc[np.ix_(s.dof_map, s.dof_map)] += As
@@ -70,11 +81,12 @@ class TestBuildSystems:
         for s in systems:
             c = s.couplings[0]
             rows = np.searchsorted(s.dof_map, itf.nodes)
-            D_chain = c.D[rows, :]
-            assert np.abs(D_chain - c.sign * Mg).max() < 1e-14
+            assert np.array_equal(s.interface_rows, np.sort(rows))
+            D = dense_coupling(s, c)
+            assert np.abs(D[rows, :] - c.sign * Mg).max() < 1e-14
             # rows away from the interface are zero
             other = np.setdiff1d(np.arange(s.n_dofs), rows)
-            assert np.abs(c.D[other, :]).max() == 0.0
+            assert np.abs(D[other, :]).max() == 0.0
 
     def test_signs_follow_domain_order(self):
         cfg = mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2)
@@ -91,7 +103,8 @@ class TestBuildSystems:
         m = mm.build_rect_mesh(1.0, 10)
         part = mm.partition_mesh(m, 2, 2)
         for s in sd.build_subdomain_systems(m, part, cfg):
-            assert np.abs(s.A - s.A.T).max() == 0.0
+            A = dense_matrix(s)
+            assert np.abs(A - A.T).max() == 0.0
 
 
 class TestLambdaSpace:
@@ -134,12 +147,8 @@ class TestLambdaSpace:
 
 class TestReduceDomain:
     def test_diagonal_example(self):
-        sys = sd.SubdomainSystem(
-            domain=0,
-            A=np.diag([2.0, 2.0]).astype(complex),
-            f=np.zeros(2, dtype=complex),
-            dof_map=np.array([0, 1]),
-            couplings=[sd.Coupling(0, np.array([[1.0], [1.0]], dtype=complex), 1)])
+        sys = subdomain_system(0, np.diag([2.0, 2.0]), np.zeros(2),
+                               [(0, np.array([[1.0], [1.0]]), 1)])
         K_D, g_d = sd.reduce_domain(sys)
         assert K_D.shape == (1, 1)
         assert K_D[0, 0] == pytest.approx(1.0)
@@ -161,8 +170,7 @@ class TestReduceDomain:
         A = (G + G.T) / 2 + (2 * n) * np.eye(n)
         D = rng.standard_normal((n, nl)) + 1j * rng.standard_normal((n, nl))
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        sys = sd.SubdomainSystem(0, A, f, np.arange(n),
-                                 [sd.Coupling(0, D, 1)])
+        sys = subdomain_system(0, A, f, [(0, D, 1)])
         K_D, g_d = sd.reduce_domain(sys)
         Ainv = np.linalg.inv(A)
         K_ref = D.T @ Ainv @ D
@@ -172,8 +180,7 @@ class TestReduceDomain:
             1e-12 * np.abs(g_d).max()
 
     def test_singular_domain_error_names_domain(self):
-        sys = sd.SubdomainSystem(3, np.zeros((2, 2), dtype=complex),
-                                 np.zeros(2, dtype=complex), np.arange(2), [])
+        sys = subdomain_system(3, np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(sd.SingularDomainError, match="domain 3"):
             sd.reduce_domain(sys)
 
@@ -189,8 +196,7 @@ class TestReduceDomain:
     @staticmethod
     def _bare(A):
         A = np.asarray(A, dtype=complex)
-        n = A.shape[0]
-        return sd.SubdomainSystem(5, A, np.ones(n, dtype=complex), np.arange(n), [])
+        return subdomain_system(5, A, np.ones(A.shape[0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_matrix_rejected(self, bad):
@@ -234,11 +240,43 @@ class TestReduceDomain:
         part = mm.partition_mesh(m, tiles, tiles)
         for s in sd.build_subdomain_systems(m, part, cfg):
             K_D, g_d = sd.reduce_domain(s)
-            D = np.concatenate([c.D for c in s.couplings], axis=1)
-            X = np.linalg.solve(s.A, np.concatenate([D, s.f[:, None]], axis=1))
+            D = np.concatenate([dense_coupling(s, c) for c in s.couplings], axis=1)
+            X = np.linalg.solve(dense_matrix(s), np.concatenate([D, s.f[:, None]], axis=1))
             K_ref, g_ref = D.T @ X[:, :-1], D.T @ X[:, -1]
             assert np.abs(K_D - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
             assert np.abs(g_d - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+
+
+class TestBandStorage:
+    def test_build_and_reduce_hold_less_than_dense_matrices(self):
+        # 256-dof domains: build plus reduce must stay below the bytes of
+        # the dense A_d alone, so a dense n_d x n_d array cannot come back
+        cfg = mm.ProblemConfig(side_lambda=1.0, ppw=30, px=2, py=2, theta_inc=0.3)
+        m = mm.build_rect_mesh(1.0, 30)
+        part = mm.partition_mesh(m, 2, 2)
+        part.chains     # cached on the partition: computed outside the trace
+        tracemalloc.start()
+        try:
+            systems = sd.build_subdomain_systems(m, part, cfg)
+            for s in systems:
+                sd.reduce_domain(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert min(s.n_dofs for s in systems) >= 256
+        assert peak < 16 * sum(s.n_dofs ** 2 for s in systems)
+
+    def test_factor_is_band_lu(self):
+        cfg = mm.ProblemConfig(side_lambda=1.0, ppw=22, px=2, py=2, theta_inc=0.3)
+        m = mm.build_rect_mesh(1.0, 22)
+        part = mm.partition_mesh(m, 2, 2)
+        for s in sd.build_subdomain_systems(m, part, cfg):
+            sd.reduce_domain(s)
+            assert s.factor.lu.shape == s.A.shape and s.factor.kl == s.kl
+            assert 3 * s.kl + 1 < s.n_dofs
+            rhs = np.arange(s.n_dofs) + 1j
+            x = s.factor.solve(rhs)
+            assert np.abs(dense_matrix(s) @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 class TestAssembleReduced:
@@ -298,8 +336,9 @@ class TestAssembleReduced:
         for s in systems:
             D = np.zeros((s.n_dofs, nlam), dtype=complex)
             for c in s.couplings:
-                D[:, off[c.interface]:off[c.interface + 1]] = c.D
-            X = np.linalg.solve(s.A, np.concatenate([D, s.f[:, None]], axis=1))
+                D[:, off[c.interface]:off[c.interface + 1]] = dense_coupling(s, c)
+            X = np.linalg.solve(dense_matrix(s),
+                                np.concatenate([D, s.f[:, None]], axis=1))
             K_oracle += D.T @ X[:, :-1]
             g_oracle += D.T @ X[:, -1]
         S = rsys.K.scatter()
@@ -365,7 +404,7 @@ class TestEndToEnd:
             rhs = s.f.copy()
             for c in s.couplings:
                 if c.D.shape[1]:
-                    rhs -= c.D @ lam[c.interface]
+                    rhs -= dense_coupling(s, c) @ lam[c.interface]
             E = s.factor.solve(rhs)
             scale = max(scale, np.abs(E).max())
             for ln, gn in enumerate(s.dof_map):
@@ -383,9 +422,10 @@ class TestEndToEnd:
         for s in systems:
             rhs = s.f.copy()
             for c in s.couplings:
-                rhs -= c.D @ lam_r[c.interface]
+                rhs -= dense_coupling(s, c) @ lam_r[c.interface]
             E = s.factor.solve(rhs)
-            lhs = s.A @ E + sum(c.D @ lam_r[c.interface] for c in s.couplings)
+            lhs = dense_matrix(s) @ E + sum(dense_coupling(s, c) @ lam_r[c.interface]
+                                            for c in s.couplings)
             assert np.linalg.norm(lhs - s.f) <= 1e-12 * np.linalg.norm(s.f)
 
     def test_constraint_row_at_solution(self):
@@ -398,11 +438,11 @@ class TestEndToEnd:
         for s in systems:
             rhs = s.f.copy()
             for c in s.couplings:
-                rhs -= c.D @ lam[c.interface]
+                rhs -= dense_coupling(s, c) @ lam[c.interface]
             E = s.factor.solve(rhs)
             e_norm = max(e_norm, np.linalg.norm(E))
             for c in s.couplings:
-                total[off[c.interface]:off[c.interface + 1]] += c.D.T @ E
+                total[off[c.interface]:off[c.interface + 1]] += dense_coupling(s, c).T @ E
         assert np.linalg.norm(total) <= 1e-10 * e_norm
 
     def test_solution_also_lives_on_lambda(self):
@@ -426,13 +466,13 @@ class TestEndToEnd:
         rhs = np.zeros(n, dtype=complex)
         for d, s in enumerate(systems):
             sl = slice(doms_off[d], doms_off[d + 1])
-            S[sl, sl] = s.A
+            S[sl, sl] = dense_matrix(s)
             rhs[sl] = s.f
             for c in s.couplings:
                 cl = slice(n_primal + off[c.interface],
                            n_primal + off[c.interface + 1])
-                S[sl, cl] = c.D
-                S[cl, sl] = c.D.T
+                S[sl, cl] = dense_coupling(s, c)
+                S[cl, sl] = dense_coupling(s, c).T
         x = np.linalg.solve(S, rhs)
         lam_ref = x[n_primal:]
         lam_cat = np.concatenate(lam)

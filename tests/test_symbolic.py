@@ -1,5 +1,5 @@
 import numpy as np
-from conftest import rand_clique_graph
+from conftest import fill_blocks, rand_clique_graph
 from ddsolve import blockmat, factor, symbolic
 from ddsolve.blockmat import CliqueGraph
 from ddsolve.ordering import Ordering, identity_ordering
@@ -36,7 +36,7 @@ def test_four_cycle_natural_order():
     plan = symbolic_factor(g, identity_ordering(4), np.ones(4, dtype=int))
     assert [p.tolist() for p in plan.pattern] == [[1, 3], [2, 3], [3], []]
     assert plan.etree_parent.tolist() == [1, 2, 3, -1]
-    assert symbolic.fill_blocks(plan, g) == [(3, 1)]
+    assert fill_blocks(plan, g) == [(3, 1)]
 
 
 def test_etree_parent_is_min_pattern_row():
