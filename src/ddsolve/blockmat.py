@@ -82,9 +82,7 @@ class BlockSparseSym:
             yield (i, j), self.blocks[(i, j)]
 
     def offsets(self) -> np.ndarray:
-        out = np.zeros(self.nblocks + 1, dtype=np.int64)
-        np.cumsum(self.sizes, out=out[1:])
-        return out
+        return exclusive_cumsum(self.sizes)
 
     def scatter(self) -> np.ndarray:
         """Expand to a full dense symmetric matrix."""
@@ -116,6 +114,15 @@ class BlockSparseSym:
         if bad:
             i, asym = min(bad)
             raise BlockMatrixError(f"diagonal block {i} asymmetric: {asym:.3e}")
+
+
+def exclusive_cumsum(counts) -> np.ndarray:
+    """``[0, c_0, c_0 + c_1, ..., sum(c)]`` as int64: where each run of
+    ``counts`` starts, and the total."""
+    counts = np.asarray(counts, dtype=np.int64)
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 def ragged_arange(counts: np.ndarray) -> np.ndarray:
@@ -162,8 +169,7 @@ def from_block_entries(sizes, ij, values) -> BlockSparseSym:
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(by_first.size)
     keys = ij[first[by_first]]
-    off = np.zeros(keys.shape[0] + 1, dtype=np.int64)
-    np.cumsum(count[first[by_first]], out=off[1:])
+    off = exclusive_cumsum(count[first[by_first]])
     buf = np.full(int(off[-1]), complex(-0.0, -0.0))
     np.add.at(buf, np.repeat(off[rank[which]], count) + ragged_arange(count), values)
     K.blocks = {(a, b): buf[o:o1].reshape(shape) for (a, b), shape, o, o1 in zip(

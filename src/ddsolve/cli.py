@@ -6,7 +6,7 @@ Subcommands::
     ddsolve verify <config>              solve + monolithic reference compare
     ddsolve sweep  <config> [<config>..] scaling sweep, CSV with slope footer
 
-Exit codes: 0 success, 1 usage error, 2 pipeline failure.
+Exit codes: 0 success, 1 usage error, 2 pipeline failure or a gate missed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import sys
 
 from .config import ConfigError, RunConfig, check_ordering, check_pivot_tol, \
     parse_config_file
-from .driver import RESIDUAL_GATE, PipelineError, csv_text, run_pipeline, \
-    run_sweep, run_verify
+from .driver import AGREEMENT_GATE, RESIDUAL_GATE, PipelineError, csv_text, \
+    run_pipeline, run_sweep, run_verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +74,11 @@ def _single(args, verify: bool) -> int:
     if run.out_csv:
         with open(run.out_csv, "w") as fh:
             fh.write(csv_text([result.report]))
-    return 0 if result.report.residual_inf <= RESIDUAL_GATE else 2
+    report = result.report
+    agree = report.rel_diff_monolithic
+    ok = report.residual_inf <= RESIDUAL_GATE and (agree is None
+                                                   or agree <= AGREEMENT_GATE)
+    return 0 if ok else 2
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ CSV_COLUMNS = ["case_id", "n_dofs", "n_lambda", "n_blocks", "factor_time_s",
                "growth_factor", "status", "detail"]
 
 RESIDUAL_GATE = 1e-10
+AGREEMENT_GATE = 1e-8     # relative 2-norm distance to the monolithic solve
 
 
 class PipelineError(Exception):
@@ -80,7 +81,7 @@ class PipelineResult:
     reduced_system: subdomain.ReducedSystem
     plan: symbolic.EliminationPlan
     block_factor: factor.BlockFactor
-    lam: list
+    lam: np.ndarray
     solution: np.ndarray
     report: SolveReport
 

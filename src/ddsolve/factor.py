@@ -32,7 +32,7 @@ from functools import lru_cache, wraps
 import numpy as np
 from scipy.linalg.blas import zgemm, ztrsm
 
-from .blockmat import BlockSparseSym, _ragged_blocks, ragged_arange
+from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, ragged_arange
 from .symbolic import EliminationPlan
 
 DEFAULT_PIVOT_TOL = 1e-12
@@ -335,7 +335,9 @@ class FactorStats:
     scaling, and the update of every pattern pair.  ``peak_bytes`` is 16
     bytes per complex entry held at once: K's stored blocks, the buffer of
     all panels, the dense L of every diagonal factor (n_j^2 each), and X and
-    U = X L^T of the column with the largest m_j n_j + m_j^2.
+    U = X L^T of the column with the largest m_j n_j + m_j^2.  It counts
+    complex entries only; the int64 index arrays that place K's entries and
+    the updates in the panels are not in it.
     """
 
     factor_entries: int = 0
@@ -361,12 +363,6 @@ class BlockFactor:
     panels: list[np.ndarray]
     panel_rows: list[np.ndarray]
     stats: FactorStats = field(default_factory=FactorStats)
-
-
-def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.size + 1, dtype=np.int64)
-    np.cumsum(x, out=out[1:])
-    return out
 
 
 @_cache_small
@@ -405,7 +401,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     if nb == 0:
         return BlockFactor(plan, [], [], [], FactorStats())
     n = sizes.tolist()
-    offsets = _exclusive_cumsum(sizes)
+    offsets = exclusive_cumsum(sizes)
     n_scalar = int(offsets[-1])
 
     # Slots are the block rows [j] + pattern[j] of every panel j, panel by
@@ -413,17 +409,17 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     slot_blk = np.concatenate([x for j, p in enumerate(plan.pattern)
                                for x in ((j,), p)])
     n_slots = np.array([p.size + 1 for p in plan.pattern], dtype=np.int64)
-    slot_start = _exclusive_cumsum(n_slots)
+    slot_start = exclusive_cumsum(n_slots)
     slot_panel = np.repeat(np.arange(nb), n_slots)
     slot_rows = sizes[slot_blk]
-    panel_row0 = _exclusive_cumsum(slot_rows)[slot_start]
+    panel_row0 = exclusive_cumsum(slot_rows)[slot_start]
     row_blk = np.repeat(slot_blk, slot_rows)
     row_panel = np.repeat(slot_panel, slot_rows)
     row_in_blk = ragged_arange(slot_rows)
     row_scalar = offsets[row_blk] + row_in_blk
     # Buffer position of each row (and the end), and the sorted keys every
     # entry is looked up in; the sentinel matches no key.
-    row_base = _exclusive_cumsum(sizes[row_panel])
+    row_base = exclusive_cumsum(sizes[row_panel])
     base = row_base[panel_row0]
     buf = np.zeros(int(base[-1]), dtype=np.complex128)
     row_key = np.append(row_panel * n_scalar + row_scalar, nb * n_scalar)
@@ -541,50 +537,38 @@ def _solve_one(F: BlockFactor, spans: list[slice], dinv, b: np.ndarray) -> None:
         b[sj.start + fac.perm] = _unit_lower_solve(fac.L, w, trans=1)
 
 
-def block_solve(F: BlockFactor, g: list[np.ndarray]) -> list[np.ndarray]:
+def block_solve(F: BlockFactor, g: np.ndarray) -> np.ndarray:
     """Solve K x = g through the block factor.
 
-    ``g`` is a block vector: one array per supernode in the original block
-    numbering, each either 1-D or a matrix of right-hand-side columns.
-    Multiple columns are processed strictly one at a time through the same
-    code path, so a multi-RHS solve reproduces column-by-column calls
-    exactly.
+    ``g`` is one right-hand side of shape ``(n,)``, or several as the
+    columns of an ``(n, k)`` array, in K's block order; ``x`` has its shape.
+    Columns are processed strictly one at a time through the same code
+    path, so a multi-column solve reproduces column-by-column calls exactly.
     """
-    nb = F.plan.nblocks
-    if len(g) != nb:
-        raise ValueError(f"block vector has {len(g)} blocks, expected {nb}")
-    if nb == 0:
-        return []
-    perm = F.plan.order.perm
     sizes = F.plan.sizes_perm
-    one_d = all(b.ndim == 1 for b in g)
-    cols = None
-    blocks = []
-    for b in g:
-        arr = np.array(b, dtype=np.complex128, ndmin=2)
-        if b.ndim == 1:
-            arr = arr.T
-        if cols is None:
-            cols = arr.shape[1]
-        elif arr.shape[1] != cols:
-            raise ValueError("inconsistent RHS column counts across blocks")
-        blocks.append(arr)
-    for j in range(nb):
-        if blocks[int(perm[j])].shape[0] != int(sizes[j]):
-            raise ValueError(f"block {int(perm[j])} has wrong length")
-    ends = np.cumsum(sizes).tolist()
-    spans = [slice(e - int(nj), e) for e, nj in zip(ends, sizes)]
-    B = np.concatenate([blocks[int(p)] for p in perm])
+    n = int(sizes.sum())
+    g = np.asarray(g, dtype=np.complex128)
+    if g.ndim not in (1, 2) or g.shape[0] != n:
+        raise ValueError(f"right-hand side has shape {g.shape}, "
+                         f"expected ({n},) or ({n}, k)")
+    if not F.diag:
+        return g.copy()
+    # row of g at each row of the permuted, concatenated unknown vector
+    perm = F.plan.order.perm
+    rows = (np.repeat(exclusive_cumsum(sizes[F.plan.order.inverse()])[perm], sizes)
+            + ragged_arange(sizes))
+    B = g[rows, None] if g.ndim == 1 else g[rows]
+    off = exclusive_cumsum(sizes).tolist()
+    spans = [slice(a, b) for a, b in zip(off[:-1], off[1:])]
     dinv = tuple(np.concatenate([getattr(f, name) for f in F.diag])
                  for name in ("d", "e", "tags"))
-    for c in range(cols):
+    for c in range(B.shape[1]):
         col = B[:, c:c + 1].copy()
         _solve_one(F, spans, dinv, col)
         B[:, c:c + 1] = col
-    out: list[np.ndarray] = [None] * nb  # type: ignore[list-item]
-    for p, sj in zip(perm, spans):
-        out[int(p)] = B[sj, 0] if one_d else B[sj]
-    return out
+    x = np.empty_like(B)
+    x[rows] = B
+    return x.reshape(g.shape)
 
 
 def scatter_factor(F: BlockFactor) -> tuple[np.ndarray, np.ndarray]:
@@ -593,7 +577,7 @@ def scatter_factor(F: BlockFactor) -> tuple[np.ndarray, np.ndarray]:
     Returns block-lower L with diagonal blocks P_jj^T L_jj and the block
     diagonal D, satisfying K_perm = L D L^T.
     """
-    off = _exclusive_cumsum(F.plan.sizes_perm)
+    off = exclusive_cumsum(F.plan.sizes_perm)
     n = int(off[-1])
     L = np.zeros((n, n), dtype=np.complex128)
     D = np.zeros((n, n), dtype=np.complex128)

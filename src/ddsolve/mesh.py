@@ -21,6 +21,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .blockmat import exclusive_cumsum, ragged_arange
+
 TWO_PI = 2.0 * math.pi
 
 # 4-point Gauss-Legendre rule on [0, 1], used for boundary load integrals.
@@ -165,17 +167,25 @@ class Interface:
 
 @dataclass
 class Chains:
-    """All interface chains of a partition, concatenated in interface order.
+    """All interface chains of a partition, concatenated in interface order,
+    and the one numbering of their multipliers.
 
     ``nodes[start[i]:start[i + 1]]`` is the chain of interface ``i``;
     ``kept`` marks the chain nodes that carry a multiplier dof, and
-    ``n_kept[i]`` counts them per interface.
+    ``n_kept[i]`` counts them per interface.  Multipliers are numbered over
+    the kept nodes, interface by interface in chain order, so multiplier
+    ``m`` sits at node ``nodes[kept][m]``; this is the reduced system's
+    block order.  ``lam_index[lam_start[d]:lam_start[d + 1]]`` are the
+    multipliers of domain ``d``'s coupling columns: its incident interfaces
+    ascending, each with its multipliers in order.
     """
 
     nodes: np.ndarray
     start: np.ndarray
     kept: np.ndarray
     n_kept: np.ndarray
+    lam_index: np.ndarray
+    lam_start: np.ndarray
 
 
 @dataclass
@@ -199,16 +209,15 @@ class Partition:
         side = ends[keep]
         # a stable sort keeps each domain's interfaces ascending
         self.incident = np.nonzero(keep)[0][np.argsort(side, kind="stable")]
-        self.incident_start = np.zeros(self.n_domains + 1, dtype=np.int64)
-        np.cumsum(np.bincount(side, minlength=self.n_domains),
-                  out=self.incident_start[1:])
+        self.incident_start = exclusive_cumsum(
+            np.bincount(side, minlength=self.n_domains))
         for a in (self.incident, self.incident_start):
             a.flags.writeable = False
 
     @cached_property
     def chains(self) -> Chains:
-        """The interface chains and their kept multiplier nodes, computed on
-        first use.
+        """The interface chains, their kept multiplier nodes and the
+        multipliers of each domain, computed on first use.
 
         At every mesh node shared by two or more interfaces the incident
         interfaces are scanned in ascending index order; one dof is dropped
@@ -217,8 +226,7 @@ class Partition:
         """
         itfs = self.interfaces
         sizes = [itf.n_nodes for itf in itfs]
-        start = np.zeros(len(itfs) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=start[1:])
+        start = exclusive_cumsum(sizes)
         nodes = (np.concatenate([itf.nodes for itf in itfs]) if itfs
                  else np.zeros(0, dtype=np.int64))
         owner = np.repeat(np.arange(len(itfs)), sizes)
@@ -246,7 +254,11 @@ class Partition:
                 else:
                     parent[a] = b
         n_kept = np.bincount(owner[kept], minlength=len(itfs))
-        return Chains(nodes, start, kept, n_kept)
+        n_slot = n_kept[self.incident]
+        lam_index = (np.repeat(exclusive_cumsum(n_kept)[self.incident], n_slot)
+                     + ragged_arange(n_slot))
+        return Chains(nodes, start, kept, n_kept, lam_index,
+                      exclusive_cumsum(n_slot)[self.incident_start])
 
 
 def grid_intervals(side_lambda: float, ppw: float) -> int:
@@ -518,7 +530,7 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     # per-domain outer boundary, each in the mesh's boundary-edge order
     bdom = dom[mesh.boundary_owner]
     by_dom = np.argsort(bdom, kind="stable")
-    cut = [0] + np.cumsum(np.bincount(bdom, minlength=n_domains)).tolist()
+    cut = exclusive_cumsum(np.bincount(bdom, minlength=n_domains)).tolist()
     edges, owners = mesh.boundary_edges[by_dom], mesh.boundary_owner[by_dom]
     boundary = [edges[cut[d]:cut[d + 1]] for d in range(n_domains)]
     boundary_owner = [owners[cut[d]:cut[d + 1]] for d in range(n_domains)]

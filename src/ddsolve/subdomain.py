@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .blockmat import BlockSparseSym, _ragged_blocks, from_block_entries, ragged_arange
+from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, \
+    from_block_entries, ragged_arange
 from .factor import DEFAULT_PIVOT_TOL, blas_matmul
 from .mesh import Mesh, Partition, ProblemConfig, assemble_helmholtz, \
     boundary_load, edge_lengths, edge_mass, element_matrices
@@ -44,7 +45,7 @@ class SolverStateError(Exception):
 @dataclass
 class Coupling:
     interface: int
-    D: np.ndarray          # domain's interface rows x kept multiplier dofs
+    D: np.ndarray          # the interface's columns of SubdomainSystem.D
     sign: int
 
 
@@ -73,14 +74,18 @@ class SubdomainSystem:
     superdiagonals and room for the LU's fill: a Fortran-ordered
     ``(3 kl + 1) x n_dofs`` array whose entry ``[2 kl + i - j, j]`` is
     ``A_d[i, j]`` for ``|i - j| <= kl``; its first ``kl`` rows are zero.
-    Every coupling block is zero outside the rows ``interface_rows`` and
-    stores only those rows."""
+    The couplings are zero outside the rows ``interface_rows``, and ``D``
+    holds those rows only, C-ordered, with one column per multiplier of
+    ``lam_index`` (see :attr:`Chains.lam_index`); each coupling's ``D`` is
+    a view of its interface's columns."""
 
     domain: int
     A: np.ndarray
     f: np.ndarray
     dof_map: np.ndarray    # local -> global node index
     interface_rows: np.ndarray   # sorted local dofs of the interface chain nodes
+    D: np.ndarray
+    lam_index: np.ndarray        # global multiplier of each column of D
     couplings: list[Coupling] = field(default_factory=list)
     factor: LUFactor | None = None
 
@@ -95,23 +100,16 @@ class SubdomainSystem:
 
 @dataclass
 class ReducedSystem:
+    """``K lambda = g``; ``g`` and ``lam`` are flat vectors in K's block
+    order, the multiplier numbering of :attr:`Chains.lam_index`."""
+
     K: BlockSparseSym
-    g: list[np.ndarray]
-    interface_sizes: np.ndarray
-    lam: list[np.ndarray] | None = None
+    g: np.ndarray
+    lam: np.ndarray | None = None
 
     @property
     def n_lambda(self) -> int:
-        return int(self.interface_sizes.sum())
-
-
-def interface_lambda_nodes(part: Partition) -> list[np.ndarray]:
-    """Kept multiplier nodes per interface, in chain order (see
-    :attr:`Partition.chains` for which cross-point duplicates are dropped)."""
-    ch = part.chains
-    nodes = ch.nodes[ch.kept]
-    cut = [0] + np.cumsum(ch.n_kept).tolist()
-    return [nodes[cut[i]:cut[i + 1]] for i in range(ch.n_kept.size)]
+        return self.K.order
 
 
 def _chain_mass(mesh: Mesh, nodes: np.ndarray, start: np.ndarray):
@@ -152,8 +150,9 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     mass of each incident interface in ascending interface order.  Chain
     mass terms outside its tridiagonal band are exact zeros and are left
     out, so every entry has the bits of the same sums into a dense matrix.
-    The coupling blocks ``D = +-M_chain[:, kept]`` hold the domain's
-    interface rows only.
+    A domain's coupling matrix ``D`` holds ``+-M_chain[:, kept]`` of each
+    incident interface side by side, at the domain's interface rows only,
+    in the columns that :attr:`Chains.lam_index` gives the domain.
     """
     k = cfg.k
     alpha = cfg.alpha
@@ -175,8 +174,7 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     kl = np.zeros(n_dom, dtype=np.int64)
     np.maximum.at(kl, dom, loc.max(axis=1) - loc.min(axis=1))
     ld = 3 * kl + 1
-    a_off = np.zeros(n_dom + 1, dtype=np.int64)
-    np.cumsum(ld * nd, out=a_off[1:])
+    a_off = exclusive_cumsum(ld * nd)
 
     def entry(d, i, j):
         """Buffer position of local entry (i, j) of domain d's band."""
@@ -192,85 +190,79 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     idx.append(entry(db, local(db, bd[:, :, None]), local(db, bd[:, None, :])).reshape(-1))
     vals.append(((-1j * k) * edge_mass(edge_lengths(mesh.nodes, bd))).reshape(-1))
 
-    # interface terms: block 2i is interface i on its lower side (+), block
-    # 2i + 1 on its higher side (-); row r of a block's chain mass holds
-    # columns r - 1, r, r + 1.  at[r_off[b] + r] is the position in keys of
-    # chain node r of block b.
+    # interface terms, slot by slot: slot t is interface inc[t] of domain
+    # dom_t[t], on its lower side (side_t 0, +alpha) or its higher side
+    # (side_t 1, -alpha); row r of a slot's chain mass holds columns r - 1,
+    # r, r + 1.  at[r_off[t] + r] is the position in keys of chain node r
+    # of slot t.  Each domain's slots come in ascending interface order.
     ch = part.chains
     diag, off = _chain_mass(mesh, ch.nodes, ch.start)
-    side_dom = np.array([(itf.dom_lo, itf.dom_hi) for itf in part.interfaces],
-                        dtype=np.int64).reshape(-1)
-    n_chain = np.repeat(np.diff(ch.start), 2)
-    r_off = np.zeros(n_chain.size + 1, dtype=np.int64)
-    np.cumsum(n_chain, out=r_off[1:])
-    blk = np.repeat(np.arange(n_chain.size), n_chain)
-    at = np.searchsorted(keys, side_dom[blk] * n_nodes
-                         + ch.nodes[ch.start[blk // 2] + ragged_arange(n_chain)])
-    blk, r, c = _ragged_blocks(n_chain, np.full_like(n_chain, 3))
+    inc = part.incident
+    dom_t = np.repeat(np.arange(n_dom), np.diff(part.incident_start))
+    dom_hi = np.array([itf.dom_hi for itf in part.interfaces], dtype=np.int64)
+    side_t = (dom_hi[inc] == dom_t).astype(np.int64)
+    n_chain = np.diff(ch.start)[inc]
+    r_off = exclusive_cumsum(n_chain)
+    t = np.repeat(np.arange(inc.size), n_chain)
+    at = np.searchsorted(keys, dom_t[t] * n_nodes
+                         + ch.nodes[ch.start[inc[t]] + ragged_arange(n_chain)])
+    t, r, c = _ragged_blocks(n_chain, np.full_like(n_chain, 3))
     c += r - 1
-    inside = (c >= 0) & (c < n_chain[blk])
-    blk, r, c = blk[inside], r[inside], c[inside]
-    i_itf, side = np.divmod(blk, 2)
-    d, base = side_dom[blk], ch.start[i_itf]
-    idx.append(entry(d, at[r_off[blk] + r] - first[d], at[r_off[blk] + c] - first[d]))
+    inside = (c >= 0) & (c < n_chain[t])
+    t, r, c = t[inside], r[inside], c[inside]
+    d, base = dom_t[t], ch.start[inc[t]]
+    idx.append(entry(d, at[r_off[t] + r] - first[d], at[r_off[t] + c] - first[d]))
     coef = np.array([1 * alpha, -1 * alpha])   # as sign * alpha, zero signs included
-    vals.append(coef[side] * _mass_entries(diag, off, base, r, c))
+    vals.append(coef[side_t[t]] * _mass_entries(diag, off, base, r, c))
 
     A_all = np.zeros(int(a_off[-1]), dtype=np.complex128)
     np.add.at(A_all, np.concatenate(idx), np.concatenate(vals))
 
-    # coupling blocks, in the same block order.  A domain's interface rows
-    # are its chain nodes, sorted, and each of its blocks holds those rows
-    # only; column j of interface i is the chain position of its j-th kept
-    # node.
+    # coupling matrices.  A domain's interface rows are its chain nodes,
+    # sorted, and its D holds those rows only, one column per entry of its
+    # lam_index; slot t has the columns ch.lam_index[pos] for pos in
+    # [lam_pos[t], lam_pos[t + 1]), and multiplier m sits at the m-th kept
+    # chain position.
     is_row = np.zeros(keys.size, dtype=bool)
     is_row[at] = True
     row_at = np.flatnonzero(is_row)
     u_first = np.searchsorted(row_at, first)
     n_u = np.diff(u_first)
-    kept_at = np.flatnonzero(ch.kept)
-    kept_start = np.zeros(ch.n_kept.size + 1, dtype=np.int64)
-    np.cumsum(ch.n_kept, out=kept_start[1:])
-    n_kept = np.repeat(ch.n_kept, 2)
-    d_off = np.zeros(n_kept.size + 1, dtype=np.int64)
-    np.cumsum(n_u[side_dom] * n_kept, out=d_off[1:])
-    blk, r, j = _ragged_blocks(n_chain, n_kept)
-    i_itf, side = np.divmod(blk, 2)
-    d, base = side_dom[blk], ch.start[i_itf]
-    u = np.searchsorted(row_at, at[r_off[blk] + r]) - u_first[d]
-    col = kept_at[kept_start[i_itf] + j] - base
+    lam_pos = exclusive_cumsum(ch.n_kept[inc])
+    n_lam = np.diff(ch.lam_start)
+    d_off = exclusive_cumsum(n_u * n_lam)
+    t, r, j = _ragged_blocks(n_chain, ch.n_kept[inc])
+    d, base, pos = dom_t[t], ch.start[inc[t]], lam_pos[t] + j
+    u = np.searchsorted(row_at, at[r_off[t] + r]) - u_first[d]
+    col = np.flatnonzero(ch.kept)[ch.lam_index[pos]] - base
     D_all = np.zeros(int(d_off[-1]), dtype=np.complex128)
-    D_all[d_off[blk] + u * n_kept[blk] + j] = \
-        (1 - 2 * side) * _mass_entries(diag, off, base, r, col)
+    D_all[d_off[d] + u * n_lam[d] + pos - ch.lam_start[d]] = \
+        (1 - 2 * side_t[t]) * _mass_entries(diag, off, base, r, col)
     rows_all = row_at - np.repeat(first[:-1], n_u)
 
     # loads: one piece per domain, scattered at the domains' local numbering
-    bd_start = np.zeros(n_dom + 1, dtype=np.int64)
-    np.cumsum(n_bd, out=bd_start[1:])
-    f_all = boundary_load(mesh, bd, np.concatenate(part.boundary_owner), bd_start,
+    f_all = boundary_load(mesh, bd, np.concatenate(part.boundary_owner),
+                          exclusive_cumsum(n_bd),
                           np.searchsorted(keys, db[:, :, 0] * n_nodes + bd),
                           keys.size, k, cfg.theta_inc)
 
     nodes_all = keys - np.repeat(np.arange(n_dom) * n_nodes, nd)
-    first, a_off, u_first, d_off, n_u = (
-        x.tolist() for x in (first, a_off, u_first, d_off, n_u))
+    first, a_off, u_first, d_off, n_u, n_lam, lam_start, slot_start, inc, \
+        lam_pos, side_t = (x.tolist() for x in (
+            first, a_off, u_first, d_off, n_u, n_lam, ch.lam_start,
+            part.incident_start, inc, lam_pos, side_t))
     systems = []
     for d, (n, w) in enumerate(zip(nd.tolist(), ld.tolist())):
         p, q = first[d], first[d + 1]
+        l0, l1 = lam_start[d], lam_start[d + 1]
+        D = D_all[d_off[d]:d_off[d + 1]].reshape(n_u[d], n_lam[d])
+        couplings = [Coupling(inc[t], D[:, lam_pos[t] - l0:lam_pos[t + 1] - l0],
+                              1 - 2 * side_t[t])
+                     for t in range(slot_start[d], slot_start[d + 1])]
         systems.append(SubdomainSystem(
             d, A_all[a_off[d]:a_off[d + 1]].reshape(n, w).T, f_all[p:q], nodes_all[p:q],
-            rows_all[u_first[d]:u_first[d + 1]]))
-    for b, (dd, kk) in enumerate(zip(side_dom.tolist(), n_kept.tolist())):
-        D = D_all[d_off[b]:d_off[b + 1]].reshape(n_u[dd], kk)
-        systems[dd].couplings.append(Coupling(b // 2, D, 1 - 2 * (b % 2)))
+            rows_all[u_first[d]:u_first[d + 1]], D, ch.lam_index[l0:l1], couplings))
     return systems
-
-
-def _coupling_matrix(sys: SubdomainSystem) -> np.ndarray:
-    """The domain's coupling blocks side by side, at its interface rows."""
-    if not sys.couplings:
-        return np.zeros((sys.interface_rows.size, 0), dtype=np.complex128)
-    return np.concatenate([c.D for c in sys.couplings], axis=1)
 
 
 def reduce_domain(sys: SubdomainSystem,
@@ -278,7 +270,7 @@ def reduce_domain(sys: SubdomainSystem,
     """Eliminate the subdomain unknowns: one LAPACK band LU factorization of
     A_d (``zgbtrf``, partial pivoting) and one multi-RHS solve give
     ``K_D = D^T A^-1 D`` (symmetrized, as A_d is complex symmetric) and
-    ``g_d = D^T A^-1 f``, ordered by the domain's coupling list.  D is
+    ``g_d = D^T A^-1 f``, ordered by the domain's ``lam_index``.  D is
     nonzero only at the interface rows r, so it enters the right-hand side
     there, and ``[K_D g_d] = D_r^T X[r]``.  The factors are cached on the
     system for primal recovery.
@@ -299,7 +291,7 @@ def reduce_domain(sys: SubdomainSystem,
             f"(threshold {pivot_tol * scale:.3e})")
     fac = sys.factor = LUFactor(lu, piv)
     rows = sys.interface_rows
-    D_r = _coupling_matrix(sys)
+    D_r = sys.D
     m = D_r.shape[1]
     rhs = np.zeros((sys.n_dofs, m + 1), dtype=np.complex128, order="F")
     rhs[rows, :m] = D_r
@@ -314,22 +306,23 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     """Scatter per-domain Schur blocks into the block-sparse reduced system.
 
     ``reduced[d]`` is the ``(K_D, g_d)`` pair of domain ``d`` with rows and
-    columns ordered by its interfaces in ``part.incident``.  Every domain's
-    interface pairs ``(a, b)``, ``a >= b``, go to block ``(a, b)`` of K by
-    one grouped scatter in domain order (:func:`blockmat.from_block_entries`),
-    and ``g`` is summed by one ``np.add.at`` in the same order.
+    columns ordered as its multipliers in :attr:`Chains.lam_index`.  Every
+    domain's interface pairs ``(a, b)``, ``a >= b``, go to block ``(a, b)``
+    of K by one grouped scatter in domain order
+    (:func:`blockmat.from_block_entries`), and ``g`` is summed through
+    ``lam_index`` by one ``np.add.at`` in the same order.
     """
     if len(reduced) != part.n_domains:
         raise ValueError(f"{len(reduced)} reduced domains given, the partition "
                          f"has {part.n_domains}")
-    sizes = part.chains.n_kept
+    ch = part.chains
+    sizes = ch.n_kept
     # slot s: interface inc[s] of domain dom[s]; its rows in K_D start at
     # row0[s], and K_D's entries at k_off[dom[s]] in the concatenated K_D's
     inc, start = part.incident, part.incident_start
     n_slot = sizes[inc]
-    cum = np.zeros(inc.size + 1, dtype=np.int64)
-    np.cumsum(n_slot, out=cum[1:])
-    nd = cum[start[1:]] - cum[start[:-1]]
+    cum = exclusive_cumsum(n_slot)
+    nd = np.diff(ch.lam_start)
     for d, (K_D, g_d) in enumerate(reduced):
         n = int(nd[d])
         if K_D.shape != (n, n):
@@ -338,10 +331,9 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
         if g_d.shape != (n,):
             raise ValueError(f"domain {d}: reduced load is {g_d.shape}, "
                              f"expected ({n},)")
-    k_off = np.zeros(part.n_domains + 1, dtype=np.int64)
-    np.cumsum(nd * nd, out=k_off[1:])
+    k_off = exclusive_cumsum(nd * nd)
     dom = np.repeat(np.arange(part.n_domains), np.diff(start))
-    row0 = cum[:-1] - cum[start[dom]]
+    row0 = cum[:-1] - ch.lam_start[dom]
 
     # pairs (a, b) of slots of one domain with b <= a, domain by domain,
     # then their entries row by row
@@ -355,21 +347,17 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     K = from_block_entries(sizes, np.column_stack([inc[a], inc[b]]), K_all[src])
     K.validate()
 
-    g_off = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=g_off[1:])
-    g_all = np.zeros(int(g_off[-1]), dtype=np.complex128)
-    slot = np.repeat(np.arange(inc.size), n_slot)
-    np.add.at(g_all, g_off[inc[slot]] + np.arange(slot.size) - cum[slot],
-              np.concatenate([g_d for _, g_d in reduced]))
-    g = [g_all[g_off[i]:g_off[i + 1]] for i in range(sizes.size)]
-    return ReducedSystem(K, g, sizes)
+    g = np.zeros(K.order, dtype=np.complex128)
+    np.add.at(g, ch.lam_index, np.concatenate([g_d for _, g_d in reduced]))
+    return ReducedSystem(K, g)
 
 
 def recover_primal(systems: list[SubdomainSystem],
-                   lam: list[np.ndarray]) -> np.ndarray:
+                   lam: np.ndarray) -> np.ndarray:
     """Back-substitute ``E_d = A_d^-1 (f_d - D_d lambda)`` with the cached
     band LU factors and assemble the global vector, averaging the duplicated
-    interface values.  ``D_d lambda`` is one product at the interface rows."""
+    interface values.  ``D_d lambda`` is one product at the interface rows,
+    with the entries of the flat ``lam`` that ``lam_index`` names."""
     n_glob = 1 + max(int(s.dof_map.max()) for s in systems)
     acc = np.zeros(n_glob, dtype=np.complex128)
     cnt = np.zeros(n_glob)
@@ -379,10 +367,8 @@ def recover_primal(systems: list[SubdomainSystem],
                 f"domain {sys.domain} has no cached factorization; "
                 "run reduce_domain first")
         rhs = sys.f.copy()
-        D_r = _coupling_matrix(sys)
-        if D_r.size:
-            lam_d = np.concatenate([lam[c.interface] for c in sys.couplings])
-            rhs[sys.interface_rows] -= blas_matmul(D_r, lam_d)[:, 0]
+        if sys.D.size:
+            rhs[sys.interface_rows] -= blas_matmul(sys.D, lam[sys.lam_index])[:, 0]
         E = sys.factor.solve(rhs)
         acc[sys.dof_map] += E
         cnt[sys.dof_map] += 1.0

@@ -80,16 +80,20 @@ def dense_coupling(s: subdomain.SubdomainSystem, c: subdomain.Coupling) -> np.nd
 def subdomain_system(domain, A, f, couplings=()):
     """A subdomain system from a dense matrix and dense coupling blocks
     ``(interface, D, sign)``: every row where some ``D`` is nonzero becomes
-    an interface row."""
+    an interface row, and the blocks' columns are multipliers 0, 1, ...
+    in order."""
     A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]
     rows = np.flatnonzero(np.any([np.any(D != 0, axis=1) for _, D, _ in couplings]
                                  + [np.zeros(n, dtype=bool)], axis=0))
+    blocks = [np.asarray(D, dtype=np.complex128)[rows] for _, D, _ in couplings]
+    D = np.concatenate(blocks + [np.zeros((rows.size, 0), dtype=np.complex128)], axis=1)
+    cut = np.cumsum([0] + [b.shape[1] for b in blocks])
     return subdomain.SubdomainSystem(
         domain, band_storage(A), np.asarray(f, dtype=np.complex128),
-        np.arange(n), rows,
-        [subdomain.Coupling(i, np.asarray(D, dtype=np.complex128)[rows], sign)
-         for i, D, sign in couplings])
+        np.arange(n), rows, D, np.arange(D.shape[1]),
+        [subdomain.Coupling(i, D[:, cut[t]:cut[t + 1]], sign)
+         for t, (i, _, sign) in enumerate(couplings)])
 
 
 def rand_complex_symmetric(n, seed, scale=1.0):

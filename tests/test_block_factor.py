@@ -20,12 +20,6 @@ def plan_for(K, order=None):
     return symbolic.symbolic_factor(g, order, K.sizes)
 
 
-def split_blocks(x, sizes):
-    off = np.zeros(len(sizes) + 1, dtype=int)
-    np.cumsum(sizes, out=off[1:])
-    return [x[off[i]:off[i + 1]] for i in range(len(sizes))]
-
-
 def test_single_block_equals_dense_kernel():
     M = rand_complex_symmetric(9, 0)
     K = blockmat.from_blocks([9], [(0, 0, M)])
@@ -51,7 +45,7 @@ def test_arrow_matrix_vs_dense_oracle():
         (1, 0, S[2:5, 0:2]), (2, 0, S[5:9, 0:2])])
     F = block_ldlt(K, plan_for(K, identity_ordering(3)))
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = np.concatenate(block_solve(F, split_blocks(b, sizes)))
+    x = block_solve(F, b)
     x_ref = np.linalg.solve(S, b)
     assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
 
@@ -82,10 +76,8 @@ def test_identity_blocks_solve_is_identity():
     K = blockmat.from_blocks(sizes, [(0, 0, np.eye(3, dtype=complex)),
                                      (1, 1, np.eye(2, dtype=complex))])
     F = block_ldlt(K, plan_for(K))
-    g = [np.arange(3) + 0j, np.array([5.0, 6.0]) + 1j]
-    x = block_solve(F, g)
-    assert np.array_equal(x[0], g[0])
-    assert np.array_equal(x[1], g[1])
+    g = np.array([0, 1, 2, 5 + 1j, 6 + 1j])
+    assert np.array_equal(block_solve(F, g), g)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -95,7 +87,7 @@ def test_random_systems_residual(seed):
     rng = np.random.default_rng(900 + seed)
     n = S.shape[0]
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = np.concatenate(block_solve(F, split_blocks(b, K.sizes)))
+    x = block_solve(F, b)
     assert np.linalg.norm(S @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -115,14 +107,12 @@ def test_two_rhs_identical_to_two_single_rhs():
     K, _ = rand_block_system(77, max_blocks=5, max_size=6)
     F = block_ldlt(K, plan_for(K))
     rng = np.random.default_rng(78)
-    B = [rng.standard_normal((int(s), 2)) + 1j * rng.standard_normal((int(s), 2))
-         for s in K.sizes]
+    B = rng.standard_normal((K.order, 2)) + 1j * rng.standard_normal((K.order, 2))
     X = block_solve(F, B)
-    Xa = block_solve(F, [b[:, :1] for b in B])
-    Xb = block_solve(F, [b[:, 1:] for b in B])
-    for i in range(K.nblocks):
-        assert np.array_equal(X[i][:, :1], Xa[i])
-        assert np.array_equal(X[i][:, 1:], Xb[i])
+    assert X.shape == B.shape
+    for c in range(2):
+        assert X[:, c].tobytes() == block_solve(F, B[:, c]).tobytes()
+        assert X[:, c:c + 1].tobytes() == block_solve(F, B[:, c:c + 1]).tobytes()
 
 
 def test_factor_entries_match_symbolic_exactly():
@@ -268,7 +258,7 @@ def test_zero_size_block(order, stats):
     assert (s.factor_entries, s.flops, s.peak_bytes, s.n_2x2_pivots) == stats
     rng = np.random.default_rng(65)
     b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    x = np.concatenate(block_solve(F, split_blocks(b, sizes)))
+    x = block_solve(F, b)
     assert x.shape == (5,)
     assert np.linalg.norm(K.scatter() @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -340,15 +330,17 @@ def test_empty_system():
     K = blockmat.BlockSparseSym([])
     plan = plan_for(K, identity_ordering(0))
     F = block_ldlt(K, plan)
-    assert block_solve(F, []) == []
+    assert block_solve(F, np.zeros(0)).shape == (0,)
+    assert block_solve(F, np.zeros((0, 3))).shape == (0, 3)
     assert F.stats.factor_entries == 0
 
 
-def test_rhs_block_count_checked():
+def test_rhs_shape_checked():
     K, _ = rand_block_system(61)
     F = block_ldlt(K, plan_for(K))
-    with pytest.raises(ValueError):
-        block_solve(F, [np.ones(2, dtype=complex)] * (K.nblocks + 1))
+    for shape in ((K.order + 1,), (K.order - 1, 2), (K.order, 1, 1), ()):
+        with pytest.raises(ValueError, match="right-hand side"):
+            block_solve(F, np.ones(shape, dtype=complex))
 
 
 def test_indefinite_block_system():
@@ -365,7 +357,7 @@ def test_indefinite_block_system():
         (1, 0, S[4:8, 0:4]), (2, 1, S[8:12, 4:8]), (2, 0, S[8:12, 0:4])])
     F = block_ldlt(K, plan_for(K))
     b = rng.standard_normal(n) + 0j
-    x = np.concatenate(block_solve(F, split_blocks(b, sizes)))
+    x = block_solve(F, b)
     assert np.linalg.norm(K.scatter() @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
@@ -390,7 +382,7 @@ def test_tiny_blocks_with_2x2_pivot():
     assert np.abs(L @ D @ L.T - S).max() <= 1e-13 * np.abs(S).max()
     rng = np.random.default_rng(63)
     B = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-    X = np.concatenate(block_solve(F, split_blocks(B, sizes)))
+    X = block_solve(F, B)
     X_ref = np.linalg.solve(S, B)
     assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
 
@@ -482,13 +474,13 @@ def reference_block_ldlt(K, plan, pivot_tol=factor.DEFAULT_PIVOT_TOL):
 
 
 def reference_block_solve(F, g):
-    """Block substitution of a block vector of 1-D right-hand sides, with
-    D^-1 applied block column by block column."""
+    """Block substitution of one flat right-hand side, with D^-1 applied
+    block column by block column."""
     perm = F.plan.order.perm
     ends = np.cumsum(F.plan.sizes_perm).tolist()
     spans = [slice(e - int(n), e) for e, n in zip(ends, F.plan.sizes_perm)]
-    b = np.concatenate([np.asarray(g[int(p)], dtype=np.complex128)
-                        for p in perm])[:, None]
+    scalar = scalar_permutation(F.plan.sizes_perm[F.plan.order.inverse()], perm)
+    b = np.asarray(g, dtype=np.complex128)[scalar][:, None]
     for fac, Lp, rows, sj in zip(F.diag, F.panels, F.panel_rows, spans):
         zj = _unit_lower_solve(fac.L, b[sj][fac.perm])
         b[sj] = zj
@@ -502,19 +494,17 @@ def reference_block_solve(F, g):
         if rows.size:
             w = w - blas_matmul(F.panels[j].T, b[rows])
         b[sj.start + fac.perm] = _unit_lower_solve(fac.L, w, trans=1)
-    out = [None] * len(spans)
-    for p, sj in zip(perm, spans):
-        out[int(p)] = b[sj, 0]
-    return out
+    x = np.empty(b.shape[0], dtype=np.complex128)
+    x[scalar] = b[:, 0]
+    return x
 
 
-def assert_solve_matches_reference(F, sizes, seed):
+def assert_solve_matches_reference(F, n, seed):
     rng = np.random.default_rng(seed)
-    g = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in sizes.tolist()]
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     got = block_solve(F, g)
     ref = reference_block_solve(F, g)
-    assert [(x.shape, x.tobytes()) for x in got] == \
-        [(x.shape, x.tobytes()) for x in ref]
+    assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes())
 
 
 def factor_bytes(F):
@@ -589,7 +579,7 @@ def test_matches_reference_on_drawn_systems():
         plan = plan_for(K, order)
         F = assert_matches_reference(K, plan)
         if F is not None:
-            assert_solve_matches_reference(F, K.sizes, K.nblocks)
+            assert_solve_matches_reference(F, K.order, K.nblocks)
             seen["2x2"] += F.stats.n_2x2_pivots > 0
             seen["fill"] += bool(fill_blocks(plan, blockmat.clique_graph(K)))
             seen["empty"] += bool((K.sizes == 0).any())
@@ -602,5 +592,5 @@ def test_matches_reference_on_reduced_systems(reduced_systems):
     for rsys in reduced_systems.values():
         F = assert_matches_reference(rsys.K, plan_for(rsys.K))
         assert F is not None
-        assert [x.tobytes() for x in block_solve(F, rsys.g)] == \
-            [x.tobytes() for x in reference_block_solve(F, rsys.g)]
+        assert block_solve(F, rsys.g).tobytes() == \
+            reference_block_solve(F, rsys.g).tobytes()

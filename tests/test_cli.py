@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import ddsolve
-from ddsolve import blockmat, driver, ordering, symbolic
+from ddsolve import blockmat, cli, driver, ordering, symbolic
 from ddsolve.cli import main
 from ddsolve.config import ConfigError, parse_config_file
-from ddsolve.driver import CSV_COLUMNS, fit_loglog_slope, run_sweep, \
-    run_verify
+from ddsolve.driver import AGREEMENT_GATE, CSV_COLUMNS, fit_loglog_slope, \
+    run_sweep, run_verify
 
 
 def write_cfg(path, **kv):
@@ -312,6 +312,25 @@ class TestExitCodes:
         rc = main(["solve", "/nonexistent/path.cfg"])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel,code", [(AGREEMENT_GATE, 0),
+                                          (2 * AGREEMENT_GATE, 2),
+                                          (float("nan"), 2)])
+    def test_verify_gates_monolithic_agreement(self, small_cfg, capsys,
+                                               monkeypatch, rel, code):
+        """``verify`` exits 2 when the solution is farther from the
+        monolithic solve than the agreement gate, whatever its residual."""
+        real = cli.run_verify
+
+        def run_verify_at(run, **kwargs):
+            result = real(run, **kwargs)
+            assert result.report.residual_inf <= driver.RESIDUAL_GATE
+            result.report.rel_diff_monolithic = rel
+            return result
+
+        monkeypatch.setattr(cli, "run_verify", run_verify_at)
+        assert main(["verify", small_cfg]) == code
+        assert "vs monolithic" in capsys.readouterr().out
 
     def test_module_entry_point(self, small_cfg):
         proc = subprocess.run([sys.executable, "-m", "ddsolve", "solve",

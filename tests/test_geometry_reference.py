@@ -1,6 +1,6 @@
 """The array front end against the element-by-element loops it replaced.
 
-``build_rect_mesh``, ``partition_mesh``, ``interface_lambda_nodes``,
+``build_rect_mesh``, ``partition_mesh``, ``Partition.chains``,
 ``build_subdomain_systems``, ``assemble_helmholtz`` and ``assemble_reduced``
 must reproduce these loop versions bit for bit: same dtype, same shape, same
 bytes.  The band ``A`` and the row-restricted coupling blocks of a subdomain
@@ -313,10 +313,12 @@ def assert_front_end_matches(side, ppw, px, py, theta=0.3):
             i for i, itf in enumerate(part.interfaces)
             if itf.dom_lo == d or itf.dom_hi == d]
 
-    for i, (kept, ref) in enumerate(zip(sd.interface_lambda_nodes(part),
-                                        reference_interface_lambda_nodes(part))):
-        assert_same(kept, ref, f"lambda nodes {i}")
-    assert len(sd.interface_lambda_nodes(part)) == len(part.interfaces)
+    ch = part.chains
+    ref_kept = reference_interface_lambda_nodes(part)
+    assert_same(ch.n_kept, np.array([x.size for x in ref_kept], dtype=np.int64),
+                "kept per interface")
+    assert_same(ch.nodes[ch.kept], np.concatenate([np.zeros(0, dtype=np.int64)] + ref_kept),
+                "lambda nodes")
 
     cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=px, py=py, theta_inc=theta)
     systems = sd.build_subdomain_systems(m, part, cfg)
@@ -346,13 +348,10 @@ def assert_front_end_matches(side, ppw, px, py, theta=0.3):
 
 def assert_reduced_matches(rsys, ref_K, ref_g):
     assert_same(rsys.K.sizes, ref_K.sizes, "K sizes")
-    assert_same(rsys.interface_sizes, ref_K.sizes, "interface sizes")
     assert list(rsys.K.blocks) == list(ref_K.blocks), "K keys or their order"
     for key, blk in ref_K.blocks.items():
         assert_same(rsys.K.blocks[key], blk, f"K block {key}")
-    assert len(rsys.g) == len(ref_g)
-    for i, (gi, ref) in enumerate(zip(rsys.g, ref_g)):
-        assert_same(gi, ref, f"g[{i}]")
+    assert_same(rsys.g, np.concatenate([np.zeros(0, dtype=np.complex128)] + ref_g), "g")
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
@@ -453,3 +452,37 @@ def test_bandwidth_is_one_tile_row(tiling):
         widest_row = np.bincount(s.dof_map // per_row).max()
         assert s.kl <= widest_row + 1, (s.domain, s.kl, widest_row)
         assert s.A.shape == (3 * s.kl + 1, s.n_dofs) and s.A.flags.f_contiguous
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tilings())
+def test_every_multiplier_couples_the_two_domains_of_its_interface(tiling):
+    """Each multiplier is a column of exactly two domains' D, those of its
+    interface's dom_lo and dom_hi, and its node is an interface row of both.
+    A domain's D is its couplings side by side, and its ``lam_index`` lists
+    their interfaces' multipliers in the same order."""
+    side, ppw, px, py = tiling
+    m = mm.build_rect_mesh(side, ppw)
+    part = mm.partition_mesh(m, px, py)
+    cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=px, py=py)
+    ch = part.chains
+    node = ch.nodes[ch.kept]
+    owner = np.repeat(np.arange(ch.n_kept.size), ch.n_kept)
+    kept_start = np.concatenate([[0], np.cumsum(ch.n_kept)])
+    seen = [[] for _ in range(node.size)]
+    for s in sd.build_subdomain_systems(m, part, cfg):
+        rows = set(s.dof_map[s.interface_rows].tolist())
+        for mult in s.lam_index.tolist():
+            seen[mult].append(s.domain)
+            assert int(node[mult]) in rows, (s.domain, mult)
+        assert s.D.flags.c_contiguous
+        assert all(np.shares_memory(c.D, s.D) for c in s.couplings)
+        empty = np.zeros((s.interface_rows.size, 0), dtype=np.complex128)
+        assert_same(np.concatenate([c.D for c in s.couplings] + [empty], axis=1),
+                    s.D, f"D[{s.domain}]")
+        assert s.lam_index.tolist() == [
+            mult for c in s.couplings
+            for mult in range(kept_start[c.interface], kept_start[c.interface + 1])]
+    for mult, doms in enumerate(seen):
+        itf = part.interfaces[owner[mult]]
+        assert doms == [itf.dom_lo, itf.dom_hi], mult

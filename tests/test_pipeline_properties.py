@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ddsolve import mesh as mm
 from ddsolve.config import RunConfig
-from ddsolve.driver import run_verify
+from ddsolve.driver import AGREEMENT_GATE, RESIDUAL_GATE, run_verify
 from test_geometry_reference import tilings
 
 
@@ -20,8 +20,8 @@ def test_gates_hold_on_drawn_tilings(tiling, theta):
     side, ppw, px, py = tiling
     r = run_verify(RunConfig(mm.ProblemConfig(side_lambda=side, ppw=ppw,
                                               px=px, py=py, theta_inc=theta)))
-    assert r.report.residual_inf <= 1e-10
-    assert r.report.rel_diff_monolithic <= 1e-8
+    assert r.report.residual_inf <= RESIDUAL_GATE
+    assert r.report.rel_diff_monolithic <= AGREEMENT_GATE
     F = r.block_factor
     assert F.stats.factor_entries == r.plan.total_factor_entries
     # the panel buffer, diagonal blocks on top, the diagonal L factors and K

@@ -111,24 +111,23 @@ class TestLambdaSpace:
     def test_interior_cross_point_drops_one_dof(self):
         m = mm.build_rect_mesh(1.0, 10)
         part = mm.partition_mesh(m, 2, 2)
-        kept = sd.interface_lambda_nodes(part)
-        sizes = [k.size for k in kept]
+        ch = part.chains
         full = [itf.n_nodes for itf in part.interfaces]
-        assert sum(full) - sum(sizes) == 1
+        assert sum(full) - ch.n_kept.sum() == 1
         # the dropped dof sits at the shared center node of the last interface
         center = set(part.interfaces[0].nodes.tolist())
         for itf in part.interfaces[1:]:
             center &= set(itf.nodes.tolist())
         (c,) = center
         assert c in part.interfaces[3].nodes
-        assert c not in kept[3]
+        chain = slice(ch.start[3], ch.start[4])
+        assert c not in ch.nodes[chain][ch.kept[chain]]
 
     def test_drop_count_matches_cross_points(self):
         m = mm.build_rect_mesh(2.0, 16)
         part = mm.partition_mesh(m, 4, 4)
-        kept = sd.interface_lambda_nodes(part)
         dropped = sum(itf.n_nodes for itf in part.interfaces) - \
-            sum(k.size for k in kept)
+            part.chains.n_kept.sum()
         assert dropped == 9  # (4-1) x (4-1) interior cross points
 
     def test_duplicated_space_would_be_singular(self):
@@ -290,7 +289,7 @@ class TestAssembleReduced:
         assert rsys.K.nblocks == 1
         expect = reduced[0][0] + reduced[1][0]
         assert np.abs(rsys.K.blocks[(0, 0)] - expect).max() == 0.0
-        assert np.abs(rsys.g[0] - (reduced[0][1] + reduced[1][1])).max() == 0.0
+        assert np.abs(rsys.g - (reduced[0][1] + reduced[1][1])).max() == 0.0
 
     def test_two_by_two_is_four_cycle(self):
         cfg = mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2)
@@ -327,9 +326,7 @@ class TestAssembleReduced:
         systems = sd.build_subdomain_systems(m, part, cfg)
         reduced = [sd.reduce_domain(s) for s in systems]
         rsys = sd.assemble_reduced(reduced, part)
-        sizes = rsys.interface_sizes
-        off = np.zeros(sizes.size + 1, dtype=int)
-        np.cumsum(sizes, out=off[1:])
+        off = rsys.K.offsets()
         nlam = int(off[-1])
         K_oracle = np.zeros((nlam, nlam), dtype=complex)
         g_oracle = np.zeros(nlam, dtype=complex)
@@ -343,8 +340,7 @@ class TestAssembleReduced:
             g_oracle += D.T @ X[:, -1]
         S = rsys.K.scatter()
         assert np.abs(S - K_oracle).max() <= 1e-11 * np.abs(K_oracle).max()
-        g_cat = np.concatenate(rsys.g)
-        assert np.abs(g_cat - g_oracle).max() <= 1e-11 * np.abs(g_oracle).max()
+        assert np.abs(rsys.g - g_oracle).max() <= 1e-11 * np.abs(g_oracle).max()
 
     def test_size_mismatch_detected(self):
         cfg = mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2)
@@ -371,8 +367,7 @@ class TestAssembleReduced:
 class TestEndToEnd:
     def test_lambda_zero_is_uncoupled_solve(self):
         cfg, m, part, systems, rsys, lam, sol = pipeline(1.0, 10, 2, 2)
-        lam0 = [np.zeros_like(v) for v in lam]
-        u0 = sd.recover_primal(systems, lam0)
+        u0 = sd.recover_primal(systems, np.zeros_like(lam))
         for s in systems:
             ref = s.factor.solve(s.f)
             itf_nodes = np.unique(np.concatenate(
@@ -397,6 +392,7 @@ class TestEndToEnd:
 
     def test_interface_values_agree_before_averaging(self):
         cfg, m, part, systems, rsys, lam, sol = pipeline(2.0, 15, 2, 2)
+        lam = np.split(lam, rsys.K.offsets()[1:-1])
         seen = {}
         maxdiff = 0.0
         scale = 0.0
@@ -417,8 +413,8 @@ class TestEndToEnd:
     def test_saddle_consistency_for_arbitrary_lambda(self):
         cfg, m, part, systems, rsys, lam, sol = pipeline(1.0, 10, 2, 2)
         rng = np.random.default_rng(0)
-        lam_r = [rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
-                 for v in lam]
+        lam_r = np.split(rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size),
+                         rsys.K.offsets()[1:-1])
         for s in systems:
             rhs = s.f.copy()
             for c in s.couplings:
@@ -430,15 +426,13 @@ class TestEndToEnd:
 
     def test_constraint_row_at_solution(self):
         cfg, m, part, systems, rsys, lam, sol = pipeline(1.0, 12, 2, 2)
-        sizes = rsys.interface_sizes
-        total = np.zeros(int(sizes.sum()), dtype=complex)
-        off = np.zeros(sizes.size + 1, dtype=int)
-        np.cumsum(sizes, out=off[1:])
+        off = rsys.K.offsets()
+        total = np.zeros(lam.size, dtype=complex)
         e_norm = 0.0
         for s in systems:
             rhs = s.f.copy()
             for c in s.couplings:
-                rhs -= dense_coupling(s, c) @ lam[c.interface]
+                rhs -= dense_coupling(s, c) @ lam[off[c.interface]:off[c.interface + 1]]
             E = s.factor.solve(rhs)
             e_norm = max(e_norm, np.linalg.norm(E))
             for c in s.couplings:
@@ -448,15 +442,13 @@ class TestEndToEnd:
     def test_solution_also_lives_on_lambda(self):
         cfg, m, part, systems, rsys, lam, sol = pipeline(1.0, 10, 2, 2)
         assert rsys.lam is lam
-        assert rsys.n_lambda == sum(v.size for v in lam)
+        assert rsys.n_lambda == lam.shape[0] == rsys.K.order
 
     def test_lambda_matches_dense_saddle_solve(self):
         # oracle: eliminate nothing, solve the full [[A, D], [D^T, 0]]
         # saddle system densely and compare the multiplier part
         cfg, m, part, systems, rsys, lam, sol = pipeline(2.0, 15, 2, 2)
-        sizes = rsys.interface_sizes
-        off = np.zeros(sizes.size + 1, dtype=int)
-        np.cumsum(sizes, out=off[1:])
+        off = rsys.K.offsets()
         nlam = int(off[-1])
         doms_off = np.zeros(len(systems) + 1, dtype=int)
         np.cumsum([s.n_dofs for s in systems], out=doms_off[1:])
@@ -475,8 +467,7 @@ class TestEndToEnd:
                 S[cl, sl] = dense_coupling(s, c).T
         x = np.linalg.solve(S, rhs)
         lam_ref = x[n_primal:]
-        lam_cat = np.concatenate(lam)
-        rel = np.linalg.norm(lam_cat - lam_ref) / np.linalg.norm(lam_ref)
+        rel = np.linalg.norm(lam - lam_ref) / np.linalg.norm(lam_ref)
         assert rel <= 1e-9
 
     def test_recover_requires_factorization(self):
@@ -484,8 +475,7 @@ class TestEndToEnd:
         m = mm.build_rect_mesh(1.0, 10)
         part = mm.partition_mesh(m, 2, 1)
         systems = sd.build_subdomain_systems(m, part, cfg)
-        kept = sd.interface_lambda_nodes(part)
-        lam = [np.zeros(k.size, dtype=complex) for k in kept]
+        lam = np.zeros(part.chains.n_kept.sum(), dtype=complex)
         with pytest.raises(sd.SolverStateError):
             sd.recover_primal(systems, lam)
 
