@@ -13,8 +13,8 @@ from .config import ConfigError, RunConfig, parse_config_file
 from .driver import PipelineError, SolveReport, run_pipeline, run_sweep, run_verify
 from .factor import BlockFactor, DenseFactor, SingularBlockError, block_ldlt, \
     block_solve, dense_ldlt_bk
-from .mesh import AssemblyError, Interface, Mesh, Partition, PartitionError, \
-    ProblemConfig, assemble_helmholtz, build_rect_mesh, partition_mesh
+from .mesh import AssemblyError, Mesh, Partition, PartitionError, ProblemConfig, \
+    assemble_helmholtz, build_rect_mesh, partition_mesh
 from .ordering import Ordering, OrderingError, load_ordering_file, reorder
 from .subdomain import ReducedSystem, SingularDomainError, SubdomainSystem, \
     assemble_reduced, build_subdomain_systems, global_residual, recover_primal, \
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError", "BlockFactor", "BlockSparseSym", "CliqueGraph",
-    "ConfigError", "DenseFactor", "EliminationPlan", "Interface", "Mesh",
+    "ConfigError", "DenseFactor", "EliminationPlan", "Mesh",
     "Ordering", "OrderingError", "Partition", "PartitionError",
     "PipelineError", "ProblemConfig", "ReducedSystem", "RunConfig",
     "SingularBlockError", "SingularDomainError", "SolveReport",

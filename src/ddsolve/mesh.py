@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -153,112 +152,83 @@ def edge_table(tris: np.ndarray) -> EdgeTable:
 
 
 @dataclass
-class Interface:
-    """Maximal chain of mesh edges shared by one ordered domain pair."""
+class Partition:
+    """A tiling's domains, interfaces, outer boundary and multipliers, as
+    flat read-only arrays set once by :func:`partition_mesh`.
 
-    dom_lo: int
-    dom_hi: int
-    nodes: np.ndarray  # ordered chain, endpoints included
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.nodes.size)
-
-
-@dataclass
-class Chains:
-    """All interface chains of a partition, concatenated in interface order,
-    and the one numbering of their multipliers.
-
-    ``nodes[start[i]:start[i + 1]]`` is the chain of interface ``i``;
-    ``kept`` marks the chain nodes that carry a multiplier dof, and
-    ``n_kept[i]`` counts them per interface.  Multipliers are numbered over
-    the kept nodes, interface by interface in chain order, so multiplier
-    ``m`` sits at node ``nodes[kept][m]``; this is the reduced system's
-    block order.  ``lam_index[lam_start[d]:lam_start[d + 1]]`` are the
-    multipliers of domain ``d``'s coupling columns: its incident interfaces
-    ascending, each with its multipliers in order.
+    - Interface ``i`` joins domains ``ends[i] = (dom_lo, dom_hi)``, and
+      ``chain_nodes[chain_start[i]:chain_start[i + 1]]`` is its chain of
+      mesh nodes, endpoints included, from its smaller endpoint.
+    - ``boundary_edges[boundary_start[d]:boundary_start[d + 1]]`` are domain
+      ``d``'s outer boundary edges in the mesh's order, and
+      ``boundary_owner`` the triangle owning each.
+    - ``incident[incident_start[d]:incident_start[d + 1]]`` are the
+      interfaces of domain ``d``, ascending.
+    - ``kept`` marks the chain nodes that carry a multiplier dof, and
+      ``n_kept[i]`` counts them per interface.  Multipliers are numbered
+      over the kept nodes, interface by interface in chain order, so
+      multiplier ``m`` sits at node ``chain_nodes[kept][m]``; this is the
+      reduced system's block order.
+      ``lam_index[lam_start[d]:lam_start[d + 1]]`` are the multipliers of
+      domain ``d``'s coupling columns: its incident interfaces ascending,
+      each with its multipliers in order.
     """
 
-    nodes: np.ndarray
-    start: np.ndarray
+    n_domains: int
+    domain_of_elem: np.ndarray
+    ends: np.ndarray
+    chain_nodes: np.ndarray
+    chain_start: np.ndarray
+    boundary_edges: np.ndarray
+    boundary_owner: np.ndarray
+    boundary_start: np.ndarray
+    incident: np.ndarray
+    incident_start: np.ndarray
     kept: np.ndarray
     n_kept: np.ndarray
     lam_index: np.ndarray
     lam_start: np.ndarray
 
 
-@dataclass
-class Partition:
-    n_domains: int
-    domain_of_elem: np.ndarray
-    interfaces: list[Interface]
-    boundary: list[np.ndarray]        # per-domain outer boundary edges (m, 2)
-    boundary_owner: list[np.ndarray]  # owning triangle per listed edge
-    # Per-domain incidence, filled once at construction: the incident
-    # interfaces of domain d, ascending, are
-    # incident[incident_start[d]:incident_start[d + 1]].
-    incident: np.ndarray = field(init=False, repr=False, compare=False)
-    incident_start: np.ndarray = field(init=False, repr=False, compare=False)
+def _number_multipliers(ends: np.ndarray, nodes: np.ndarray, start: np.ndarray,
+                        incident: np.ndarray, incident_start: np.ndarray):
+    """``(kept, n_kept, lam_index, lam_start)`` of :class:`Partition`.
 
-    def __post_init__(self):
-        ends = np.array([(itf.dom_lo, itf.dom_hi) for itf in self.interfaces],
-                        dtype=np.int64).reshape(-1, 2)
-        keep = np.ones(ends.shape, dtype=bool)
-        keep[:, 1] = ends[:, 1] != ends[:, 0]
-        side = ends[keep]
-        # a stable sort keeps each domain's interfaces ascending
-        self.incident = np.nonzero(keep)[0][np.argsort(side, kind="stable")]
-        self.incident_start = exclusive_cumsum(
-            np.bincount(side, minlength=self.n_domains))
-        for a in (self.incident, self.incident_start):
-            a.flags.writeable = False
+    At every mesh node shared by two or more chain positions those positions
+    are scanned in ascending interface order; one dof is dropped for each
+    interface whose ``(dom_lo, dom_hi)`` edge closes a cycle among the
+    domains already connected at that node.
+    """
+    sizes = np.diff(start)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    pairs = ends.tolist()
+    kept = np.ones(nodes.size, dtype=bool)
+    # chain positions grouped by node: ascending node, then ascending
+    # interface
+    by_node = np.argsort(nodes, kind="stable")
+    cut = np.append(np.flatnonzero(np.diff(nodes[by_node], prepend=-1)),
+                    nodes.size)
+    for g in np.flatnonzero(np.diff(cut) > 1).tolist():
+        parent: dict[int, int] = {}
 
-    @cached_property
-    def chains(self) -> Chains:
-        """The interface chains, their kept multiplier nodes and the
-        multipliers of each domain, computed on first use.
+        def find(x: int) -> int:
+            while parent.setdefault(x, x) != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-        At every mesh node shared by two or more interfaces the incident
-        interfaces are scanned in ascending index order; one dof is dropped
-        for each interface whose (dom_lo, dom_hi) edge closes a cycle among
-        the domains already connected at that node.
-        """
-        itfs = self.interfaces
-        sizes = [itf.n_nodes for itf in itfs]
-        start = exclusive_cumsum(sizes)
-        nodes = (np.concatenate([itf.nodes for itf in itfs]) if itfs
-                 else np.zeros(0, dtype=np.int64))
-        owner = np.repeat(np.arange(len(itfs)), sizes)
-        kept = np.ones(nodes.size, dtype=bool)
-        # chain positions grouped by node: ascending node, then ascending
-        # interface
-        by_node = np.argsort(nodes, kind="stable")
-        cut = np.append(np.flatnonzero(np.diff(nodes[by_node], prepend=-1)),
-                        nodes.size)
-        for g in np.flatnonzero(np.diff(cut) > 1).tolist():
-            parent: dict[int, int] = {}
-
-            def find(x: int) -> int:
-                while parent.setdefault(x, x) != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for pos in by_node[cut[g]:cut[g + 1]].tolist():
-                itf = itfs[owner[pos]]
-                a = find(itf.dom_lo)
-                b = find(itf.dom_hi)
-                if a == b:
-                    kept[pos] = False
-                else:
-                    parent[a] = b
-        n_kept = np.bincount(owner[kept], minlength=len(itfs))
-        n_slot = n_kept[self.incident]
-        lam_index = (np.repeat(exclusive_cumsum(n_kept)[self.incident], n_slot)
-                     + ragged_arange(n_slot))
-        return Chains(nodes, start, kept, n_kept, lam_index,
-                      exclusive_cumsum(n_slot)[self.incident_start])
+        for pos in by_node[cut[g]:cut[g + 1]].tolist():
+            dom_lo, dom_hi = pairs[owner[pos]]
+            a, b = find(dom_lo), find(dom_hi)
+            if a == b:
+                kept[pos] = False
+            else:
+                parent[a] = b
+    n_kept = np.bincount(owner[kept], minlength=sizes.size)
+    n_slot = n_kept[incident]
+    lam_index = (np.repeat(exclusive_cumsum(n_kept)[incident], n_slot)
+                 + ragged_arange(n_slot))
+    return kept, n_kept, lam_index, exclusive_cumsum(n_slot)[incident_start]
 
 
 def grid_intervals(side_lambda: float, ppw: float) -> int:
@@ -304,7 +274,7 @@ def build_rect_mesh(side_lambda: float, ppw: float) -> Mesh:
 def element_matrices(mesh: Mesh, mu_r: float = 1.0):
     """Per-element P1 stiffness and mass blocks.
 
-    Returns ``(areas, Ke, Me)`` with ``Ke[e] = area * grad . grad / mu_r``
+    Returns ``(Ke, Me)`` with ``Ke[e] = area * grad . grad / mu_r``
     and ``Me[e] = area / 12 * (ones + I)``.
     """
     p = mesh.nodes[mesh.tris]                      # (M, 3, 2)
@@ -322,7 +292,7 @@ def element_matrices(mesh: Mesh, mu_r: float = 1.0):
     grads = np.stack([gx, gy], axis=2) / (2.0 * areas)[:, None, None]
     Ke = np.einsum("eid,ejd->eij", grads, grads) * areas[:, None, None] / mu_r
     Me = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]
-    return areas, Ke, Me
+    return Ke, Me
 
 
 def edge_lengths(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -426,23 +396,27 @@ def incident_boundary_load(mesh: Mesh, edges: np.ndarray, owners: np.ndarray,
                          mesh.n_nodes, k, theta_inc)
 
 
+def helmholtz_blocks(mesh: Mesh, cfg: ProblemConfig, edges: np.ndarray):
+    """Element blocks ``Ke - k^2 eps_r Me`` of every triangle, ``(M, 3, 3)``,
+    and Robin blocks ``-jk M_edge`` of ``edges``, ``(B, 2, 2)``."""
+    k = cfg.k
+    Ke, Me = element_matrices(mesh, cfg.mu_r)
+    return (Ke.astype(np.complex128) - (k * k * cfg.eps_r) * Me,
+            (-1j * k) * edge_mass(edge_lengths(mesh.nodes, edges)))
+
+
 def assemble_helmholtz(mesh: Mesh, cfg: ProblemConfig):
     """Monolithic operator and load: ``A = S - k^2 eps_r M - jk B`` (CSR) and
     the incident-wave boundary load ``f``."""
-    k = cfg.k
-    _, Ke, Me = element_matrices(mesh, cfg.mu_r)
-    Ae = Ke.astype(np.complex128) - (k * k * cfg.eps_r) * Me
+    be = mesh.boundary_edges
+    Ae, Be = helmholtz_blocks(mesh, cfg, be)
     rows = np.repeat(mesh.tris, 3, axis=1).reshape(-1)
     cols = np.tile(mesh.tris, (1, 3)).reshape(-1)
-    vals = Ae.reshape(-1)
-
-    be = mesh.boundary_edges
     brows = np.column_stack([be[:, 0], be[:, 0], be[:, 1], be[:, 1]]).reshape(-1)
     bcols = np.column_stack([be[:, 0], be[:, 1], be[:, 0], be[:, 1]]).reshape(-1)
-    bvals = ((-1j * k) * edge_mass(edge_lengths(mesh.nodes, be))).reshape(-1)
-
-    A = _dedup_sum([rows, brows], [cols, bcols], [vals, bvals], mesh.n_nodes)
-    f = incident_boundary_load(mesh, be, mesh.boundary_owner, k, cfg.theta_inc)
+    A = _dedup_sum([rows, brows], [cols, bcols], [Ae.reshape(-1), Be.reshape(-1)],
+                   mesh.n_nodes)
+    f = incident_boundary_load(mesh, be, mesh.boundary_owner, cfg.k, cfg.theta_inc)
     return A, f
 
 
@@ -450,8 +424,9 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     """Axis-aligned tiling into ``px x py`` domains by element centroid.
 
     Interfaces are the maximal chains of element edges shared by two distinct
-    domains, split per (lower, higher) domain pair and ordered from their
-    smaller-index endpoint.  On grids whose interval count is not divisible
+    domains, grouped per (lower, higher) domain pair in ascending pair order
+    and, within a pair, walked from their smaller endpoint in ascending
+    order of that endpoint.  On grids whose interval count is not divisible
     by the tile counts, tile lines cut through cells and the chains simply
     follow the resulting staircase of cell edges.
     """
@@ -486,7 +461,8 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     bounds = np.append(first, len(shared)).tolist()
     dlos, dhis = np.divmod(pairs, n_domains)
 
-    interfaces: list[Interface] = []
+    # per chain: its domain pair, its nodes (concatenated) and its length
+    ends, nodes, sizes = [], [], []
     for g, (dlo, dhi) in enumerate(zip(dlos.tolist(), dhis.tolist())):
         edge_list = shared[bounds[g]:bounds[g + 1]]
         nbr: dict[int, list[int]] = {}
@@ -497,11 +473,10 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
             if len(ns) > 2:
                 raise PartitionError(
                     f"interface ({dlo}, {dhi}) branches at node {node}")
-        # edges are (lo, hi) tuples
+        # edges are (lo, hi) tuples; a chain starts at its smaller endpoint,
+        # the first of its two endpoints in ascending order
         remaining = set(edge_list)
-        endpoints = sorted(n for n, ns in nbr.items() if len(ns) == 1)
-        chains = []
-        for start in endpoints:
+        for start in sorted(n for n, ns in nbr.items() if len(ns) == 1):
             u = nbr[start][0]
             if ((start, u) if start < u else (u, start)) not in remaining:
                 continue
@@ -518,20 +493,32 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
                 remaining.discard(e)
                 chain.append(u)
                 prev, cur = cur, u
-            chains.append(chain)
+            ends.append((dlo, dhi))
+            nodes += chain
+            sizes.append(len(chain))
         if remaining:
             raise PartitionError(
                 f"interface ({dlo}, {dhi}) contains a closed loop")
-        for chain in sorted(chains, key=lambda c: min(c[0], c[-1])):
-            if chain[-1] < chain[0]:
-                chain = chain[::-1]
-            interfaces.append(Interface(dlo, dhi, np.array(chain, dtype=np.int64)))
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    nodes = np.array(nodes, dtype=np.int64)
+    start = exclusive_cumsum(sizes)
+
+    # each interface is incident to both its domains; a stable sort keeps
+    # each domain's interfaces ascending
+    side = ends.reshape(-1)
+    incident = np.argsort(side, kind="stable") // 2
+    incident_start = exclusive_cumsum(np.bincount(side, minlength=n_domains))
 
     # per-domain outer boundary, each in the mesh's boundary-edge order
     bdom = dom[mesh.boundary_owner]
     by_dom = np.argsort(bdom, kind="stable")
-    cut = exclusive_cumsum(np.bincount(bdom, minlength=n_domains)).tolist()
-    edges, owners = mesh.boundary_edges[by_dom], mesh.boundary_owner[by_dom]
-    boundary = [edges[cut[d]:cut[d + 1]] for d in range(n_domains)]
-    boundary_owner = [owners[cut[d]:cut[d + 1]] for d in range(n_domains)]
-    return Partition(n_domains, dom, interfaces, boundary, boundary_owner)
+    part = Partition(
+        n_domains, dom, ends, nodes, start,
+        mesh.boundary_edges[by_dom], mesh.boundary_owner[by_dom],
+        exclusive_cumsum(np.bincount(bdom, minlength=n_domains)),
+        incident, incident_start,
+        *_number_multipliers(ends, nodes, start, incident, incident_start))
+    for a in vars(part).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return part

@@ -31,7 +31,7 @@ from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, \
     from_block_entries, ragged_arange
 from .factor import DEFAULT_PIVOT_TOL, blas_matmul
 from .mesh import Mesh, Partition, ProblemConfig, assemble_helmholtz, \
-    boundary_load, edge_lengths, edge_mass, element_matrices
+    boundary_load, edge_lengths, edge_mass, helmholtz_blocks
 
 
 class SingularDomainError(Exception):
@@ -76,7 +76,7 @@ class SubdomainSystem:
     ``A_d[i, j]`` for ``|i - j| <= kl``; its first ``kl`` rows are zero.
     The couplings are zero outside the rows ``interface_rows``, and ``D``
     holds those rows only, C-ordered, with one column per multiplier of
-    ``lam_index`` (see :attr:`Chains.lam_index`); each coupling's ``D`` is
+    ``lam_index`` (see :attr:`Partition.lam_index`); each coupling's ``D`` is
     a view of its interface's columns."""
 
     domain: int
@@ -101,7 +101,7 @@ class SubdomainSystem:
 @dataclass
 class ReducedSystem:
     """``K lambda = g``; ``g`` and ``lam`` are flat vectors in K's block
-    order, the multiplier numbering of :attr:`Chains.lam_index`."""
+    order, the multiplier numbering of :attr:`Partition.lam_index`."""
 
     K: BlockSparseSym
     g: np.ndarray
@@ -152,15 +152,14 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     out, so every entry has the bits of the same sums into a dense matrix.
     A domain's coupling matrix ``D`` holds ``+-M_chain[:, kept]`` of each
     incident interface side by side, at the domain's interface rows only,
-    in the columns that :attr:`Chains.lam_index` gives the domain.
+    in the columns that :attr:`Partition.lam_index` gives the domain.
     """
-    k = cfg.k
     alpha = cfg.alpha
-    _, Ke, Me = element_matrices(mesh, cfg.mu_r)
-    Ae = Ke.astype(np.complex128) - (k * k * cfg.eps_r) * Me
+    bd = part.boundary_edges
+    Ae, Be = helmholtz_blocks(mesh, cfg, bd)
     n_dom = part.n_domains
     n_nodes = mesh.n_nodes
-    dom = np.asarray(part.domain_of_elem)
+    dom = part.domain_of_elem
 
     # local numbering: the sorted nodes of each domain's elements
     keys = np.unique(dom[:, None] * n_nodes + mesh.tris)
@@ -184,33 +183,30 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     de = dom[:, None, None]
     idx = [entry(de, loc[:, :, None], loc[:, None, :]).reshape(-1)]
     vals = [Ae.reshape(-1)]
-    bd = np.concatenate(part.boundary).reshape(-1, 2)
-    n_bd = [b.shape[0] for b in part.boundary]
-    db = np.repeat(np.arange(n_dom), n_bd)[:, None, None]
+    db = np.repeat(np.arange(n_dom), np.diff(part.boundary_start))[:, None, None]
     idx.append(entry(db, local(db, bd[:, :, None]), local(db, bd[:, None, :])).reshape(-1))
-    vals.append(((-1j * k) * edge_mass(edge_lengths(mesh.nodes, bd))).reshape(-1))
+    vals.append(Be.reshape(-1))
 
     # interface terms, slot by slot: slot t is interface inc[t] of domain
     # dom_t[t], on its lower side (side_t 0, +alpha) or its higher side
     # (side_t 1, -alpha); row r of a slot's chain mass holds columns r - 1,
     # r, r + 1.  at[r_off[t] + r] is the position in keys of chain node r
     # of slot t.  Each domain's slots come in ascending interface order.
-    ch = part.chains
-    diag, off = _chain_mass(mesh, ch.nodes, ch.start)
+    start = part.chain_start
+    diag, off = _chain_mass(mesh, part.chain_nodes, start)
     inc = part.incident
     dom_t = np.repeat(np.arange(n_dom), np.diff(part.incident_start))
-    dom_hi = np.array([itf.dom_hi for itf in part.interfaces], dtype=np.int64)
-    side_t = (dom_hi[inc] == dom_t).astype(np.int64)
-    n_chain = np.diff(ch.start)[inc]
+    side_t = (part.ends[inc, 1] == dom_t).astype(np.int64)
+    n_chain = np.diff(start)[inc]
     r_off = exclusive_cumsum(n_chain)
     t = np.repeat(np.arange(inc.size), n_chain)
     at = np.searchsorted(keys, dom_t[t] * n_nodes
-                         + ch.nodes[ch.start[inc[t]] + ragged_arange(n_chain)])
+                         + part.chain_nodes[start[inc[t]] + ragged_arange(n_chain)])
     t, r, c = _ragged_blocks(n_chain, np.full_like(n_chain, 3))
     c += r - 1
     inside = (c >= 0) & (c < n_chain[t])
     t, r, c = t[inside], r[inside], c[inside]
-    d, base = dom_t[t], ch.start[inc[t]]
+    d, base = dom_t[t], start[inc[t]]
     idx.append(entry(d, at[r_off[t] + r] - first[d], at[r_off[t] + c] - first[d]))
     coef = np.array([1 * alpha, -1 * alpha])   # as sign * alpha, zero signs included
     vals.append(coef[side_t[t]] * _mass_entries(diag, off, base, r, c))
@@ -220,7 +216,7 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
 
     # coupling matrices.  A domain's interface rows are its chain nodes,
     # sorted, and its D holds those rows only, one column per entry of its
-    # lam_index; slot t has the columns ch.lam_index[pos] for pos in
+    # lam_index; slot t has the columns part.lam_index[pos] for pos in
     # [lam_pos[t], lam_pos[t + 1]), and multiplier m sits at the m-th kept
     # chain position.
     is_row = np.zeros(keys.size, dtype=bool)
@@ -228,28 +224,27 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     row_at = np.flatnonzero(is_row)
     u_first = np.searchsorted(row_at, first)
     n_u = np.diff(u_first)
-    lam_pos = exclusive_cumsum(ch.n_kept[inc])
-    n_lam = np.diff(ch.lam_start)
+    lam_pos = exclusive_cumsum(part.n_kept[inc])
+    n_lam = np.diff(part.lam_start)
     d_off = exclusive_cumsum(n_u * n_lam)
-    t, r, j = _ragged_blocks(n_chain, ch.n_kept[inc])
-    d, base, pos = dom_t[t], ch.start[inc[t]], lam_pos[t] + j
+    t, r, j = _ragged_blocks(n_chain, part.n_kept[inc])
+    d, base, pos = dom_t[t], start[inc[t]], lam_pos[t] + j
     u = np.searchsorted(row_at, at[r_off[t] + r]) - u_first[d]
-    col = np.flatnonzero(ch.kept)[ch.lam_index[pos]] - base
+    col = np.flatnonzero(part.kept)[part.lam_index[pos]] - base
     D_all = np.zeros(int(d_off[-1]), dtype=np.complex128)
-    D_all[d_off[d] + u * n_lam[d] + pos - ch.lam_start[d]] = \
+    D_all[d_off[d] + u * n_lam[d] + pos - part.lam_start[d]] = \
         (1 - 2 * side_t[t]) * _mass_entries(diag, off, base, r, col)
     rows_all = row_at - np.repeat(first[:-1], n_u)
 
     # loads: one piece per domain, scattered at the domains' local numbering
-    f_all = boundary_load(mesh, bd, np.concatenate(part.boundary_owner),
-                          exclusive_cumsum(n_bd),
+    f_all = boundary_load(mesh, bd, part.boundary_owner, part.boundary_start,
                           np.searchsorted(keys, db[:, :, 0] * n_nodes + bd),
-                          keys.size, k, cfg.theta_inc)
+                          keys.size, cfg.k, cfg.theta_inc)
 
     nodes_all = keys - np.repeat(np.arange(n_dom) * n_nodes, nd)
     first, a_off, u_first, d_off, n_u, n_lam, lam_start, slot_start, inc, \
         lam_pos, side_t = (x.tolist() for x in (
-            first, a_off, u_first, d_off, n_u, n_lam, ch.lam_start,
+            first, a_off, u_first, d_off, n_u, n_lam, part.lam_start,
             part.incident_start, inc, lam_pos, side_t))
     systems = []
     for d, (n, w) in enumerate(zip(nd.tolist(), ld.tolist())):
@@ -261,7 +256,7 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
                      for t in range(slot_start[d], slot_start[d + 1])]
         systems.append(SubdomainSystem(
             d, A_all[a_off[d]:a_off[d + 1]].reshape(n, w).T, f_all[p:q], nodes_all[p:q],
-            rows_all[u_first[d]:u_first[d + 1]], D, ch.lam_index[l0:l1], couplings))
+            rows_all[u_first[d]:u_first[d + 1]], D, part.lam_index[l0:l1], couplings))
     return systems
 
 
@@ -306,7 +301,7 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     """Scatter per-domain Schur blocks into the block-sparse reduced system.
 
     ``reduced[d]`` is the ``(K_D, g_d)`` pair of domain ``d`` with rows and
-    columns ordered as its multipliers in :attr:`Chains.lam_index`.  Every
+    columns ordered as its multipliers in :attr:`Partition.lam_index`.  Every
     domain's interface pairs ``(a, b)``, ``a >= b``, go to block ``(a, b)``
     of K by one grouped scatter in domain order
     (:func:`blockmat.from_block_entries`), and ``g`` is summed through
@@ -315,14 +310,13 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     if len(reduced) != part.n_domains:
         raise ValueError(f"{len(reduced)} reduced domains given, the partition "
                          f"has {part.n_domains}")
-    ch = part.chains
-    sizes = ch.n_kept
+    sizes = part.n_kept
     # slot s: interface inc[s] of domain dom[s]; its rows in K_D start at
     # row0[s], and K_D's entries at k_off[dom[s]] in the concatenated K_D's
     inc, start = part.incident, part.incident_start
     n_slot = sizes[inc]
     cum = exclusive_cumsum(n_slot)
-    nd = np.diff(ch.lam_start)
+    nd = np.diff(part.lam_start)
     for d, (K_D, g_d) in enumerate(reduced):
         n = int(nd[d])
         if K_D.shape != (n, n):
@@ -333,7 +327,7 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
                              f"expected ({n},)")
     k_off = exclusive_cumsum(nd * nd)
     dom = np.repeat(np.arange(part.n_domains), np.diff(start))
-    row0 = cum[:-1] - ch.lam_start[dom]
+    row0 = cum[:-1] - part.lam_start[dom]
 
     # pairs (a, b) of slots of one domain with b <= a, domain by domain,
     # then their entries row by row
@@ -348,7 +342,7 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     K.validate()
 
     g = np.zeros(K.order, dtype=np.complex128)
-    np.add.at(g, ch.lam_index, np.concatenate([g_d for _, g_d in reduced]))
+    np.add.at(g, part.lam_index, np.concatenate([g_d for _, g_d in reduced]))
     return ReducedSystem(K, g)
 
 

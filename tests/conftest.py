@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,14 @@ GEOMETRIES = {
     "angle-sweep": (2.0, 10, 4),
     "staircase-7x7": (3.0, 13, 7),
 }
+
+
+def interfaces(part: mesh.Partition) -> list[SimpleNamespace]:
+    """Interface ``i`` of a partition as ``(dom_lo, dom_hi, nodes)``: its
+    row of ``ends`` and its slice of ``chain_nodes``."""
+    cut = part.chain_start.tolist()
+    return [SimpleNamespace(dom_lo=lo, dom_hi=hi, nodes=part.chain_nodes[cut[i]:cut[i + 1]])
+            for i, (lo, hi) in enumerate(part.ends.tolist())]
 
 
 def add_block(K: blockmat.BlockSparseSym, i: int, j: int, block) -> None:

@@ -1,10 +1,12 @@
 """The array front end against the element-by-element loops it replaced.
 
-``build_rect_mesh``, ``partition_mesh``, ``Partition.chains``,
+``build_rect_mesh``, ``partition_mesh`` (its multiplier numbering included),
 ``build_subdomain_systems``, ``assemble_helmholtz`` and ``assemble_reduced``
 must reproduce these loop versions bit for bit: same dtype, same shape, same
-bytes.  The band ``A`` and the row-restricted coupling blocks of a subdomain
-are densified first; the dense copies must equal the loops' dense arrays.
+bytes.  The loop partition keeps one object per interface and one edge
+array per domain; the array partition must equal their concatenations.
+The band ``A`` and the row-restricted coupling blocks of a subdomain are
+densified first; the dense copies must equal the loops' dense arrays.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GEOMETRIES, add_block, dense_coupling, dense_matrix
+from conftest import GEOMETRIES, add_block, dense_coupling, dense_matrix, interfaces
 from ddsolve import blockmat, mesh as mm, subdomain as sd
 
 
@@ -124,7 +126,8 @@ def reference_partition_mesh(mesh, px, py):
         for chain in sorted(chains, key=lambda c: min(c[0], c[-1])):
             if chain[-1] < chain[0]:
                 chain = chain[::-1]
-            interfaces.append(mm.Interface(dlo, dhi, np.array(chain, dtype=np.int64)))
+            interfaces.append(SimpleNamespace(dom_lo=dlo, dom_hi=dhi,
+                                              nodes=np.array(chain, dtype=np.int64)))
 
     boundary = []
     boundary_owner = []
@@ -132,10 +135,12 @@ def reference_partition_mesh(mesh, px, py):
         sel = dom[mesh.boundary_owner] == d
         boundary.append(mesh.boundary_edges[sel])
         boundary_owner.append(mesh.boundary_owner[sel])
-    return mm.Partition(n_domains, dom, interfaces, boundary, boundary_owner)
+    return SimpleNamespace(n_domains=n_domains, domain_of_elem=dom, interfaces=interfaces,
+                           boundary=boundary, boundary_owner=boundary_owner)
 
 
 def reference_interface_lambda_nodes(part):
+    """The kept multiplier nodes of each interface of a loop partition."""
     node_ifaces = {}
     for idx, itf in enumerate(part.interfaces):
         for v in itf.nodes:
@@ -219,7 +224,7 @@ def reference_interface_mass_matrix(mesh, nodes):
 def reference_build_subdomain_systems(mesh, part, cfg):
     k = cfg.k
     alpha = cfg.alpha
-    _, Ke, Me = mm.element_matrices(mesh, cfg.mu_r)
+    Ke, Me = mm.element_matrices(mesh, cfg.mu_r)
     Ae = Ke.astype(np.complex128) - (k * k * cfg.eps_r) * Me
     lam_nodes = reference_interface_lambda_nodes(part)
     systems = []
@@ -262,7 +267,7 @@ def reference_build_subdomain_systems(mesh, part, cfg):
 
 def reference_assemble_helmholtz(mesh, cfg):
     k = cfg.k
-    _, Ke, Me = mm.element_matrices(mesh, cfg.mu_r)
+    Ke, Me = mm.element_matrices(mesh, cfg.mu_r)
     Ae = Ke.astype(np.complex128) - (k * k * cfg.eps_r) * Me
     rows = np.repeat(mesh.tris, 3, axis=1).reshape(-1)
     cols = np.tile(mesh.tris, (1, 3)).reshape(-1)
@@ -298,31 +303,11 @@ def assert_front_end_matches(side, ppw, px, py, theta=0.3):
 
     part = mm.partition_mesh(m, px, py)
     ref_p = reference_partition_mesh(m, px, py)
-    assert part.n_domains == ref_p.n_domains
-    assert_same(part.domain_of_elem, ref_p.domain_of_elem, "domain_of_elem")
-    assert len(part.interfaces) == len(ref_p.interfaces)
-    for i, (itf, ref) in enumerate(zip(part.interfaces, ref_p.interfaces)):
-        assert (itf.dom_lo, itf.dom_hi) == (ref.dom_lo, ref.dom_hi)
-        assert_same(itf.nodes, ref.nodes, f"interface {i} nodes")
-    for d in range(part.n_domains):
-        assert_same(part.boundary[d], ref_p.boundary[d], f"boundary {d}")
-        assert_same(part.boundary_owner[d], ref_p.boundary_owner[d],
-                    f"boundary_owner {d}")
-        start, end = part.incident_start[d:d + 2]
-        assert part.incident[start:end].tolist() == [
-            i for i, itf in enumerate(part.interfaces)
-            if itf.dom_lo == d or itf.dom_hi == d]
-
-    ch = part.chains
-    ref_kept = reference_interface_lambda_nodes(part)
-    assert_same(ch.n_kept, np.array([x.size for x in ref_kept], dtype=np.int64),
-                "kept per interface")
-    assert_same(ch.nodes[ch.kept], np.concatenate([np.zeros(0, dtype=np.int64)] + ref_kept),
-                "lambda nodes")
+    assert_partition_matches(part, ref_p)
 
     cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=px, py=py, theta_inc=theta)
     systems = sd.build_subdomain_systems(m, part, cfg)
-    ref_s = reference_build_subdomain_systems(m, part, cfg)
+    ref_s = reference_build_subdomain_systems(m, ref_p, cfg)
     assert len(systems) == len(ref_s)
     for s, r in zip(systems, ref_s):
         assert s.domain == r.domain
@@ -343,7 +328,37 @@ def assert_front_end_matches(side, ppw, px, py, theta=0.3):
 
     reduced = [sd.reduce_domain(s) for s in systems]
     assert_reduced_matches(sd.assemble_reduced(reduced, part),
-                           *reference_assemble_reduced(reduced, part))
+                           *reference_assemble_reduced(reduced, ref_p))
+
+
+def assert_partition_matches(part, ref_p):
+    """The flat arrays of ``part`` against the loop partition's
+    per-interface and per-domain pieces, concatenated."""
+    def cat(pieces, dtype, shape):
+        return np.concatenate([np.zeros(shape, dtype=dtype)] + list(pieces))
+
+    itfs = ref_p.interfaces
+    assert part.n_domains == ref_p.n_domains
+    assert_same(part.domain_of_elem, ref_p.domain_of_elem, "domain_of_elem")
+    assert_same(part.ends, cat([[(i.dom_lo, i.dom_hi)] for i in itfs], np.int64, (0, 2)),
+                "ends")
+    assert_same(part.chain_nodes, cat([i.nodes for i in itfs], np.int64, 0), "chain_nodes")
+    assert_same(part.chain_start, np.cumsum([0] + [i.nodes.size for i in itfs]),
+                "chain_start")
+    assert_same(part.boundary_edges, cat(ref_p.boundary, np.int64, (0, 2)),
+                "boundary_edges")
+    assert_same(part.boundary_owner, cat(ref_p.boundary_owner, np.int64, 0),
+                "boundary_owner")
+    assert_same(part.boundary_start, np.cumsum([0] + [b.shape[0] for b in ref_p.boundary]),
+                "boundary_start")
+    for d in range(part.n_domains):
+        start, end = part.incident_start[d:d + 2]
+        assert part.incident[start:end].tolist() == [
+            i for i, itf in enumerate(itfs) if d in (itf.dom_lo, itf.dom_hi)]
+    ref_kept = reference_interface_lambda_nodes(ref_p)
+    assert_same(part.n_kept, np.array([x.size for x in ref_kept], dtype=np.int64),
+                "kept per interface")
+    assert_same(part.chain_nodes[part.kept], cat(ref_kept, np.int64, 0), "lambda nodes")
 
 
 def assert_reduced_matches(rsys, ref_K, ref_g):
@@ -382,10 +397,11 @@ def test_loads_and_reduced_system_match_reference_at_angles(name, theta_deg):
                            theta_inc=theta)
     m = mm.build_rect_mesh(side, ppw)
     part = mm.partition_mesh(m, tiles, tiles)
+    ref_p = reference_partition_mesh(m, tiles, tiles)
     systems = sd.build_subdomain_systems(m, part, cfg)
     for d, s in enumerate(systems):
         ref = reference_incident_boundary_load(
-            m, part.boundary[d], part.boundary_owner[d], cfg.k, theta)
+            m, ref_p.boundary[d], ref_p.boundary_owner[d], cfg.k, theta)
         assert_same(s.f, ref[s.dof_map], f"f[{d}]")
     assert_same(mm.incident_boundary_load(m, m.boundary_edges, m.boundary_owner,
                                           cfg.k, theta),
@@ -394,7 +410,7 @@ def test_loads_and_reduced_system_match_reference_at_angles(name, theta_deg):
                 "monolithic f")
     reduced = [sd.reduce_domain(s) for s in systems]
     assert_reduced_matches(sd.assemble_reduced(reduced, part),
-                           *reference_assemble_reduced(reduced, part))
+                           *reference_assemble_reduced(reduced, ref_p))
 
 
 @st.composite
@@ -428,7 +444,7 @@ def test_interfaces_partition_the_shared_edges(tiling):
         if len(tris) == 2 and len(doms) == 2:
             shared[edge] = tuple(sorted(doms))
     listed = {}
-    for itf in part.interfaces:
+    for itf in interfaces(part):
         for a, b in zip(itf.nodes[:-1].tolist(), itf.nodes[1:].tolist()):
             edge = (min(a, b), max(a, b))
             assert edge not in listed, f"edge {edge} lies in two chains"
@@ -465,10 +481,9 @@ def test_every_multiplier_couples_the_two_domains_of_its_interface(tiling):
     m = mm.build_rect_mesh(side, ppw)
     part = mm.partition_mesh(m, px, py)
     cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=px, py=py)
-    ch = part.chains
-    node = ch.nodes[ch.kept]
-    owner = np.repeat(np.arange(ch.n_kept.size), ch.n_kept)
-    kept_start = np.concatenate([[0], np.cumsum(ch.n_kept)])
+    node = part.chain_nodes[part.kept]
+    owner = np.repeat(np.arange(part.n_kept.size), part.n_kept)
+    kept_start = np.concatenate([[0], np.cumsum(part.n_kept)])
     seen = [[] for _ in range(node.size)]
     for s in sd.build_subdomain_systems(m, part, cfg):
         rows = set(s.dof_map[s.interface_rows].tolist())
@@ -484,5 +499,4 @@ def test_every_multiplier_couples_the_two_domains_of_its_interface(tiling):
             mult for c in s.couplings
             for mult in range(kept_start[c.interface], kept_start[c.interface + 1])]
     for mult, doms in enumerate(seen):
-        itf = part.interfaces[owner[mult]]
-        assert doms == [itf.dom_lo, itf.dom_hi], mult
+        assert doms == part.ends[owner[mult]].tolist(), mult

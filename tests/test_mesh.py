@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import interfaces
 from ddsolve import mesh as mm
 
 
@@ -59,7 +60,7 @@ class TestElementMatrices:
         tri = mm.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                       np.array([[0, 1, 2]]),
                       np.array([[0, 1], [1, 2], [2, 0]]), np.array([0, 0, 0]))
-        _, Ke, Me = mm.element_matrices(tri)
+        Ke, Me = mm.element_matrices(tri)
         ref = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.abs(Ke[0] - ref).max() < 1e-14
         assert np.abs(Me[0] - (np.ones((3, 3)) + np.eye(3)) / 24.0).max() < 1e-14
@@ -68,7 +69,7 @@ class TestElementMatrices:
         # k -> 0 with no absorbing term leaves only the stiffness part, which
         # must annihilate the all-ones vector.
         m = mm.build_rect_mesh(1.0, 11)
-        _, Ke, _ = mm.element_matrices(m)
+        Ke, _ = mm.element_matrices(m)
         assert np.abs(Ke.sum(axis=2)).max() < 1e-12
 
 
@@ -97,7 +98,7 @@ class TestAssembleHelmholtz:
         cfg = mm.ProblemConfig(side_lambda=0.5, ppw=10)
         A, _ = mm.assemble_helmholtz(m, cfg)
         k = cfg.k
-        _, Ke, Me = mm.element_matrices(m)
+        Ke, Me = mm.element_matrices(m)
         vol = np.zeros((4, 4), dtype=complex)
         for e, t in enumerate(m.tris):
             vol[np.ix_(t, t)] += Ke[e] - k * k * Me[e]
@@ -158,16 +159,15 @@ class TestPartition:
         m = mm.build_rect_mesh(1.0, 10)
         p = mm.partition_mesh(m, 1, 1)
         assert p.n_domains == 1
-        assert p.interfaces == []
+        assert p.ends.shape == (0, 2) and p.chain_nodes.size == 0
+        assert p.lam_start.tolist() == [0, 0]
         assert p.domain_of_elem.tolist() == [0] * m.n_tris
 
     def test_two_by_two_has_four_interfaces(self):
         m = mm.build_rect_mesh(1.0, 10)
         p = mm.partition_mesh(m, 2, 2)
         assert p.n_domains == 4
-        assert len(p.interfaces) == 4
-        assert sorted((i.dom_lo, i.dom_hi) for i in p.interfaces) == \
-            [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert p.ends.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
 
     def test_partition_covers_all_elements_once(self):
         m = mm.build_rect_mesh(2.0, 11)
@@ -193,7 +193,7 @@ class TestPartition:
                 if len(d) == 2:
                     shared[(a, b)] = tuple(sorted(d))
         listed = {}
-        for itf in p.interfaces:
+        for itf in interfaces(p):
             for a, b in zip(itf.nodes[:-1], itf.nodes[1:]):
                 key = (int(min(a, b)), int(max(a, b)))
                 assert key not in listed, "edge in two interfaces"
@@ -203,48 +203,73 @@ class TestPartition:
     def test_chains_are_connected_paths(self):
         m = mm.build_rect_mesh(2.0, 15)
         p = mm.partition_mesh(m, 4, 4)
-        for itf in p.interfaces:
-            assert itf.n_nodes >= 2
-            assert len(set(itf.nodes.tolist())) == itf.n_nodes
-
-    def test_chains_computed_once_per_partition(self):
-        m = mm.build_rect_mesh(2.0, 15)
-        p = mm.partition_mesh(m, 4, 4)
-        ch = p.chains
-        assert p.chains is ch
-        assert ch.start.tolist() == [0] + np.cumsum(
-            [itf.n_nodes for itf in p.interfaces]).tolist()
-        # a new partition computes its own
-        assert mm.partition_mesh(m, 4, 4).chains is not ch
+        for itf in interfaces(p):
+            assert itf.nodes.size >= 2
+            assert len(set(itf.nodes.tolist())) == itf.nodes.size
+            assert itf.nodes[0] < itf.nodes[-1]     # from its smaller endpoint
 
     def test_incidence_arrays(self):
         m = mm.build_rect_mesh(1.3, 11)
         p = mm.partition_mesh(m, 3, 2)
-        flat = [i for d in range(p.n_domains) for i, itf in enumerate(p.interfaces)
-                if d in (itf.dom_lo, itf.dom_hi)]
+        ends = p.ends.tolist()
+        flat = [i for d in range(p.n_domains) for i, e in enumerate(ends) if d in e]
         assert p.incident.tolist() == flat
         assert np.diff(p.incident_start).tolist() == [
-            sum(d in (itf.dom_lo, itf.dom_hi) for itf in p.interfaces)
-            for d in range(p.n_domains)]
-        assert not p.incident.flags.writeable
+            sum(d in e for e in ends) for d in range(p.n_domains)]
+
+    def test_arrays_are_read_only(self):
+        p = mm.partition_mesh(mm.build_rect_mesh(1.3, 11), 3, 2)
+        arrays = {k: a for k, a in vars(p).items() if isinstance(a, np.ndarray)}
+        assert len(arrays) == 13
+        for name, a in arrays.items():
+            assert not a.flags.writeable, name
 
     def test_domain_boundary_edges(self):
         m = mm.build_rect_mesh(1.0, 10)
         p = mm.partition_mesh(m, 2, 2)
-        total = sum(len(b) for b in p.boundary)
-        assert total == len(m.boundary_edges)
+        assert p.boundary_start[-1] == len(m.boundary_edges)
+        for d in range(p.n_domains):
+            # domain d's edges, in the mesh's boundary-edge order
+            s, e = p.boundary_start[d:d + 2]
+            sel = p.domain_of_elem[m.boundary_owner] == d
+            assert np.array_equal(p.boundary_edges[s:e], m.boundary_edges[sel])
+            assert np.array_equal(p.boundary_owner[s:e], m.boundary_owner[sel])
 
     def test_empty_domain_raises(self):
         m = mm.build_rect_mesh(0.5, 2)   # single cell
         with pytest.raises(mm.PartitionError):
             mm.partition_mesh(m, 5, 5)
 
+    # partition_mesh reads only the element centroids and the edge table, so
+    # these hand-built meshes need not be planar: their triangles overlap.
+    def test_interface_branching_at_a_node_raises(self):
+        # four triangles around node 0 whose centroids alternate across the
+        # midline x = 0: the (0, 1) interface has edges 0-2, 0-3 and 0-4
+        nodes = np.array([[0.0, 0.0], [3.0, 1.0], [-1.0, 2.0], [0.0, 3.0],
+                          [1.0, 4.0], [-3.0, 5.0]])
+        tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]])
+        m = mm.Mesh(nodes, tris, np.zeros((0, 2), dtype=np.int64),
+                    np.zeros(0, dtype=np.int64))
+        with pytest.raises(mm.PartitionError,
+                           match=r"interface \(0, 1\) branches at node 0"):
+            mm.partition_mesh(m, 2, 1)
+
+    def test_interface_closed_loop_raises(self):
+        # a domain-1 fan around node 0 (x = 3) whose ring 1-2-3 is shared
+        # with three triangles reaching to x = -3, all left of the midline
+        nodes = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 2.0],
+                          [-3.0, 3.0], [-3.0, -2.0], [-3.0, 0.5]])
+        tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1],
+                         [1, 2, 4], [2, 3, 5], [3, 1, 6]])
+        m = mm.Mesh(nodes, tris, np.zeros((0, 2), dtype=np.int64),
+                    np.zeros(0, dtype=np.int64))
+        with pytest.raises(mm.PartitionError,
+                           match=r"interface \(0, 1\) contains a closed loop"):
+            mm.partition_mesh(m, 2, 1)
+
     def test_deterministic(self):
         m = mm.build_rect_mesh(2.0, 15)
         p1 = mm.partition_mesh(m, 4, 4)
         p2 = mm.partition_mesh(m, 4, 4)
-        assert np.array_equal(p1.domain_of_elem, p2.domain_of_elem)
-        assert len(p1.interfaces) == len(p2.interfaces)
-        for a, b in zip(p1.interfaces, p2.interfaces):
-            assert (a.dom_lo, a.dom_hi) == (b.dom_lo, b.dom_hi)
-            assert np.array_equal(a.nodes, b.nodes)
+        for name, a in vars(p1).items():
+            assert np.array_equal(a, getattr(p2, name)), name

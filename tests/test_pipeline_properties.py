@@ -6,12 +6,49 @@ grid interval, so tile lines may cut through cells (staircase interfaces).
 
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ddsolve import mesh as mm
 from ddsolve.config import RunConfig
 from ddsolve.driver import AGREEMENT_GATE, RESIDUAL_GATE, run_verify
 from test_geometry_reference import tilings
+
+
+def cycle_rank(pairs) -> int:
+    """E - V + C of the multigraph whose edges are the domain ``pairs``."""
+    parent = {d: d for pair in pairs for d in pair}
+
+    def root(d):
+        while parent[d] != d:
+            d = parent[d]
+        return d
+
+    for a, b in pairs:
+        parent[root(a)] = root(b)
+    n_components = len({root(d) for d in parent})
+    return len(pairs) - len(parent) + n_components
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tilings())
+def test_multiplier_drops_close_the_cycles_at_each_node(tiling):
+    """At every node on two or more chains, as many multipliers are dropped
+    as the interfaces through it close cycles among its domains, so the
+    stacked trace constraints carry no redundancy and K is nonsingular."""
+    side, ppw, px, py = tiling
+    part = mm.partition_mesh(mm.build_rect_mesh(side, ppw), px, py)
+    owner = np.repeat(np.arange(part.ends.shape[0]), np.diff(part.chain_start))
+    at_node = {}
+    for pos, v in enumerate(part.chain_nodes.tolist()):
+        at_node.setdefault(v, []).append(pos)
+    for v, positions in at_node.items():
+        if len(positions) < 2:
+            assert part.kept[positions].all(), v
+            continue
+        pairs = [tuple(part.ends[owner[p]].tolist()) for p in positions]
+        dropped = int((~part.kept[positions]).sum())
+        assert dropped == cycle_rank(pairs), (v, pairs)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

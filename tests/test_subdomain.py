@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgWarning
 
-from conftest import GEOMETRIES, dense_coupling, dense_matrix, subdomain_system
+from conftest import GEOMETRIES, dense_coupling, dense_matrix, interfaces, \
+    subdomain_system
 from ddsolve import blockmat, factor, mesh as mm, ordering, subdomain as sd, symbolic
 
 
@@ -59,7 +60,7 @@ class TestBuildSystems:
         for s in systems:
             As = dense_matrix(s)
             for c in s.couplings:
-                itf = part.interfaces[c.interface]
+                itf = interfaces(part)[c.interface]
                 Mg = chain_mass(m, itf.nodes)
                 rows = np.searchsorted(s.dof_map, itf.nodes)
                 As[np.ix_(rows, rows)] -= (c.sign * cfg.alpha) * Mg
@@ -72,9 +73,9 @@ class TestBuildSystems:
         m = mm.build_rect_mesh(1.0, 10)
         part = mm.partition_mesh(m, 2, 1)
         systems = sd.build_subdomain_systems(m, part, cfg)
-        itf = part.interfaces[0]
+        (itf,) = interfaces(part)
         h = 1.0 / mm.grid_intervals(1.0, 10)
-        n = itf.n_nodes
+        n = itf.nodes.size
         Mg = np.zeros((n, n))
         for t in range(n - 1):
             Mg[t:t + 2, t:t + 2] += mm.edge_mass(h)
@@ -95,8 +96,8 @@ class TestBuildSystems:
         systems = sd.build_subdomain_systems(m, part, cfg)
         for s in systems:
             for c in s.couplings:
-                itf = part.interfaces[c.interface]
-                assert c.sign == (1 if itf.dom_lo == s.domain else -1)
+                dom_lo = part.ends[c.interface, 0]
+                assert c.sign == (1 if dom_lo == s.domain else -1)
 
     def test_subdomain_matrices_symmetric(self):
         cfg = mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2)
@@ -111,23 +112,21 @@ class TestLambdaSpace:
     def test_interior_cross_point_drops_one_dof(self):
         m = mm.build_rect_mesh(1.0, 10)
         part = mm.partition_mesh(m, 2, 2)
-        ch = part.chains
-        full = [itf.n_nodes for itf in part.interfaces]
-        assert sum(full) - ch.n_kept.sum() == 1
+        assert part.chain_nodes.size - part.n_kept.sum() == 1
         # the dropped dof sits at the shared center node of the last interface
-        center = set(part.interfaces[0].nodes.tolist())
-        for itf in part.interfaces[1:]:
+        itfs = interfaces(part)
+        center = set(itfs[0].nodes.tolist())
+        for itf in itfs[1:]:
             center &= set(itf.nodes.tolist())
         (c,) = center
-        assert c in part.interfaces[3].nodes
-        chain = slice(ch.start[3], ch.start[4])
-        assert c not in ch.nodes[chain][ch.kept[chain]]
+        assert c in itfs[3].nodes
+        chain = slice(part.chain_start[3], part.chain_start[4])
+        assert c not in part.chain_nodes[chain][part.kept[chain]]
 
     def test_drop_count_matches_cross_points(self):
         m = mm.build_rect_mesh(2.0, 16)
         part = mm.partition_mesh(m, 4, 4)
-        dropped = sum(itf.n_nodes for itf in part.interfaces) - \
-            part.chains.n_kept.sum()
+        dropped = part.chain_nodes.size - part.n_kept.sum()
         assert dropped == 9  # (4-1) x (4-1) interior cross points
 
     def test_duplicated_space_would_be_singular(self):
@@ -253,7 +252,6 @@ class TestBandStorage:
         cfg = mm.ProblemConfig(side_lambda=1.0, ppw=30, px=2, py=2, theta_inc=0.3)
         m = mm.build_rect_mesh(1.0, 30)
         part = mm.partition_mesh(m, 2, 2)
-        part.chains     # cached on the partition: computed outside the trace
         tracemalloc.start()
         try:
             systems = sd.build_subdomain_systems(m, part, cfg)
@@ -301,9 +299,10 @@ class TestAssembleReduced:
         g = blockmat.clique_graph(rsys.K)
         # oracle: interfaces adjacent iff they share a domain
         expect = set()
-        for i, a in enumerate(part.interfaces):
-            for j, b in enumerate(part.interfaces):
-                if j < i and {a.dom_lo, a.dom_hi} & {b.dom_lo, b.dom_hi}:
+        ends = part.ends.tolist()
+        for i, a in enumerate(ends):
+            for j, b in enumerate(ends):
+                if j < i and set(a) & set(b):
                     expect.add((j, i))
         assert set(g.edges()) == expect
         assert all(g.degree(v) == 2 for v in range(4))
@@ -370,8 +369,7 @@ class TestEndToEnd:
         u0 = sd.recover_primal(systems, np.zeros_like(lam))
         for s in systems:
             ref = s.factor.solve(s.f)
-            itf_nodes = np.unique(np.concatenate(
-                [itf.nodes for itf in part.interfaces]))
+            itf_nodes = np.unique(part.chain_nodes)
             interior = np.setdiff1d(s.dof_map, itf_nodes)
             sel = np.searchsorted(s.dof_map, interior)
             assert np.abs(u0[interior] - ref[sel]).max() < 1e-12
@@ -475,7 +473,7 @@ class TestEndToEnd:
         m = mm.build_rect_mesh(1.0, 10)
         part = mm.partition_mesh(m, 2, 1)
         systems = sd.build_subdomain_systems(m, part, cfg)
-        lam = np.zeros(part.chains.n_kept.sum(), dtype=complex)
+        lam = np.zeros(part.n_kept.sum(), dtype=complex)
         with pytest.raises(sd.SolverStateError):
             sd.recover_primal(systems, lam)
 
