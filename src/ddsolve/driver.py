@@ -73,7 +73,7 @@ class SolveReport:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineResult:
     mesh: Mesh
     part: Partition

@@ -70,7 +70,7 @@ def blas_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return zgemm(1.0, A, B)
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseFactor:
     """P M P^T = L D L^T with unit lower L and 1x1/2x2 block diagonal D.
 
@@ -347,7 +347,7 @@ class FactorStats:
     n_2x2_pivots: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockFactor:
     """Output of :func:`block_ldlt`: per-supernode dense factors in
     elimination order plus the off-diagonal factor of every block column.

@@ -80,7 +80,7 @@ class ProblemConfig:
         return TWO_PI / self.wavelength
 
 
-@dataclass
+@dataclass(eq=False)
 class Mesh:
     nodes: np.ndarray           # (N, 2) coordinates
     tris: np.ndarray            # (M, 3) CCW node triples
@@ -95,10 +95,13 @@ class Mesh:
     def n_tris(self) -> int:
         return int(self.tris.shape[0])
 
+    def tri_corners(self) -> np.ndarray:
+        """``(M, 3, 2)`` corner coordinates of every triangle.  ``take``
+        gathers the same rows as ``nodes[tris]`` at a tenth of its cost."""
+        return self.nodes.take(self.tris, axis=0)
+
     def tri_areas(self) -> np.ndarray:
-        p = self.nodes[self.tris]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        return _signed_areas(self.tri_corners())
 
     def edge_use_counts(self) -> dict[tuple[int, int], list[int]]:
         """Map sorted edge -> list of triangles using it, in ascending order."""
@@ -122,7 +125,14 @@ class Mesh:
                     f"boundary edge {key} used by {len(owners)} triangles")
 
 
-@dataclass
+def _signed_areas(p: np.ndarray) -> np.ndarray:
+    """Signed area of each triangle of ``(M, 3, 2)`` corners, positive when
+    counter-clockwise."""
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+
+@dataclass(eq=False)
 class EdgeTable:
     """Unique edges of a triangle list and the triangles that use each.
 
@@ -151,7 +161,7 @@ def edge_table(tris: np.ndarray) -> EdgeTable:
     return EdgeTable(edges, half, np.append(first, key.size))
 
 
-@dataclass
+@dataclass(eq=False)
 class Partition:
     """A tiling's domains, interfaces, outer boundary and multipliers, as
     flat read-only arrays set once by :func:`partition_mesh`.
@@ -271,26 +281,38 @@ def build_rect_mesh(side_lambda: float, ppw: float) -> Mesh:
     return Mesh(nodes, tris, edges, owners)
 
 
+def _basis_gradients(mesh: Mesh):
+    """Areas and P1 basis gradients of every triangle: ``gx[i]`` and
+    ``gy[i]`` are the gradient components of barycentric basis ``i``, one
+    row over all elements, each the opposite edge rotated and divided by
+    twice the area.  A function of its own so that the ``(M, 3, 2)``
+    corners are freed before the stiffness products."""
+    p = mesh.tri_corners()
+    areas = _signed_areas(p)
+    bad = np.flatnonzero(areas <= 0.0)
+    if bad.size:
+        raise AssemblyError(f"element {int(bad[0])} has non-positive area")
+    two_a = 2.0 * areas
+    x, y = p[:, :, 0].T, p[:, :, 1].T
+    gx = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / two_a
+    gy = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / two_a
+    return areas, gx, gy
+
+
 def element_matrices(mesh: Mesh, mu_r: float = 1.0):
     """Per-element P1 stiffness and mass blocks.
 
     Returns ``(Ke, Me)`` with ``Ke[e] = area * grad . grad / mu_r``
-    and ``Me[e] = area / 12 * (ones + I)``.
+    and ``Me[e] = area / 12 * (ones + I)``.  ``grad_i . grad_j`` is formed
+    as ``(3, 3, M)`` products whose inner loops run over all elements,
+    then laid out element by element.
     """
-    p = mesh.nodes[mesh.tris]                      # (M, 3, 2)
-    areas = mesh.tri_areas()
-    bad = np.flatnonzero(areas <= 0.0)
-    if bad.size:
-        raise AssemblyError(f"element {int(bad[0])} has non-positive area")
-    # gradient of barycentric basis i: rotate opposite edge / (2 area)
-    gx = np.stack([p[:, 1, 1] - p[:, 2, 1],
-                   p[:, 2, 1] - p[:, 0, 1],
-                   p[:, 0, 1] - p[:, 1, 1]], axis=1)
-    gy = np.stack([p[:, 2, 0] - p[:, 1, 0],
-                   p[:, 0, 0] - p[:, 2, 0],
-                   p[:, 1, 0] - p[:, 0, 0]], axis=1)
-    grads = np.stack([gx, gy], axis=2) / (2.0 * areas)[:, None, None]
-    Ke = np.einsum("eid,ejd->eij", grads, grads) * areas[:, None, None] / mu_r
+    areas, gx, gy = _basis_gradients(mesh)
+    Ke = gx[:, None] * gx[None]
+    Ke += gy[:, None] * gy[None]
+    Ke *= areas
+    Ke /= mu_r
+    Ke = np.ascontiguousarray(Ke.transpose(2, 0, 1))
     Me = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]
     return Ke, Me
 
@@ -338,9 +360,10 @@ def boundary_normals(mesh: Mesh, edges: np.ndarray, owners: np.ndarray) -> np.nd
     d = b - a
     nrm = np.column_stack([d[:, 1], -d[:, 0]])
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    centroids = mesh.nodes[mesh.tris[owners]].mean(axis=1)
+    centroids = mesh.nodes.take(mesh.tris[owners], axis=0).mean(axis=1)
     mid = 0.5 * (a + b)
-    flip = np.einsum("ij,ij->i", nrm, centroids - mid) > 0.0
+    v = centroids - mid
+    flip = nrm[:, 0] * v[:, 0] + nrm[:, 1] * v[:, 1] > 0.0
     nrm[flip] *= -1.0
     return nrm
 
@@ -401,7 +424,12 @@ def helmholtz_blocks(mesh: Mesh, cfg: ProblemConfig, edges: np.ndarray):
     and Robin blocks ``-jk M_edge`` of ``edges``, ``(B, 2, 2)``."""
     k = cfg.k
     Ke, Me = element_matrices(mesh, cfg.mu_r)
-    return (Ke.astype(np.complex128) - (k * k * cfg.eps_r) * Me,
+    # subtracting in real arithmetic, then widening, gives the bits of the
+    # complex subtraction (imaginary parts 0.0 - 0.0) without its temporaries
+    Me *= k * k * cfg.eps_r
+    Ke -= Me
+    del Me
+    return (Ke.astype(np.complex128),
             (-1j * k) * edge_mass(edge_lengths(mesh.nodes, edges)))
 
 
@@ -435,7 +463,7 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
     span = hi - lo
-    centroids = mesh.nodes[mesh.tris].mean(axis=1)
+    centroids = mesh.tri_corners().mean(axis=1)
     tx = np.clip(((centroids[:, 0] - lo[0]) / span[0] * px).astype(np.int64), 0, px - 1)
     ty = np.clip(((centroids[:, 1] - lo[1]) / span[1] * py).astype(np.int64), 0, py - 1)
     dom = ty * px + tx

@@ -23,7 +23,7 @@ class OrderingError(Exception):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Ordering:
     perm: np.ndarray  # perm[new_position] = old_index
     source: str = "builtin"

@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .ordering import Ordering
 
 
-@dataclass
+@dataclass(eq=False)
 class EliminationPlan:
     order: Ordering
     etree_parent: np.ndarray          # parent per block column, -1 for roots

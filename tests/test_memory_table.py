@@ -1,0 +1,35 @@
+"""``tools/memory_table.py`` end to end on one small geometry."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+
+ROOT = Path(__file__).resolve().parents[1]
+STAGES = ["mesh", "partition", "subdomains", "reduce", "assemble-reduced",
+          "clique-graph", "ordering", "numeric-factor", "numeric-solve",
+          "recover", "residual"]
+
+
+def run_tool(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "memory_table.py"),
+                           *args], capture_output=True, text=True)
+
+
+def test_prints_every_measure_and_stage():
+    proc = run_tool("2,10,4x4")
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert out.startswith("2 wavelengths, ppw 10, 4x4 tiles: 441 dofs, max kl 7")
+    for label in ("max RSS (fresh process)", "traced peak of run_pipeline",
+                  "band A_d + LU", "SuperLU L+U"):
+        assert label in out
+    stages = [line.split()[0] for line in out.splitlines()
+              if line.startswith("  ") and line.split()[0] in STAGES]
+    assert stages == STAGES
+
+
+def test_rejects_a_malformed_geometry():
+    proc = run_tool("2,10")
+    assert proc.returncode == 2
+    assert "SIDE,PPW,PXxPY" in proc.stderr

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import interfaces
+from conftest import GEOMETRIES, interfaces
 from ddsolve import mesh as mm
+from ddsolve.config import RunConfig
+from ddsolve.driver import run_pipeline
 
 
 def shoelace(p):
@@ -64,6 +68,23 @@ class TestElementMatrices:
         ref = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.abs(Ke[0] - ref).max() < 1e-14
         assert np.abs(Me[0] - (np.ones((3, 3)) + np.eye(3)) / 24.0).max() < 1e-14
+
+    @pytest.mark.parametrize("mu_r", [1.0, 1.7])
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_stiffness_matches_einsum_reference(self, name, mu_r):
+        # the explicit products must keep the bits of the einsum they replaced
+        m = mm.build_rect_mesh(*GEOMETRIES[name][:2])
+        p = m.nodes[m.tris]
+        areas = m.tri_areas()
+        gx = np.stack([p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1],
+                       p[:, 0, 1] - p[:, 1, 1]], axis=1)
+        gy = np.stack([p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0],
+                       p[:, 1, 0] - p[:, 0, 0]], axis=1)
+        grads = np.stack([gx, gy], axis=2) / (2.0 * areas)[:, None, None]
+        ref = np.einsum("eid,ejd->eij", grads, grads) * areas[:, None, None] / mu_r
+        Ke, _ = mm.element_matrices(m, mu_r)
+        assert Ke.dtype == ref.dtype and Ke.shape == ref.shape
+        assert Ke.tobytes() == ref.tobytes()
 
     def test_constants_in_stiffness_nullspace(self):
         # k -> 0 with no absorbing term leaves only the stiffness part, which
@@ -273,3 +294,38 @@ class TestPartition:
         p2 = mm.partition_mesh(m, 4, 4)
         for name, a in vars(p1).items():
             assert np.array_equal(a, getattr(p2, name)), name
+
+
+class TestIdentityEquality:
+    """Records holding arrays compare by identity: ``==`` returns a bool
+    and never raises on the arrays' elementwise truth value."""
+
+    def test_partitions(self):
+        m = mm.build_rect_mesh(1.0, 10)
+        a, b = mm.partition_mesh(m, 2, 2), mm.partition_mesh(m, 2, 2)
+        assert (a == b) is False
+        assert (a == a) is True
+
+    def test_meshes(self):
+        a, b = mm.build_rect_mesh(1.0, 10), mm.build_rect_mesh(1.0, 10)
+        assert (a == b) is False
+        assert (a == a) is True
+
+    def test_every_pipeline_record(self):
+        run = RunConfig(mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2))
+        r1, r2 = run_pipeline(run), run_pipeline(run)
+        pairs = [(r1, r2), (r1.mesh, r2.mesh), (r1.part, r2.part),
+                 (r1.systems[0], r2.systems[0]),
+                 (r1.systems[0].factor, r2.systems[0].factor),
+                 (r1.systems[0].couplings[0], r2.systems[0].couplings[0]),
+                 (r1.reduced_system, r2.reduced_system), (r1.plan, r2.plan),
+                 (r1.plan.order, r2.plan.order),
+                 (r1.block_factor, r2.block_factor),
+                 (r1.block_factor.diag[0], r2.block_factor.diag[0]),
+                 (mm.edge_table(r1.mesh.tris), mm.edge_table(r2.mesh.tris))]
+        for a, b in pairs:
+            assert (a == b) is False, type(a).__name__
+        # records of scalars keep value equality
+        assert r1.report == dataclasses.replace(r1.report)
+        assert r1.block_factor.stats == r2.block_factor.stats
+        assert run == RunConfig(mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2))

@@ -4,11 +4,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
 from scipy.linalg import LinAlgWarning
 
 from conftest import GEOMETRIES, dense_coupling, dense_matrix, interfaces, \
     subdomain_system
 from ddsolve import blockmat, factor, mesh as mm, ordering, subdomain as sd, symbolic
+from ddsolve.config import RunConfig
+from ddsolve.driver import run_pipeline
+from test_geometry_reference import tilings
 
 
 def chain_mass(mesh, nodes):
@@ -507,5 +511,57 @@ class TestGlobalResidual:
         assert sd.global_residual(self.mesh, self.cfg, u) == pytest.approx(1.0)
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            sd.global_residual(self.mesh, self.cfg, np.zeros(3, dtype=complex))
+        assert self.mesh.n_nodes == 121
+        for shape in [(3,), (0,), (122,), (121, 1), (1, 121)]:
+            with pytest.raises(ValueError, match="shape"):
+                sd.global_residual(self.mesh, self.cfg, np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_matches_csr_product(self, name):
+        side, ppw, _ = GEOMETRIES[name]
+        assert_residual_matches_csr(side, ppw, theta=0.3)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(tilings())
+    def test_matches_csr_product_on_tilings(self, tiling):
+        side, ppw, _, _ = tiling
+        assert_residual_matches_csr(side, ppw, theta=1.1)
+
+    def test_holds_no_monolithic_matrix(self):
+        # the element-by-element product must peak well below the CSR
+        # assembly it replaced (a 2,025-node mesh)
+        cfg = mm.ProblemConfig(side_lambda=2.2, ppw=20)
+        m = mm.build_rect_mesh(2.2, 20)
+        u = np.random.default_rng(3).standard_normal(m.n_nodes) + 0j
+        assert m.n_nodes == 2025
+        peaks = []
+        for call in (lambda: mm.assemble_helmholtz(m, cfg),
+                     lambda: sd.global_residual(m, cfg, u)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.5 * peaks[0]
+
+    def test_pipeline_assembles_no_monolithic_matrix(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("monolithic CSR assembly")
+
+        monkeypatch.setattr(mm, "_dedup_sum", forbidden)
+        cfg = mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2)
+        assert run_pipeline(RunConfig(cfg)).report.residual_inf <= 1e-10
+
+
+def assert_residual_matches_csr(side, ppw, theta):
+    """The element-by-element residual of a random non-solution equals
+    ``|A u - f|_inf / |f|_inf`` with A from the CSR assembly, to rounding."""
+    cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, theta_inc=theta)
+    m = mm.build_rect_mesh(side, ppw)
+    A, f = mm.assemble_helmholtz(m, cfg)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(m.n_nodes) + 1j * rng.standard_normal(m.n_nodes)
+    ref = np.abs(A @ u - f).max() / np.abs(f).max()
+    assert ref > 0.1
+    assert abs(sd.global_residual(m, cfg, u) - ref) <= 1e-12 * ref

@@ -1,0 +1,176 @@
+"""Memory of a whole ``run_pipeline`` against SuperLU's factors.
+
+Usage, from the root of the source tree::
+
+    python3 tools/memory_table.py 8,20,8x8 12,20,16x16
+
+The solver is imported from ``src/`` of the tree this script sits in.
+
+Each argument is one geometry, ``SIDE,PPW,PXxPY`` (side in wavelengths,
+points per wavelength, tiles along x and y).  Per geometry it prints
+
+- the max RSS of a fresh process that runs ``run_pipeline`` once, and its
+  RSS before the run;
+- the ``tracemalloc`` peak of ``run_pipeline`` in a second fresh process,
+  and per stage (the stages of ``driver._staged``) the peak inside the
+  stage and what is still held after it;
+- the bytes of the band A_d and their LU factors;
+- 16 bytes per stored entry of the L and U factors of
+  ``scipy.sparse.linalg.splu`` (default options) on the monolithic matrix,
+  SuperLU's own working memory not included.
+
+Every child runs at 1 BLAS thread.  Sizes are in MB (10^6 bytes).  Max RSS
+is read with ``resource.getrusage``, so the script needs a POSIX system.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+MB = 1e6
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def parse_geometry(spec: str) -> tuple[float, float, int, int]:
+    try:
+        side, ppw, tiles = spec.split(",")
+        px, py = tiles.lower().split("x")
+        return float(side), float(ppw), int(px), int(py)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"geometry {spec!r} is not SIDE,PPW,PXxPY (e.g. 8,20,8x8)") from None
+
+
+def _max_rss_bytes() -> int:
+    import resource
+
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss if sys.platform == "darwin" else 1024 * rss
+
+
+def _problem(geometry):
+    from ddsolve.mesh import ProblemConfig
+
+    side, ppw, px, py = geometry
+    return ProblemConfig(side, ppw, px, py, theta_inc=0.3)
+
+
+def _run(geometry):
+    from ddsolve.config import RunConfig
+    from ddsolve.driver import run_pipeline
+
+    return run_pipeline(RunConfig(_problem(geometry)))
+
+
+def child_rss(geometry) -> dict:
+    """Max RSS of this process before and after one run."""
+    import ddsolve.driver  # noqa: F401  (imports count in the baseline)
+
+    before = _max_rss_bytes()
+    _run(geometry)
+    return {"rss_before": before, "max_rss": _max_rss_bytes()}
+
+
+def child_traced(geometry) -> dict:
+    """Traced peak of one run, stage by stage, and the sizes it is compared
+    with."""
+    import tracemalloc
+
+    import scipy.sparse.linalg as spla
+
+    from ddsolve import driver
+    from ddsolve.mesh import assemble_helmholtz
+
+    stages = []
+    run_peak = 0
+    staged = driver._staged
+
+    def traced_stage(stage, fn, *args, **kwargs):
+        nonlocal run_peak
+        run_peak = max(run_peak, tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        try:
+            return staged(stage, fn, *args, **kwargs)
+        finally:
+            held, peak = tracemalloc.get_traced_memory()
+            stages.append({"stage": stage, "peak": peak, "held": held})
+
+    driver._staged = traced_stage
+    tracemalloc.start()
+    try:
+        result = _run(geometry)
+        run_peak = max(run_peak, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        driver._staged = staged
+
+    A, _ = assemble_helmholtz(result.mesh, _problem(geometry))
+    lu = spla.splu(A.tocsc())
+    return {
+        "dofs": result.mesh.n_nodes,
+        "max_kl": max(s.kl for s in result.systems),
+        "band": sum(s.A.nbytes + s.factor.lu.nbytes + s.factor.piv.nbytes
+                    for s in result.systems),
+        "residual": result.report.residual_inf,
+        "run_peak": run_peak,
+        "stages": stages,
+        "superlu": 16 * int(lu.L.nnz + lu.U.nnz),
+    }
+
+
+def _child(mode: str, geometry) -> dict:
+    """Run one measurement in a fresh interpreter at 1 BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    spec = "{},{},{}x{}".format(*geometry)
+    proc = subprocess.run([sys.executable, __file__, "--child", mode, spec],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"the {mode} run of {spec} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def report(geometry) -> str:
+    side, ppw, px, py = geometry
+    rss = _child("rss", geometry)
+    tr = _child("traced", geometry)
+    lines = [
+        f"{side:g} wavelengths, ppw {ppw:g}, {px}x{py} tiles: "
+        f"{tr['dofs']:,} dofs, max kl {tr['max_kl']}, residual {tr['residual']:.2e}",
+        f"  max RSS (fresh process)      {rss['max_rss'] / MB:8.1f} MB"
+        f"   ({rss['rss_before'] / MB:.1f} MB before the run)",
+        f"  traced peak of run_pipeline  {tr['run_peak'] / MB:8.1f} MB",
+        f"  band A_d + LU                {tr['band'] / MB:8.1f} MB",
+        f"  SuperLU L+U                  {tr['superlu'] / MB:8.1f} MB",
+        "  stage               peak MB   held after MB",
+    ]
+    lines += [f"  {s['stage']:<18} {s['peak'] / MB:8.1f}   {s['held'] / MB:8.1f}"
+              for s in tr["stages"]]
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("geometry", nargs="+", type=parse_geometry,
+                    help="SIDE,PPW,PXxPY, e.g. 8,20,8x8")
+    ap.add_argument("--child", choices=["rss", "traced"], help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(SRC))
+    if args.child:
+        fn = child_rss if args.child == "rss" else child_traced
+        print(json.dumps(fn(args.geometry[0])))
+        return 0
+    for i, geometry in enumerate(args.geometry):
+        if i:
+            print()
+        print(report(geometry))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
