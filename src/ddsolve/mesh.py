@@ -272,12 +272,18 @@ def build_rect_mesh(side_lambda: float, ppw: float) -> Mesh:
     tris = np.stack([np.column_stack([v00, v10, v11]),
                      np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
 
-    # boundary edges: used by one triangle, listed in sorted (lo, hi) order
-    # with the owner's orientation
-    tab = edge_table(tris)
-    single = tab.half[tab.start[:-1][np.diff(tab.start) == 1]]
-    owners, j = np.divmod(single, 3)
-    edges = np.column_stack([tris[owners, j], tris[owners, (j + 1) % 3]])
+    # boundary edges, each as half edge j of its one triangle: bottom
+    # (v00, v10) of 2c, right (v10, v11) of 2c, top (v11, v01) of 2c + 1 and
+    # left (v01, v00) of 2c + 1; listed in sorted (lo, hi) order with the
+    # owner's orientation
+    k = np.arange(n, dtype=np.int64)
+    owners = np.concatenate([2 * k, 2 * (k * n + n - 1),
+                             2 * ((n - 1) * n + k) + 1, 2 * k * n + 1])
+    j = np.repeat(np.array([0, 1, 1, 2], dtype=np.int64), n)
+    a, b = tris[owners, j], tris[owners, (j + 1) % 3]
+    sort = np.argsort(np.minimum(a, b) * (n + 1) ** 2 + np.maximum(a, b))
+    owners = owners[sort]
+    edges = np.column_stack([a[sort], b[sort]])
     return Mesh(nodes, tris, edges, owners)
 
 

@@ -2,10 +2,12 @@
 
 The built-in algorithm is a weighted minimum-degree elimination: at each step
 the vertex whose neighbors carry the smallest total block size is eliminated
-and its remaining neighbors are merged into a clique (quotient-graph update).
-Ties break toward the smaller vertex index, which makes the order fully
-deterministic.  An externally computed permutation can be loaded from a text
-file with one index per line instead.
+and its remaining neighbors are merged into a clique.  The explicit
+elimination graph is kept, one int bitset per closed neighborhood, and only
+the keys an elimination can change are recomputed.  Ties break toward the
+smaller vertex index, which makes the order fully deterministic.  An
+externally computed permutation can be loaded from a text file with one
+index per line instead.
 """
 
 from __future__ import annotations
@@ -49,32 +51,51 @@ def check_permutation(perm: np.ndarray) -> None:
         raise OrderingError("ordering is not a bijection on 0..n-1")
 
 
+def _members(x: int) -> list[int]:
+    """Indices of the set bits of ``x``, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
     """Eliminate by the smallest key ``(not simplicial, weighted degree,
     index)``, keys held in a heap with lazy invalidation.
 
-    Neighborhoods are kept closed (``v`` in ``nb[v]``), so ``v`` is
-    simplicial (its neighbors form a clique) exactly when ``nb[v] <= nb[u]``
-    for every neighbor ``u``.  Weighted degrees are kept incrementally:
-    eliminating ``v`` takes ``w[v]`` from each neighbor and adds the weights
-    of its new fill neighbors.
+    ``nb[v]`` is the closed neighborhood of ``v`` as an int bitset, so ``v``
+    is simplicial (its neighbors form a clique) exactly when ``nb[v]`` is a
+    subset of ``nb[u]`` for every neighbor ``u``.  Eliminating ``v`` takes
+    ``w[v]`` from each neighbor's degree and adds the weights of its new
+    fill neighbors.
 
     Eliminating ``v`` turns its neighbors into a clique.  Only two kinds of
     vertex can change key: the neighbors of ``v``, whose adjacency changed,
     and vertices adjacent to both ends of a new fill edge, which may become
     simplicial.  Every other vertex keeps its neighbors and the edges among
-    them, so only these keys are recomputed (George & Liu 1989).
+    them, so only these keys are recomputed (George & Liu 1989).  A
+    simplicial neighbor ``u`` stays simplicial: ``nb[u]`` lay inside
+    ``nb[v]``, and becomes ``nb[v]`` minus ``v``, now a clique.
     """
     n = g.n
     w = weights.tolist()
-    nb = [s | {v} for v, s in enumerate(g.adj)]
+    bit = [1 << v for v in range(n)]
+    nb = [sum(bit[u] for u in s) | bit[v] for v, s in enumerate(g.adj)]
     deg = [sum(w[u] for u in s) for s in g.adj]
 
-    def key(v: int) -> tuple[int, int, int]:
+    def simplicial(v: int) -> bool:
         nv = nb[v]
-        return (0 if all(nv <= nb[u] for u in nv) else 1, deg[v], v)
+        rest = nv ^ bit[v]
+        while rest:
+            low = rest & -rest
+            if nv & nb[low.bit_length() - 1] != nv:
+                return False
+            rest ^= low
+        return True
 
-    keys: list = [key(v) for v in range(n)]
+    keys: list = [(0 if simplicial(v) else 1, deg[v], v) for v in range(n)]
     heap = list(keys)
     heapq.heapify(heap)
     order = []
@@ -85,31 +106,34 @@ def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
             continue  # stale entry of an eliminated or re-keyed vertex
         keys[v] = None
         order.append(v)
-        nbrs = nb[v]
-        nbrs.discard(v)
-        wv = w[v]
-        for u in nbrs:
-            nb[u].discard(v)
-            deg[u] -= wv
-        fill = []
-        for u in nbrs:
-            nu = nb[u]
-            new = nbrs - nu
+        vb = bit[v]
+        nbrs = nb[v] ^ vb
+        us = _members(nbrs)
+        touched = 0  # vertices adjacent to both ends of a fill edge
+        for u in us:
+            nu = nb[u] ^ vb
+            new = nbrs & ~nu
+            d = deg[u] - w[v]
             if new:
                 nu |= new
-                deg[u] += sum(w[x] for x in new)
-                fill.extend((u, x) for x in new if x > u)
-        touched = set(nbrs)
-        for a, b in fill:
-            touched |= nb[a] & nb[b]
-        for u in touched:
-            # A vertex outside nbrs keeps its degree and can only become
-            # simplicial, so a simplicial one keeps its key.
-            if u in nbrs or keys[u][0]:
-                k = key(u)
-                if k != keys[u]:
-                    keys[u] = k
-                    heapq.heappush(heap, k)
+                for x in _members(new):
+                    d += w[x]
+                    if x > u:
+                        touched |= nu & nb[x]
+            nb[u] = nu
+            deg[u] = d
+        for u in us:
+            k = (1 if keys[u][0] and not simplicial(u) else 0, deg[u], u)
+            if k != keys[u]:
+                keys[u] = k
+                heapq.heappush(heap, k)
+        # A vertex outside nb[v] keeps its degree and can only become
+        # simplicial.  Its bit in touched does not depend on whether nb[x]
+        # was read before or after its update, which stays inside nb[v].
+        for u in _members(touched & ~nb[v]):
+            if keys[u][0] and simplicial(u):
+                keys[u] = k = (0, deg[u], u)
+                heapq.heappush(heap, k)
     return np.array(order, dtype=np.int64)
 
 
@@ -130,11 +154,20 @@ def reorder(g: CliqueGraph, weights) -> Ordering:
 def reorder_with_plan(g: CliqueGraph, weights) -> EliminationPlan:
     """The symbolic plan of :func:`reorder`'s order; ``plan.order`` is that
     order.  The guard's own plan of the chosen order is returned, so no
-    symbolic pass is repeated."""
+    symbolic pass is repeated.  Weights must be non-negative integers
+    (integer-valued floats included); any other raises OrderingError."""
     n = g.n
-    weights = np.asarray(weights, dtype=np.int64)
+    weights = np.asarray(weights)
     if weights.size != n:
         raise OrderingError("weights length does not match graph size")
+    if weights.dtype.kind not in "biuf":
+        raise OrderingError(f"weights of dtype {weights.dtype} are not numbers")
+    whole = np.isfinite(weights) & (weights >= 0) & (weights == np.floor(weights))
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise OrderingError(
+            f"weight {i} is {weights[i]}; weights must be non-negative integers")
+    weights = weights.astype(np.int64)
     md = symbolic_factor(g, Ordering(_min_degree_order(g, weights)), weights)
     if np.array_equal(md.order.perm, np.arange(n)):
         return md

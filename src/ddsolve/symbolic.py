@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 class EliminationPlan:
     order: Ordering
     etree_parent: np.ndarray          # parent per block column, -1 for roots
-    pattern: list[np.ndarray]         # per column: sorted rows > j
+    pattern: list[np.ndarray]         # per column: sorted rows > j, read-only
     sizes_perm: np.ndarray            # block sizes in elimination order
     total_factor_entries: int
 
@@ -40,27 +40,29 @@ def symbolic_factor(g: CliqueGraph, order: Ordering, sizes) -> EliminationPlan:
     sizes = np.asarray(sizes, dtype=np.int64)
     if order.n != n or sizes.size != n:
         raise ValueError("graph, ordering and sizes disagree on block count")
-    inv = order.inverse().tolist()
+    position = order.inverse().tolist().__getitem__
     # below[j]: original neighbors after j, then the rows children pass up
-    below: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        a = inv[i]
-        below[a].update(b for b in (inv[j] for j in g.adj[i]) if b > a)
-    pattern: list[np.ndarray] = []
-    parent = np.full(n, -1, dtype=np.int64)
+    below = [{b for b in map(position, g.adj[i]) if b > j}
+             for j, i in enumerate(order.perm.tolist())]
+    # all columns' sorted rows in one array, pattern[j] a read-only view
+    rows: list[int] = []
+    start = [0]
+    parent = [-1] * n
     for j in range(n):
-        rows = sorted(below[j])
-        pattern.append(np.array(rows, dtype=np.int64))
-        if rows:
-            parent[j] = rows[0]
-            below[rows[0]].update(rows[1:])
+        r = sorted(below[j])
+        if r:
+            parent[j] = r[0]
+            below[r[0]].update(r[1:])
+            rows += r
+        start.append(len(rows))
+    flat = np.fromiter(rows, np.int64, len(rows))
+    flat.flags.writeable = False
+    pattern = [flat[a:b] for a, b in zip(start, start[1:])]
     sizes_perm = sizes[order.perm]
-    total = 0
-    for j in range(n):
-        nj = int(sizes_perm[j])
-        total += nj * (nj + 1) // 2
-        total += nj * int(sizes_perm[pattern[j]].sum())
-    return EliminationPlan(order, parent, pattern, sizes_perm, total)
+    total = int((sizes_perm * (sizes_perm + 1) // 2).sum()
+                + (np.repeat(sizes_perm, np.diff(start)) * sizes_perm[flat]).sum())
+    return EliminationPlan(order, np.array(parent, dtype=np.int64), pattern,
+                           sizes_perm, total)
 
 
 def format_plan(plan: EliminationPlan) -> str:

@@ -1,9 +1,11 @@
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GEOMETRIES, fill_blocks, rand_clique_graph
-from ddsolve import symbolic
+from ddsolve import mesh, subdomain, symbolic
 from ddsolve.blockmat import CliqueGraph, clique_graph
 from ddsolve.ordering import Ordering, OrderingError, _min_degree_order, \
     check_permutation, identity_ordering, load_ordering_file, reorder, \
@@ -72,6 +74,63 @@ def reference_min_degree_order(g, weights):
     return np.array(order, dtype=np.int64)
 
 
+def reference_incremental_min_degree(g, weights):
+    """The set-based incremental minimum degree that preceded the bitset
+    one: closed neighbourhoods as sets, keys ``(not simplicial, weighted
+    degree, index)`` in a heap with lazy invalidation, and the subset test
+    rerun for every neighbour of the eliminated vertex."""
+    n = g.n
+    w = np.asarray(weights).tolist()
+    nb = [s | {v} for v, s in enumerate(g.adj)]
+    deg = [sum(w[u] for u in s) for s in g.adj]
+
+    def key(v):
+        nv = nb[v]
+        return (0 if all(nv <= nb[u] for u in nv) else 1, deg[v], v)
+
+    keys = [key(v) for v in range(n)]
+    heap = list(keys)
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        k = heapq.heappop(heap)
+        v = k[2]
+        if keys[v] != k:
+            continue
+        keys[v] = None
+        order.append(v)
+        nbrs = nb[v]
+        nbrs.discard(v)
+        wv = w[v]
+        for u in nbrs:
+            nb[u].discard(v)
+            deg[u] -= wv
+        fill = []
+        for u in nbrs:
+            nu = nb[u]
+            new = nbrs - nu
+            if new:
+                nu |= new
+                deg[u] += sum(w[x] for x in new)
+                fill.extend((u, x) for x in new if x > u)
+        touched = set(nbrs)
+        for a, b in fill:
+            touched |= nb[a] & nb[b]
+        for u in touched:
+            if u in nbrs or keys[u][0]:
+                k = key(u)
+                if k != keys[u]:
+                    keys[u] = k
+                    heapq.heappush(heap, k)
+    return np.array(order, dtype=np.int64)
+
+
+def simplicial_vertices(adj, alive):
+    """Live vertices whose live neighbours are pairwise adjacent."""
+    return {v for v in range(len(adj)) if alive[v]
+            and all(b in adj[a] for a in adj[v] for b in adj[v] if a != b)}
+
+
 def reference_reorder(g, weights):
     """The natural-order guard of ``reorder`` around the reference order."""
     md = Ordering(reference_min_degree_order(g, weights))
@@ -95,6 +154,28 @@ def weighted_graphs(draw):
     return g, weights
 
 
+@st.composite
+def varied_weighted_graphs(draw):
+    """Graphs up to complete, with weights that include zeros, one
+    distinct weight per vertex, or one weight for all."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    g = CliqueGraph(n)
+    for i in range(n):
+        for j in range(i):
+            if rnd.random() < p:
+                g.add_edge(i, j)
+    kind = draw(st.sampled_from(["small", "distinct", "uniform"]))
+    if kind == "small":
+        weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    elif kind == "distinct":
+        weights = draw(st.permutations(range(n)))
+    else:
+        weights = [draw(st.integers(0, 7))] * n
+    return g, np.array(weights, dtype=np.int64)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(weighted_graphs())
 def test_min_degree_matches_full_rescan_reference(gw):
@@ -112,6 +193,64 @@ def test_min_degree_matches_reference_on_reduced_graphs(reduced_systems, name):
                           reference_min_degree_order(g, K.sizes))
     assert np.array_equal(reorder(g, K.sizes).perm,
                           reference_reorder(g, K.sizes))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(varied_weighted_graphs())
+def test_min_degree_matches_set_based_reference(gw):
+    g, weights = gw
+    order = _min_degree_order(g, weights)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, reference_incremental_min_degree(g, weights))
+    if g.n <= 24:
+        assert np.array_equal(order, reference_min_degree_order(g, weights))
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_min_degree_matches_set_based_reference_on_reduced_graphs(
+        reduced_systems, name):
+    K = reduced_systems[name].K
+    g = clique_graph(K)
+    assert np.array_equal(_min_degree_order(g, K.sizes),
+                          reference_incremental_min_degree(g, K.sizes))
+
+
+def test_min_degree_matches_set_based_reference_at_480_blocks():
+    """8 wavelengths, ppw 10, 16x16 tiles: too large for the full-rescan
+    reference."""
+    side, ppw, tiles = 8.0, 10, 16
+    cfg = mesh.ProblemConfig(side_lambda=side, ppw=ppw, px=tiles, py=tiles,
+                             theta_inc=0.3)
+    m = mesh.build_rect_mesh(side, ppw)
+    part = mesh.partition_mesh(m, tiles, tiles)
+    K = subdomain.assemble_reduced(
+        [subdomain.reduce_domain(s)
+         for s in subdomain.build_subdomain_systems(m, part, cfg)], part).K
+    g = clique_graph(K)
+    assert g.n == 480
+    assert np.array_equal(_min_degree_order(g, K.sizes),
+                          reference_incremental_min_degree(g, K.sizes))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(varied_weighted_graphs())
+def test_simplicial_vertices_stay_simplicial(gw):
+    """Along the full-rescan reference's elimination, a simplicial vertex
+    stays simplicial until it is eliminated; the bitset minimum degree
+    re-keys such a vertex from its degree alone."""
+    g, weights = gw
+    adj = [set(s) for s in g.adj]
+    alive = [True] * g.n
+    simplicial = simplicial_vertices(adj, alive)
+    for v in reference_min_degree_order(g, weights).tolist():
+        alive[v] = False
+        nbrs = adj[v]
+        for u in nbrs:
+            adj[u].discard(v)
+            adj[u] |= nbrs - {u}
+        now = simplicial_vertices(adj, alive)
+        assert simplicial - {v} <= now
+        simplicial = now
 
 
 def assert_same_plan(plan, ref):
@@ -221,6 +360,34 @@ def test_check_permutation_accepts(perm):
 def test_weight_length_check():
     with pytest.raises(OrderingError):
         reorder(CliqueGraph(3), np.ones(2, dtype=int))
+
+
+@pytest.mark.parametrize("weights, first_bad", [
+    ([1.5, 2.7, 0.2], "weight 0 is 1.5"),
+    ([1, -2, 3], "weight 1 is -2"),
+    ([1, 2, float("nan")], "weight 2 is nan"),
+    ([1, float("inf"), 2], "weight 1 is inf"),
+    ([2.0, -0.5, 1.0], "weight 1 is -0.5"),
+])
+def test_non_integer_negative_or_non_finite_weights_rejected(weights, first_bad):
+    g = path_graph(3)
+    for fn in (reorder, reorder_with_plan):
+        with pytest.raises(OrderingError, match=first_bad):
+            fn(g, weights)
+
+
+def test_non_numeric_weights_rejected():
+    with pytest.raises(OrderingError, match="not numbers"):
+        reorder(path_graph(3), ["1", "2", "3"])
+
+
+def test_integer_valued_float_weights_accepted():
+    rng = np.random.default_rng(7)
+    g = rand_clique_graph(rng, 12, 0.4)
+    w = rng.integers(0, 6, size=12)
+    as_float = reorder_with_plan(g, w.astype(float))
+    assert_same_plan(as_float, reorder_with_plan(g, w))
+    assert as_float.sizes_perm.dtype == np.int64
 
 
 class TestOrderingFile:

@@ -1,8 +1,10 @@
 import numpy as np
-from conftest import fill_blocks, rand_clique_graph
+import pytest
+from conftest import GEOMETRIES, fill_blocks, rand_clique_graph
+from hypothesis import given, settings, strategies as st
 from ddsolve import blockmat, factor, symbolic
 from ddsolve.blockmat import CliqueGraph
-from ddsolve.ordering import Ordering, identity_ordering
+from ddsolve.ordering import Ordering, identity_ordering, reorder
 from ddsolve.symbolic import symbolic_factor
 
 
@@ -138,3 +140,74 @@ def test_format_plan_mentions_bytes():
     text = symbolic.format_plan(plan)
     assert "predicted factor bytes" in text
     assert str(16 * plan.total_factor_entries) in text
+
+
+def reference_symbolic_factor(g, order, sizes):
+    """The per-column loop that preceded the one-array pass: one int64 array
+    per column, and the totals summed column by column.  Returns
+    ``(pattern, etree_parent, total_factor_entries)``."""
+    n = g.n
+    sizes = np.asarray(sizes, dtype=np.int64)
+    inv = order.inverse().tolist()
+    below = [set() for _ in range(n)]
+    for i in range(n):
+        a = inv[i]
+        below[a].update(b for b in (inv[j] for j in g.adj[i]) if b > a)
+    pattern = []
+    parent = np.full(n, -1, dtype=np.int64)
+    for j in range(n):
+        rows = sorted(below[j])
+        pattern.append(np.array(rows, dtype=np.int64))
+        if rows:
+            parent[j] = rows[0]
+            below[rows[0]].update(rows[1:])
+    sizes_perm = sizes[order.perm]
+    total = 0
+    for j in range(n):
+        nj = int(sizes_perm[j])
+        total += nj * (nj + 1) // 2
+        total += nj * int(sizes_perm[pattern[j]].sum())
+    return pattern, parent, total
+
+
+def assert_plan_matches_reference(g, order, sizes):
+    plan = symbolic_factor(g, order, sizes)
+    pattern, parent, total = reference_symbolic_factor(g, order, sizes)
+    assert len(plan.pattern) == len(pattern)
+    for got, want in zip(plan.pattern, pattern):
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert plan.etree_parent.dtype == np.int64
+    assert plan.etree_parent.tobytes() == parent.tobytes()
+    assert type(plan.total_factor_entries) is int
+    assert plan.total_factor_entries == total
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_plan_matches_per_column_reference_on_reduced_graphs(reduced_systems, name):
+    K = reduced_systems[name].K
+    g = blockmat.clique_graph(K)
+    for order in (reorder(g, K.sizes), identity_ordering(g.n)):
+        assert_plan_matches_reference(g, order, K.sizes)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_plan_matches_per_column_reference_on_drawn_graphs(data):
+    n = data.draw(st.integers(0, 30))
+    p = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = rand_clique_graph(rng, n, p)
+    sizes = rng.integers(0, 7, size=n)
+    for order in (reorder(g, sizes), identity_ordering(n),
+                  Ordering(rng.permutation(n))):
+        assert_plan_matches_reference(g, order, sizes)
+
+
+def test_patterns_are_read_only():
+    g = CliqueGraph(3)
+    g.add_edge(0, 2)
+    g.add_edge(1, 2)
+    plan = symbolic_factor(g, identity_ordering(3), np.ones(3, dtype=int))
+    with pytest.raises(ValueError, match="read-only"):
+        plan.pattern[0][0] = 1
