@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ddsolve import blockmat, mesh, subdomain
 from ddsolve.ordering import reorder_with_plan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,13 +27,7 @@ def test_prints_blocks_time_entries_and_digests():
     assert lines[1].startswith("  reorder_with_plan ")
     assert lines[1].endswith("ms (best of 2)")
 
-    cfg = mesh.ProblemConfig(2.0, 10, 4, 4, theta_inc=0.3)
-    m = mesh.build_rect_mesh(2.0, 10)
-    part = mesh.partition_mesh(m, 4, 4)
-    K = subdomain.assemble_reduced(
-        [subdomain.reduce_domain(s)
-         for s in subdomain.build_subdomain_systems(m, part, cfg)], part).K
-    plan = reorder_with_plan(blockmat.clique_graph(K), K.sizes)
+    plan = reorder_with_plan(*ordering_times.reduced_graph((2.0, 10.0, 4, 4)))
     order_sha, plan_sha = ordering_times.plan_digests(plan)
     assert lines[2:] == [f"  factor entries      {plan.total_factor_entries}",
                          f"  order sha256        {order_sha}",

@@ -30,19 +30,8 @@ import hashlib
 import os
 import sys
 import time
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def parse_geometry(spec: str) -> tuple[float, float, int, int]:
-    try:
-        side, ppw, tiles = spec.split(",")
-        px, py = tiles.lower().split("x")
-        return float(side), float(ppw), int(px), int(py)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"geometry {spec!r} is not SIDE,PPW,PXxPY (e.g. 16,10,32x32)") from None
+from memory_table import SRC, parse_geometry
 
 
 def reduced_graph(geometry):
@@ -59,20 +48,19 @@ def reduced_graph(geometry):
     return blockmat.clique_graph(rsys.K), rsys.K.sizes
 
 
-def _int64_bytes(a) -> bytes:
-    import numpy as np
-
-    return np.ascontiguousarray(a, dtype="<i8").tobytes()
-
-
 def plan_digests(plan) -> tuple[str, str]:
     """sha256 of the order and of the whole plan."""
-    order = _int64_bytes(plan.order.perm)
+    import numpy as np
+
+    def int64_bytes(a) -> bytes:
+        return np.asarray(a, dtype="<i8").tobytes()
+
+    order = int64_bytes(plan.order.perm)
     h = hashlib.sha256(order)
-    h.update(_int64_bytes(plan.etree_parent))
+    h.update(int64_bytes(plan.etree_parent))
     for rows in plan.pattern:
         h.update(len(rows).to_bytes(8, "little"))
-        h.update(_int64_bytes(rows))
+        h.update(int64_bytes(rows))
     return hashlib.sha256(order).hexdigest(), h.hexdigest()
 
 
