@@ -189,8 +189,9 @@ def test_min_degree_matches_full_rescan_reference(gw):
 def test_min_degree_matches_reference_on_reduced_graphs(reduced_systems, name):
     K = reduced_systems[name].K
     g = clique_graph(K)
-    assert np.array_equal(_min_degree_order(g, K.sizes),
-                          reference_min_degree_order(g, K.sizes))
+    order = _min_degree_order(g, K.sizes)
+    assert np.array_equal(order, reference_min_degree_order(g, K.sizes))
+    assert np.array_equal(order, reference_incremental_min_degree(g, K.sizes))
     assert np.array_equal(reorder(g, K.sizes).perm,
                           reference_reorder(g, K.sizes))
 
@@ -204,15 +205,6 @@ def test_min_degree_matches_set_based_reference(gw):
     assert np.array_equal(order, reference_incremental_min_degree(g, weights))
     if g.n <= 24:
         assert np.array_equal(order, reference_min_degree_order(g, weights))
-
-
-@pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_min_degree_matches_set_based_reference_on_reduced_graphs(
-        reduced_systems, name):
-    K = reduced_systems[name].K
-    g = clique_graph(K)
-    assert np.array_equal(_min_degree_order(g, K.sizes),
-                          reference_incremental_min_degree(g, K.sizes))
 
 
 def test_min_degree_matches_set_based_reference_at_480_blocks():
