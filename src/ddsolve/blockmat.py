@@ -50,12 +50,18 @@ class CliqueGraph:
 
 
 class BlockSparseSym:
-    """Lower-triangle block storage with implicit transposed upper blocks."""
+    """Lower-triangle block storage with implicit transposed upper blocks.
+
+    ``blocks`` maps ``(i, j)``, ``i >= j``, to an owned, C-ordered complex
+    array, keyed in order of first insertion.  Block sizes must be
+    non-negative integers; integer-valued floats are accepted.
+    """
 
     def __init__(self, sizes):
-        self.sizes = np.asarray(sizes, dtype=np.int64)
-        if self.sizes.ndim != 1 or (self.sizes < 0).any():
-            raise BlockMatrixError("block sizes must be a 1-D nonnegative array")
+        sizes = np.asarray(sizes)
+        if sizes.ndim != 1:
+            raise BlockMatrixError("block sizes must be a 1-D array")
+        self.sizes = nonnegative_integers(sizes, "block size", BlockMatrixError)
         self.blocks: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -75,6 +81,17 @@ class BlockSparseSym:
             raise BlockMatrixError(
                 f"block ({i}, {j}) has shape {block.shape}, expected {want}")
         return block
+
+    def add(self, i: int, j: int, block: np.ndarray) -> None:
+        """Add the complex array ``block`` to block ``(i, j)``: a C-ordered
+        copy when the block is new, an in-place sum otherwise, so duplicates
+        sum in call order.  The key, the shape and the dtype are the caller's
+        to check (:meth:`_checked`)."""
+        stored = self.blocks.get((i, j))
+        if stored is None:
+            self.blocks[(i, j)] = block.copy()
+        else:
+            stored += block
 
     def items(self):
         """Stored blocks in deterministic (column, row) order."""
@@ -116,6 +133,20 @@ class BlockSparseSym:
             raise BlockMatrixError(f"diagonal block {i} asymmetric: {asym:.3e}")
 
 
+def nonnegative_integers(values, what: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as int64 if every entry is a non-negative integer
+    (integer-valued floats included); otherwise raises ``error`` naming the
+    first entry that is not, ``what`` being the name of one entry."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise error(f"{what}s of dtype {values.dtype} are not numbers")
+    whole = np.isfinite(values) & (values >= 0) & (values == np.floor(values))
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise error(f"{what} {i} is {values[i]}; {what}s must be non-negative integers")
+    return values.astype(np.int64)
+
+
 def exclusive_cumsum(counts) -> np.ndarray:
     """``[0, c_0, c_0 + c_1, ..., sum(c)]`` as int64: where each run of
     ``counts`` starts, and the total."""
@@ -140,53 +171,15 @@ def _ragged_blocks(n_rows: np.ndarray, n_cols: np.ndarray):
     return block, row, col
 
 
-def from_block_entries(sizes, ij, values) -> BlockSparseSym:
-    """Build a block matrix from the keys ``ij`` (one ``(i, j)`` row per
-    block, lower triangle) and the blocks' row-major entries, concatenated
-    in the same order; duplicates sum in list order.
-
-    All blocks live in one buffer filled by one sequential ``np.add.at``.
-    The buffer starts at ``-0.0``, which leaves the bits of the first term
-    of every entry unchanged, so each block is its first term plus the later
-    ones, as summing copies would give.  Stored blocks are views into the
-    buffer, keyed in order of first appearance.
-    """
-    K = BlockSparseSym(sizes)
-    ij = np.asarray(ij, dtype=np.int64).reshape(-1, 2)
-    i, j = ij[:, 0], ij[:, 1]
-    nb = K.nblocks
-    bad = np.flatnonzero(~((0 <= j) & (j <= i) & (i < nb)))
-    if bad.size:
-        t = bad[0]
-        raise BlockMatrixError(
-            f"block index ({int(i[t])}, {int(j[t])}) outside lower triangle")
-    count = K.sizes[i] * K.sizes[j]
-    if values.size != count.sum():
-        raise BlockMatrixError(f"{values.size} block entries given, "
-                               f"the keys need {int(count.sum())}")
-    _, first, which = np.unique(i * nb + j, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    keys = ij[first[by_first]]
-    off = exclusive_cumsum(count[first[by_first]])
-    buf = np.full(int(off[-1]), complex(-0.0, -0.0))
-    np.add.at(buf, np.repeat(off[rank[which]], count) + ragged_arange(count), values)
-    K.blocks = {(a, b): buf[o:o1].reshape(shape) for (a, b), shape, o, o1 in zip(
-        keys.tolist(), K.sizes[keys].tolist(), off[:-1].tolist(), off[1:].tolist())}
-    return K
-
-
 def from_blocks(sizes, block_list) -> BlockSparseSym:
-    """Build a block matrix from ``(i, j, array)`` triples; duplicates sum."""
+    """Build a block matrix from ``(i, j, array)`` triples, each checked for
+    its key and shape and then added (:meth:`BlockSparseSym.add`):
+    duplicates sum in list order, keys in order of first appearance.  The
+    diagonal blocks are then checked for symmetry."""
     K = BlockSparseSym(sizes)
-    keys = []
-    values = []
     for i, j, blk in block_list:
-        keys.append((int(i), int(j)))
-        values.append(K._checked(int(i), int(j), blk).reshape(-1))
-    K = from_block_entries(K.sizes, keys, np.concatenate(values) if values
-                           else np.zeros(0, dtype=np.complex128))
+        i, j = int(i), int(j)
+        K.add(i, j, K._checked(i, j, blk))
     K.validate()
     return K
 

@@ -6,9 +6,11 @@ confined to itself, so no pivot is ever deferred into another supernode and
 the numeric factor occupies exactly the entries predicted symbolically.  The
 block factor holds each block column in one panel allocated from the plan
 (supernodal column storage, Ng & Peyton 1993), all panels in one buffer.
-K's entries and each column's update reach the panels by one indexed write
-whose positions come from one sorted search over the rows of all panels, so
-an entry outside the pattern finds no storage and raises instead.
+Each stored block of K is copied whole into its slot, found by one sorted
+search over the (panel, block row) keys of all slots.  Each column's update
+reaches the later panels by one indexed write whose positions come from one
+sorted search over the rows of all panels.  A block or an update entry
+outside the pattern finds no storage and raises instead.
 
 The dense kernel factors the reduced system's diagonal blocks; subdomain
 matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.  It
@@ -32,7 +34,7 @@ from functools import lru_cache, wraps
 import numpy as np
 from scipy.linalg.blas import zgemm, ztrsm
 
-from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, ragged_arange
+from .blockmat import BlockSparseSym, exclusive_cumsum, ragged_arange
 from .symbolic import EliminationPlan
 
 DEFAULT_PIVOT_TOL = 1e-12
@@ -336,8 +338,8 @@ class FactorStats:
     bytes per complex entry held at once: K's stored blocks, the buffer of
     all panels, the dense L of every diagonal factor (n_j^2 each), and X and
     U = X L^T of the column with the largest m_j n_j + m_j^2.  It counts
-    complex entries only; the int64 index arrays that place K's entries and
-    the updates in the panels are not in it.
+    complex entries only; the int64 index arrays that place each column's
+    update in the panels are not in it.
     """
 
     factor_entries: int = 0
@@ -378,18 +380,19 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     """Right-looking block LDL^T of ``K`` following ``plan``.
 
     Block column j lives in one zero-initialised, row-major panel allocated
-    from the plan: block rows ``[j] + pattern[j]``, diagonal block on top.
-    All panels share one buffer, and every entry written into it is found
-    by one sorted search over the (panel, scalar row) keys of all panel
-    rows.  K's entries are written first, with rows and columns swapped
-    where the permutation of ``plan`` flips a block, and K's diagonal
-    blocks are checked for symmetry there.  Per column: factor the lower
-    triangle of the top block, form X = L D for the rows below it by one
-    triangular solve, recover L = X D_jj^-1 in place, form the update
-    U = X L^T by one product, and subtract the lower triangle of U from the
-    later panels by one indexed subtraction; past the symmetry check, only
-    the lower triangle of a diagonal block is read.  An entry of K or of an
-    update that has no place in the plan raises
+    from the plan: block rows ``[j] + pattern[j]``, diagonal block on top;
+    all panels share one buffer.  K's stored blocks are written first, each
+    by one slice assignment into its slot, transposed where the permutation
+    of ``plan`` flips it; one sorted search over the (panel, block row) keys
+    of all slots finds every slot.  K's diagonal blocks are then checked for
+    symmetry in the panels.  Per column: factor the lower triangle of the
+    top block, form X = L D for the rows below it by one triangular solve,
+    recover L = X D_jj^-1 in place, form the update U = X L^T by one
+    product, and subtract the lower triangle of U from the later panels by
+    one indexed subtraction, its positions found by one sorted search over
+    the (panel, scalar row) keys of all panel rows; past the symmetry check,
+    only the lower triangle of a diagonal block is read.  A block of K or an
+    update entry that has no place in the plan raises
     :class:`FactorConsistencyError`.
     """
     nb = K.nblocks
@@ -412,46 +415,49 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     slot_start = exclusive_cumsum(n_slots)
     slot_panel = np.repeat(np.arange(nb), n_slots)
     slot_rows = sizes[slot_blk]
-    panel_row0 = exclusive_cumsum(slot_rows)[slot_start]
+    slot_row0 = exclusive_cumsum(slot_rows)
+    panel_row0 = slot_row0[slot_start]
     row_blk = np.repeat(slot_blk, slot_rows)
     row_panel = np.repeat(slot_panel, slot_rows)
     row_in_blk = ragged_arange(slot_rows)
     row_scalar = offsets[row_blk] + row_in_blk
-    # Buffer position of each row (and the end), and the sorted keys every
-    # entry is looked up in; the sentinel matches no key.
+    # Buffer position of each row (and the end), the panels as views of the
+    # buffer, and the sorted keys every update entry is looked up in; the
+    # sentinel matches no key.
     row_base = exclusive_cumsum(sizes[row_panel])
-    base = row_base[panel_row0]
-    buf = np.zeros(int(base[-1]), dtype=np.complex128)
+    bases = row_base[panel_row0].tolist()
+    row0 = panel_row0.tolist()
+    buf = np.zeros(bases[-1], dtype=np.complex128)
+    work = [buf[bases[j]:bases[j + 1]].reshape(row0[j + 1] - row0[j], n[j])
+            for j in range(nb)]
     row_key = np.append(row_panel * n_scalar + row_scalar, nb * n_scalar)
 
-    def find(key):
-        at = row_key.searchsorted(key)
-        return at, np.flatnonzero(row_key[at] != key)
-
-    # Place K: entry (r, c) of a block goes to row r of its (hi, lo) block
-    # in panel lo, at column c; a flipped block swaps r and c.
+    # Place K: block (i, j) goes whole to its (hi, lo) slot in panel lo,
+    # transposed where the permutation flips it; the slots are found by one
+    # sorted search over the (panel, block row) keys of all slots.
     keys = np.array(list(K.blocks), dtype=np.int64).reshape(-1, 2)
     ij = plan.order.inverse()[keys]
     hi, lo = ij.max(axis=1), ij.min(axis=1)
-    flip = ij[:, 0] < ij[:, 1]
-    k_vals = np.concatenate([np.zeros(0, dtype=np.complex128), *K.blocks.values()],
-                            axis=None)
-    blk, r, c = _ragged_blocks(K.sizes[keys[:, 0]], K.sizes[keys[:, 1]])
-    r, c = np.where(flip[blk], c, r), np.where(flip[blk], r, c)
-    at, miss = find(lo[blk] * n_scalar + offsets[hi[blk]] + r)
+    slot_key = np.append(slot_panel * nb + slot_blk, nb * nb)
+    key = lo * nb + hi
+    at = slot_key.searchsorted(key)
+    miss = np.flatnonzero(slot_key[at] != key)
     if miss.size:
-        t = blk[miss[0]]
+        t = miss[0]
         raise FactorConsistencyError(
             f"unconsumed blocks: block {(int(hi[t]), int(lo[t]))} "
             f"of K has no place in the plan")
-    buf[row_base[at] + c] = k_vals
-    k_entries = k_vals.size
-    del k_vals, blk, r, c, at, miss     # K is placed: free its per-entry arrays
+    r_in_panel = (slot_row0[at] - panel_row0[lo]).tolist()
+    flip = (ij[:, 0] < ij[:, 1]).tolist()
+    for blk, p, r, f in zip(K.blocks.values(), lo.tolist(), r_in_panel, flip):
+        blk = blk.T if f else blk
+        work[p][r:r + blk.shape[0]] = blk
+    del keys, ij, hi, lo, slot_key, key, at, r_in_panel, flip   # K's per-block arrays
     # The symmetry check of dense_ldlt_bk, once per diagonal block of K,
     # batched over the diagonal blocks of each size.
     for size in set(n) - {0}:
         cols = np.flatnonzero(sizes == size)
-        D = buf[base[cols, None] + np.arange(size * size)].reshape(-1, size, size)
+        D = np.stack([work[j][:size] for j in cols.tolist()])
         scale = np.abs(D).max(axis=(1, 2))
         asym = np.abs(D - D.transpose(0, 2, 1)).max(axis=(1, 2))
         bad = np.flatnonzero(~(asym <= 1e-12 * scale))
@@ -464,24 +470,20 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     diag: list[DenseFactor] = []
     panels: list[np.ndarray] = []
     panel_rows: list[np.ndarray] = []
-    row0 = panel_row0.tolist()
-    bases = base.tolist()
     for j in range(nb):
         nj = n[j]
-        r0, r1 = row0[j], row0[j + 1]
-        panel = buf[bases[j]:bases[j + 1]].reshape(r1 - r0, nj)
         try:
-            fac = _factor_lower(panel[:nj], pivot_tol)
+            fac = _factor_lower(work[j][:nj], pivot_tol)
         except SingularBlockError as err:
             raise SingularBlockError(f"block column {j}: {err}") from err
         diag.append(fac)
         # X = L D is the transpose of L_jj^-1 (panel P^T)^T; L = X D^-1.
-        Lp = panel[nj:]
+        Lp = work[j][nj:]
         X = _unit_lower_solve(fac.L, Lp[:, fac.perm].T).T
         Lp[...] = X
         fac.apply_dinv(Lp.T)
         panels.append(Lp)
-        below = slice(r0 + nj, r1)
+        below = slice(row0[j] + nj, row0[j + 1])
         prow = row_scalar[below]
         panel_rows.append(prow)
         if not prow.size:
@@ -491,7 +493,9 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         # of b's block, at b's column within that block.
         rows, cols, at_u = _lower_triangle(prow.size)
         pblk = row_blk[below]
-        at, miss = find(pblk[cols] * n_scalar + prow[rows])
+        key = pblk[cols] * n_scalar + prow[rows]
+        at = row_key.searchsorted(key)
+        miss = np.flatnonzero(row_key[at] != key)
         if miss.size:
             # Column by column, the first miss is the first in (k, i) order.
             t = miss[0]
@@ -502,6 +506,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
 
     m = np.diff(panel_row0) - sizes
     sq = sizes * sizes
+    k_entries = sum(blk.size for blk in K.blocks.values())
     pattern_sq = np.add.reduceat(sq[slot_blk], slot_start[:-1]) - sq
     flops = (sizes ** 3 // 3 + sq + m * sq + m * sizes
              + sizes * (m * m + pattern_sq) // 2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import CliqueGraph
+from .blockmat import CliqueGraph, nonnegative_integers
 from .symbolic import EliminationPlan, symbolic_factor
 
 
@@ -157,17 +157,9 @@ def reorder_with_plan(g: CliqueGraph, weights) -> EliminationPlan:
     symbolic pass is repeated.  Weights must be non-negative integers
     (integer-valued floats included); any other raises OrderingError."""
     n = g.n
-    weights = np.asarray(weights)
-    if weights.size != n:
+    if np.size(weights) != n:
         raise OrderingError("weights length does not match graph size")
-    if weights.dtype.kind not in "biuf":
-        raise OrderingError(f"weights of dtype {weights.dtype} are not numbers")
-    whole = np.isfinite(weights) & (weights >= 0) & (weights == np.floor(weights))
-    if not whole.all():
-        i = int(np.argmin(whole))
-        raise OrderingError(
-            f"weight {i} is {weights[i]}; weights must be non-negative integers")
-    weights = weights.astype(np.int64)
+    weights = nonnegative_integers(weights, "weight", OrderingError)
     md = symbolic_factor(g, Ordering(_min_degree_order(g, weights)), weights)
     if np.array_equal(md.order.perm, np.arange(n)):
         return md

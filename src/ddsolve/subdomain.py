@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, \
-    from_block_entries, ragged_arange
+from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, ragged_arange
 from .factor import DEFAULT_PIVOT_TOL, blas_matmul
 from .mesh import Mesh, Partition, ProblemConfig, boundary_load, edge_lengths, \
     edge_mass, helmholtz_blocks, incident_boundary_load
@@ -298,47 +297,40 @@ def reduce_domain(sys: SubdomainSystem,
 
 
 def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
-    """Scatter per-domain Schur blocks into the block-sparse reduced system.
+    """Add per-domain Schur blocks into the block-sparse reduced system.
 
     ``reduced[d]`` is the ``(K_D, g_d)`` pair of domain ``d`` with rows and
-    columns ordered as its multipliers in :attr:`Partition.lam_index`.  Every
-    domain's interface pairs ``(a, b)``, ``a >= b``, go to block ``(a, b)``
-    of K by one grouped scatter in domain order
-    (:func:`blockmat.from_block_entries`), and ``g`` is summed through
-    ``lam_index`` by one ``np.add.at`` in the same order.
+    columns ordered as its multipliers in :attr:`Partition.lam_index`.  For
+    every domain, in domain order, each pair ``(a, b)``, ``a >= b``, of its
+    interfaces adds the slice of K_D at their rows and columns to block
+    ``(a, b)`` of K (:meth:`BlockSparseSym.add`: a copy, then in-place sums),
+    and ``g`` is summed through ``lam_index`` by one ``np.add.at`` in the same
+    order.
     """
     if len(reduced) != part.n_domains:
         raise ValueError(f"{len(reduced)} reduced domains given, the partition "
                          f"has {part.n_domains}")
-    sizes = part.n_kept
-    # slot s: interface inc[s] of domain dom[s]; its rows in K_D start at
-    # row0[s], and K_D's entries at k_off[dom[s]] in the concatenated K_D's
-    inc, start = part.incident, part.incident_start
-    n_slot = sizes[inc]
-    cum = exclusive_cumsum(n_slot)
-    nd = np.diff(part.lam_start)
+    # slot s is interface inc[s] of domain d; its rows in K_D are
+    # row[s]:row[s + 1] shifted by row[start[d]]
+    inc = part.incident.tolist()
+    start = part.incident_start.tolist()
+    row = exclusive_cumsum(part.n_kept[part.incident]).tolist()
+    nd = np.diff(part.lam_start).tolist()
+    K = BlockSparseSym(part.n_kept)
     for d, (K_D, g_d) in enumerate(reduced):
-        n = int(nd[d])
+        n = nd[d]
         if K_D.shape != (n, n):
             raise ValueError(f"domain {d}: reduced block is {K_D.shape}, "
                              f"expected ({n}, {n})")
         if g_d.shape != (n,):
             raise ValueError(f"domain {d}: reduced load is {g_d.shape}, "
                              f"expected ({n},)")
-    k_off = exclusive_cumsum(nd * nd)
-    dom = np.repeat(np.arange(part.n_domains), np.diff(start))
-    row0 = cum[:-1] - part.lam_start[dom]
-
-    # pairs (a, b) of slots of one domain with b <= a, domain by domain,
-    # then their entries row by row
-    n_pair = np.arange(inc.size) - start[dom] + 1
-    a = np.repeat(np.arange(inc.size), n_pair)
-    b = start[dom[a]] + ragged_arange(n_pair)
-    pair, r, c = _ragged_blocks(n_slot[a], n_slot[b])
-    ea, eb = a[pair], b[pair]
-    src = k_off[dom[ea]] + (row0[ea] + r) * nd[dom[ea]] + row0[eb] + c
-    K_all = np.concatenate([K_D.reshape(-1) for K_D, _ in reduced])
-    K = from_block_entries(sizes, np.column_stack([inc[a], inc[b]]), K_all[src])
+        r0 = row[start[d]]
+        slots = [(inc[s], slice(row[s] - r0, row[s + 1] - r0))
+                 for s in range(start[d], start[d + 1])]
+        for a, (ia, ra) in enumerate(slots):
+            for ib, rb in slots[:a + 1]:
+                K.add(ia, ib, K_D[ra, rb])
     K.validate()
 
     g = np.zeros(K.order, dtype=np.complex128)

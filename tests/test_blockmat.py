@@ -90,11 +90,20 @@ class TestFromBlocks:
         K = from_blocks([2], [(0, 0, zeros)])
         assert K.blocks[(0, 0)].tobytes() == zeros.tobytes()
 
-    def test_block_entries_checked(self):
-        with pytest.raises(BlockMatrixError, match=r"\(0, 1\) outside lower"):
-            blockmat.from_block_entries([1, 1], [(1, 0), (0, 1)], np.ones(2))
-        with pytest.raises(BlockMatrixError, match="3 block entries given"):
-            blockmat.from_block_entries([2, 1], [(1, 0)], np.ones(3))
+    @pytest.mark.parametrize("sizes, match", [
+        ([2.5, 1.9], "block size 0 is 2.5"),
+        ([2.7], "block size 0 is 2.7"),
+        ([1, -1], "block size 1 is -1"),
+        ([1.0, np.nan], "block size 1 is nan"),
+        ([np.inf], "block size 0 is inf"),
+        (["2"], "block sizes of dtype <U1 are not numbers"),
+        ([[1, 2]], "1-D"),
+    ])
+    def test_sizes_must_be_nonnegative_integers(self, sizes, match):
+        with pytest.raises(BlockMatrixError, match=match):
+            from_blocks(sizes, [])
+        # integer-valued floats stay accepted
+        assert from_blocks([2.0, 0.0], []).sizes.tolist() == [2, 0]
 
     def test_iteration_order_deterministic(self):
         rng = np.random.default_rng(1)

@@ -267,6 +267,24 @@ class TestBandStorage:
         assert min(s.n_dofs for s in systems) >= 256
         assert peak < 16 * sum(s.n_dofs ** 2 for s in systems)
 
+    def test_assemble_reduced_holds_little_beyond_k_and_g(self):
+        # Schur blocks move whole, so the stage's traced peak stays within a
+        # small multiple of what it returns: about 1.7x here, where an index
+        # array per entry of every K_D takes about 11x
+        cfg = mm.ProblemConfig(side_lambda=2.0, ppw=20, px=4, py=4, theta_inc=0.3)
+        m = mm.build_rect_mesh(2.0, 20)
+        part = mm.partition_mesh(m, 4, 4)
+        systems = sd.build_subdomain_systems(m, part, cfg)
+        reduced = [sd.reduce_domain(s) for s in systems]
+        tracemalloc.start()
+        try:
+            rsys = sd.assemble_reduced(reduced, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(b.nbytes for b in rsys.K.blocks.values()) + rsys.g.nbytes
+        assert peak < 3 * held
+
     def test_factor_is_band_lu(self):
         cfg = mm.ProblemConfig(side_lambda=1.0, ppw=22, px=2, py=2, theta_inc=0.3)
         m = mm.build_rect_mesh(1.0, 22)
