@@ -10,7 +10,9 @@ Each stored block of K is copied whole into its slot, found by one sorted
 search over the (panel, block row) keys of all slots.  Each column's update
 reaches the later panels by one indexed write whose positions come from one
 sorted search over the rows of all panels.  A block or an update entry
-outside the pattern finds no storage and raises instead.
+outside the pattern finds no storage and raises instead.  The solve folds
+the diagonal factors' row interchanges into its row maps once per call, so
+each of its steps works on a contiguous slice.
 
 The dense kernel factors the reduced system's diagonal blocks; subdomain
 matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.  It
@@ -18,7 +20,9 @@ follows Bunch & Kaufman (1977) with pivot tests on the true complex
 modulus.  LAPACK ``?sytrf`` is not a drop-in replacement: it tests
 ``|Re| + |Im|``, for which the 2.57 per-step growth bound does not hold.
 The trailing block is kept as one full square, symmetric to rounding, and
-each pivot step is one rank-1 or rank-2 numpy update of the whole square.
+each pivot step is one rank-1 or rank-2 numpy update of the whole square
+and one absolute value of it, which serves both the step's growth and the
+next step's pivot search.
 The factor and solve loops call scipy's BLAS directly (``ztrsm``, ``zgemm``)
 rather than mixing it with numpy's ``@``: the two packages may bundle
 separate BLAS builds, each with its own thread pool, and alternating between
@@ -41,7 +45,7 @@ DEFAULT_PIVOT_TOL = 1e-12
 
 # Pivot threshold constant from the 1977 Bunch-Kaufman analysis; bounds the
 # per-step element growth by 1 + 1/alpha < 2.57.
-BK_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
+BK_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
 
 
 class SingularBlockError(Exception):
@@ -144,37 +148,41 @@ def _apply_dinv(d: np.ndarray, e: np.ndarray, tags: np.ndarray,
     Z[s + 1] = (akm1 * t2 - t1) / denom
 
 
-def _bk_factor(W: np.ndarray, tol_abs: float, w_max: float):
+def _bk_factor(W: np.ndarray, tol_abs: float, A: np.ndarray, w_max: float):
     """Bunch-Kaufman elimination of the symmetric square ``W`` in place;
-    ``w_max`` is ``max|W|``, the base of the growth factor.
+    ``A`` is ``|W|`` and ``w_max`` its maximum, the base of the growth
+    factor.
 
-    Returns ``(perm, tags, twos, growth, info)``, ``twos`` listing the steps
-    that start a 2x2 pivot.  Each step updates the whole trailing square,
-    which stays symmetric to rounding.  On return the strict
-    lower triangle of ``W`` holds the unit-L columns, the diagonal the 1x1
-    entries of D and ``W[k+1, k]`` the subdiagonal of a 2x2 pivot starting at
-    ``k`` (the L entry there is zero).  ``perm[i]`` is the original index at
-    position ``i``: interchanges swap whole rows, L rows included, so one
-    permutation describes the whole factor.  ``info`` is the first step with
-    no pivot above ``tol_abs``, or -1.
+    Returns ``(perm, tags, twos, growth, info)`` as lists and floats,
+    ``twos`` listing the steps that start a 2x2 pivot.  Each step updates
+    the whole trailing square, which stays symmetric to rounding, and takes
+    one ``np.abs`` of the updated square: its maximum gives the step's
+    growth, and its columns the next step's pivot searches, which compare
+    Python floats and break ties toward the first row, as ``argmax`` does.
+    On return the strict lower triangle of ``W`` holds the unit-L columns,
+    the diagonal the 1x1 entries of D and ``W[k+1, k]`` the subdiagonal of a
+    2x2 pivot starting at ``k`` (the L entry there is zero).  ``perm[i]`` is
+    the original index at position ``i``: interchanges swap whole rows, L
+    rows included, so one permutation describes the whole factor.  ``info``
+    is the first step with no pivot above ``tol_abs``, or -1.
     """
     n = W.shape[0]
-    perm = np.arange(n)
-    tags = np.zeros(n, dtype=np.int8)
+    perm = list(range(n))
+    tags = [0] * n
     twos: list[int] = []
     growth = 1.0
-    trail_max = w_max
+    trail_max = float(w_max)
     k = 0
     while k < n:
+        # A is |W[k:, k:]|; imax - k indexes it.
         kstep = 1
-        absakk = abs(W[k, k])
+        col = A[:, 0].tolist()
+        absakk = col[0]
         colmax = 0.0
         imax = k
         if k + 1 < n:
-            col = np.abs(W[k + 1:, k])
-            t = int(col.argmax())
-            imax = k + 1 + t
-            colmax = col[t]
+            colmax = max(col[1:])
+            imax = k + col.index(colmax, 1)
         if max(absakk, colmax) <= tol_abs:
             # Neither a 1x1 nor a 2x2 candidate clears the threshold: the
             # remaining column is numerically zero.
@@ -182,12 +190,13 @@ def _bk_factor(W: np.ndarray, tol_abs: float, w_max: float):
         if absakk >= BK_ALPHA * colmax:
             kp = k
         else:
-            row = np.abs(W[k:, imax])
+            row = A[:, imax - k].tolist()
+            absaii = row[imax - k]
             row[imax - k] = 0.0
-            rowmax = row.max()
+            rowmax = max(row)
             if absakk * rowmax >= BK_ALPHA * colmax * colmax:
                 kp = k
-            elif abs(W[imax, imax]) >= BK_ALPHA * rowmax:
+            elif absaii >= BK_ALPHA * rowmax:
                 kp = imax
             else:
                 kp = imax
@@ -196,7 +205,7 @@ def _bk_factor(W: np.ndarray, tol_abs: float, w_max: float):
         if kp != kk:
             W[[kk, kp]] = W[[kp, kk]]
             W[:, [kk, kp]] = W[:, [kp, kk]]
-            perm[[kk, kp]] = perm[[kp, kk]]
+            perm[kk], perm[kp] = perm[kp], perm[kk]
         kn = k + kstep
         tags[k] = kstep
         if kstep == 2:
@@ -224,11 +233,12 @@ def _bk_factor(W: np.ndarray, tol_abs: float, w_max: float):
             W[kn:, kn:] -= (np.multiply.outer(wk, a) + np.multiply.outer(wkp, b)).T
             W[kn:, k] = wk
             W[kn:, k + 1] = wkp
-        step_max = np.abs(W[kn:, kn:]).max()
+        A = np.abs(W[kn:, kn:])
+        step_max = float(A.max())
         if trail_max > 0.0:
             r = step_max / trail_max
             if kstep == 2:
-                r = np.sqrt(r)
+                r = math.sqrt(r)
             growth = max(growth, r)
         trail_max = step_max
         k = kn
@@ -260,49 +270,57 @@ def _square_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     ``sym[q]`` is the row-major position of ``(max(a, b), min(a, b))`` for
     column-major position ``q`` of ``(a, b)``, so taking it from a block
     mirrors the block's lower triangle into a column-major symmetric square.
-    ``strict_lower`` masks the strict lower triangle in column-major order,
-    ``diag`` holds the diagonal's positions and ``eye`` is the flat identity.
+    ``upper`` masks the upper triangle, diagonal included, in column-major
+    order, ``diag`` holds the diagonal's positions and ``eye`` is the flat
+    identity.
     """
     b, a = np.divmod(np.arange(n * n), n)
     sym = np.maximum(a, b) * n + np.minimum(a, b)
     eye = (a == b).astype(np.complex128)
-    return sym, a > b, np.flatnonzero(a == b), eye
+    return sym, a <= b, np.flatnonzero(a == b), eye
 
 
 def _factor_lower(B: np.ndarray, pivot_tol: float,
-                  scale: float | None = None) -> DenseFactor:
+                  scale: float | None = None) -> tuple[DenseFactor, bool]:
     """Bunch-Kaufman factor of the symmetric matrix whose lower triangle is
     that of the square ``B``; the upper triangle of ``B`` is not read.
 
-    The pivot threshold is ``pivot_tol * scale``, ``scale`` defaulting to
-    ``max|B|`` over the lower triangle.  Raises :class:`SingularBlockError`
-    like :func:`dense_ldlt_bk`, and ``ValueError`` on non-finite entries.
+    Returns the factor and whether any rows were interchanged.  The pivot
+    threshold is ``pivot_tol * scale``, ``scale`` defaulting to ``max|B|``
+    over the lower triangle.  Raises :class:`SingularBlockError` like
+    :func:`dense_ldlt_bk`, and ``ValueError`` on non-finite entries.
     """
     n = B.shape[0]
-    sym, strict_lower, diag, eye = _square_index(n)
+    sym, upper, diag, eye = _square_index(n)
     W = B.take(sym)
     # +0.0 turns -0.0 into +0.0, as tril(B) + tril(B, -1).T would.
     W += 0.0
     W = W.reshape((n, n), order="F")
-    w_max = np.abs(W).max() if n else 0.0
+    A = np.abs(W)
+    w_max = A.max() if n else 0.0
     if not math.isfinite(w_max):
         raise ValueError("matrix has non-finite entries")
     if scale is None:
         scale = w_max
-    perm, tags, twos, growth, info = _bk_factor(W, pivot_tol * scale, w_max)
+    perm, tags, twos, growth, info = _bk_factor(W, pivot_tol * scale, A, w_max)
     if info >= 0:
         raise SingularBlockError(
             f"no acceptable pivot at elimination step {info} "
             f"(threshold {pivot_tol * scale:.3e})")
+    # W becomes L: its upper triangle and diagonal are overwritten by the
+    # identity's, through a flat column-major view.
     Wf = W.reshape(-1, order="F")
     d = Wf[diag]
-    L = np.where(strict_lower, Wf, eye).reshape((n, n), order="F")
+    np.copyto(Wf, eye, where=upper)
+    L = W
     e = np.zeros(n, dtype=np.complex128)
     if twos:
         s = np.array(twos)
         e[s] = W[s + 1, s]
         L[s + 1, s] = 0.0
-    return DenseFactor(L, d, e, tags, perm, float(growth), len(twos))
+    fac = DenseFactor(L, d, e, np.array(tags, dtype=np.int8),
+                      np.array(perm, dtype=np.int_), growth, len(twos))
+    return fac, perm != list(range(n))
 
 
 def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseFactor:
@@ -324,7 +342,7 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
         asym = np.abs(M - M.T).max()
         if asym > 1e-12 * scale:
             raise ValueError(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
-    return _factor_lower(M, pivot_tol, scale)
+    return _factor_lower(M, pivot_tol, scale)[0]
 
 
 @dataclass
@@ -386,14 +404,17 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     of ``plan`` flips it; one sorted search over the (panel, block row) keys
     of all slots finds every slot.  K's diagonal blocks are then checked for
     symmetry in the panels.  Per column: factor the lower triangle of the
-    top block, form X = L D for the rows below it by one triangular solve,
-    recover L = X D_jj^-1 in place, form the update U = X L^T by one
-    product, and subtract the lower triangle of U from the later panels by
-    one indexed subtraction, its positions found by one sorted search over
-    the (panel, scalar row) keys of all panel rows; past the symmetry check,
-    only the lower triangle of a diagonal block is read.  A block of K or an
-    update entry that has no place in the plan raises
-    :class:`FactorConsistencyError`.
+    top block; permute the panel's columns if that factor interchanged rows;
+    form X = L D for the rows below it by one triangular solve in place on
+    the panel and keep one copy of it; recover L = X D_jj^-1 in place (one
+    division when D_jj has no 2x2 pivot); form the update U = X L^T by one
+    product; and subtract the lower triangle of U from the later panels by
+    one indexed subtraction.  Its positions come from one sorted search over
+    the (panel, scalar row) keys of all panel rows, with the update's keys
+    built from one per-row array, each row's block times the scalar order;
+    past the symmetry check, only the lower triangle of a diagonal block is
+    read.  A block of K or an update entry that has no place in the plan
+    raises :class:`FactorConsistencyError`.
     """
     nb = K.nblocks
     if plan.nblocks != nb:
@@ -408,19 +429,25 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     n_scalar = int(offsets[-1])
 
     # Slots are the block rows [j] + pattern[j] of every panel j, panel by
-    # panel; rows are the scalar rows of the slots, each as wide as its panel.
-    slot_blk = np.concatenate([x for j, p in enumerate(plan.pattern)
-                               for x in ((j,), p)])
-    n_slots = np.array([p.size + 1 for p in plan.pattern], dtype=np.int64)
+    # panel: all patterns in one array, each column's own block inserted
+    # before its pattern.  Rows are the scalar rows of the slots, each as
+    # wide as its panel.
+    n_slots = np.fromiter(map(len, plan.pattern), np.int64, nb) + 1
     slot_start = exclusive_cumsum(n_slots)
-    slot_panel = np.repeat(np.arange(nb), n_slots)
+    blocks = np.arange(nb)
+    slot_blk = np.insert(np.concatenate(plan.pattern), slot_start[:-1] - blocks,
+                         blocks)
+    slot_panel = np.repeat(blocks, n_slots)
     slot_rows = sizes[slot_blk]
     slot_row0 = exclusive_cumsum(slot_rows)
     panel_row0 = slot_row0[slot_start]
-    row_blk = np.repeat(slot_blk, slot_rows)
     row_panel = np.repeat(slot_panel, slot_rows)
     row_in_blk = ragged_arange(slot_rows)
-    row_scalar = offsets[row_blk] + row_in_blk
+    row_scalar = np.repeat(offsets[slot_blk], slot_rows) + row_in_blk
+    # Each row's block times n_scalar: the key of an update entry is that of
+    # the row whose block names the target panel plus the scalar row it
+    # lands on, and // n_scalar gives the block back.
+    row_bkey = np.repeat(slot_blk * n_scalar, slot_rows)
     # Buffer position of each row (and the end), the panels as views of the
     # buffer, and the sorted keys every update entry is looked up in; the
     # sentinel matches no key.
@@ -431,6 +458,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     work = [buf[bases[j]:bases[j + 1]].reshape(row0[j + 1] - row0[j], n[j])
             for j in range(nb)]
     row_key = np.append(row_panel * n_scalar + row_scalar, nb * n_scalar)
+    del row_panel
 
     # Place K: block (i, j) goes whole to its (hi, lo) slot in panel lo,
     # transposed where the permutation flips it; the slots are found by one
@@ -473,36 +501,42 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     for j in range(nb):
         nj = n[j]
         try:
-            fac = _factor_lower(work[j][:nj], pivot_tol)
+            fac, swapped = _factor_lower(work[j][:nj], pivot_tol)
         except SingularBlockError as err:
             raise SingularBlockError(f"block column {j}: {err}") from err
         diag.append(fac)
-        # X = L D is the transpose of L_jj^-1 (panel P^T)^T; L = X D^-1.
         Lp = work[j][nj:]
-        X = _unit_lower_solve(fac.L, Lp[:, fac.perm].T).T
-        Lp[...] = X
-        fac.apply_dinv(Lp.T)
         panels.append(Lp)
         below = slice(row0[j] + nj, row0[j + 1])
         prow = row_scalar[below]
         panel_rows.append(prow)
         if not prow.size:
             continue
+        # X = L D is the transpose of L_jj^-1 (panel P^T)^T, solved in place
+        # on the panel, whose transpose is column-major; L = X D^-1.
+        if swapped:
+            Lp[...] = Lp[:, fac.perm]
+        _unit_lower_solve(fac.L, Lp.T)
+        X = Lp.copy()
+        if fac.n_2x2:
+            fac.apply_dinv(Lp.T)
+        else:
+            Lp /= fac.d
         U = blas_matmul(X, Lp.T)
         # Entry (a, b) of U's lower triangle goes to row prow[a] of the panel
         # of b's block, at b's column within that block.
         rows, cols, at_u = _lower_triangle(prow.size)
-        pblk = row_blk[below]
-        key = pblk[cols] * n_scalar + prow[rows]
+        bkey = row_bkey[below]
+        key = bkey.take(cols) + prow.take(rows)
         at = row_key.searchsorted(key)
-        miss = np.flatnonzero(row_key[at] != key)
-        if miss.size:
+        if not (row_key.take(at) == key).all():
             # Column by column, the first miss is the first in (k, i) order.
-            t = miss[0]
+            t = np.flatnonzero(row_key.take(at) != key)[0]
+            i, k = bkey[rows[t]] // n_scalar, bkey[cols[t]] // n_scalar
             raise FactorConsistencyError(
-                f"update targets block {(int(pblk[rows[t]]), int(pblk[cols[t]]))} "
-                f"outside pattern")
-        buf[row_base[at] + row_in_blk[below][cols]] -= U.ravel("F").take(at_u)
+                f"update targets block {(int(i), int(k))} outside pattern")
+        pos = row_base.take(at) + row_in_blk[below].take(cols)
+        buf[pos] -= U.ravel("F").take(at_u)
 
     m = np.diff(panel_row0) - sizes
     sq = sizes * sizes
@@ -520,26 +554,28 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     return BlockFactor(plan, diag, panels, panel_rows, stats)
 
 
-def _solve_one(F: BlockFactor, spans: list[slice], dinv, b: np.ndarray) -> None:
+def _solve_one(F: BlockFactor, spans: list[slice], prows: list[np.ndarray],
+               dinv, b: np.ndarray) -> None:
     """Block forward/backward substitution of one column, in place.
 
-    ``b`` is one right-hand-side column in permuted, concatenated order, and
-    ``spans[j]`` its rows of block column ``j``.  Each sweep makes one panel
-    product per block column; D^-1 is applied to the whole column at once,
-    ``dinv`` being the ``(d, e, tags)`` of all diagonal factors concatenated.
+    ``b`` is one right-hand-side column in permuted, concatenated order with
+    each block's rows in its diagonal factor's pivot order, ``spans[j]`` its
+    rows of block column ``j`` and ``prows[j]`` the rows of panel ``j`` in
+    that order.  Each sweep step is one unit-triangular solve in place on
+    ``b[spans[j]]``, one panel product and one indexed subtraction; D^-1 is
+    applied to the whole column at once, ``dinv`` being the ``(d, e, tags)``
+    of all diagonal factors concatenated.
     """
-    for fac, Lp, rows, sj in zip(F.diag, F.panels, F.panel_rows, spans):
-        zj = _unit_lower_solve(fac.L, b[sj][fac.perm])
-        b[sj] = zj
+    for fac, Lp, rows, sj in zip(F.diag, F.panels, prows, spans):
+        zj = _unit_lower_solve(fac.L, b[sj])
         if rows.size:
             b[rows] -= blas_matmul(Lp, zj)
     _apply_dinv(*dinv, b)
     for j in range(len(spans) - 1, -1, -1):
-        fac, rows, sj = F.diag[j], F.panel_rows[j], spans[j]
-        w = b[sj]
+        zj, rows = b[spans[j]], prows[j]
         if rows.size:
-            w = w - blas_matmul(F.panels[j].T, b[rows])
-        b[sj.start + fac.perm] = _unit_lower_solve(fac.L, w, trans=1)
+            zj -= blas_matmul(F.panels[j].T, b[rows])
+        _unit_lower_solve(F.diag[j].L, zj, trans=1)
 
 
 def block_solve(F: BlockFactor, g: np.ndarray) -> np.ndarray:
@@ -547,8 +583,11 @@ def block_solve(F: BlockFactor, g: np.ndarray) -> np.ndarray:
 
     ``g`` is one right-hand side of shape ``(n,)``, or several as the
     columns of an ``(n, k)`` array, in K's block order; ``x`` has its shape.
-    Columns are processed strictly one at a time through the same code
-    path, so a multi-column solve reproduces column-by-column calls exactly.
+    Every diagonal factor's row permutation is folded once per call into the
+    map from g's rows to the solve's rows and into the panels' rows, so the
+    sweeps never permute.  Columns are processed strictly one at a time
+    through the same code path, so a multi-column solve reproduces
+    column-by-column calls exactly.
     """
     sizes = F.plan.sizes_perm
     n = int(sizes.sum())
@@ -558,18 +597,26 @@ def block_solve(F: BlockFactor, g: np.ndarray) -> np.ndarray:
                          f"expected ({n},) or ({n}, k)")
     if not F.diag:
         return g.copy()
-    # row of g at each row of the permuted, concatenated unknown vector
+    off = exclusive_cumsum(sizes)
+    # Position in the permuted, concatenated unknown vector of each row of
+    # the solve, block by block in pivot order; where[r] is the solve row of
+    # position r.
+    piv = np.concatenate([f.perm for f in F.diag]) + np.repeat(off[:-1], sizes)
+    where = np.empty_like(piv)
+    where[piv] = np.arange(n)
+    # row of g at each row of the solve
     perm = F.plan.order.perm
     rows = (np.repeat(exclusive_cumsum(sizes[F.plan.order.inverse()])[perm], sizes)
-            + ragged_arange(sizes))
+            + ragged_arange(sizes))[piv]
+    prows = [where[r] for r in F.panel_rows]
     B = g[rows, None] if g.ndim == 1 else g[rows]
-    off = exclusive_cumsum(sizes).tolist()
+    off = off.tolist()
     spans = [slice(a, b) for a, b in zip(off[:-1], off[1:])]
     dinv = tuple(np.concatenate([getattr(f, name) for f in F.diag])
                  for name in ("d", "e", "tags"))
     for c in range(B.shape[1]):
         col = B[:, c:c + 1].copy()
-        _solve_one(F, spans, dinv, col)
+        _solve_one(F, spans, prows, dinv, col)
         B[:, c:c + 1] = col
     x = np.empty_like(B)
     x[rows] = B

@@ -507,6 +507,18 @@ def assert_solve_matches_reference(F, n, seed):
     assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes())
 
 
+def assert_columns_match_reference(F, n, seed):
+    """Two right-hand sides solved together: each column is the bytes of its
+    single-column solve and of the reference solve."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    X = block_solve(F, B)
+    assert X.shape == B.shape
+    for c in range(2):
+        assert X[:, c].tobytes() == block_solve(F, B[:, c]).tobytes() \
+            == reference_block_solve(F, B[:, c]).tobytes()
+
+
 def factor_bytes(F):
     """Every array of a block factor as bytes, with its shape and dtype,
     plus the stats."""
@@ -583,9 +595,12 @@ def test_matches_reference_on_drawn_systems():
             seen["2x2"] += F.stats.n_2x2_pivots > 0
             seen["fill"] += bool(fill_blocks(plan, blockmat.clique_graph(K)))
             seen["empty"] += bool((K.sizes == 0).any())
+            if any((f.perm != np.arange(f.n)).any() for f in F.diag):
+                seen["interchange"] += 1
+                assert_columns_match_reference(F, K.order, K.nblocks + 1)
 
     check()
-    assert min(seen[k] for k in ("2x2", "fill", "empty")) > 0, seen
+    assert min(seen[k] for k in ("2x2", "fill", "empty", "interchange")) > 0, seen
 
 
 def test_matches_reference_on_reduced_systems(reduced_systems):
