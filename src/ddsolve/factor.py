@@ -217,7 +217,7 @@ def _bk_factor(W: np.ndarray, tol_abs: float, A: np.ndarray, w_max: float):
             lk = c / W[k, k]
             # Outer products are formed transposed so that they share the
             # column-major layout of W.
-            W[kn:, kn:] -= np.multiply.outer(lk, c).T
+            W[kn:, kn:] -= (lk[:, None] * c).T
             W[kn:, k] = lk
         else:
             # |W[k+1, k]| equals the column maximum here, so the 2x2 pivot is
@@ -230,7 +230,7 @@ def _bk_factor(W: np.ndarray, tol_abs: float, A: np.ndarray, w_max: float):
             b = W[kn:, k + 1]
             wk = d21s * (d11 * a - b)
             wkp = d21s * (d22 * b - a)
-            W[kn:, kn:] -= (np.multiply.outer(wk, a) + np.multiply.outer(wkp, b)).T
+            W[kn:, kn:] -= (wk[:, None] * a + wkp[:, None] * b).T
             W[kn:, k] = wk
             W[kn:, k + 1] = wkp
         A = np.abs(W[kn:, kn:])
