@@ -622,20 +622,3 @@ def block_solve(F: BlockFactor, g: np.ndarray) -> np.ndarray:
     x[rows] = B
     return x.reshape(g.shape)
 
-
-def scatter_factor(F: BlockFactor) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (L, D) of the permuted matrix, for verification.
-
-    Returns block-lower L with diagonal blocks P_jj^T L_jj and the block
-    diagonal D, satisfying K_perm = L D L^T.
-    """
-    off = exclusive_cumsum(F.plan.sizes_perm)
-    n = int(off[-1])
-    L = np.zeros((n, n), dtype=np.complex128)
-    D = np.zeros((n, n), dtype=np.complex128)
-    for j, (fac, Lp, rows) in enumerate(zip(F.diag, F.panels, F.panel_rows)):
-        sj = slice(off[j], off[j + 1])
-        L[off[j] + fac.perm, sj] = fac.L
-        L[rows, sj] = Lp
-        D[sj, sj] = fac.dense_d()
-    return L, D

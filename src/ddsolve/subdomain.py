@@ -52,7 +52,9 @@ class Coupling:
 class LUFactor:
     """LAPACK band LU factors ``P A = L U`` of a subdomain matrix
     (``zgbtrf``, partial pivoting), in the band layout of ``zgbtrf``: U has
-    ``2 kl`` superdiagonals and its diagonal is row ``2 kl``."""
+    ``2 kl`` superdiagonals and its diagonal is row ``2 kl``.  ``lu`` is
+    the band buffer of its system: :func:`reduce_domain` factors
+    ``SubdomainSystem.A`` in place, so ``lu`` is that system's ``A``."""
 
     lu: np.ndarray
     piv: np.ndarray
@@ -69,10 +71,12 @@ class LUFactor:
 
 @dataclass(eq=False)
 class SubdomainSystem:
-    """``A`` is A_d in LAPACK band storage with ``kl`` sub- and ``kl``
-    superdiagonals and room for the LU's fill: a Fortran-ordered
-    ``(3 kl + 1) x n_dofs`` array whose entry ``[2 kl + i - j, j]`` is
-    ``A_d[i, j]`` for ``|i - j| <= kl``; its first ``kl`` rows are zero.
+    """``A`` is the domain's one band buffer, a Fortran-ordered
+    ``(3 kl + 1) x n_dofs`` array.  Until :func:`reduce_domain` it holds A_d
+    in LAPACK band storage with ``kl`` sub- and ``kl`` superdiagonals and
+    room for the LU's fill: entry ``[2 kl + i - j, j]`` is ``A_d[i, j]`` for
+    ``|i - j| <= kl``, and its first ``kl`` rows are zero.  The reduce
+    factors it in place, and from then on it holds the LU, ``factor.lu``.
     The couplings are zero outside the rows ``interface_rows``, and ``D``
     holds those rows only, C-ordered, with one column per multiplier of
     ``lam_index`` (see :attr:`Partition.lam_index`); each coupling's ``D`` is
@@ -142,13 +146,14 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
 
     A domain's local numbering is its sorted global node indices, and its
     bandwidth ``kl`` is the widest local index span of its elements.  All
-    band matrices live in one buffer and are filled by one ``np.add.at``,
-    which adds sequentially.  Each entry receives its terms in a fixed
-    order: element blocks in ascending element order, the Robin blocks of
-    the domain's outer boundary edges, then ``+-alpha`` times the chain
-    mass of each incident interface in ascending interface order.  Chain
-    mass terms outside its tridiagonal band are exact zeros and are left
-    out, so every entry has the bits of the same sums into a dense matrix.
+    band matrices live in one buffer and are filled by three ``np.add.at``
+    calls, each of which adds sequentially.  Each entry receives its terms
+    in a fixed order: element blocks in ascending element order, then the
+    Robin blocks of the domain's outer boundary edges, then ``+-alpha``
+    times the chain mass of each incident interface in ascending interface
+    order.  Chain mass terms outside its tridiagonal band are exact zeros
+    and are left out, so every entry has the bits of the same sums into a
+    dense matrix.
     A domain's coupling matrix ``D`` holds ``+-M_chain[:, kept]`` of each
     incident interface side by side, at the domain's interface rows only,
     in the columns that :attr:`Partition.lam_index` gives the domain.
@@ -178,13 +183,14 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
         """Buffer position of local entry (i, j) of domain d's band."""
         return a_off[d] + j * ld[d] + 2 * kl[d] + i - j
 
-    # element and Robin blocks
+    # element, then Robin blocks
+    A_all = np.zeros(int(a_off[-1]), dtype=np.complex128)
     de = dom[:, None, None]
-    idx = [entry(de, loc[:, :, None], loc[:, None, :]).reshape(-1)]
-    vals = [Ae.reshape(-1)]
+    np.add.at(A_all, entry(de, loc[:, :, None], loc[:, None, :]).reshape(-1),
+              Ae.reshape(-1))
     db = np.repeat(np.arange(n_dom), np.diff(part.boundary_start))[:, None, None]
-    idx.append(entry(db, local(db, bd[:, :, None]), local(db, bd[:, None, :])).reshape(-1))
-    vals.append(Be.reshape(-1))
+    np.add.at(A_all, entry(db, local(db, bd[:, :, None]),
+                           local(db, bd[:, None, :])).reshape(-1), Be.reshape(-1))
 
     # interface terms, slot by slot: slot t is interface inc[t] of domain
     # dom_t[t], on its lower side (side_t 0, +alpha) or its higher side
@@ -206,12 +212,9 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     inside = (c >= 0) & (c < n_chain[t])
     t, r, c = t[inside], r[inside], c[inside]
     d, base = dom_t[t], start[inc[t]]
-    idx.append(entry(d, at[r_off[t] + r] - first[d], at[r_off[t] + c] - first[d]))
     coef = np.array([1 * alpha, -1 * alpha])   # as sign * alpha, zero signs included
-    vals.append(coef[side_t[t]] * _mass_entries(diag, off, base, r, c))
-
-    A_all = np.zeros(int(a_off[-1]), dtype=np.complex128)
-    np.add.at(A_all, np.concatenate(idx), np.concatenate(vals))
+    np.add.at(A_all, entry(d, at[r_off[t] + r] - first[d], at[r_off[t] + c] - first[d]),
+              coef[side_t[t]] * _mass_entries(diag, off, base, r, c))
 
     # coupling matrices.  A domain's interface rows are its chain nodes,
     # sorted, and its D holds those rows only, one column per entry of its
@@ -269,15 +272,25 @@ def reduce_domain(sys: SubdomainSystem,
     there, and ``[K_D g_d] = D_r^T X[r]``.  The factors are cached on the
     system for primal recovery.
 
-    Raises ``ValueError`` when A_d has a non-finite entry and
-    :class:`SingularDomainError` when ``min|U_kk| <= pivot_tol * max|A_d|``,
-    an exactly singular A_d included.
+    A_d is factored in place: afterwards ``sys.A`` is ``sys.factor.lu`` and
+    holds the LU, also when f2py has to copy an ``A`` that is not
+    Fortran-ordered.
+
+    Raises :class:`SolverStateError` when the system is already reduced, as
+    its ``A`` then holds the LU and not A_d; ``ValueError`` when A_d has a
+    non-finite entry; and :class:`SingularDomainError` when
+    ``min|U_kk| <= pivot_tol * max|A_d|``, an exactly singular A_d included,
+    after which ``sys.A`` holds the failed factors.
     """
+    if sys.factor is not None:
+        raise SolverStateError(
+            f"domain {sys.domain} is already reduced: its A holds the LU factors")
     scale = np.abs(sys.A).max()
     if not np.isfinite(scale):
         raise ValueError(f"domain {sys.domain}: matrix has non-finite entries")
     kl = sys.kl
-    lu, piv, _ = zgbtrf(sys.A, kl, kl)
+    lu, piv, _ = zgbtrf(sys.A, kl, kl, overwrite_ab=1)
+    sys.A = lu
     pivot_min = np.abs(lu[2 * kl]).min()
     if pivot_min <= pivot_tol * scale:
         raise SingularDomainError(

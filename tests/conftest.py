@@ -56,9 +56,9 @@ def _in_band(n: int, kl: int):
 
 def band_storage(A: np.ndarray) -> np.ndarray:
     """LAPACK band storage of a dense matrix, as ``SubdomainSystem.A`` holds
-    it: ``kl`` is the widest distance of a nonzero from the diagonal, and
-    the Fortran-ordered ``(3 kl + 1) x n`` array has ``A[i, j]`` at
-    ``[2 kl + i - j, j]``."""
+    A_d until the reduce: ``kl`` is the widest distance of a nonzero from
+    the diagonal, and the Fortran-ordered ``(3 kl + 1) x n`` array has
+    ``A[i, j]`` at ``[2 kl + i - j, j]``."""
     A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]
     i, j = np.nonzero(A)
@@ -71,7 +71,8 @@ def band_storage(A: np.ndarray) -> np.ndarray:
 
 def dense_matrix(s: subdomain.SubdomainSystem) -> np.ndarray:
     """Densify the band ``A`` of a subdomain system; entries outside the
-    band are +0.0."""
+    band are +0.0.  This is A_d only before :func:`subdomain.reduce_domain`,
+    which factors ``A`` in place."""
     n, kl = s.n_dofs, s.kl
     A = np.zeros((n, n), dtype=np.complex128)
     i, j = _in_band(n, kl)
@@ -177,13 +178,31 @@ def scalar_permutation(sizes, perm) -> np.ndarray:
     return np.concatenate([np.arange(off[p], off[p + 1]) for p in perm])
 
 
+def scatter_factor(F: factor.BlockFactor) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (L, D) of the permuted matrix, for verification.
+
+    Returns block-lower L with diagonal blocks P_jj^T L_jj and the block
+    diagonal D, satisfying K_perm = L D L^T.
+    """
+    off = blockmat.exclusive_cumsum(F.plan.sizes_perm)
+    n = int(off[-1])
+    L = np.zeros((n, n), dtype=np.complex128)
+    D = np.zeros((n, n), dtype=np.complex128)
+    for j, (fac, Lp, rows) in enumerate(zip(F.diag, F.panels, F.panel_rows)):
+        sj = slice(off[j], off[j + 1])
+        L[off[j] + fac.perm, sj] = fac.L
+        L[rows, sj] = Lp
+        D[sj, sj] = fac.dense_d()
+    return L, D
+
+
 def factor_blocks(F: factor.BlockFactor) -> set[tuple[int, int]]:
     """Off-diagonal blocks ``(i, j)`` of the permuted matrix, either
-    triangle, in which the dense L of :func:`factor.scatter_factor` holds a
+    triangle, in which the dense L of :func:`scatter_factor` holds a
     nonzero entry."""
     sizes = F.plan.sizes_perm
     blk = np.repeat(np.arange(sizes.size), sizes)
-    L, _ = factor.scatter_factor(F)
+    L, _ = scatter_factor(F)
     r, c = np.nonzero(L)
     return {(int(i), int(j)) for i, j in zip(blk[r], blk[c]) if i != j}
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import add_block, factor_blocks, fill_blocks, rand_block_system, \
-    rand_complex_symmetric, scalar_permutation
+    rand_complex_symmetric, scalar_permutation, scatter_factor
 from ddsolve import blockmat, factor, ordering, symbolic
 from ddsolve.factor import BlockFactor, FactorConsistencyError, FactorStats, \
     SingularBlockError, _unit_lower_solve, blas_matmul, block_ldlt, \
-    block_solve, dense_ldlt_bk, scatter_factor
+    block_solve, dense_ldlt_bk
 from ddsolve.ordering import identity_ordering
 
 

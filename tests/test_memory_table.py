@@ -22,7 +22,7 @@ def test_prints_every_measure_and_stage():
     out = proc.stdout
     assert out.startswith("2 wavelengths, ppw 10, 4x4 tiles: 441 dofs, max kl 7")
     for label in ("max RSS (fresh process)", "traced peak of run_pipeline",
-                  "band A_d + LU", "K stored blocks", "SuperLU L+U"):
+                  "band buffers (A_d, then LU)", "K stored blocks", "SuperLU L+U"):
         assert label in out
     stages = [line.split()[0] for line in out.splitlines()
               if line.startswith("  ") and line.split()[0] in STAGES]

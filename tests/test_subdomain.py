@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from conftest import GEOMETRIES, dense_coupling, dense_matrix, interfaces, \
     subdomain_system
@@ -25,12 +26,17 @@ def chain_mass(mesh, nodes):
     return M
 
 
-def pipeline(side, ppw, px, py, theta=0.3, alpha=None):
+def pipeline(side, ppw, px, py, theta=0.3, alpha=None, dense=None):
+    """The solver's stages on one geometry.  When ``dense`` is a list, each
+    domain's A_d is densified into it before the reduce factors the band in
+    place."""
     cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=px, py=py,
                            theta_inc=theta, alpha=alpha)
     m = mm.build_rect_mesh(side, ppw)
     part = mm.partition_mesh(m, px, py)
     systems = sd.build_subdomain_systems(m, part, cfg)
+    if dense is not None:
+        dense.extend(dense_matrix(s) for s in systems)
     reduced = [sd.reduce_domain(s) for s in systems]
     rsys = sd.assemble_reduced(reduced, part)
     g = blockmat.clique_graph(rsys.K)
@@ -195,6 +201,17 @@ class TestReduceDomain:
         sd.reduce_domain(systems[0])
         assert isinstance(systems[0].factor, sd.LUFactor)
 
+    def test_second_reduce_rejected(self):
+        # A holds the LU after the first reduce; eliminating it again would
+        # treat the factors as A_d
+        s = subdomain_system(4, 4.0 * np.eye(3) + 1.0, np.ones(3),
+                             [(0, np.array([[1.0], [0.0], [0.0]]), 1)])
+        sd.reduce_domain(s)
+        lu = s.A.copy()
+        with pytest.raises(sd.SolverStateError, match="domain 4 is already reduced"):
+            sd.reduce_domain(s)
+        assert s.A.tobytes() == lu.tobytes()
+
     @staticmethod
     def _bare(A):
         A = np.asarray(A, dtype=complex)
@@ -241,9 +258,10 @@ class TestReduceDomain:
         m = mm.build_rect_mesh(side, ppw)
         part = mm.partition_mesh(m, tiles, tiles)
         for s in sd.build_subdomain_systems(m, part, cfg):
+            A = dense_matrix(s)
             K_D, g_d = sd.reduce_domain(s)
             D = np.concatenate([dense_coupling(s, c) for c in s.couplings], axis=1)
-            X = np.linalg.solve(dense_matrix(s), np.concatenate([D, s.f[:, None]], axis=1))
+            X = np.linalg.solve(A, np.concatenate([D, s.f[:, None]], axis=1))
             K_ref, g_ref = D.T @ X[:, :-1], D.T @ X[:, -1]
             assert np.abs(K_D - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
             assert np.abs(g_d - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
@@ -285,17 +303,73 @@ class TestBandStorage:
         held = sum(b.nbytes for b in rsys.K.blocks.values()) + rsys.g.nbytes
         assert peak < 3 * held
 
+    def test_reduce_factors_the_band_in_place(self):
+        cfg = mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2, theta_inc=0.3)
+        m = mm.build_rect_mesh(1.0, 10)
+        part = mm.partition_mesh(m, 2, 2)
+        for s in sd.build_subdomain_systems(m, part, cfg):
+            band = s.A
+            sd.reduce_domain(s)
+            assert s.factor.lu is s.A
+            assert np.shares_memory(s.factor.lu, band)
+        # a C-ordered band is copied by f2py, and A is then that copy
+        s = subdomain_system(0, 4.0 * np.eye(3) + 1.0, np.ones(3))
+        s.A = np.ascontiguousarray(s.A)
+        sd.reduce_domain(s)
+        assert s.factor.lu is s.A and s.A.flags.f_contiguous
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_reduce_is_zgbtrf_on_a_copy_byte_for_byte(self, name):
+        side, ppw, tiles = GEOMETRIES[name]
+        cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=tiles, py=tiles,
+                               theta_inc=0.3)
+        m = mm.build_rect_mesh(side, ppw)
+        part = mm.partition_mesh(m, tiles, tiles)
+        for s in sd.build_subdomain_systems(m, part, cfg):
+            kl, rows, m_lam = s.kl, s.interface_rows, s.D.shape[1]
+            lu, piv, info = zgbtrf(s.A.copy(order="F"), kl, kl)
+            rhs = np.zeros((s.n_dofs, m_lam + 1), dtype=np.complex128, order="F")
+            rhs[rows, :m_lam] = s.D
+            rhs[:, m_lam] = s.f
+            X, _ = zgbtrs(lu, kl, kl, rhs, piv)
+            KG = factor.blas_matmul(s.D.T, X[rows])
+            K_D, g_d = sd.reduce_domain(s)
+            assert info == 0
+            assert s.factor.lu.tobytes() == lu.tobytes()
+            assert s.factor.piv.tobytes() == piv.tobytes()
+            assert K_D.tobytes() == (0.5 * (KG[:, :-1] + KG[:, :-1].T)).tobytes()
+            assert g_d.tobytes() == KG[:, -1].tobytes()
+
+    def test_reduce_keeps_no_second_band(self):
+        # after the reduce a domain holds its band buffer, now the LU, and
+        # its pivots: about 0.02 of the band bytes beyond K_D and g_d here,
+        # where a second band per domain holds about 1.0
+        cfg = mm.ProblemConfig(side_lambda=2.0, ppw=20, px=4, py=4, theta_inc=0.3)
+        m = mm.build_rect_mesh(2.0, 20)
+        part = mm.partition_mesh(m, 4, 4)
+        systems = sd.build_subdomain_systems(m, part, cfg)
+        band = sum(s.A.nbytes for s in systems)
+        tracemalloc.start()
+        try:
+            reduced = [sd.reduce_domain(s) for s in systems]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        returned = sum(K_D.nbytes + g_d.nbytes for K_D, g_d in reduced)
+        assert held - returned < 0.25 * band
+
     def test_factor_is_band_lu(self):
         cfg = mm.ProblemConfig(side_lambda=1.0, ppw=22, px=2, py=2, theta_inc=0.3)
         m = mm.build_rect_mesh(1.0, 22)
         part = mm.partition_mesh(m, 2, 2)
         for s in sd.build_subdomain_systems(m, part, cfg):
+            A = dense_matrix(s)
             sd.reduce_domain(s)
             assert s.factor.lu.shape == s.A.shape and s.factor.kl == s.kl
             assert 3 * s.kl + 1 < s.n_dofs
             rhs = np.arange(s.n_dofs) + 1j
             x = s.factor.solve(rhs)
-            assert np.abs(dense_matrix(s) @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
+            assert np.abs(A @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 class TestAssembleReduced:
@@ -345,17 +419,18 @@ class TestAssembleReduced:
         m = mm.build_rect_mesh(1.0, 10)
         part = mm.partition_mesh(m, 2, 2)
         systems = sd.build_subdomain_systems(m, part, cfg)
+        dense = [dense_matrix(s) for s in systems]
         reduced = [sd.reduce_domain(s) for s in systems]
         rsys = sd.assemble_reduced(reduced, part)
         off = rsys.K.offsets()
         nlam = int(off[-1])
         K_oracle = np.zeros((nlam, nlam), dtype=complex)
         g_oracle = np.zeros(nlam, dtype=complex)
-        for s in systems:
+        for s, A in zip(systems, dense):
             D = np.zeros((s.n_dofs, nlam), dtype=complex)
             for c in s.couplings:
                 D[:, off[c.interface]:off[c.interface + 1]] = dense_coupling(s, c)
-            X = np.linalg.solve(dense_matrix(s),
+            X = np.linalg.solve(A,
                                 np.concatenate([D, s.f[:, None]], axis=1))
             K_oracle += D.T @ X[:, :-1]
             g_oracle += D.T @ X[:, -1]
@@ -431,16 +506,17 @@ class TestEndToEnd:
         assert maxdiff <= 1e-8 * scale
 
     def test_saddle_consistency_for_arbitrary_lambda(self):
-        cfg, m, part, systems, rsys, lam, sol = pipeline(1.0, 10, 2, 2)
+        dense = []
+        cfg, m, part, systems, rsys, lam, sol = pipeline(1.0, 10, 2, 2, dense=dense)
         rng = np.random.default_rng(0)
         lam_r = np.split(rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size),
                          rsys.K.offsets()[1:-1])
-        for s in systems:
+        for s, A in zip(systems, dense):
             rhs = s.f.copy()
             for c in s.couplings:
                 rhs -= dense_coupling(s, c) @ lam_r[c.interface]
             E = s.factor.solve(rhs)
-            lhs = dense_matrix(s) @ E + sum(dense_coupling(s, c) @ lam_r[c.interface]
+            lhs = A @ E + sum(dense_coupling(s, c) @ lam_r[c.interface]
                                             for c in s.couplings)
             assert np.linalg.norm(lhs - s.f) <= 1e-12 * np.linalg.norm(s.f)
 
@@ -467,7 +543,8 @@ class TestEndToEnd:
     def test_lambda_matches_dense_saddle_solve(self):
         # oracle: eliminate nothing, solve the full [[A, D], [D^T, 0]]
         # saddle system densely and compare the multiplier part
-        cfg, m, part, systems, rsys, lam, sol = pipeline(2.0, 15, 2, 2)
+        dense = []
+        cfg, m, part, systems, rsys, lam, sol = pipeline(2.0, 15, 2, 2, dense=dense)
         off = rsys.K.offsets()
         nlam = int(off[-1])
         doms_off = np.zeros(len(systems) + 1, dtype=int)
@@ -478,7 +555,7 @@ class TestEndToEnd:
         rhs = np.zeros(n, dtype=complex)
         for d, s in enumerate(systems):
             sl = slice(doms_off[d], doms_off[d + 1])
-            S[sl, sl] = dense_matrix(s)
+            S[sl, sl] = dense[d]
             rhs[sl] = s.f
             for c in s.couplings:
                 cl = slice(n_primal + off[c.interface],

@@ -14,8 +14,10 @@ points per wavelength, tiles along x and y).  Per geometry it prints
 - the ``tracemalloc`` peak of ``run_pipeline`` in a second fresh process,
   and per stage (the stages of ``driver._staged``) the peak inside the
   stage and what is still held after it;
-- the bytes of the band A_d and their LU factors, and of the stored
-  blocks of the reduced matrix K, which the assemble-reduced stage returns;
+- the bytes of the band buffers, each of which holds its A_d until the
+  reduce stage factors it in place into its LU, with the LU's pivots, and
+  of the stored blocks of the reduced matrix K, which the assemble-reduced
+  stage returns;
 - 16 bytes per stored entry of the L and U factors of
   ``scipy.sparse.linalg.splu`` (default options) on the monolithic matrix,
   SuperLU's own working memory not included.
@@ -115,8 +117,7 @@ def child_traced(geometry) -> dict:
     return {
         "dofs": result.mesh.n_nodes,
         "max_kl": max(s.kl for s in result.systems),
-        "band": sum(s.A.nbytes + s.factor.lu.nbytes + s.factor.piv.nbytes
-                    for s in result.systems),
+        "band": sum(s.A.nbytes + s.factor.piv.nbytes for s in result.systems),
         "k_blocks": sum(b.nbytes for b in result.reduced_system.K.blocks.values()),
         "residual": result.report.residual_inf,
         "run_peak": run_peak,
@@ -147,7 +148,7 @@ def report(geometry) -> str:
         f"  max RSS (fresh process)      {rss['max_rss'] / MB:8.1f} MB"
         f"   ({rss['rss_before'] / MB:.1f} MB before the run)",
         f"  traced peak of run_pipeline  {tr['run_peak'] / MB:8.1f} MB",
-        f"  band A_d + LU                {tr['band'] / MB:8.1f} MB",
+        f"  band buffers (A_d, then LU)  {tr['band'] / MB:8.1f} MB",
         f"  K stored blocks              {tr['k_blocks'] / MB:8.1f} MB",
         f"  SuperLU L+U                  {tr['superlu'] / MB:8.1f} MB",
         "  stage               peak MB   held after MB",
