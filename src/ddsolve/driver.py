@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+import tracemalloc
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +32,24 @@ class PipelineError(Exception):
         self.cause = cause
 
 
+class Stage(NamedTuple):
+    """One stage of a run as ``_staged`` measured it.  The two byte counts
+    are ``None`` unless ``tracemalloc`` was tracing: then ``peak_bytes`` is
+    the traced peak inside the stage and ``held_bytes`` what is traced
+    after it."""
+
+    stage: str
+    wall_s: float
+    peak_bytes: int | None
+    held_bytes: int | None
+
+
 @dataclass
 class SolveReport:
     """One configuration's outcome.  Times are kept as measured; the CSV
-    row and the text report print them to 3 decimals."""
+    row and the text report print them to 3 decimals.  ``factor_time_s``
+    and ``solve_time_s`` are the wall times of the ``numeric-factor`` and
+    ``numeric-solve`` entries of ``stages``."""
 
     case_id: str
     n_dofs: int
@@ -49,6 +65,8 @@ class SolveReport:
     detail: str = ""
     # populated by verify runs only
     rel_diff_monolithic: float | None = None
+    # every stage the run went through, in order
+    stages: list[Stage] = field(default_factory=list)
 
     def csv_row(self) -> list:
         return [self.case_id, self.n_dofs, self.n_lambda, self.n_blocks,
@@ -86,23 +104,37 @@ class PipelineResult:
     report: SolveReport
 
 
-def _staged(stage: str, fn, *args, **kwargs):
+def _staged(stages: list[Stage], stage: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` as pipeline stage ``stage``: its failure
+    becomes a ``PipelineError`` of that stage, and its measurement is
+    appended to ``stages``."""
+    traced = tracemalloc.is_tracing()
+    if traced:
+        tracemalloc.reset_peak()
+    t0 = time.perf_counter()
     try:
-        return fn(*args, **kwargs)
+        out = fn(*args, **kwargs)
     except PipelineError:
         raise
     except Exception as err:
         raise PipelineError(stage, err) from err
+    wall = time.perf_counter() - t0
+    held, peak = tracemalloc.get_traced_memory() if traced else (None, None)
+    stages.append(Stage(stage, wall, peak, held))
+    return out
 
 
-def make_plan(spec: str, g, sizes) -> symbolic.EliminationPlan:
+def make_plan(spec: str, g, sizes,
+              stages: list[Stage]) -> symbolic.EliminationPlan:
     """Symbolic plan of the ordering named by ``spec``.  The builtin order
     comes with the plan its guard computed; a file order is analysed here."""
     if spec == "builtin":
-        return _staged("ordering", ordering.reorder_with_plan, g, sizes)
+        return _staged(stages, "ordering", ordering.reorder_with_plan, g, sizes)
     if spec.startswith("file:"):
-        order = _staged("ordering", ordering.load_ordering_file, spec[5:], g.n)
-        return _staged("symbolic", symbolic.symbolic_factor, g, order, sizes)
+        order = _staged(stages, "ordering", ordering.load_ordering_file,
+                        spec[5:], g.n)
+        return _staged(stages, "symbolic", symbolic.symbolic_factor, g, order,
+                       sizes)
     raise PipelineError("ordering", ValueError(f"unknown ordering spec {spec!r}"))
 
 
@@ -110,39 +142,40 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
                  dump_k: str | None = None) -> PipelineResult:
     """Execute the seven solver stages for one configuration."""
     cfg = run.problem
-    mesh = _staged("mesh", build_rect_mesh, cfg.side_lambda, cfg.ppw)
-    part = _staged("partition", partition_mesh, mesh, cfg.px, cfg.py)
-    systems = _staged("subdomains", subdomain.build_subdomain_systems,
+    stages: list[Stage] = []
+    mesh = _staged(stages, "mesh", build_rect_mesh, cfg.side_lambda, cfg.ppw)
+    part = _staged(stages, "partition", partition_mesh, mesh, cfg.px, cfg.py)
+    systems = _staged(stages, "subdomains", subdomain.build_subdomain_systems,
                       mesh, part, cfg)
-    reduced = _staged("reduce", lambda: [
+    reduced = _staged(stages, "reduce", lambda: [
         subdomain.reduce_domain(s, run.pivot_tol) for s in systems])
-    rsys = _staged("assemble-reduced", subdomain.assemble_reduced, reduced, part)
+    rsys = _staged(stages, "assemble-reduced", subdomain.assemble_reduced,
+                   reduced, part)
     if dump_k is not None:
-        _staged("dump-k", blockmat.save_blk, dump_k, rsys.K)
-    g = _staged("clique-graph", blockmat.clique_graph, rsys.K)
-    plan = make_plan(run.ordering, g, rsys.K.sizes)
+        _staged(stages, "dump-k", blockmat.save_blk, dump_k, rsys.K)
+    g = _staged(stages, "clique-graph", blockmat.clique_graph, rsys.K)
+    plan = make_plan(run.ordering, g, rsys.K.sizes, stages)
     if print_symbolic:
         print(format_plan(plan))
-    t0 = time.perf_counter()
-    F = _staged("numeric-factor", factor.block_ldlt, rsys.K, plan, run.pivot_tol)
-    t_factor = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    lam = _staged("numeric-solve", factor.block_solve, F, rsys.g)
-    t_solve = time.perf_counter() - t0
+    F = _staged(stages, "numeric-factor", factor.block_ldlt, rsys.K, plan,
+                run.pivot_tol)
+    lam = _staged(stages, "numeric-solve", factor.block_solve, F, rsys.g)
     rsys.lam = lam
-    sol = _staged("recover", subdomain.recover_primal, systems, lam)
-    res = _staged("residual", subdomain.global_residual, mesh, cfg, sol)
+    sol = _staged(stages, "recover", subdomain.recover_primal, systems, lam)
+    res = _staged(stages, "residual", subdomain.global_residual, mesh, cfg, sol)
+    wall = {s.stage: s.wall_s for s in stages}
     report = SolveReport(
         case_id=run.case_id,
         n_dofs=mesh.n_nodes,
         n_lambda=rsys.n_lambda,
         n_blocks=rsys.K.nblocks,
-        factor_time_s=t_factor,
-        solve_time_s=t_solve,
+        factor_time_s=wall["numeric-factor"],
+        solve_time_s=wall["numeric-solve"],
         factor_bytes=16 * F.stats.factor_entries,
         peak_bytes=F.stats.peak_bytes,
         residual_inf=res,
         growth_factor=F.stats.growth_factor,
+        stages=stages,
     )
     return PipelineResult(mesh, part, systems, rsys, plan, F, lam, sol, report)
 
@@ -154,9 +187,12 @@ def run_verify(run: RunConfig, print_symbolic: bool = False,
     import scipy.sparse.linalg as spla
 
     result = run_pipeline(run, print_symbolic=print_symbolic, dump_k=dump_k)
-    cfg = run.problem
-    A, f = _staged("monolithic", assemble_helmholtz, result.mesh, cfg)
-    u_ref = _staged("monolithic", lambda: spla.spsolve(A.tocsc(), f))
+
+    def monolithic_solve():
+        A, f = assemble_helmholtz(result.mesh, run.problem)
+        return spla.spsolve(A.tocsc(), f)
+
+    u_ref = _staged(result.report.stages, "monolithic", monolithic_solve)
     denom = np.linalg.norm(u_ref)
     rel = float(np.linalg.norm(result.solution - u_ref) / denom) if denom else 0.0
     result.report.rel_diff_monolithic = rel

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import subprocess
 import sys
@@ -260,7 +261,10 @@ class TestSweep:
 
     def test_pipeline_report_keeps_unrounded_times(self, small_cfg,
                                                    monkeypatch):
-        clock = iter([10.0, 10.0004567, 20.0, 20.0001234])
+        # two reads per stage: 0.0 for the seven stages before
+        # numeric-factor and for every stage after numeric-solve
+        clock = itertools.chain([0.0] * 14, [10.0, 10.0004567, 20.0, 20.0001234],
+                                itertools.repeat(0.0))
         monkeypatch.setattr(driver, "time",
                             SimpleNamespace(perf_counter=lambda: next(clock)))
         report = driver.run_pipeline(parse_config_file(small_cfg)).report

@@ -1,0 +1,117 @@
+"""The driver's stage record, ``report.stages``, and the mapping of each
+stage's failure to its ``PipelineError`` and exit code."""
+
+import tracemalloc
+
+import pytest
+
+from ddsolve import blockmat, cli, driver, factor, ordering, subdomain, symbolic
+from ddsolve.cli import main
+from test_cli import write_cfg
+from test_memory_table import STAGES
+
+FILE_ORDER = ["--ordering", "file:{tmp}/perm.txt"]
+DUMP_K = ["--dump-k", "{tmp}/K.blk"]
+
+
+@pytest.fixture()
+def small_cfg(tmp_path):
+    (tmp_path / "perm.txt").write_text("3\n2\n1\n0\n")
+    return write_cfg(tmp_path / "small.cfg", side_lambda=1.0, ppw=10,
+                     px=2, py=2, theta_inc_deg=30)
+
+
+def library_run(cfg, tmp_path, command="solve", flags=()):
+    """What ``ddsolve <command> <cfg> <flags>`` runs, as a library call."""
+    args = cli.build_parser().parse_args(
+        [command, cfg, *(f.format(tmp=tmp_path) for f in flags)])
+    fn = driver.run_verify if command == "verify" else driver.run_pipeline
+    return fn(cli._load(cfg, args), dump_k=args.dump_k)
+
+
+def test_run_records_every_stage_in_order(small_cfg, tmp_path):
+    report = library_run(small_cfg, tmp_path).report
+    assert [s.stage for s in report.stages] == STAGES
+    wall = {s.stage: s.wall_s for s in report.stages}
+    assert report.factor_time_s == wall["numeric-factor"]
+    assert report.solve_time_s == wall["numeric-solve"]
+    assert all(s.wall_s >= 0.0 for s in report.stages)
+    assert all(s.peak_bytes is None and s.held_bytes is None
+               for s in report.stages)
+
+
+def test_stage_bytes_are_read_only_under_tracemalloc(small_cfg, tmp_path):
+    tracemalloc.start()
+    try:
+        report = library_run(small_cfg, tmp_path).report
+    finally:
+        tracemalloc.stop()
+    assert [s.stage for s in report.stages] == STAGES
+    for s in report.stages:
+        assert type(s.peak_bytes) is int and type(s.held_bytes) is int
+        assert 0 < s.held_bytes <= s.peak_bytes
+    # each stage's peak starts from what the run holds when the stage
+    # starts, so a stage that allocates little peaks below an earlier one
+    peak = {s.stage: s.peak_bytes for s in report.stages}
+    assert peak["clique-graph"] < peak["subdomains"]
+
+
+@pytest.mark.parametrize("command,flags,stages", [
+    ("solve", FILE_ORDER, STAGES[:7] + ["symbolic"] + STAGES[7:]),
+    ("solve", DUMP_K, STAGES[:5] + ["dump-k"] + STAGES[5:]),
+    ("verify", [], STAGES + ["monolithic"]),
+])
+def test_optional_stages_are_recorded(small_cfg, tmp_path, command, flags,
+                                      stages):
+    report = library_run(small_cfg, tmp_path, command, flags).report
+    assert [s.stage for s in report.stages] == stages
+
+
+# Each recorded stage, the callee that runs it, and the command and flags of
+# a run that reaches it.
+FAILURES = [
+    ("mesh", driver, "build_rect_mesh", "solve", []),
+    ("partition", driver, "partition_mesh", "solve", []),
+    ("subdomains", subdomain, "build_subdomain_systems", "solve", []),
+    ("reduce", subdomain, "reduce_domain", "solve", []),
+    ("assemble-reduced", subdomain, "assemble_reduced", "solve", []),
+    ("dump-k", blockmat, "save_blk", "solve", DUMP_K),
+    ("clique-graph", blockmat, "clique_graph", "solve", []),
+    ("ordering", ordering, "reorder_with_plan", "solve", []),
+    ("ordering", ordering, "load_ordering_file", "solve", FILE_ORDER),
+    ("symbolic", symbolic, "symbolic_factor", "solve", FILE_ORDER),
+    ("numeric-factor", factor, "block_ldlt", "solve", []),
+    ("numeric-solve", factor, "block_solve", "solve", []),
+    ("recover", subdomain, "recover_primal", "solve", []),
+    ("residual", subdomain, "global_residual", "solve", []),
+    ("monolithic", driver, "assemble_helmholtz", "verify", []),
+]
+
+
+def test_every_recorded_stage_has_a_failure_case(small_cfg, tmp_path):
+    recorded = set()
+    for command, flags in {(f[3], tuple(f[4])) for f in FAILURES}:
+        report = library_run(small_cfg, tmp_path, command, flags).report
+        recorded.update(s.stage for s in report.stages)
+    assert recorded == {stage for stage, *_ in FAILURES}
+
+
+@pytest.mark.parametrize("stage,module,name,command,flags", FAILURES,
+                         ids=[f"{f[0]}-{f[2]}" for f in FAILURES])
+def test_stage_failure_is_its_pipeline_error_and_exit_2(
+        small_cfg, tmp_path, monkeypatch, capsys, stage, module, name,
+        command, flags):
+    cause = RuntimeError(f"{name} failed")
+
+    def fail(*args, **kwargs):
+        raise cause
+
+    monkeypatch.setattr(module, name, fail)
+    with pytest.raises(driver.PipelineError) as err:
+        library_run(small_cfg, tmp_path, command, flags)
+    assert err.value.stage == stage
+    assert err.value.cause is cause
+
+    rc = main([command, small_cfg, *(f.format(tmp=tmp_path) for f in flags)])
+    assert rc == 2
+    assert f"pipeline error: stage {stage}: {name} failed" in capsys.readouterr().err

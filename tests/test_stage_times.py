@@ -1,0 +1,87 @@
+"""``tools/stage_times.py`` end to end on one small geometry."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from ddsolve.config import RunConfig
+from ddsolve.driver import run_pipeline
+from ddsolve.mesh import ProblemConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import stage_times  # noqa: E402
+from test_memory_table import STAGES  # noqa: E402
+
+
+def run_tool(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "stage_times.py"),
+                           *args], capture_output=True, text=True)
+
+
+def test_prints_stage_times_and_the_digests_of_the_library_run():
+    proc = run_tool("2,10,4x4", "--repeat", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+
+    result = run_pipeline(RunConfig(ProblemConfig(2.0, 10.0, 4, 4, theta_inc=0.3)))
+    F, plan = result.block_factor, result.plan
+    assert lines[0] == ("2 wavelengths, ppw 10, 4x4 tiles: 24 blocks, "
+                        f"{F.stats.flops:.3g} flops")
+    timed = lines[1:1 + len(STAGES)]
+    assert [line.split()[0] for line in timed] == STAGES
+    assert all(line.endswith("ms (best of 2)") for line in timed)
+    order_sha, plan_sha = stage_times.plan_digests(plan)
+    assert lines[1 + len(STAGES):] == [
+        f"  factor entries      {plan.total_factor_entries}",
+        f"  order sha256        {order_sha}",
+        f"  plan sha256         {plan_sha}",
+        f"  factor sha256       {stage_times.factor_digest(F)}",
+        f"  stats sha256        {stage_times.stats_digest(F.stats)}",
+        f"  lambda sha256       {stage_times.value_digest(result.lam)}",
+        f"  solution sha256     {stage_times.value_digest(result.solution)}",
+        "  residual sha256     "
+        f"{stage_times.value_digest(result.report.residual_inf)}"]
+
+
+def test_runs_blas_at_one_thread_whatever_the_environment_asks(monkeypatch,
+                                                               capsys):
+    # numpy is loaded already, so only the environment shows the setting
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert stage_times.main(["1,10,2x2", "--repeat", "1"]) == 0
+    capsys.readouterr()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_plan_digest_tells_pattern_splits_apart():
+    def plan(pattern):
+        return SimpleNamespace(order=SimpleNamespace(perm=np.arange(3)),
+                               etree_parent=np.array([1, 2, -1]),
+                               pattern=[np.array(p, dtype=np.int64) for p in pattern])
+
+    order_a, plan_a = stage_times.plan_digests(plan([[1, 2], [], []]))
+    order_b, plan_b = stage_times.plan_digests(plan([[1], [2], []]))
+    assert order_a == order_b
+    assert plan_a != plan_b
+
+
+def test_factor_digest_tells_panel_shapes_apart():
+    def factor(shape):
+        return SimpleNamespace(panels=[np.zeros(shape, dtype=np.complex128)],
+                               panel_rows=[], diag=[])
+
+    assert stage_times.factor_digest(factor((2, 1))) != \
+        stage_times.factor_digest(factor((1, 2)))
+    assert stage_times.factor_digest(factor((2, 1))) == \
+        stage_times.factor_digest(factor((2, 1)))
+
+
+def test_rejects_a_malformed_geometry():
+    proc = run_tool("2,10")
+    assert proc.returncode == 2
+    assert "SIDE,PPW,PXxPY" in proc.stderr

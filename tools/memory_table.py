@@ -12,8 +12,9 @@ points per wavelength, tiles along x and y).  Per geometry it prints
 - the max RSS of a fresh process that runs ``run_pipeline`` once, and its
   RSS before the run;
 - the ``tracemalloc`` peak of ``run_pipeline`` in a second fresh process,
-  and per stage (the stages of ``driver._staged``) the peak inside the
-  stage and what is still held after it;
+  and per stage the peak inside the stage and what is still held after it,
+  as the run's ``report.stages`` records them under ``tracemalloc``; the
+  run's peak is the largest stage peak;
 - the bytes of the band buffers, each of which holds its A_d until the
   reduce stage factors it in place into its LU, with the LU's pivots, and
   of the stored blocks of the reduced matrix K, which the assemble-reduced
@@ -37,6 +38,8 @@ from pathlib import Path
 
 MB = 1e6
 SRC = Path(__file__).resolve().parent.parent / "src"
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
 
 
 def parse_geometry(spec: str) -> tuple[float, float, int, int]:
@@ -63,7 +66,8 @@ def _problem(geometry):
     return ProblemConfig(side, ppw, px, py, theta_inc=0.3)
 
 
-def _run(geometry):
+def run_geometry(geometry):
+    """``run_pipeline`` on the geometry at incidence angle 0.3 rad."""
     from ddsolve.config import RunConfig
     from ddsolve.driver import run_pipeline
 
@@ -75,7 +79,7 @@ def child_rss(geometry) -> dict:
     import ddsolve.driver  # noqa: F401  (imports count in the baseline)
 
     before = _max_rss_bytes()
-    _run(geometry)
+    run_geometry(geometry)
     return {"rss_before": before, "max_rss": _max_rss_bytes()}
 
 
@@ -86,31 +90,14 @@ def child_traced(geometry) -> dict:
 
     import scipy.sparse.linalg as spla
 
-    from ddsolve import driver
     from ddsolve.mesh import assemble_helmholtz
 
-    stages = []
-    run_peak = 0
-    staged = driver._staged
-
-    def traced_stage(stage, fn, *args, **kwargs):
-        nonlocal run_peak
-        run_peak = max(run_peak, tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        try:
-            return staged(stage, fn, *args, **kwargs)
-        finally:
-            held, peak = tracemalloc.get_traced_memory()
-            stages.append({"stage": stage, "peak": peak, "held": held})
-
-    driver._staged = traced_stage
     tracemalloc.start()
     try:
-        result = _run(geometry)
-        run_peak = max(run_peak, tracemalloc.get_traced_memory()[1])
+        result = run_geometry(geometry)
     finally:
         tracemalloc.stop()
-        driver._staged = staged
+    stages = [s._asdict() for s in result.report.stages]
 
     A, _ = assemble_helmholtz(result.mesh, _problem(geometry))
     lu = spla.splu(A.tocsc())
@@ -120,7 +107,7 @@ def child_traced(geometry) -> dict:
         "band": sum(s.A.nbytes + s.factor.piv.nbytes for s in result.systems),
         "k_blocks": sum(b.nbytes for b in result.reduced_system.K.blocks.values()),
         "residual": result.report.residual_inf,
-        "run_peak": run_peak,
+        "run_peak": max(s["peak_bytes"] for s in stages),
         "stages": stages,
         "superlu": 16 * int(lu.L.nnz + lu.U.nnz),
     }
@@ -128,8 +115,7 @@ def child_traced(geometry) -> dict:
 
 def _child(mode: str, geometry) -> dict:
     """Run one measurement in a fresh interpreter at 1 BLAS thread."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = dict(os.environ, **ONE_BLAS_THREAD)
     spec = "{},{},{}x{}".format(*geometry)
     proc = subprocess.run([sys.executable, __file__, "--child", mode, spec],
                           env=env, capture_output=True, text=True)
@@ -153,8 +139,8 @@ def report(geometry) -> str:
         f"  SuperLU L+U                  {tr['superlu'] / MB:8.1f} MB",
         "  stage               peak MB   held after MB",
     ]
-    lines += [f"  {s['stage']:<18} {s['peak'] / MB:8.1f}   {s['held'] / MB:8.1f}"
-              for s in tr["stages"]]
+    lines += [f"  {s['stage']:<18} {s['peak_bytes'] / MB:8.1f}   "
+              f"{s['held_bytes'] / MB:8.1f}" for s in tr["stages"]]
     return "\n".join(lines)
 
 
