@@ -140,7 +140,8 @@ def make_plan(spec: str, g, sizes,
 
 def run_pipeline(run: RunConfig, print_symbolic: bool = False,
                  dump_k: str | None = None) -> PipelineResult:
-    """Execute the seven solver stages for one configuration."""
+    """Run every solver stage for one configuration; the report lists them
+    in ``stages``."""
     cfg = run.problem
     stages: list[Stage] = []
     mesh = _staged(stages, "mesh", build_rect_mesh, cfg.side_lambda, cfg.ppw)
