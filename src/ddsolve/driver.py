@@ -152,6 +152,7 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
         subdomain.reduce_domain(s, run.pivot_tol) for s in systems])
     rsys = _staged(stages, "assemble-reduced", subdomain.assemble_reduced,
                    reduced, part)
+    del reduced     # K and g hold copies of every (K_D, g_d)
     if dump_k is not None:
         _staged(stages, "dump-k", blockmat.save_blk, dump_k, rsys.K)
     g = _staged(stages, "clique-graph", blockmat.clique_graph, rsys.K)
@@ -161,7 +162,6 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
     F = _staged(stages, "numeric-factor", factor.block_ldlt, rsys.K, plan,
                 run.pivot_tol)
     lam = _staged(stages, "numeric-solve", factor.block_solve, F, rsys.g)
-    rsys.lam = lam
     sol = _staged(stages, "recover", subdomain.recover_primal, systems, lam)
     res = _staged(stages, "residual", subdomain.global_residual, mesh, cfg, sol)
     wall = {s.stage: s.wall_s for s in stages}

@@ -609,16 +609,17 @@ def block_solve(F: BlockFactor, g: np.ndarray) -> np.ndarray:
     rows = (np.repeat(exclusive_cumsum(sizes[F.plan.order.inverse()])[perm], sizes)
             + ragged_arange(sizes))[piv]
     prows = [where[r] for r in F.panel_rows]
-    B = g[rows, None] if g.ndim == 1 else g[rows]
+    # g's rows in solve order, as one Fortran-ordered copy: the transpose
+    # of a C-ordered take.  Each column B[:, c:c + 1] is then contiguous and
+    # solved in place.
+    B = np.take((g[:, None] if g.ndim == 1 else g).T, rows, axis=1).T
     off = off.tolist()
     spans = [slice(a, b) for a, b in zip(off[:-1], off[1:])]
     dinv = tuple(np.concatenate([getattr(f, name) for f in F.diag])
                  for name in ("d", "e", "tags"))
     for c in range(B.shape[1]):
-        col = B[:, c:c + 1].copy()
-        _solve_one(F, spans, prows, dinv, col)
-        B[:, c:c + 1] = col
-    x = np.empty_like(B)
+        _solve_one(F, spans, prows, dinv, B[:, c:c + 1])
+    x = np.empty(B.shape, dtype=np.complex128)
     x[rows] = B
     return x.reshape(g.shape)
 

@@ -28,7 +28,6 @@ class OrderingError(Exception):
 @dataclass(eq=False)
 class Ordering:
     perm: np.ndarray  # perm[new_position] = old_index
-    source: str = "builtin"
 
     def __post_init__(self):
         self.perm = np.asarray(self.perm, dtype=np.int64)
@@ -170,7 +169,7 @@ def reorder_with_plan(g: CliqueGraph, weights) -> EliminationPlan:
 
 
 def identity_ordering(n: int) -> Ordering:
-    return Ordering(np.arange(n, dtype=np.int64), source="builtin")
+    return Ordering(np.arange(n, dtype=np.int64))
 
 
 def load_ordering_file(path, n: int) -> Ordering:
@@ -188,4 +187,4 @@ def load_ordering_file(path, n: int) -> Ordering:
     if len(values) != n:
         raise OrderingError(
             f"ordering file has {len(values)} entries, expected {n}")
-    return Ordering(np.array(values, dtype=np.int64), source="external-file")
+    return Ordering(np.array(values, dtype=np.int64))

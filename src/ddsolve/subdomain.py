@@ -49,38 +49,20 @@ class Coupling:
 
 
 @dataclass(eq=False)
-class LUFactor:
-    """LAPACK band LU factors ``P A = L U`` of a subdomain matrix
-    (``zgbtrf``, partial pivoting), in the band layout of ``zgbtrf``: U has
-    ``2 kl`` superdiagonals and its diagonal is row ``2 kl``.  ``lu`` is
-    the band buffer of its system: :func:`reduce_domain` factors
-    ``SubdomainSystem.A`` in place, so ``lu`` is that system's ``A``."""
-
-    lu: np.ndarray
-    piv: np.ndarray
-
-    @property
-    def kl(self) -> int:
-        return (self.lu.shape[0] - 1) // 3
-
-    def solve(self, B: np.ndarray) -> np.ndarray:
-        """Solve A X = B (``zgbtrs``); accepts a vector or a multi-column RHS."""
-        X, _ = zgbtrs(self.lu, self.kl, self.kl, B, self.piv)
-        return X
-
-
-@dataclass(eq=False)
 class SubdomainSystem:
     """``A`` is the domain's one band buffer, a Fortran-ordered
     ``(3 kl + 1) x n_dofs`` array.  Until :func:`reduce_domain` it holds A_d
     in LAPACK band storage with ``kl`` sub- and ``kl`` superdiagonals and
     room for the LU's fill: entry ``[2 kl + i - j, j]`` is ``A_d[i, j]`` for
     ``|i - j| <= kl``, and its first ``kl`` rows are zero.  The reduce
-    factors it in place, and from then on it holds the LU, ``factor.lu``.
-    The couplings are zero outside the rows ``interface_rows``, and ``D``
-    holds those rows only, C-ordered, with one column per multiplier of
-    ``lam_index`` (see :attr:`Partition.lam_index`); each coupling's ``D`` is
-    a view of its interface's columns."""
+    factors it in place and sets ``piv``: from then on ``A`` holds the
+    LAPACK band LU ``P A_d = L U`` (``zgbtrf``, partial pivoting), whose U
+    has ``2 kl`` superdiagonals and its diagonal in row ``2 kl``.  A reduce
+    that finds A_d singular sets ``A`` to None, as the buffer then holds
+    neither A_d nor a usable LU.  The couplings are zero outside the rows
+    ``interface_rows``, and ``D`` holds those rows only, C-ordered, with one
+    column per multiplier of ``lam_index`` (see :attr:`Partition.lam_index`);
+    each coupling's ``D`` is a view of its interface's columns."""
 
     domain: int
     A: np.ndarray
@@ -90,7 +72,7 @@ class SubdomainSystem:
     D: np.ndarray
     lam_index: np.ndarray        # global multiplier of each column of D
     couplings: list[Coupling] = field(default_factory=list)
-    factor: LUFactor | None = None
+    piv: np.ndarray | None = None    # the LU's pivots, set by the reduce
 
     @property
     def n_dofs(self) -> int:
@@ -100,15 +82,24 @@ class SubdomainSystem:
     def kl(self) -> int:
         return (self.A.shape[0] - 1) // 3
 
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """Solve A_d X = B with the LU (``zgbtrs``); accepts a vector or a
+        multi-column RHS."""
+        if self.piv is None:
+            raise SolverStateError(
+                f"domain {self.domain} has no cached factorization; "
+                "run reduce_domain first")
+        X, _ = zgbtrs(self.A, self.kl, self.kl, B, self.piv)
+        return X
+
 
 @dataclass(eq=False)
 class ReducedSystem:
-    """``K lambda = g``; ``g`` and ``lam`` are flat vectors in K's block
-    order, the multiplier numbering of :attr:`Partition.lam_index`."""
+    """``K lambda = g``; ``g`` is a flat vector in K's block order, the
+    multiplier numbering of :attr:`Partition.lam_index`."""
 
     K: BlockSparseSym
     g: np.ndarray
-    lam: np.ndarray | None = None
 
     @property
     def n_lambda(self) -> int:
@@ -272,38 +263,42 @@ def reduce_domain(sys: SubdomainSystem,
     there, and ``[K_D g_d] = D_r^T X[r]``.  The factors are cached on the
     system for primal recovery.
 
-    A_d is factored in place: afterwards ``sys.A`` is ``sys.factor.lu`` and
-    holds the LU, also when f2py has to copy an ``A`` that is not
+    A_d is factored in place: afterwards ``sys.A`` holds the LU and
+    ``sys.piv`` its pivots, also when f2py has to copy an ``A`` that is not
     Fortran-ordered.
 
     Raises :class:`SolverStateError` when the system is already reduced, as
-    its ``A`` then holds the LU and not A_d; ``ValueError`` when A_d has a
-    non-finite entry; and :class:`SingularDomainError` when
-    ``min|U_kk| <= pivot_tol * max|A_d|``, an exactly singular A_d included,
-    after which ``sys.A`` holds the failed factors.
+    its ``A`` then holds the LU and not A_d, or when an earlier reduce found
+    it singular; ``ValueError`` when A_d has a non-finite entry; and
+    :class:`SingularDomainError` when ``min|U_kk| <= pivot_tol * max|A_d|``,
+    an exactly singular A_d included, after which ``sys.A`` is None: the
+    buffer holds the failed factors, which no later stage may read as A_d.
     """
-    if sys.factor is not None:
+    if sys.piv is not None:
         raise SolverStateError(
             f"domain {sys.domain} is already reduced: its A holds the LU factors")
+    if sys.A is None:
+        raise SolverStateError(
+            f"domain {sys.domain} has no A_d: a failed reduce overwrote it")
     scale = np.abs(sys.A).max()
     if not np.isfinite(scale):
         raise ValueError(f"domain {sys.domain}: matrix has non-finite entries")
     kl = sys.kl
     lu, piv, _ = zgbtrf(sys.A, kl, kl, overwrite_ab=1)
-    sys.A = lu
     pivot_min = np.abs(lu[2 * kl]).min()
     if pivot_min <= pivot_tol * scale:
+        sys.A = None
         raise SingularDomainError(
             f"domain {sys.domain} is singular: smallest LU pivot {pivot_min:.3e} "
             f"(threshold {pivot_tol * scale:.3e})")
-    fac = sys.factor = LUFactor(lu, piv)
+    sys.A, sys.piv = lu, piv
     rows = sys.interface_rows
     D_r = sys.D
     m = D_r.shape[1]
     rhs = np.zeros((sys.n_dofs, m + 1), dtype=np.complex128, order="F")
     rhs[rows, :m] = D_r
     rhs[:, m] = sys.f
-    X = fac.solve(rhs)
+    X = sys.solve(rhs)
     KG = blas_matmul(D_r.T, X[rows])
     K_D = 0.5 * (KG[:, :-1] + KG[:, :-1].T)
     return K_D, KG[:, -1].copy()    # a view would keep all of KG alive
@@ -361,14 +356,10 @@ def recover_primal(systems: list[SubdomainSystem],
     acc = np.zeros(n_glob, dtype=np.complex128)
     cnt = np.zeros(n_glob)
     for sys in systems:
-        if sys.factor is None:
-            raise SolverStateError(
-                f"domain {sys.domain} has no cached factorization; "
-                "run reduce_domain first")
         rhs = sys.f.copy()
         if sys.D.size:
             rhs[sys.interface_rows] -= blas_matmul(sys.D, lam[sys.lam_index])[:, 0]
-        E = sys.factor.solve(rhs)
+        E = sys.solve(rhs)
         acc[sys.dof_map] += E
         cnt[sys.dof_map] += 1.0
     return acc / cnt

@@ -113,6 +113,11 @@ def test_two_rhs_identical_to_two_single_rhs():
     for c in range(2):
         assert X[:, c].tobytes() == block_solve(F, B[:, c]).tobytes()
         assert X[:, c:c + 1].tobytes() == block_solve(F, B[:, c:c + 1]).tobytes()
+    # the same columns in a Fortran-ordered and in a non-contiguous g
+    G = np.zeros((K.order, 4), dtype=complex)
+    G[:, ::2] = B
+    for g in (np.asfortranarray(B), G[:, ::2]):
+        assert block_solve(F, g).tobytes() == X.tobytes()
 
 
 def test_factor_entries_match_symbolic_exactly():

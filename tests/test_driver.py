@@ -2,6 +2,7 @@
 stage's failure to its ``PipelineError`` and exit code."""
 
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -54,6 +55,29 @@ def test_stage_bytes_are_read_only_under_tracemalloc(small_cfg, tmp_path):
     # starts, so a stage that allocates little peaks below an earlier one
     peak = {s.stage: s.peak_bytes for s in report.stages}
     assert peak["clique-graph"] < peak["subdomains"]
+
+
+def test_schur_complements_are_freed_once_k_is_assembled(small_cfg, tmp_path,
+                                                         monkeypatch):
+    # assemble_reduced copies every (K_D, g_d) into K and g, so none of them
+    # may outlive the assemble-reduced stage
+    refs, alive = [], []
+    reduce_domain, clique_graph = subdomain.reduce_domain, blockmat.clique_graph
+
+    def watched_reduce(*args, **kwargs):
+        out = reduce_domain(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in out)
+        return out
+
+    def counting_clique_graph(K):
+        alive.append(sum(r() is not None for r in refs))
+        return clique_graph(K)
+
+    monkeypatch.setattr(subdomain, "reduce_domain", watched_reduce)
+    monkeypatch.setattr(blockmat, "clique_graph", counting_clique_graph)
+    result = library_run(small_cfg, tmp_path)
+    assert len(refs) == 2 * len(result.systems) and alive == [0]
+    assert not hasattr(result.reduced_system, "lam")
 
 
 @pytest.mark.parametrize("command,flags,stages", [

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ["mesh", "partition", "subdomains", "reduce", "assemble-reduced",
@@ -16,6 +18,12 @@ def run_tool(*args):
                            *args], capture_output=True, text=True)
 
 
+def value(out, label):
+    """The number after ``label`` on the line of ``out`` that starts with it."""
+    line, = [line for line in out.splitlines() if line.strip().startswith(label)]
+    return float(line.split(label)[1].split()[0])
+
+
 def test_prints_every_measure_and_stage():
     proc = run_tool("2,10,4x4")
     assert proc.returncode == 0, proc.stderr
@@ -24,6 +32,10 @@ def test_prints_every_measure_and_stage():
     for label in ("max RSS (fresh process)", "traced peak of run_pipeline",
                   "band buffers (A_d, then LU)", "K stored blocks", "SuperLU L+U"):
         assert label in out
+    # the ratio is of the unrounded sizes, each printed to 0.05 MB
+    peak, superlu = value(out, "traced peak of run_pipeline"), value(out, "SuperLU L+U")
+    assert value(out, "traced peak / SuperLU L+U") == pytest.approx(
+        peak / superlu, rel=0.05 / peak + 0.05 / superlu, abs=0.005)
     stages = [line.split()[0] for line in out.splitlines()
               if line.startswith("  ") and line.split()[0] in STAGES]
     assert stages == STAGES

@@ -316,7 +316,6 @@ class TestIdentityEquality:
         r1, r2 = run_pipeline(run), run_pipeline(run)
         pairs = [(r1, r2), (r1.mesh, r2.mesh), (r1.part, r2.part),
                  (r1.systems[0], r2.systems[0]),
-                 (r1.systems[0].factor, r2.systems[0].factor),
                  (r1.systems[0].couplings[0], r2.systems[0].couplings[0]),
                  (r1.reduced_system, r2.reduced_system), (r1.plan, r2.plan),
                  (r1.plan.order, r2.plan.order),

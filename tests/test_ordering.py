@@ -247,7 +247,6 @@ def test_simplicial_vertices_stay_simplicial(gw):
 
 def assert_same_plan(plan, ref):
     assert np.array_equal(plan.order.perm, ref.order.perm)
-    assert plan.order.source == ref.order.source
     for name in ("etree_parent", "sizes_perm"):
         a, b = getattr(plan, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -279,7 +278,6 @@ def test_edgeless_gives_ascending_order():
     g = CliqueGraph(6)
     o = reorder(g, np.ones(6, dtype=int))
     assert np.array_equal(o.perm, np.arange(6))
-    assert o.source == "builtin"
 
 
 def test_path_p5_zero_fill():
@@ -388,7 +386,6 @@ class TestOrderingFile:
         p.write_text("# comment\n2\n0\n\n1\n")
         o = load_ordering_file(p, 3)
         assert np.array_equal(o.perm, [2, 0, 1])
-        assert o.source == "external-file"
 
     def test_wrong_length(self, tmp_path):
         p = tmp_path / "ord.txt"

@@ -44,7 +44,6 @@ def pipeline(side, ppw, px, py, theta=0.3, alpha=None, dense=None):
     plan = symbolic.symbolic_factor(g, order, rsys.K.sizes)
     F = factor.block_ldlt(rsys.K, plan)
     lam = factor.block_solve(F, rsys.g)
-    rsys.lam = lam
     sol = sd.recover_primal(systems, lam)
     return cfg, m, part, systems, rsys, lam, sol
 
@@ -197,9 +196,9 @@ class TestReduceDomain:
         m = mm.build_rect_mesh(1.0, 10)
         part = mm.partition_mesh(m, 2, 1)
         systems = sd.build_subdomain_systems(m, part, cfg)
-        assert systems[0].factor is None
+        assert systems[0].piv is None
         sd.reduce_domain(systems[0])
-        assert isinstance(systems[0].factor, sd.LUFactor)
+        assert systems[0].piv.shape == (systems[0].n_dofs,)
 
     def test_second_reduce_rejected(self):
         # A holds the LU after the first reduce; eliminating it again would
@@ -211,6 +210,26 @@ class TestReduceDomain:
         with pytest.raises(sd.SolverStateError, match="domain 4 is already reduced"):
             sd.reduce_domain(s)
         assert s.A.tobytes() == lu.tobytes()
+
+    def test_reduce_after_a_singular_domain_rejected(self):
+        # zgbtrf overwrote A_d before the pivot test failed, so a retry
+        # would eliminate the failed LU as if it were A_d.  U's last pivot
+        # is 1e-13 of max|A_d|, and K_D = 1 / 1e-13.
+        def nearly_singular():
+            A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+            return subdomain_system(6, A, np.ones(2), [(0, np.array([[0.0], [1.0]]), 1)])
+
+        s = nearly_singular()
+        with pytest.raises(sd.SingularDomainError, match="domain 6"):
+            sd.reduce_domain(s, pivot_tol=1e-12)
+        assert s.A is None and s.piv is None
+        with pytest.raises(sd.SolverStateError, match="domain 6 has no A_d"):
+            sd.reduce_domain(s, pivot_tol=0.0)
+        assert s.A is None and s.piv is None
+        with pytest.raises(sd.SolverStateError, match="domain 6 has no cached"):
+            sd.recover_primal([s], np.zeros(1))
+        K_D, _ = sd.reduce_domain(nearly_singular(), pivot_tol=0.0)
+        assert abs(K_D[0, 0] - 1e13) <= 1e-3 * 1e13
 
     @staticmethod
     def _bare(A):
@@ -240,7 +259,7 @@ class TestReduceDomain:
             sd.reduce_domain(self._bare(A), pivot_tol=1e-12)
         s = self._bare(A)
         sd.reduce_domain(s, pivot_tol=1e-16)
-        assert np.allclose(s.factor.solve(s.f), [1.0, 1e14], rtol=1e-15)
+        assert np.allclose(s.solve(s.f), [1.0, 1e14], rtol=1e-15)
 
     def test_exactly_singular_raises_without_warning(self):
         with warnings.catch_warnings():
@@ -310,13 +329,12 @@ class TestBandStorage:
         for s in sd.build_subdomain_systems(m, part, cfg):
             band = s.A
             sd.reduce_domain(s)
-            assert s.factor.lu is s.A
-            assert np.shares_memory(s.factor.lu, band)
+            assert np.shares_memory(s.A, band)
         # a C-ordered band is copied by f2py, and A is then that copy
         s = subdomain_system(0, 4.0 * np.eye(3) + 1.0, np.ones(3))
-        s.A = np.ascontiguousarray(s.A)
+        band = s.A = np.ascontiguousarray(s.A)
         sd.reduce_domain(s)
-        assert s.factor.lu is s.A and s.A.flags.f_contiguous
+        assert s.A.flags.f_contiguous and not np.shares_memory(s.A, band)
 
     @pytest.mark.parametrize("name", sorted(GEOMETRIES))
     def test_reduce_is_zgbtrf_on_a_copy_byte_for_byte(self, name):
@@ -335,8 +353,8 @@ class TestBandStorage:
             KG = factor.blas_matmul(s.D.T, X[rows])
             K_D, g_d = sd.reduce_domain(s)
             assert info == 0
-            assert s.factor.lu.tobytes() == lu.tobytes()
-            assert s.factor.piv.tobytes() == piv.tobytes()
+            assert s.A.tobytes() == lu.tobytes()
+            assert s.piv.tobytes() == piv.tobytes()
             assert K_D.tobytes() == (0.5 * (KG[:, :-1] + KG[:, :-1].T)).tobytes()
             assert g_d.tobytes() == KG[:, -1].tobytes()
 
@@ -365,10 +383,9 @@ class TestBandStorage:
         for s in sd.build_subdomain_systems(m, part, cfg):
             A = dense_matrix(s)
             sd.reduce_domain(s)
-            assert s.factor.lu.shape == s.A.shape and s.factor.kl == s.kl
             assert 3 * s.kl + 1 < s.n_dofs
             rhs = np.arange(s.n_dofs) + 1j
-            x = s.factor.solve(rhs)
+            x = s.solve(rhs)
             assert np.abs(A @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
@@ -465,7 +482,7 @@ class TestEndToEnd:
         cfg, m, part, systems, rsys, lam, sol = pipeline(1.0, 10, 2, 2)
         u0 = sd.recover_primal(systems, np.zeros_like(lam))
         for s in systems:
-            ref = s.factor.solve(s.f)
+            ref = s.solve(s.f)
             itf_nodes = np.unique(part.chain_nodes)
             interior = np.setdiff1d(s.dof_map, itf_nodes)
             sel = np.searchsorted(s.dof_map, interior)
@@ -496,7 +513,7 @@ class TestEndToEnd:
             for c in s.couplings:
                 if c.D.shape[1]:
                     rhs -= dense_coupling(s, c) @ lam[c.interface]
-            E = s.factor.solve(rhs)
+            E = s.solve(rhs)
             scale = max(scale, np.abs(E).max())
             for ln, gn in enumerate(s.dof_map):
                 if gn in seen:
@@ -515,7 +532,7 @@ class TestEndToEnd:
             rhs = s.f.copy()
             for c in s.couplings:
                 rhs -= dense_coupling(s, c) @ lam_r[c.interface]
-            E = s.factor.solve(rhs)
+            E = s.solve(rhs)
             lhs = A @ E + sum(dense_coupling(s, c) @ lam_r[c.interface]
                                             for c in s.couplings)
             assert np.linalg.norm(lhs - s.f) <= 1e-12 * np.linalg.norm(s.f)
@@ -529,7 +546,7 @@ class TestEndToEnd:
             rhs = s.f.copy()
             for c in s.couplings:
                 rhs -= dense_coupling(s, c) @ lam[off[c.interface]:off[c.interface + 1]]
-            E = s.factor.solve(rhs)
+            E = s.solve(rhs)
             e_norm = max(e_norm, np.linalg.norm(E))
             for c in s.couplings:
                 total[off[c.interface]:off[c.interface + 1]] += dense_coupling(s, c).T @ E
@@ -537,7 +554,6 @@ class TestEndToEnd:
 
     def test_solution_also_lives_on_lambda(self):
         cfg, m, part, systems, rsys, lam, sol = pipeline(1.0, 10, 2, 2)
-        assert rsys.lam is lam
         assert rsys.n_lambda == lam.shape[0] == rsys.K.order
 
     def test_lambda_matches_dense_saddle_solve(self):

@@ -21,7 +21,8 @@ points per wavelength, tiles along x and y).  Per geometry it prints
   stage returns;
 - 16 bytes per stored entry of the L and U factors of
   ``scipy.sparse.linalg.splu`` (default options) on the monolithic matrix,
-  SuperLU's own working memory not included.
+  SuperLU's own working memory not included, and the run's traced peak
+  divided by it.
 
 Every child runs at 1 BLAS thread.  Sizes are in MB (10^6 bytes).  Max RSS
 is read with ``resource.getrusage``, so the script needs a POSIX system.
@@ -104,7 +105,7 @@ def child_traced(geometry) -> dict:
     return {
         "dofs": result.mesh.n_nodes,
         "max_kl": max(s.kl for s in result.systems),
-        "band": sum(s.A.nbytes + s.factor.piv.nbytes for s in result.systems),
+        "band": sum(s.A.nbytes + s.piv.nbytes for s in result.systems),
         "k_blocks": sum(b.nbytes for b in result.reduced_system.K.blocks.values()),
         "residual": result.report.residual_inf,
         "run_peak": max(s["peak_bytes"] for s in stages),
@@ -137,6 +138,7 @@ def report(geometry) -> str:
         f"  band buffers (A_d, then LU)  {tr['band'] / MB:8.1f} MB",
         f"  K stored blocks              {tr['k_blocks'] / MB:8.1f} MB",
         f"  SuperLU L+U                  {tr['superlu'] / MB:8.1f} MB",
+        f"  traced peak / SuperLU L+U    {tr['run_peak'] / tr['superlu']:8.2f}",
         "  stage               peak MB   held after MB",
     ]
     lines += [f"  {s['stage']:<18} {s['peak_bytes'] / MB:8.1f}   "
