@@ -7,8 +7,7 @@ is reordered, symbolically analyzed and factored by a supernodal LDL^T with
 restricted Bunch-Kaufman pivoting.
 """
 
-from .blockmat import BlockSparseSym, CliqueGraph, clique_graph, from_blocks, \
-    load_blk, save_blk
+from .blockmat import BlockSparseSym, clique_graph, from_blocks, load_blk, save_blk
 from .config import ConfigError, RunConfig, parse_config_file
 from .driver import PipelineError, SolveReport, run_pipeline, run_sweep, run_verify
 from .factor import BlockFactor, DenseFactor, SingularBlockError, block_ldlt, \
@@ -24,8 +23,8 @@ from .symbolic import EliminationPlan, symbolic_factor
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "BlockFactor", "BlockSparseSym", "CliqueGraph",
-    "ConfigError", "DenseFactor", "EliminationPlan", "Mesh",
+    "AssemblyError", "BlockFactor", "BlockSparseSym", "ConfigError",
+    "DenseFactor", "EliminationPlan", "Mesh",
     "Ordering", "OrderingError", "Partition", "PartitionError",
     "PipelineError", "ProblemConfig", "ReducedSystem", "RunConfig",
     "SingularBlockError", "SingularDomainError", "SolveReport",

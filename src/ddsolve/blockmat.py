@@ -8,8 +8,6 @@ kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 BLK_MAGIC = "D3M-BLK v1"
@@ -19,34 +17,6 @@ _DIAG_SYM_RTOL = 1e-14
 
 class BlockMatrixError(Exception):
     """Construction or I/O problem with a block-sparse matrix."""
-
-
-@dataclass
-class CliqueGraph:
-    """Undirected graph with one vertex per supernode and an edge for every
-    stored off-diagonal block."""
-
-    n: int
-    adj: list[set[int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.adj:
-            self.adj = [set() for _ in range(self.n)]
-
-    def add_edge(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        self.adj[i].add(j)
-        self.adj[j].add(i)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted((j, i) for i in range(self.n) for j in self.adj[i] if j < i)
-
-    def degree(self, i: int) -> int:
-        return len(self.adj[i])
-
-    def copy(self) -> "CliqueGraph":
-        return CliqueGraph(self.n, [set(s) for s in self.adj])
 
 
 class BlockSparseSym:
@@ -184,12 +154,15 @@ def from_blocks(sizes, block_list) -> BlockSparseSym:
     return K
 
 
-def clique_graph(K: BlockSparseSym) -> CliqueGraph:
-    """One vertex per supernode, an edge per stored off-diagonal block."""
-    g = CliqueGraph(K.nblocks)
+def clique_graph(K: BlockSparseSym) -> list[set[int]]:
+    """The clique graph of ``K`` as an adjacency list: one vertex per
+    supernode, an edge per stored off-diagonal block; entry ``i`` holds the
+    neighbors of supernode ``i``."""
+    g: list[set[int]] = [set() for _ in range(K.nblocks)]
     for (i, j) in K.blocks:
         if i != j:
-            g.add_edge(i, j)
+            g[i].add(j)
+            g[j].add(i)
     return g
 
 

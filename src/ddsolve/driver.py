@@ -13,8 +13,7 @@ import numpy as np
 
 from . import blockmat, factor, ordering, subdomain, symbolic
 from .config import RunConfig
-from .mesh import Mesh, Partition, assemble_helmholtz, build_rect_mesh, \
-    partition_mesh
+from .mesh import Mesh, assemble_helmholtz, build_rect_mesh, partition_mesh
 from .symbolic import format_plan
 
 CSV_COLUMNS = ["case_id", "n_dofs", "n_lambda", "n_blocks", "factor_time_s",
@@ -94,7 +93,6 @@ class SolveReport:
 @dataclass(eq=False)
 class PipelineResult:
     mesh: Mesh
-    part: Partition
     systems: list
     reduced_system: subdomain.ReducedSystem
     plan: symbolic.EliminationPlan
@@ -132,7 +130,7 @@ def make_plan(spec: str, g, sizes,
         return _staged(stages, "ordering", ordering.reorder_with_plan, g, sizes)
     if spec.startswith("file:"):
         order = _staged(stages, "ordering", ordering.load_ordering_file,
-                        spec[5:], g.n)
+                        spec[5:], len(g))
         return _staged(stages, "symbolic", symbolic.symbolic_factor, g, order,
                        sizes)
     raise PipelineError("ordering", ValueError(f"unknown ordering spec {spec!r}"))
@@ -178,7 +176,7 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
         growth_factor=F.stats.growth_factor,
         stages=stages,
     )
-    return PipelineResult(mesh, part, systems, rsys, plan, F, lam, sol, report)
+    return PipelineResult(mesh, systems, rsys, plan, F, lam, sol, report)
 
 
 def run_verify(run: RunConfig, print_symbolic: bool = False,

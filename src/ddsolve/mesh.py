@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,12 @@ class ProblemConfig:
             raise ValueError("side_lambda must be positive")
         if self.ppw < 10:
             raise ValueError("ppw must be at least 10")
+        for name in ("px", "py"):
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
         if self.px < 1 or self.py < 1:
             raise ValueError("px and py must be at least 1")
         if self.alpha is None:
@@ -87,6 +94,17 @@ class Mesh:
     boundary_edges: np.ndarray  # (B, 2) node pairs on the outer boundary
     boundary_owner: np.ndarray  # (B,) triangle owning each boundary edge
 
+    def __post_init__(self):
+        # boundary_normals needs each boundary edge (a, b) to run from a to b
+        # in its CCW owner's order, so that the mesh lies on its left
+        t, e = self.tris[self.boundary_owner], self.boundary_edges
+        runs = (t == e[:, :1]) & (t[:, [1, 2, 0]] == e[:, 1:])
+        bad = np.flatnonzero(~runs.any(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            raise AssemblyError(f"boundary edge {i} is not a half edge of its "
+                                f"owner, triangle {self.boundary_owner[i]}")
+
     @property
     def n_nodes(self) -> int:
         return int(self.nodes.shape[0])
@@ -99,30 +117,6 @@ class Mesh:
         """``(M, 3, 2)`` corner coordinates of every triangle.  ``take``
         gathers the same rows as ``nodes[tris]`` at a tenth of its cost."""
         return self.nodes.take(self.tris, axis=0)
-
-    def tri_areas(self) -> np.ndarray:
-        return _signed_areas(self.tri_corners())
-
-    def edge_use_counts(self) -> dict[tuple[int, int], list[int]]:
-        """Map sorted edge -> list of triangles using it, in ascending order."""
-        tab = edge_table(self.tris)
-        owners = (tab.half // 3).tolist()
-        start = tab.start.tolist()
-        return {(lo, hi): owners[start[i]:start[i + 1]]
-                for i, (lo, hi) in enumerate(tab.edges.tolist())}
-
-    def validate(self) -> None:
-        areas = self.tri_areas()
-        bad = np.flatnonzero(areas <= 0.0)
-        if bad.size:
-            raise AssemblyError(f"element {int(bad[0])} has non-positive area")
-        use = self.edge_use_counts()
-        for a, b in self.boundary_edges.tolist():
-            key = (min(a, b), max(a, b))
-            owners = use.get(key, [])
-            if len(owners) != 1:
-                raise AssemblyError(
-                    f"boundary edge {key} used by {len(owners)} triangles")
 
 
 def _signed_areas(p: np.ndarray) -> np.ndarray:
@@ -170,8 +164,7 @@ class Partition:
       ``chain_nodes[chain_start[i]:chain_start[i + 1]]`` is its chain of
       mesh nodes, endpoints included, from its smaller endpoint.
     - ``boundary_edges[boundary_start[d]:boundary_start[d + 1]]`` are domain
-      ``d``'s outer boundary edges in the mesh's order, and
-      ``boundary_owner`` the triangle owning each.
+      ``d``'s outer boundary edges in the mesh's order and orientation.
     - ``incident[incident_start[d]:incident_start[d + 1]]`` are the
       interfaces of domain ``d``, ascending.
     - ``kept`` marks the chain nodes that carry a multiplier dof, and
@@ -190,7 +183,6 @@ class Partition:
     chain_nodes: np.ndarray
     chain_start: np.ndarray
     boundary_edges: np.ndarray
-    boundary_owner: np.ndarray
     boundary_start: np.ndarray
     incident: np.ndarray
     incident_start: np.ndarray
@@ -275,16 +267,16 @@ def build_rect_mesh(side_lambda: float, ppw: float) -> Mesh:
     # boundary edges, each as half edge j of its one triangle: bottom
     # (v00, v10) of 2c, right (v10, v11) of 2c, top (v11, v01) of 2c + 1 and
     # left (v01, v00) of 2c + 1; listed in sorted (lo, hi) order with the
-    # owner's orientation
+    # owner's (counter-clockwise) orientation
     k = np.arange(n, dtype=np.int64)
-    owners = np.concatenate([2 * k, 2 * (k * n + n - 1),
-                             2 * ((n - 1) * n + k) + 1, 2 * k * n + 1])
+    owner = np.concatenate([2 * k, 2 * (k * n + n - 1),
+                            2 * ((n - 1) * n + k) + 1, 2 * k * n + 1])
     j = np.repeat(np.array([0, 1, 1, 2], dtype=np.int64), n)
-    a, b = tris[owners, j], tris[owners, (j + 1) % 3]
+    a, b = tris[owner, j], tris[owner, (j + 1) % 3]
     sort = np.argsort(np.minimum(a, b) * (n + 1) ** 2 + np.maximum(a, b))
-    owners = owners[sort]
+    owner = owner[sort]
     edges = np.column_stack([a[sort], b[sort]])
-    return Mesh(nodes, tris, edges, owners)
+    return Mesh(nodes, tris, edges, owner)
 
 
 def _basis_gradients(mesh: Mesh):
@@ -359,29 +351,22 @@ def _dedup_sum(rows, cols, vals, n) -> sp.csr_matrix:
     return sp.csr_matrix((sums, (rows[starts], cols[starts])), shape=(n, n))
 
 
-def boundary_normals(mesh: Mesh, edges: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """Unit outward normal per boundary edge, oriented away from the owner."""
-    a = mesh.nodes[edges[:, 0]]
-    b = mesh.nodes[edges[:, 1]]
-    d = b - a
+def boundary_normals(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Unit outward normal ``(dy, -dx) / |d|`` of each boundary edge, ``d``
+    running as the edge does, counter-clockwise around its owner."""
+    d = nodes[edges[:, 1]] - nodes[edges[:, 0]]
     nrm = np.column_stack([d[:, 1], -d[:, 0]])
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    centroids = mesh.nodes.take(mesh.tris[owners], axis=0).mean(axis=1)
-    mid = 0.5 * (a + b)
-    v = centroids - mid
-    flip = nrm[:, 0] * v[:, 0] + nrm[:, 1] * v[:, 1] > 0.0
-    nrm[flip] *= -1.0
     return nrm
 
 
-def boundary_load(mesh: Mesh, edges: np.ndarray, owners: np.ndarray,
-                  start: np.ndarray, at: np.ndarray, size: int,
-                  k: float, theta_inc: float) -> np.ndarray:
+def boundary_load(mesh: Mesh, edges: np.ndarray, start: np.ndarray,
+                  at: np.ndarray, size: int, k: float, theta_inc: float) -> np.ndarray:
     """Plane-wave loads of several boundary pieces in one pass.
 
-    ``edges[start[s]:start[s + 1]]`` are the edges of piece ``s`` and
-    ``at`` (shaped like ``edges``) the positions their endpoints add into,
-    in a vector of length ``size``.  The incident field is
+    ``edges[start[s]:start[s + 1]]`` are the edges of piece ``s``, oriented
+    as in the mesh, and ``at`` (shaped like ``edges``) the positions their
+    endpoints add into, in a vector of length ``size``.  The incident field is
     ``exp(-jk (x cos t + y sin t))`` and the boundary data
     ``g = dn(u_inc) - jk u_inc`` is integrated against the P1 traces on each
     edge with 4-point Gauss quadrature.
@@ -400,7 +385,7 @@ def boundary_load(mesh: Mesh, edges: np.ndarray, owners: np.ndarray,
     b = mesh.nodes[edges[:, 1]]
     h = edge_lengths(mesh.nodes, edges)
     # row 0: the outward normals; row 1 + q: Gauss point q of every edge
-    x = np.concatenate([boundary_normals(mesh, edges, owners)[None],
+    x = np.concatenate([boundary_normals(mesh.nodes, edges)[None],
                         a + _GAUSS_T[:, None, None] * (b - a)])
     proj = np.empty(x.shape[:2])
     bounds = np.asarray(start).tolist()
@@ -417,11 +402,11 @@ def boundary_load(mesh: Mesh, edges: np.ndarray, owners: np.ndarray,
     return f
 
 
-def incident_boundary_load(mesh: Mesh, edges: np.ndarray, owners: np.ndarray,
-                           k: float, theta_inc: float) -> np.ndarray:
+def incident_boundary_load(mesh: Mesh, edges: np.ndarray, k: float,
+                           theta_inc: float) -> np.ndarray:
     """Load vector over all mesh nodes from a plane wave entering through
     ``edges``: :func:`boundary_load` with one piece."""
-    return boundary_load(mesh, edges, owners, [0, edges.shape[0]], edges,
+    return boundary_load(mesh, edges, [0, edges.shape[0]], edges,
                          mesh.n_nodes, k, theta_inc)
 
 
@@ -450,7 +435,7 @@ def assemble_helmholtz(mesh: Mesh, cfg: ProblemConfig):
     bcols = np.column_stack([be[:, 0], be[:, 1], be[:, 0], be[:, 1]]).reshape(-1)
     A = _dedup_sum([rows, brows], [cols, bcols], [Ae.reshape(-1), Be.reshape(-1)],
                    mesh.n_nodes)
-    f = incident_boundary_load(mesh, be, mesh.boundary_owner, cfg.k, cfg.theta_inc)
+    f = incident_boundary_load(mesh, be, cfg.k, cfg.theta_inc)
     return A, f
 
 
@@ -548,7 +533,7 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     by_dom = np.argsort(bdom, kind="stable")
     part = Partition(
         n_domains, dom, ends, nodes, start,
-        mesh.boundary_edges[by_dom], mesh.boundary_owner[by_dom],
+        mesh.boundary_edges[by_dom],
         exclusive_cumsum(np.bincount(bdom, minlength=n_domains)),
         incident, incident_start,
         *_number_multipliers(ends, nodes, start, incident, incident_start))

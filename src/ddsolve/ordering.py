@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import CliqueGraph, nonnegative_integers
+from .blockmat import nonnegative_integers
 from .symbolic import EliminationPlan, symbolic_factor
 
 
@@ -60,7 +60,7 @@ def _members(x: int) -> list[int]:
     return out
 
 
-def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
+def _min_degree_order(g: list[set[int]], weights: np.ndarray) -> np.ndarray:
     """Eliminate by the smallest key ``(not simplicial, weighted degree,
     index)``, keys held in a heap with lazy invalidation.
 
@@ -78,11 +78,11 @@ def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
     simplicial neighbor ``u`` stays simplicial: ``nb[u]`` lay inside
     ``nb[v]``, and becomes ``nb[v]`` minus ``v``, now a clique.
     """
-    n = g.n
+    n = len(g)
     w = weights.tolist()
     bit = [1 << v for v in range(n)]
-    nb = [sum(bit[u] for u in s) | bit[v] for v, s in enumerate(g.adj)]
-    deg = [sum(w[u] for u in s) for s in g.adj]
+    nb = [sum(bit[u] for u in s) | bit[v] for v, s in enumerate(g)]
+    deg = [sum(w[u] for u in s) for s in g]
 
     def simplicial(v: int) -> bool:
         nv = nb[v]
@@ -136,8 +136,8 @@ def _min_degree_order(g: CliqueGraph, weights: np.ndarray) -> np.ndarray:
     return np.array(order, dtype=np.int64)
 
 
-def reorder(g: CliqueGraph, weights) -> Ordering:
-    """Fill-reducing order of ``g``; ``weights`` are block sizes.
+def reorder(g: list[set[int]], weights) -> Ordering:
+    """Fill-reducing order of adjacency list ``g``; ``weights`` are block sizes.
 
     Runs weighted minimum degree with a simplicial-vertex preference
     (vertices of zero deficiency go first, so chordal graphs, trees and
@@ -150,12 +150,12 @@ def reorder(g: CliqueGraph, weights) -> Ordering:
     return reorder_with_plan(g, weights).order
 
 
-def reorder_with_plan(g: CliqueGraph, weights) -> EliminationPlan:
+def reorder_with_plan(g: list[set[int]], weights) -> EliminationPlan:
     """The symbolic plan of :func:`reorder`'s order; ``plan.order`` is that
     order.  The guard's own plan of the chosen order is returned, so no
     symbolic pass is repeated.  Weights must be non-negative integers
     (integer-valued floats included); any other raises OrderingError."""
-    n = g.n
+    n = len(g)
     if np.size(weights) != n:
         raise OrderingError("weights length does not match graph size")
     weights = nonnegative_integers(weights, "weight", OrderingError)

@@ -230,7 +230,7 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     rows_all = row_at - np.repeat(first[:-1], n_u)
 
     # loads: one piece per domain, scattered at the domains' local numbering
-    f_all = boundary_load(mesh, bd, part.boundary_owner, part.boundary_start,
+    f_all = boundary_load(mesh, bd, part.boundary_start,
                           np.searchsorted(keys, db[:, :, 0] * n_nodes + bd),
                           keys.size, cfg.k, cfg.theta_inc)
 
@@ -402,7 +402,7 @@ def global_residual(mesh: Mesh, cfg: ProblemConfig,
     r = np.empty(n, dtype=np.complex128)
     r.real = np.bincount(nodes, y.real, n)
     r.imag = np.bincount(nodes, y.imag, n)
-    f = incident_boundary_load(mesh, be, mesh.boundary_owner, cfg.k, cfg.theta_inc)
+    f = incident_boundary_load(mesh, be, cfg.k, cfg.theta_inc)
     r -= f
     fnorm = float(np.abs(f).max()) if n else 0.0
     rnorm = float(np.abs(r).max()) if n else 0.0

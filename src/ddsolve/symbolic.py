@@ -16,8 +16,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .blockmat import CliqueGraph
-
 if TYPE_CHECKING:
     from .ordering import Ordering
 
@@ -35,14 +33,14 @@ class EliminationPlan:
         return int(self.sizes_perm.size)
 
 
-def symbolic_factor(g: CliqueGraph, order: Ordering, sizes) -> EliminationPlan:
-    n = g.n
+def symbolic_factor(g: list[set[int]], order: Ordering, sizes) -> EliminationPlan:
+    n = len(g)
     sizes = np.asarray(sizes, dtype=np.int64)
     if order.n != n or sizes.size != n:
         raise ValueError("graph, ordering and sizes disagree on block count")
     position = order.inverse().tolist().__getitem__
     # below[j]: original neighbors after j, then the rows children pass up
-    below = [{b for b in map(position, g.adj[i]) if b > j}
+    below = [{b for b in map(position, g[i]) if b > j}
              for j, i in enumerate(order.perm.tolist())]
     # all columns' sorted rows in one array, pattern[j] a read-only view
     rows: list[int] = []

@@ -35,12 +35,27 @@ def add_block(K: blockmat.BlockSparseSym, i: int, j: int, block) -> None:
     K.blocks[(i, j)] = K.blocks[(i, j)] + block if (i, j) in K.blocks else block.copy()
 
 
-def fill_blocks(plan, g: blockmat.CliqueGraph) -> list[tuple[int, int]]:
+def graph(n: int, edges=()) -> list[set[int]]:
+    """Adjacency list, as ``blockmat.clique_graph`` returns it, of ``n``
+    vertices joined by the undirected ``edges``."""
+    g: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        g[i].add(j)
+        g[j].add(i)
+    return g
+
+
+def graph_edges(g: list[set[int]]) -> list[tuple[int, int]]:
+    """The edges of adjacency list ``g`` as sorted ``(lo, hi)`` pairs."""
+    return sorted((j, i) for i in range(len(g)) for j in g[i] if j < i)
+
+
+def fill_blocks(plan, g: list[set[int]]) -> list[tuple[int, int]]:
     """Pattern positions of ``plan`` that are fill, i.e. not edges of ``g``."""
     inv = plan.order.inverse()
     orig = set()
-    for i in range(g.n):
-        for j in g.adj[i]:
+    for i in range(len(g)):
+        for j in g[i]:
             a, b = int(inv[i]), int(inv[j])
             if a > b:
                 orig.add((a, b))
@@ -159,13 +174,8 @@ def rand_block_system(seed, max_blocks=8, max_size=8, density=0.4,
     return K, Sref
 
 
-def rand_clique_graph(rng, n, p) -> blockmat.CliqueGraph:
-    g = blockmat.CliqueGraph(n)
-    for i in range(n):
-        for j in range(i):
-            if rng.random() < p:
-                g.add_edge(i, j)
-    return g
+def rand_clique_graph(rng, n, p) -> list[set[int]]:
+    return graph(n, [(i, j) for i in range(n) for j in range(i) if rng.random() < p])
 
 
 def scalar_permutation(sizes, perm) -> np.ndarray:

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from conftest import assert_factor_in_pattern, fill_blocks, permuted, rand_block_system, \
-    rand_complex_symmetric, reconstruct_dense
+from conftest import assert_factor_in_pattern, fill_blocks, graph, permuted, \
+    rand_block_system, rand_complex_symmetric, reconstruct_dense
 from ddsolve import blockmat, factor, mesh as mm, ordering, subdomain as sd, \
     symbolic
 from ddsolve.config import RunConfig
@@ -129,17 +129,13 @@ def test_criterion_5_symbolic_soundness(warm_kernels):
             assert F.stats.factor_entries == plan.total_factor_entries
         # paths and random trees come out fill-free under the built-in order
         for n in range(2, 12):
-            g = blockmat.CliqueGraph(n)
-            for i in range(n - 1):
-                g.add_edge(i, i + 1)
+            g = graph(n, [(i, i + 1) for i in range(n - 1)])
             w = np.ones(n, dtype=int)
             plan = symbolic.symbolic_factor(g, ordering.reorder(g, w), w)
             assert fill_blocks(plan, g) == []
         for seed in range(30):
             n = int(rng.integers(2, 14))
-            g = blockmat.CliqueGraph(n)
-            for v in range(1, n):
-                g.add_edge(v, int(rng.integers(0, v)))
+            g = graph(n, [(v, int(rng.integers(0, v))) for v in range(1, n)])
             w = rng.integers(1, 8, size=n)
             plan = symbolic.symbolic_factor(g, ordering.reorder(g, w), w)
             assert fill_blocks(plan, g) == []

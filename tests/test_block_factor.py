@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import add_block, factor_blocks, fill_blocks, rand_block_system, \
+from conftest import add_block, factor_blocks, fill_blocks, graph, rand_block_system, \
     rand_complex_symmetric, scalar_permutation, scatter_factor
 from ddsolve import blockmat, factor, ordering, symbolic
 from ddsolve.factor import BlockFactor, FactorConsistencyError, FactorStats, \
@@ -197,8 +197,7 @@ def test_plan_missing_pattern_blocks_raises():
     with pytest.raises(FactorConsistencyError,
                        match=r"update targets block \(2, 1\) outside pattern"):
         block_ldlt(K, no_fill)
-    g = blockmat.CliqueGraph(3)
-    g.add_edge(1, 0)
+    g = graph(3, [(1, 0)])
     with pytest.raises(FactorConsistencyError,
                        match=r"unconsumed blocks: block \(2, 0\) of K"):
         block_ldlt(K, symbolic.symbolic_factor(g, order, sizes))
@@ -220,8 +219,7 @@ def test_consistency_errors_name_blocks_in_elimination_order():
          np.array([], dtype=np.int64)], np.array([1, 2, 2]), 11)
     with pytest.raises(FactorConsistencyError, match=r"block \(2, 1\) outside"):
         block_ldlt(K, no_fill)
-    g = blockmat.CliqueGraph(3)
-    g.add_edge(2, 1)
+    g = graph(3, [(2, 1)])
     with pytest.raises(FactorConsistencyError, match=r"block \(2, 0\) of K"):
         block_ldlt(K, symbolic.symbolic_factor(g, order, sizes))
 

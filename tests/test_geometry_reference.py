@@ -171,14 +171,19 @@ def reference_interface_lambda_nodes(part):
 
 
 def reference_incident_boundary_load(mesh, edges, owners, k, theta_inc):
-    """The load of one boundary piece, integrated on its own."""
+    """The load of one boundary piece, integrated on its own.  The unit
+    normal of each edge is turned away from its owner's centroid, whatever
+    the edge's orientation."""
     f = np.zeros(mesh.n_nodes, dtype=np.complex128)
     if edges.size == 0:
         return f
-    nrm = mm.boundary_normals(mesh, edges, owners)
     d = np.array([math.cos(theta_inc), math.sin(theta_inc)])
     a = mesh.nodes[edges[:, 0]]
     b = mesh.nodes[edges[:, 1]]
+    nrm = np.column_stack([(b - a)[:, 1], -(b - a)[:, 0]])
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    inward = mesh.nodes[mesh.tris[owners]].mean(axis=1) - 0.5 * (a + b)
+    nrm[(nrm * inward).sum(axis=1) > 0.0] *= -1.0
     h = mm.edge_lengths(mesh.nodes, edges)
     coef = -1j * k * (nrm @ d + 1.0)
     for t, w in zip(mm._GAUSS_T, mm._GAUSS_W):
@@ -347,8 +352,6 @@ def assert_partition_matches(part, ref_p):
                 "chain_start")
     assert_same(part.boundary_edges, cat(ref_p.boundary, np.int64, (0, 2)),
                 "boundary_edges")
-    assert_same(part.boundary_owner, cat(ref_p.boundary_owner, np.int64, 0),
-                "boundary_owner")
     assert_same(part.boundary_start, np.cumsum([0] + [b.shape[0] for b in ref_p.boundary]),
                 "boundary_start")
     for d in range(part.n_domains):
@@ -403,8 +406,7 @@ def test_loads_and_reduced_system_match_reference_at_angles(name, theta_deg):
         ref = reference_incident_boundary_load(
             m, ref_p.boundary[d], ref_p.boundary_owner[d], cfg.k, theta)
         assert_same(s.f, ref[s.dof_map], f"f[{d}]")
-    assert_same(mm.incident_boundary_load(m, m.boundary_edges, m.boundary_owner,
-                                          cfg.k, theta),
+    assert_same(mm.incident_boundary_load(m, m.boundary_edges, cfg.k, theta),
                 reference_incident_boundary_load(m, m.boundary_edges,
                                                  m.boundary_owner, cfg.k, theta),
                 "monolithic f")

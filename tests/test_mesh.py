@@ -7,6 +7,7 @@ from conftest import GEOMETRIES, interfaces
 from ddsolve import mesh as mm
 from ddsolve.config import RunConfig
 from ddsolve.driver import run_pipeline
+from test_geometry_reference import reference_edge_use_counts
 
 
 def shoelace(p):
@@ -29,28 +30,51 @@ class TestBuildRectMesh:
     def test_areas_sum_to_square(self, side, ppw):
         m = mm.build_rect_mesh(side, ppw)
         per_elem = np.array([shoelace(m.nodes[t]) for t in m.tris])
-        assert np.allclose(per_elem, m.tri_areas())
-        assert abs(m.tri_areas().sum() - side * side) <= 1e-12 * side * side
+        # the element mass diagonal is area / 6
+        assert np.allclose(per_elem, 6.0 * mm.element_matrices(m)[1][:, 0, 0])
+        assert abs(per_elem.sum() - side * side) <= 1e-12 * side * side
 
     def test_all_areas_positive_and_ccw(self):
         m = mm.build_rect_mesh(1.0, 12)
-        assert (m.tri_areas() > 0).all()
+        assert (mm._signed_areas(m.tri_corners()) > 0).all()
 
     def test_boundary_edges_single_owner(self):
         m = mm.build_rect_mesh(1.0, 10)
-        m.validate()
-        use = m.edge_use_counts()
-        for a, b in m.boundary_edges:
-            assert len(use[(min(a, b), max(a, b))]) == 1
+        use = reference_edge_use_counts(m)
+        for (a, b), t in zip(m.boundary_edges.tolist(), m.boundary_owner.tolist()):
+            assert use[(min(a, b), max(a, b))] == [t]
 
-    def test_validate_rejects_degenerate_triangle(self):
+    def test_element_matrices_reject_degenerate_triangle(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         bad = mm.Mesh(nodes, np.array([[0, 1, 2]]),
                       np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int))
         with pytest.raises(mm.AssemblyError, match="element 0"):
-            bad.validate()
-        with pytest.raises(mm.AssemblyError, match="element 0"):
             mm.element_matrices(bad)
+
+    @pytest.mark.parametrize("i", [0, 7, 39])
+    def test_reversed_boundary_edge_rejected(self, i):
+        # the outward normal is read off the edge's direction, so an edge
+        # running clockwise around its owner would point it inward
+        m = mm.build_rect_mesh(1.0, 10)
+        edges = m.boundary_edges.copy()
+        edges[i] = edges[i, ::-1]
+        with pytest.raises(mm.AssemblyError,
+                           match=f"boundary edge {i} is not a half edge of its owner"):
+            mm.Mesh(m.nodes, m.tris, edges, m.boundary_owner)
+
+    def test_boundary_edge_of_another_triangle_rejected(self):
+        m = mm.build_rect_mesh(1.0, 10)
+        owners = m.boundary_owner.copy()
+        owners[3] += 1
+        with pytest.raises(mm.AssemblyError, match="boundary edge 3"):
+            mm.Mesh(m.nodes, m.tris, m.boundary_edges, owners)
+
+    def test_boundary_normals_point_out_of_the_square(self):
+        m = mm.build_rect_mesh(1.0, 10)
+        nrm = mm.boundary_normals(m.nodes, m.boundary_edges)
+        mid = m.nodes[m.boundary_edges].mean(axis=1)
+        assert ((nrm * (mid - 0.5)).sum(axis=1) > 0.0).all()
+        assert np.allclose(np.abs(nrm).sum(axis=1), 1.0)   # axis-aligned units
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -75,7 +99,7 @@ class TestElementMatrices:
         # the explicit products must keep the bits of the einsum they replaced
         m = mm.build_rect_mesh(*GEOMETRIES[name][:2])
         p = m.nodes[m.tris]
-        areas = m.tri_areas()
+        areas = mm._signed_areas(p)
         gx = np.stack([p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1],
                        p[:, 0, 1] - p[:, 1, 1]], axis=1)
         gy = np.stack([p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0],
@@ -174,6 +198,17 @@ class TestProblemConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             mm.ProblemConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["px", "py"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+    def test_non_integer_tile_count_rejected(self, name, bad):
+        # rejected at construction, not as a cast error in partition_mesh
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mm.ProblemConfig(side_lambda=1.0, **{name: bad})
+
+    def test_integer_like_tile_counts_become_int(self):
+        cfg = mm.ProblemConfig(side_lambda=1.0, px=np.int64(3), py=2)
+        assert (cfg.px, cfg.py) == (3, 2) and type(cfg.px) is int
+
 
 class TestPartition:
     def test_single_domain(self):
@@ -206,7 +241,7 @@ class TestPartition:
         # brute-force element-adjacency oracle
         m = mm.build_rect_mesh(side, ppw)
         p = mm.partition_mesh(m, px, py)
-        use = m.edge_use_counts()
+        use = reference_edge_use_counts(m)
         shared = {}
         for (a, b), tris in use.items():
             if len(tris) == 2:
@@ -241,7 +276,7 @@ class TestPartition:
     def test_arrays_are_read_only(self):
         p = mm.partition_mesh(mm.build_rect_mesh(1.3, 11), 3, 2)
         arrays = {k: a for k, a in vars(p).items() if isinstance(a, np.ndarray)}
-        assert len(arrays) == 13
+        assert len(arrays) == 12
         for name, a in arrays.items():
             assert not a.flags.writeable, name
 
@@ -254,7 +289,6 @@ class TestPartition:
             s, e = p.boundary_start[d:d + 2]
             sel = p.domain_of_elem[m.boundary_owner] == d
             assert np.array_equal(p.boundary_edges[s:e], m.boundary_edges[sel])
-            assert np.array_equal(p.boundary_owner[s:e], m.boundary_owner[sel])
 
     def test_empty_domain_raises(self):
         m = mm.build_rect_mesh(0.5, 2)   # single cell
@@ -314,7 +348,7 @@ class TestIdentityEquality:
     def test_every_pipeline_record(self):
         run = RunConfig(mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2))
         r1, r2 = run_pipeline(run), run_pipeline(run)
-        pairs = [(r1, r2), (r1.mesh, r2.mesh), (r1.part, r2.part),
+        pairs = [(r1, r2), (r1.mesh, r2.mesh),
                  (r1.systems[0], r2.systems[0]),
                  (r1.systems[0].couplings[0], r2.systems[0].couplings[0]),
                  (r1.reduced_system, r2.reduced_system), (r1.plan, r2.plan),

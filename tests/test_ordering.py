@@ -4,33 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GEOMETRIES, fill_blocks, rand_clique_graph
+from conftest import GEOMETRIES, fill_blocks, graph, rand_clique_graph
 from ddsolve import mesh, subdomain, symbolic
-from ddsolve.blockmat import CliqueGraph, clique_graph
+from ddsolve.blockmat import clique_graph
 from ddsolve.ordering import Ordering, OrderingError, _min_degree_order, \
     check_permutation, identity_ordering, load_ordering_file, reorder, \
     reorder_with_plan
 
 
 def path_graph(n):
-    g = CliqueGraph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_graph(n_leaves):
-    g = CliqueGraph(n_leaves + 1)
-    for leaf in range(1, n_leaves + 1):
-        g.add_edge(0, leaf)
-    return g
+    return graph(n_leaves + 1, [(0, leaf) for leaf in range(1, n_leaves + 1)])
 
 
 def rand_tree(rng, n):
-    g = CliqueGraph(n)
-    for v in range(1, n):
-        g.add_edge(v, int(rng.integers(0, v)))
-    return g
+    return graph(n, [(v, int(rng.integers(0, v))) for v in range(1, n)])
 
 
 def n_fill(g, order, weights):
@@ -45,8 +36,8 @@ def factor_entries(g, order, weights):
 def reference_min_degree_order(g, weights):
     """Full-rescan minimum degree: every step recomputes the key of every
     live vertex, including its simplicial test."""
-    n = g.n
-    adj = [set(s) for s in g.adj]
+    n = len(g)
+    adj = [set(s) for s in g]
     alive = [True] * n
     order = []
     for _ in range(n):
@@ -79,10 +70,10 @@ def reference_incremental_min_degree(g, weights):
     one: closed neighbourhoods as sets, keys ``(not simplicial, weighted
     degree, index)`` in a heap with lazy invalidation, and the subset test
     rerun for every neighbour of the eliminated vertex."""
-    n = g.n
+    n = len(g)
     w = np.asarray(weights).tolist()
-    nb = [s | {v} for v, s in enumerate(g.adj)]
-    deg = [sum(w[u] for u in s) for s in g.adj]
+    nb = [s | {v} for v, s in enumerate(g)]
+    deg = [sum(w[u] for u in s) for s in g]
 
     def key(v):
         nv = nb[v]
@@ -126,7 +117,7 @@ def reference_incremental_min_degree(g, weights):
 
 
 def simplicial_vertices(adj, alive):
-    """Live vertices whose live neighbours are pairwise adjacent."""
+    """Live vertices whose live neighbors are pairwise adjacent."""
     return {v for v in range(len(adj)) if alive[v]
             and all(b in adj[a] for a in adj[v] for b in adj[v] if a != b)}
 
@@ -134,7 +125,7 @@ def simplicial_vertices(adj, alive):
 def reference_reorder(g, weights):
     """The natural-order guard of ``reorder`` around the reference order."""
     md = Ordering(reference_min_degree_order(g, weights))
-    natural = identity_ordering(g.n)
+    natural = identity_ordering(len(g))
     if factor_entries(g, md, weights) <= factor_entries(g, natural, weights):
         return md.perm
     return natural.perm
@@ -145,11 +136,7 @@ def weighted_graphs(draw):
     n = draw(st.integers(1, 24))
     p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
     rnd = draw(st.randoms(use_true_random=False))
-    g = CliqueGraph(n)
-    for i in range(n):
-        for j in range(i):
-            if rnd.random() < p:
-                g.add_edge(i, j)
+    g = graph(n, [(i, j) for i in range(n) for j in range(i) if rnd.random() < p])
     weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
     return g, weights
 
@@ -161,11 +148,7 @@ def varied_weighted_graphs(draw):
     n = draw(st.integers(1, 40))
     p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
     rnd = draw(st.randoms(use_true_random=False))
-    g = CliqueGraph(n)
-    for i in range(n):
-        for j in range(i):
-            if rnd.random() < p:
-                g.add_edge(i, j)
+    g = graph(n, [(i, j) for i in range(n) for j in range(i) if rnd.random() < p])
     kind = draw(st.sampled_from(["small", "distinct", "uniform"]))
     if kind == "small":
         weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -203,7 +186,7 @@ def test_min_degree_matches_set_based_reference(gw):
     order = _min_degree_order(g, weights)
     assert order.dtype == np.int64
     assert np.array_equal(order, reference_incremental_min_degree(g, weights))
-    if g.n <= 24:
+    if len(g) <= 24:
         assert np.array_equal(order, reference_min_degree_order(g, weights))
 
 
@@ -219,7 +202,7 @@ def test_min_degree_matches_set_based_reference_at_480_blocks():
         [subdomain.reduce_domain(s)
          for s in subdomain.build_subdomain_systems(m, part, cfg)], part).K
     g = clique_graph(K)
-    assert g.n == 480
+    assert len(g) == 480
     assert np.array_equal(_min_degree_order(g, K.sizes),
                           reference_incremental_min_degree(g, K.sizes))
 
@@ -231,8 +214,8 @@ def test_simplicial_vertices_stay_simplicial(gw):
     stays simplicial until it is eliminated; the bitset minimum degree
     re-keys such a vertex from its degree alone."""
     g, weights = gw
-    adj = [set(s) for s in g.adj]
-    alive = [True] * g.n
+    adj = [set(s) for s in g]
+    alive = [True] * len(g)
     simplicial = simplicial_vertices(adj, alive)
     for v in reference_min_degree_order(g, weights).tolist():
         alive[v] = False
@@ -275,7 +258,7 @@ def test_plan_is_that_of_the_chosen_order_on_reduced_graphs(reduced_systems, nam
 
 
 def test_edgeless_gives_ascending_order():
-    g = CliqueGraph(6)
+    g = graph(6)
     o = reorder(g, np.ones(6, dtype=int))
     assert np.array_equal(o.perm, np.arange(6))
 
@@ -349,7 +332,7 @@ def test_check_permutation_accepts(perm):
 
 def test_weight_length_check():
     with pytest.raises(OrderingError):
-        reorder(CliqueGraph(3), np.ones(2, dtype=int))
+        reorder(graph(3), np.ones(2, dtype=int))
 
 
 @pytest.mark.parametrize("weights, first_bad", [

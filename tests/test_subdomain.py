@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from conftest import GEOMETRIES, dense_coupling, dense_matrix, interfaces, \
-    subdomain_system
+from conftest import GEOMETRIES, dense_coupling, dense_matrix, graph_edges, \
+    interfaces, subdomain_system
 from ddsolve import blockmat, factor, mesh as mm, ordering, subdomain as sd, symbolic
 from ddsolve.config import RunConfig
 from ddsolve.driver import run_pipeline
@@ -417,8 +417,8 @@ class TestAssembleReduced:
             for j, b in enumerate(ends):
                 if j < i and set(a) & set(b):
                     expect.add((j, i))
-        assert set(g.edges()) == expect
-        assert all(g.degree(v) == 2 for v in range(4))
+        assert set(graph_edges(g)) == expect
+        assert all(len(g[v]) == 2 for v in range(4))
 
     def test_block_symmetry_of_reduced_matrix(self):
         cfg = mm.ProblemConfig(side_lambda=1.0, ppw=12, px=2, py=2)

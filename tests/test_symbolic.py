@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-from conftest import GEOMETRIES, fill_blocks, rand_clique_graph
+from conftest import GEOMETRIES, fill_blocks, graph, graph_edges, rand_clique_graph
 from hypothesis import given, settings, strategies as st
 from ddsolve import blockmat, factor, symbolic
-from ddsolve.blockmat import CliqueGraph
 from ddsolve.ordering import Ordering, identity_ordering, reorder
 from ddsolve.symbolic import symbolic_factor
 
 
 def brute_force_pattern(g, n):
     """Elimination-graph oracle: re-derive fill by explicit edge insertion."""
-    adj = [set(s) for s in g.adj]
+    adj = [set(s) for s in g]
     pattern = []
     for j in range(n):
         rows = sorted(r for r in adj[j] if r > j)
@@ -23,7 +22,7 @@ def brute_force_pattern(g, n):
 
 
 def test_edgeless_plan():
-    g = CliqueGraph(4)
+    g = graph(4)
     sizes = np.array([2, 3, 1, 4])
     plan = symbolic_factor(g, identity_ordering(4), sizes)
     assert all(p.size == 0 for p in plan.pattern)
@@ -32,9 +31,7 @@ def test_edgeless_plan():
 
 
 def test_four_cycle_natural_order():
-    g = CliqueGraph(4)
-    for a, b in [(0, 1), (1, 2), (2, 3), (0, 3)]:
-        g.add_edge(a, b)
+    g = graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     plan = symbolic_factor(g, identity_ordering(4), np.ones(4, dtype=int))
     assert [p.tolist() for p in plan.pattern] == [[1, 3], [2, 3], [3], []]
     assert plan.etree_parent.tolist() == [1, 2, 3, -1]
@@ -64,10 +61,7 @@ def test_matches_brute_force_oracle_with_permutation():
         plan = symbolic_factor(g, order, rng.integers(1, 5, size=n))
         # relabel, then brute force on the permuted graph
         inv = order.inverse()
-        gp = CliqueGraph(n)
-        for i in range(n):
-            for j in g.adj[i]:
-                gp.add_edge(int(inv[i]), int(inv[j]))
+        gp = graph(n, [(int(inv[i]), int(inv[j])) for i in range(n) for j in g[i]])
         oracle = brute_force_pattern(gp, n)
         assert [p.tolist() for p in plan.pattern] == oracle
 
@@ -77,13 +71,10 @@ def test_fill_monotone_under_subgraphs():
     for _ in range(15):
         n = int(rng.integers(3, 11))
         g = rand_clique_graph(rng, n, 0.6)
-        edges = g.edges()
+        edges = graph_edges(g)
         if not edges:
             continue
-        sub = CliqueGraph(n)
-        for (a, b) in edges:
-            if rng.random() < 0.6:
-                sub.add_edge(a, b)
+        sub = graph(n, [e for e in edges if rng.random() < 0.6])
         sizes = np.ones(n, dtype=int)
         p_super = symbolic_factor(g, identity_ordering(n), sizes)
         p_sub = symbolic_factor(sub, identity_ordering(n), sizes)
@@ -100,7 +91,7 @@ def test_original_blocks_subset_of_pattern():
         plan = symbolic_factor(g, Ordering(perm), np.ones(n, dtype=int))
         inv = plan.order.inverse()
         for i in range(n):
-            for j in g.adj[i]:
+            for j in g[i]:
                 a, b = int(inv[i]), int(inv[j])
                 if a > b:
                     assert a in plan.pattern[b]
@@ -134,8 +125,7 @@ def test_numeric_factor_never_leaves_pattern():
 
 
 def test_format_plan_mentions_bytes():
-    g = CliqueGraph(2)
-    g.add_edge(0, 1)
+    g = graph(2, [(0, 1)])
     plan = symbolic_factor(g, identity_ordering(2), np.array([2, 3]))
     text = symbolic.format_plan(plan)
     assert "predicted factor bytes" in text
@@ -146,13 +136,13 @@ def reference_symbolic_factor(g, order, sizes):
     """The per-column loop that preceded the one-array pass: one int64 array
     per column, and the totals summed column by column.  Returns
     ``(pattern, etree_parent, total_factor_entries)``."""
-    n = g.n
+    n = len(g)
     sizes = np.asarray(sizes, dtype=np.int64)
     inv = order.inverse().tolist()
     below = [set() for _ in range(n)]
     for i in range(n):
         a = inv[i]
-        below[a].update(b for b in (inv[j] for j in g.adj[i]) if b > a)
+        below[a].update(b for b in (inv[j] for j in g[i]) if b > a)
     pattern = []
     parent = np.full(n, -1, dtype=np.int64)
     for j in range(n):
@@ -187,7 +177,7 @@ def assert_plan_matches_reference(g, order, sizes):
 def test_plan_matches_per_column_reference_on_reduced_graphs(reduced_systems, name):
     K = reduced_systems[name].K
     g = blockmat.clique_graph(K)
-    for order in (reorder(g, K.sizes), identity_ordering(g.n)):
+    for order in (reorder(g, K.sizes), identity_ordering(len(g))):
         assert_plan_matches_reference(g, order, K.sizes)
 
 
@@ -205,9 +195,7 @@ def test_plan_matches_per_column_reference_on_drawn_graphs(data):
 
 
 def test_patterns_are_read_only():
-    g = CliqueGraph(3)
-    g.add_edge(0, 2)
-    g.add_edge(1, 2)
+    g = graph(3, [(0, 2), (1, 2)])
     plan = symbolic_factor(g, identity_ordering(3), np.ones(3, dtype=int))
     with pytest.raises(ValueError, match="read-only"):
         plan.pattern[0][0] = 1
