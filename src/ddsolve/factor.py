@@ -7,12 +7,12 @@ the numeric factor occupies exactly the entries predicted symbolically.  The
 block factor holds each block column in one panel allocated from the plan
 (supernodal column storage, Ng & Peyton 1993), all panels in one buffer.
 Each stored block of K is copied whole into its slot, found by one sorted
-search over the (panel, block row) keys of all slots.  Each column's update
-reaches the later panels by one indexed write whose positions come from one
-sorted search over the rows of all panels.  A block or an update entry
-outside the pattern finds no storage and raises instead.  The solve folds
-the diagonal factors' row interchanges into its row maps once per call, so
-each of its steps works on a contiguous slice.
+search over the (panel, block row) keys of all slots, and one more search
+over them checks that the plan is closed, so every update entry has a
+place.  Each column's update reaches the later panels by one indexed write
+whose positions come from one sorted search over the rows of all panels.
+The solve folds the diagonal factors' row interchanges into its row maps
+once per call, so each of its steps works on a contiguous slice.
 
 The dense kernel factors the reduced system's diagonal blocks; subdomain
 matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.  It
@@ -402,8 +402,9 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     all panels share one buffer.  K's stored blocks are written first, each
     by one slice assignment into its slot, transposed where the permutation
     of ``plan`` flips it; one sorted search over the (panel, block row) keys
-    of all slots finds every slot.  K's diagonal blocks are then checked for
-    symmetry in the panels.  Per column: factor the lower triangle of the
+    of all slots finds every slot, and one more checks the plan's closure.
+    K is then checked by :meth:`BlockSparseSym.validate` and for non-finite
+    entries (``ValueError``).  Per column: factor the lower triangle of the
     top block; permute the panel's columns if that factor interchanged rows;
     form X = L D for the rows below it by one triangular solve in place on
     the panel and keep one copy of it; recover L = X D_jj^-1 in place (one
@@ -412,9 +413,9 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     one indexed subtraction.  Its positions come from one sorted search over
     the (panel, scalar row) keys of all panel rows, with the update's keys
     built from one per-row array, each row's block times the scalar order;
-    past the symmetry check, only the lower triangle of a diagonal block is
-    read.  A block of K or an update entry that has no place in the plan
-    raises :class:`FactorConsistencyError`.
+    past the checks, only the lower triangle of a diagonal block is read.  A
+    block of K or a column's update with no place in the plan raises
+    :class:`FactorConsistencyError`.
     """
     nb = K.nblocks
     if plan.nblocks != nb:
@@ -446,7 +447,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     row_scalar = np.repeat(offsets[slot_blk], slot_rows) + row_in_blk
     # Each row's block times n_scalar: the key of an update entry is that of
     # the row whose block names the target panel plus the scalar row it
-    # lands on, and // n_scalar gives the block back.
+    # lands on.
     row_bkey = np.repeat(slot_blk * n_scalar, slot_rows)
     # Buffer position of each row (and the end), the panels as views of the
     # buffer, and the sorted keys every update entry is looked up in; the
@@ -480,20 +481,21 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     for blk, p, r, f in zip(K.blocks.values(), lo.tolist(), r_in_panel, flip):
         blk = blk.T if f else blk
         work[p][r:r + blk.shape[0]] = blk
-    del keys, ij, hi, lo, slot_key, key, at, r_in_panel, flip   # K's per-block arrays
-    # The symmetry check of dense_ldlt_bk, once per diagonal block of K,
-    # batched over the diagonal blocks of each size.
-    for size in set(n) - {0}:
-        cols = np.flatnonzero(sizes == size)
-        D = np.stack([work[j][:size] for j in cols.tolist()])
-        scale = np.abs(D).max(axis=(1, 2))
-        asym = np.abs(D - D.transpose(0, 2, 1)).max(axis=(1, 2))
-        bad = np.flatnonzero(~(asym <= 1e-12 * scale))
-        if bad.size:
-            t = bad[0]
-            raise ValueError(f"block column {cols[t]}: " + (
-                f"matrix is not symmetric: max|M - M^T| = {asym[t]:.3e}"
-                if np.isfinite(scale[t]) else "matrix has non-finite entries"))
+    # Closure: column j's rows past its parent p (its first row) are slots
+    # of panel p; then every update has its slots (Liu 1990, fill paths).
+    rest = np.flatnonzero(ragged_arange(n_slots) >= 2)
+    parent = slot_blk[slot_start[slot_panel[rest]] + 1]
+    key = parent * nb + slot_blk[rest]
+    miss = np.flatnonzero(slot_key[slot_key.searchsorted(key)] != key)
+    if miss.size:
+        t = miss[0]
+        raise FactorConsistencyError(
+            f"update targets block {(int(slot_blk[rest[t]]), int(parent[t]))} "
+            f"outside pattern")
+    del keys, ij, hi, lo, slot_key, key, at, r_in_panel, flip, rest, parent
+    K.validate()
+    if not np.isfinite(buf).all():      # validate skips non-finite blocks
+        raise ValueError("matrix has non-finite entries")
 
     diag: list[DenseFactor] = []
     panels: list[np.ndarray] = []
@@ -526,15 +528,8 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         # Entry (a, b) of U's lower triangle goes to row prow[a] of the panel
         # of b's block, at b's column within that block.
         rows, cols, at_u = _lower_triangle(prow.size)
-        bkey = row_bkey[below]
-        key = bkey.take(cols) + prow.take(rows)
+        key = row_bkey[below].take(cols) + prow.take(rows)
         at = row_key.searchsorted(key)
-        if not (row_key.take(at) == key).all():
-            # Column by column, the first miss is the first in (k, i) order.
-            t = np.flatnonzero(row_key.take(at) != key)[0]
-            i, k = bkey[rows[t]] // n_scalar, bkey[cols[t]] // n_scalar
-            raise FactorConsistencyError(
-                f"update targets block {(int(i), int(k))} outside pattern")
         pos = row_base.take(at) + row_in_blk[below].take(cols)
         buf[pos] -= U.ravel("F").take(at_u)
 

@@ -19,7 +19,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .blockmat import exclusive_cumsum, ragged_arange
 
@@ -332,10 +331,11 @@ def edge_mass(h) -> np.ndarray:
     return (h / 6.0)[..., None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
-def _dedup_sum(rows, cols, vals, n) -> sp.csr_matrix:
+def _dedup_sum(rows, cols, vals, n):
     # Deterministic duplicate summation: stable lexsort keeps insertion order
     # within each (row, col) group, so mirrored entries sum identically and
     # the result is exactly symmetric whenever the triples are.
+    import scipy.sparse as sp    # the solver itself never loads it
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals).astype(np.complex128)
@@ -476,7 +476,7 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     pair = (np.minimum(d0, d1) * n_domains + np.maximum(d0, d1))[cross]
     by_pair = np.argsort(pair, kind="stable")
     pairs, first = np.unique(pair[by_pair], return_index=True)
-    shared = [tuple(e) for e in tab.edges[two[cross[by_pair]]].tolist()]
+    shared = tab.edges[two[cross[by_pair]]].tolist()
     bounds = np.append(first, len(shared)).tolist()
     dlos, dhis = np.divmod(pairs, n_domains)
 
@@ -492,30 +492,23 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
             if len(ns) > 2:
                 raise PartitionError(
                     f"interface ({dlo}, {dhi}) branches at node {node}")
-        # edges are (lo, hi) tuples; a chain starts at its smaller endpoint,
-        # the first of its two endpoints in ascending order
-        remaining = set(edge_list)
+        # a chain starts at the first of its endpoints in ascending order
+        # and steps to the neighbour it did not come from; a closed loop has
+        # no endpoint, so its edges are never walked
+        walked = 0
+        far_ends = set()
         for start in sorted(n for n, ns in nbr.items() if len(ns) == 1):
-            u = nbr[start][0]
-            if ((start, u) if start < u else (u, start)) not in remaining:
+            if start in far_ends:
                 continue
-            chain = [start]
-            prev = -1
-            cur = start
-            while True:
-                for u in nbr[cur]:
-                    e = (cur, u) if cur < u else (u, cur)
-                    if u != prev and e in remaining:
-                        break
-                else:
-                    break
-                remaining.discard(e)
-                chain.append(u)
-                prev, cur = cur, u
+            chain = [start, nbr[start][0]]
+            while len(ns := nbr[chain[-1]]) == 2:
+                chain.append(ns[1] if ns[0] == chain[-2] else ns[0])
+            far_ends.add(chain[-1])
+            walked += len(chain) - 1
             ends.append((dlo, dhi))
             nodes += chain
             sizes.append(len(chain))
-        if remaining:
+        if walked < len(edge_list):
             raise PartitionError(
                 f"interface ({dlo}, {dhi}) contains a closed loop")
     ends = np.array(ends, dtype=np.int64).reshape(-1, 2)

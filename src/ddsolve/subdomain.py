@@ -9,7 +9,7 @@ with ``s = +1`` on the lower-indexed side of every incident interface and
 into the single multiplier set of that interface, and the restriction of the
 incident-wave load.  Under the mesh's natural numbering A_d of a tile is
 banded, with a lower and upper bandwidth ``kl`` of about one tile row of
-nodes, so it is built and factored in LAPACK band storage (``zgbtrf``); no
+nodes, so it is built and solved in LAPACK band storage (``zgbsv``); no
 dense n_d x n_d array is formed.  Eliminating the subdomain unknowns yields
 the reduced block system ``K lambda = g`` with one supernode per interface.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import zgbsv, zgbtrs
 
 from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, ragged_arange
 from .factor import DEFAULT_PIVOT_TOL, blas_matmul
@@ -56,7 +56,7 @@ class SubdomainSystem:
     room for the LU's fill: entry ``[2 kl + i - j, j]`` is ``A_d[i, j]`` for
     ``|i - j| <= kl``, and its first ``kl`` rows are zero.  The reduce
     factors it in place and sets ``piv``: from then on ``A`` holds the
-    LAPACK band LU ``P A_d = L U`` (``zgbtrf``, partial pivoting), whose U
+    LAPACK band LU ``P A_d = L U`` (``zgbsv``, partial pivoting), whose U
     has ``2 kl`` superdiagonals and its diagonal in row ``2 kl``.  A reduce
     that finds A_d singular sets ``A`` to None, as the buffer then holds
     neither A_d nor a usable LU.  The couplings are zero outside the rows
@@ -255,13 +255,13 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
 
 def reduce_domain(sys: SubdomainSystem,
                   pivot_tol: float = DEFAULT_PIVOT_TOL):
-    """Eliminate the subdomain unknowns: one LAPACK band LU factorization of
-    A_d (``zgbtrf``, partial pivoting) and one multi-RHS solve give
+    """Eliminate the subdomain unknowns: one LAPACK call (``zgbsv``: band LU
+    with partial pivoting, then one multi-RHS solve) gives
     ``K_D = D^T A^-1 D`` (symmetrized, as A_d is complex symmetric) and
     ``g_d = D^T A^-1 f``, ordered by the domain's ``lam_index``.  D is
     nonzero only at the interface rows r, so it enters the right-hand side
-    there, and ``[K_D g_d] = D_r^T X[r]``.  The factors are cached on the
-    system for primal recovery.
+    there, and ``[K_D g_d] = D_r^T X[r]``; K_D is exactly symmetric.  The
+    factors are cached on the system for primal recovery.
 
     A_d is factored in place: afterwards ``sys.A`` holds the LU and
     ``sys.piv`` its pivots, also when f2py has to copy an ``A`` that is not
@@ -284,7 +284,13 @@ def reduce_domain(sys: SubdomainSystem,
     if not np.isfinite(scale):
         raise ValueError(f"domain {sys.domain}: matrix has non-finite entries")
     kl = sys.kl
-    lu, piv, _ = zgbtrf(sys.A, kl, kl, overwrite_ab=1)
+    rows = sys.interface_rows
+    D_r = sys.D
+    m = D_r.shape[1]
+    rhs = np.zeros((sys.n_dofs, m + 1), dtype=np.complex128, order="F")
+    rhs[rows, :m] = D_r
+    rhs[:, m] = sys.f
+    lu, piv, X, _ = zgbsv(kl, kl, sys.A, rhs, overwrite_ab=1, overwrite_b=1)
     pivot_min = np.abs(lu[2 * kl]).min()
     if pivot_min <= pivot_tol * scale:
         sys.A = None
@@ -292,13 +298,6 @@ def reduce_domain(sys: SubdomainSystem,
             f"domain {sys.domain} is singular: smallest LU pivot {pivot_min:.3e} "
             f"(threshold {pivot_tol * scale:.3e})")
     sys.A, sys.piv = lu, piv
-    rows = sys.interface_rows
-    D_r = sys.D
-    m = D_r.shape[1]
-    rhs = np.zeros((sys.n_dofs, m + 1), dtype=np.complex128, order="F")
-    rhs[rows, :m] = D_r
-    rhs[:, m] = sys.f
-    X = sys.solve(rhs)
     KG = blas_matmul(D_r.T, X[rows])
     K_D = 0.5 * (KG[:, :-1] + KG[:, :-1].T)
     return K_D, KG[:, -1].copy()    # a view would keep all of KG alive
@@ -313,7 +312,7 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     interfaces adds the slice of K_D at their rows and columns to block
     ``(a, b)`` of K (:meth:`BlockSparseSym.add`: a copy, then in-place sums),
     and ``g`` is summed through ``lam_index`` by one ``np.add.at`` in the same
-    order.
+    order.  K's symmetry is checked by :func:`factor.block_ldlt`.
     """
     if len(reduced) != part.n_domains:
         raise ValueError(f"{len(reduced)} reduced domains given, the partition "
@@ -339,7 +338,6 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
         for a, (ia, ra) in enumerate(slots):
             for ib, rb in slots[:a + 1]:
                 K.add(ia, ib, K_D[ra, rb])
-    K.validate()
 
     g = np.zeros(K.order, dtype=np.complex128)
     np.add.at(g, part.lam_index, np.concatenate([g_d for _, g_d in reduced]))

@@ -227,7 +227,8 @@ def test_consistency_errors_name_blocks_in_elimination_order():
 @pytest.mark.parametrize("order", [None, identity_ordering(3)])
 def test_asymmetric_diagonal_block_rejected(order):
     # add_block alone does not validate, so only the factor sees the
-    # asymmetric diagonal block (1, 1)
+    # asymmetric diagonal block (1, 1); the factor checks K by validate, and
+    # a non-finite entry anywhere in K raises before any column is factored
     sizes = [2, 3, 2]
     K = blockmat.BlockSparseSym(sizes)
     for i, s in enumerate(sizes):
@@ -235,10 +236,17 @@ def test_asymmetric_diagonal_block_rejected(order):
     add_block(K, 1, 0, np.ones((3, 2)) + 0j)
     add_block(K, 2, 1, np.ones((2, 3)) + 0j)
     K.blocks[(1, 1)][0, 2] += 1e-9
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(blockmat.BlockMatrixError,
+                       match="diagonal block 1 asymmetric"):
         block_ldlt(K, plan_for(K, order))
     K.blocks[(1, 1)][0, 2] -= 1e-9
+    saved = K.blocks[(1, 1)][2, 0]
     K.blocks[(1, 1)][2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        block_ldlt(K, plan_for(K, order))
+    # the factor never reads the upper triangle of a diagonal block
+    K.blocks[(1, 1)][2, 0] = saved
+    K.blocks[(1, 1)][0, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         block_ldlt(K, plan_for(K, order))
 

@@ -342,12 +342,14 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "residual (inf)" in proc.stdout
 
-    def test_import_leaves_sparse_linalg_unloaded(self):
-        """Only ``run_verify`` needs scipy.sparse.linalg; importing the
-        package in a fresh process does not load it."""
+    def test_import_and_solve_leave_sparse_unloaded(self):
+        """Only ``run_verify`` needs scipy.sparse; importing the package and
+        one small solve in a fresh process do not load it."""
         src = str(Path(ddsolve.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import ddsolve; "
-                "sys.exit('scipy.sparse.linalg' in sys.modules)")
+                "ddsolve.run_pipeline(ddsolve.RunConfig(ddsolve.ProblemConfig("
+                "side_lambda=1.0, ppw=10, px=2, py=2))); "
+                "sys.exit('scipy.sparse' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code, src],
                               capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr or "scipy.sparse.linalg loaded"
+        assert proc.returncode == 0, proc.stderr or "scipy.sparse loaded"

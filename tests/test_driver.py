@@ -57,6 +57,20 @@ def test_stage_bytes_are_read_only_under_tracemalloc(small_cfg, tmp_path):
     assert peak["clique-graph"] < peak["subdomains"]
 
 
+def test_run_checks_k_symmetry_once(small_cfg, tmp_path, monkeypatch):
+    # the factor, the stage that needs a symmetric K, is the one to check it
+    calls = []
+    validate = blockmat.BlockSparseSym.validate
+
+    def counted(K):
+        calls.append(K)
+        validate(K)
+
+    monkeypatch.setattr(blockmat.BlockSparseSym, "validate", counted)
+    result = library_run(small_cfg, tmp_path)
+    assert calls == [result.reduced_system.K]
+
+
 def test_schur_complements_are_freed_once_k_is_assembled(small_cfg, tmp_path,
                                                          monkeypatch):
     # assemble_reduced copies every (K_D, g_d) into K and g, so none of them

@@ -322,6 +322,26 @@ class TestPartition:
                            match=r"interface \(0, 1\) contains a closed loop"):
             mm.partition_mesh(m, 2, 1)
 
+    def test_interface_loop_beside_an_open_chain_raises(self):
+        # the fan and ring above, plus two triangles far up on either side
+        # of the midline that share the edge 7-8: the (0, 1) interface is an
+        # open chain and a closed loop, and walking the chain from its
+        # endpoints leaves the loop's edges unwalked
+        nodes = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 2.0],
+                          [-3.0, 3.0], [-3.0, -2.0], [-3.0, 0.5],
+                          [0.0, 10.0], [0.0, 12.0], [3.0, 11.0], [-3.0, 11.0]])
+        tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1],
+                         [1, 2, 4], [2, 3, 5], [3, 1, 6],
+                         [7, 8, 9], [7, 8, 10]])
+        none = np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
+        with pytest.raises(mm.PartitionError,
+                           match=r"interface \(0, 1\) contains a closed loop"):
+            mm.partition_mesh(mm.Mesh(nodes, tris, *none), 2, 1)
+        # the open chain alone is one interface
+        part = mm.partition_mesh(mm.Mesh(nodes, tris[6:], *none), 2, 1)
+        assert part.ends.tolist() == [[0, 1]]
+        assert part.chain_nodes.tolist() == [7, 8]
+
     def test_deterministic(self):
         m = mm.build_rect_mesh(2.0, 15)
         p1 = mm.partition_mesh(m, 4, 4)

@@ -4,14 +4,19 @@ The tilings are those of ``test_geometry_reference``: at most one tile per
 grid interval, so tile lines may cut through cells (staircase interfaces).
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ddsolve import mesh as mm
 from ddsolve.config import RunConfig
-from ddsolve.driver import AGREEMENT_GATE, RESIDUAL_GATE, run_verify
+from ddsolve.driver import AGREEMENT_GATE, RESIDUAL_GATE, run_pipeline, run_verify
+from ddsolve.factor import FactorConsistencyError, block_ldlt
+from test_block_factor import reference_block_ldlt
 from test_geometry_reference import tilings
 
 
@@ -67,3 +72,34 @@ def test_gates_hold_on_drawn_tilings(tiling, theta):
     diag_l = sum(f.L.size for f in F.diag)
     k_entries = sum(b.size for b in r.reduced_system.K.blocks.values())
     assert F.stats.peak_bytes >= 16 * (buffer + diag_l + k_entries)
+
+
+def named_block(err) -> tuple[int, int]:
+    return tuple(map(int, re.search(r"block \((\d+), (\d+)\)", str(err)).groups()))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tilings(), st.data())
+def test_factor_rejects_a_plan_missing_an_inherited_block(tiling, data):
+    """Deleting from a parent's pattern one row that a child passed up to it
+    makes the factor raise, before any column is factored, naming a block
+    that the plan lacks and that the per-pair reference factor also finds
+    missing."""
+    side, ppw, px, py = tiling
+    r = run_pipeline(RunConfig(mm.ProblemConfig(side_lambda=side, ppw=ppw,
+                                                px=px, py=py)))
+    inherited = sorted({(int(rows[0]), i) for rows in r.plan.pattern
+                        for i in rows[1:].tolist()})
+    assume(inherited)
+    p, i = data.draw(st.sampled_from(inherited))
+    pattern = list(r.plan.pattern)
+    pattern[p] = pattern[p][pattern[p] != i]
+    plan = dataclasses.replace(r.plan, pattern=pattern)
+    K = r.reduced_system.K
+    with pytest.raises(FactorConsistencyError) as err:
+        block_ldlt(K, plan)
+    with pytest.raises(FactorConsistencyError) as ref:
+        reference_block_ldlt(K, plan)
+    a, b = named_block(err.value)
+    assert a > b and a not in pattern[b].tolist()
+    assert (a, b) == named_block(ref.value)
