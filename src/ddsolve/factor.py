@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from itertools import chain
 
 import numpy as np
 from scipy.linalg.blas import zgemm, ztrsm
@@ -464,7 +465,8 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     # Place K: block (i, j) goes whole to its (hi, lo) slot in panel lo,
     # transposed where the permutation flips it; the slots are found by one
     # sorted search over the (panel, block row) keys of all slots.
-    keys = np.array(list(K.blocks), dtype=np.int64).reshape(-1, 2)
+    keys = np.fromiter(chain.from_iterable(K.blocks), np.int64,
+                       2 * len(K.blocks)).reshape(-1, 2)
     ij = plan.order.inverse()[keys]
     hi, lo = ij.max(axis=1), ij.min(axis=1)
     slot_key = np.append(slot_panel * nb + slot_blk, nb * nb)

@@ -5,20 +5,27 @@ the vertex whose neighbors carry the smallest total block size is eliminated
 and its remaining neighbors are merged into a clique.  The explicit
 elimination graph is kept, one int bitset per closed neighborhood, and only
 the keys an elimination can change are recomputed.  Ties break toward the
-smaller vertex index, which makes the order fully deterministic.  An
-externally computed permutation can be loaded from a text file with one
-index per line instead.
+smaller vertex index, which makes the order fully deterministic.  The
+neighbors a vertex has when it is eliminated are its column's pattern, so
+minimum degree emits its symbolic plan itself.
+
+A natural-order guard keeps minimum degree unless the natural order's
+factor is strictly smaller.  It counts the natural order's entries column by
+column and stops as soon as they reach minimum degree's, so the natural plan
+is built only when it wins.  An externally computed permutation can be
+loaded from a text file with one index per line instead.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .blockmat import nonnegative_integers
-from .symbolic import EliminationPlan, symbolic_factor
+from .symbolic import EliminationPlan, plan_from_rows, symbolic_factor
 
 
 class OrderingError(Exception):
@@ -50,19 +57,11 @@ def check_permutation(perm: np.ndarray) -> None:
         raise OrderingError("ordering is not a bijection on 0..n-1")
 
 
-def _members(x: int) -> list[int]:
-    """Indices of the set bits of ``x``, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
-def _min_degree_order(g: list[set[int]], weights: np.ndarray) -> np.ndarray:
+def _min_degree_order(g: list[set[int]], weights: np.ndarray) -> EliminationPlan:
     """Eliminate by the smallest key ``(not simplicial, weighted degree,
-    index)``, keys held in a heap with lazy invalidation.
+    index)`` and return the plan of that order.  Keys are held in a heap
+    with lazy invalidation, each packed into one int whose fields are wide
+    enough for ``n`` and the total weight, so they never overlap.
 
     ``nb[v]`` is the closed neighborhood of ``v`` as an int bitset, so ``v``
     is simplicial (its neighbors form a clique) exactly when ``nb[v]`` is a
@@ -77,12 +76,18 @@ def _min_degree_order(g: list[set[int]], weights: np.ndarray) -> np.ndarray:
     them, so only these keys are recomputed (George & Liu 1989).  A
     simplicial neighbor ``u`` stays simplicial: ``nb[u]`` lay inside
     ``nb[v]``, and becomes ``nb[v]`` minus ``v``, now a clique.
+
+    The neighbors of ``v`` when it is eliminated are its column's pattern,
+    fill included, so the plan needs no second symbolic pass.
     """
     n = len(g)
     w = weights.tolist()
     bit = [1 << v for v in range(n)]
-    nb = [sum(bit[u] for u in s) | bit[v] for v, s in enumerate(g)]
-    deg = [sum(w[u] for u in s) for s in g]
+    nb = [sum(map(bit.__getitem__, s), bit[v]) for v, s in enumerate(g)]
+    deg = [sum(map(w.__getitem__, s)) for s in g]
+    shift = n.bit_length()  # key: not simplicial | degree | index
+    index = (1 << shift) - 1
+    flag = 1 << (shift + sum(w).bit_length())
 
     def simplicial(v: int) -> bool:
         nv = nb[v]
@@ -94,46 +99,95 @@ def _min_degree_order(g: list[set[int]], weights: np.ndarray) -> np.ndarray:
             rest ^= low
         return True
 
-    keys: list = [(0 if simplicial(v) else 1, deg[v], v) for v in range(n)]
+    keys = [(0 if simplicial(v) else flag) | deg[v] << shift | v for v in range(n)]
     heap = list(keys)
     heapq.heapify(heap)
     order = []
+    cols = []  # per eliminated vertex, its neighbors then: its column's pattern
     while heap:
         k = heapq.heappop(heap)
-        v = k[2]
+        v = k & index
         if keys[v] != k:
             continue  # stale entry of an eliminated or re-keyed vertex
-        keys[v] = None
+        keys[v] = -1
         order.append(v)
         vb = bit[v]
         nbrs = nb[v] ^ vb
-        us = _members(nbrs)
+        us = []
         touched = 0  # vertices adjacent to both ends of a fill edge
-        for u in us:
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            us.append(u)
             nu = nb[u] ^ vb
             new = nbrs & ~nu
             d = deg[u] - w[v]
             if new:
                 nu |= new
-                for x in _members(new):
+                while new:
+                    low = new & -new
+                    new ^= low
+                    x = low.bit_length() - 1
                     d += w[x]
                     if x > u:
                         touched |= nu & nb[x]
             nb[u] = nu
             deg[u] = d
+        cols.append(us)
         for u in us:
-            k = (1 if keys[u][0] and not simplicial(u) else 0, deg[u], u)
+            k = (flag if keys[u] & flag and not simplicial(u) else 0) \
+                | deg[u] << shift | u
             if k != keys[u]:
                 keys[u] = k
                 heapq.heappush(heap, k)
         # A vertex outside nb[v] keeps its degree and can only become
         # simplicial.  Its bit in touched does not depend on whether nb[x]
         # was read before or after its update, which stays inside nb[v].
-        for u in _members(touched & ~nb[v]):
-            if keys[u][0] and simplicial(u):
-                keys[u] = k = (0, deg[u], u)
+        rest = touched & ~nb[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            if keys[u] & flag and simplicial(u):
+                keys[u] = k = deg[u] << shift | u
                 heapq.heappush(heap, k)
-    return np.array(order, dtype=np.int64)
+    # column j's rows: the positions of cols[j], ascending by one sort of
+    # all (column, position) keys
+    order = Ordering(order)
+    counts = np.fromiter(map(len, cols), np.int64, n)
+    column = np.repeat(np.arange(n, dtype=np.int64) * n, counts)
+    flat = order.inverse()[np.fromiter(chain.from_iterable(cols), np.int64,
+                                       counts.sum())]
+    flat += column
+    flat.sort()
+    flat -= column
+    return plan_from_rows(order, flat, [0, *np.cumsum(counts).tolist()], weights)
+
+
+def _natural_is_smaller(g: list[set[int]], weights: np.ndarray, total: int) -> bool:
+    """Whether the natural order's factor has fewer than ``total`` entries.
+
+    Counted column by column with :func:`symbolic_factor`'s fill rule: column
+    ``j``'s rows are its neighbors after ``j`` and the rows its children
+    pass up, and it passes all but the first, its parent, to that parent
+    (Liu 1990).  The count stops as soon as it reaches ``total``.
+    """
+    w = weights.tolist()
+    count = sum(x * (x + 1) // 2 for x in w)  # diagonal blocks
+    passed = [set() for _ in g]
+    for j, s in enumerate(g):
+        rows = passed[j]
+        rows.update([u for u in s if u > j])
+        if rows:
+            count += w[j] * sum(map(w.__getitem__, rows))
+            if count >= total:
+                return False
+            p = min(rows)
+            rows.discard(p)
+            passed[p] |= rows
+    return count < total
 
 
 def reorder(g: list[set[int]], weights) -> Ordering:
@@ -143,29 +197,32 @@ def reorder(g: list[set[int]], weights) -> Ordering:
     (vertices of zero deficiency go first, so chordal graphs, trees and
     paths come out fill-free), ties broken by weighted degree then vertex
     index.  The produced order is kept only if its predicted factor size is
-    no worse than the natural order, the usual ordering-portfolio guard of
+    no worse than the natural order's, the usual ordering-portfolio guard of
     sparse direct solvers; minimum degree alone is a heuristic and can lose
-    to the natural order on small graphs.
+    to the natural order on small graphs.  A tie keeps minimum degree.
     """
     return reorder_with_plan(g, weights).order
 
 
 def reorder_with_plan(g: list[set[int]], weights) -> EliminationPlan:
     """The symbolic plan of :func:`reorder`'s order; ``plan.order`` is that
-    order.  The guard's own plan of the chosen order is returned, so no
-    symbolic pass is repeated.  Weights must be non-negative integers
-    (integer-valued floats included); any other raises OrderingError."""
+    order.  Weights must be non-negative integers (integer-valued floats
+    included); any other raises OrderingError.
+
+    Minimum degree builds its plan from its own elimination graph.  The
+    guard counts the natural order's factor entries column by column and
+    stops once they reach minimum degree's, so it builds the natural plan
+    only when the natural order is strictly smaller; a tie keeps minimum
+    degree.  Either way one plan is built, and no symbolic pass repeats.
+    """
     n = len(g)
     if np.size(weights) != n:
         raise OrderingError("weights length does not match graph size")
     weights = nonnegative_integers(weights, "weight", OrderingError)
-    md = symbolic_factor(g, Ordering(_min_degree_order(g, weights)), weights)
-    if np.array_equal(md.order.perm, np.arange(n)):
-        return md
-    natural = symbolic_factor(g, identity_ordering(n), weights)
-    if md.total_factor_entries <= natural.total_factor_entries:
-        return md
-    return natural
+    md = _min_degree_order(g, weights)
+    if _natural_is_smaller(g, weights, md.total_factor_entries):
+        return symbolic_factor(g, identity_ordering(n), weights)
+    return md
 
 
 def identity_ordering(n: int) -> Ordering:

@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .blockmat import nonnegative_integers
+
 if TYPE_CHECKING:
     from .ordering import Ordering
 
@@ -34,33 +36,45 @@ class EliminationPlan:
 
 
 def symbolic_factor(g: list[set[int]], order: Ordering, sizes) -> EliminationPlan:
+    """Plan of eliminating ``g`` in ``order``; block ``sizes`` must be
+    non-negative integers (integer-valued floats included), or ValueError
+    names the first that is not."""
     n = len(g)
-    sizes = np.asarray(sizes, dtype=np.int64)
+    sizes = nonnegative_integers(sizes, "block size", ValueError)
     if order.n != n or sizes.size != n:
         raise ValueError("graph, ordering and sizes disagree on block count")
     position = order.inverse().tolist().__getitem__
     # below[j]: original neighbors after j, then the rows children pass up
     below = [{b for b in map(position, g[i]) if b > j}
              for j, i in enumerate(order.perm.tolist())]
-    # all columns' sorted rows in one array, pattern[j] a read-only view
     rows: list[int] = []
     start = [0]
-    parent = [-1] * n
     for j in range(n):
         r = sorted(below[j])
         if r:
-            parent[j] = r[0]
             below[r[0]].update(r[1:])
             rows += r
         start.append(len(rows))
-    flat = np.fromiter(rows, np.int64, len(rows))
+    return plan_from_rows(order, np.fromiter(rows, np.int64, len(rows)), start,
+                          sizes)
+
+
+def plan_from_rows(order: Ordering, flat: np.ndarray, start: list[int],
+                   sizes: np.ndarray) -> EliminationPlan:
+    """The plan whose column ``j`` has the ascending rows
+    ``flat[start[j]:start[j + 1]]`` (int64): ``flat`` is made read-only and
+    ``pattern[j]`` is a view of it, each parent is its column's first row,
+    and the factor entries come from one array pass over ``flat``."""
     flat.flags.writeable = False
     pattern = [flat[a:b] for a, b in zip(start, start[1:])]
+    counts = np.diff(start)
+    nonempty = counts > 0
+    parent = np.full(counts.size, -1, dtype=np.int64)
+    parent[nonempty] = flat[np.array(start[:-1], dtype=np.int64)[nonempty]]
     sizes_perm = sizes[order.perm]
     total = int((sizes_perm * (sizes_perm + 1) // 2).sum()
-                + (np.repeat(sizes_perm, np.diff(start)) * sizes_perm[flat]).sum())
-    return EliminationPlan(order, np.array(parent, dtype=np.int64), pattern,
-                           sizes_perm, total)
+                + (np.repeat(sizes_perm, counts) * sizes_perm[flat]).sum())
+    return EliminationPlan(order, parent, pattern, sizes_perm, total)
 
 
 def format_plan(plan: EliminationPlan) -> str:

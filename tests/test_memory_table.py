@@ -29,9 +29,13 @@ def test_prints_every_measure_and_stage():
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
     assert out.startswith("2 wavelengths, ppw 10, 4x4 tiles: 441 dofs, max kl 7")
-    for label in ("max RSS (fresh process)", "traced peak of run_pipeline",
+    for label in ("max RSS (median of 3 runs)", "traced peak of run_pipeline",
                   "band buffers (A_d, then LU)", "K stored blocks", "SuperLU L+U"):
         assert label in out
+    # the median of three fresh processes lies in their range
+    label = "max RSS (median of 3 runs)"
+    low, high = out.split(label)[1].split("(range ")[1].split(" MB")[0].split("-")
+    assert float(low) <= value(out, label) <= float(high)
     # the ratio is of the unrounded sizes, each printed to 0.05 MB
     peak, superlu = value(out, "traced peak of run_pipeline"), value(out, "SuperLU L+U")
     assert value(out, "traced peak / SuperLU L+U") == pytest.approx(

@@ -163,7 +163,7 @@ def varied_weighted_graphs(draw):
 @given(weighted_graphs())
 def test_min_degree_matches_full_rescan_reference(gw):
     g, weights = gw
-    assert np.array_equal(_min_degree_order(g, weights),
+    assert np.array_equal(_min_degree_order(g, weights).order.perm,
                           reference_min_degree_order(g, weights))
     assert np.array_equal(reorder(g, weights).perm, reference_reorder(g, weights))
 
@@ -172,7 +172,7 @@ def test_min_degree_matches_full_rescan_reference(gw):
 def test_min_degree_matches_reference_on_reduced_graphs(reduced_systems, name):
     K = reduced_systems[name].K
     g = clique_graph(K)
-    order = _min_degree_order(g, K.sizes)
+    order = _min_degree_order(g, K.sizes).order.perm
     assert np.array_equal(order, reference_min_degree_order(g, K.sizes))
     assert np.array_equal(order, reference_incremental_min_degree(g, K.sizes))
     assert np.array_equal(reorder(g, K.sizes).perm,
@@ -183,7 +183,7 @@ def test_min_degree_matches_reference_on_reduced_graphs(reduced_systems, name):
 @given(varied_weighted_graphs())
 def test_min_degree_matches_set_based_reference(gw):
     g, weights = gw
-    order = _min_degree_order(g, weights)
+    order = _min_degree_order(g, weights).order.perm
     assert order.dtype == np.int64
     assert np.array_equal(order, reference_incremental_min_degree(g, weights))
     if len(g) <= 24:
@@ -203,7 +203,7 @@ def test_min_degree_matches_set_based_reference_at_480_blocks():
          for s in subdomain.build_subdomain_systems(m, part, cfg)], part).K
     g = clique_graph(K)
     assert len(g) == 480
-    assert np.array_equal(_min_degree_order(g, K.sizes),
+    assert np.array_equal(_min_degree_order(g, K.sizes).order.perm,
                           reference_incremental_min_degree(g, K.sizes))
 
 
@@ -236,6 +236,7 @@ def assert_same_plan(plan, ref):
     assert len(plan.pattern) == len(ref.pattern)
     for a, b in zip(plan.pattern, ref.pattern):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert a.flags.writeable == b.flags.writeable
     assert plan.total_factor_entries == ref.total_factor_entries
 
 
@@ -255,6 +256,66 @@ def test_plan_is_that_of_the_chosen_order_on_reduced_graphs(reduced_systems, nam
     g = clique_graph(K)
     assert_same_plan(reorder_with_plan(g, K.sizes),
                      symbolic.symbolic_factor(g, reorder(g, K.sizes), K.sizes))
+
+
+def assert_min_degree_plan_is_its_symbolic_plan(g, weights):
+    weights = np.asarray(weights, dtype=np.int64)
+    md = _min_degree_order(g, weights)
+    assert_same_plan(md, symbolic.symbolic_factor(g, md.order, weights))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(varied_weighted_graphs())
+def test_min_degree_plan_is_the_symbolic_plan_of_its_order(gw):
+    """Minimum degree's plan, built from its elimination graph, is byte for
+    byte the plan a separate symbolic pass over its order gives."""
+    assert_min_degree_plan_is_its_symbolic_plan(*gw)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_min_degree_plan_is_the_symbolic_plan_on_reduced_graphs(reduced_systems, name):
+    K = reduced_systems[name].K
+    assert_min_degree_plan_is_its_symbolic_plan(clique_graph(K), K.sizes)
+
+
+@pytest.mark.parametrize("weights", [[], [0], [3], [0, 0, 0, 0, 0, 0],
+                                     [0, 2, 0, 1, 0, 3]])
+def test_min_degree_plan_of_zero_size_and_tiny_graphs(weights):
+    n = len(weights)
+    for g in (graph(n), graph(n, [(i, j) for i in range(n) for j in range(i)
+                                  if (i + j) % 3])):
+        assert_min_degree_plan_is_its_symbolic_plan(g, weights)
+
+
+def test_guard_chooses_what_the_full_natural_plan_chooses():
+    """The counting guard against the full natural plan and ``md.total <=
+    natural.total``.  The drawn graphs hold ties where the two orders
+    differ, so a guard that sent ties to the natural order would fail here,
+    and graphs where the natural order is strictly smaller."""
+    rng = np.random.default_rng(0)
+    ties = natural_smaller = 0
+    for _ in range(300):
+        n = int(rng.integers(5, 15))
+        g = rand_clique_graph(rng, n, float(rng.uniform(0.3, 0.9)))
+        w = rng.integers(0, 5, size=n)
+        md = Ordering(reference_min_degree_order(g, w))
+        md_total = factor_entries(g, md, w)
+        natural_total = factor_entries(g, identity_ordering(n), w)
+        chosen = md if md_total <= natural_total else identity_ordering(n)
+        assert_same_plan(reorder_with_plan(g, w),
+                         symbolic.symbolic_factor(g, chosen, w))
+        ties += md_total == natural_total and not np.array_equal(md.perm, np.arange(n))
+        natural_smaller += natural_total < md_total
+    assert ties and natural_smaller
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weighted_graphs())
+def test_packed_keys_keep_the_order_at_weights_near_2_to_the_40(gw):
+    g, weights = gw
+    for big in ((1 << 40) + weights, (1 << 40) - weights, weights << 38):
+        assert np.array_equal(_min_degree_order(g, big).order.perm,
+                              reference_min_degree_order(g, big))
 
 
 def test_edgeless_gives_ascending_order():

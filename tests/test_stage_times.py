@@ -7,10 +7,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from ddsolve.blockmat import clique_graph
 from ddsolve.config import RunConfig
 from ddsolve.driver import run_pipeline
 from ddsolve.mesh import ProblemConfig
+from ddsolve.ordering import reorder_with_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -56,6 +59,28 @@ def test_runs_blas_at_one_thread_whatever_the_environment_asks(monkeypatch,
     assert stage_times.main(["1,10,2x2", "--repeat", "1"]) == 0
     capsys.readouterr()
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+# sha256 of the order and of the plan of each benchmark geometry; a change
+# to the built-in order or plan has to change these on purpose.
+PLAN_DIGESTS = {
+    "subdomain-bound": (
+        "dec4a4e67a8fe70fc34318821c138fdebf36127dc912de79d63bd770f1becb27",
+        "777fcaa293178b5b9da5dc179d89806c63fa5bce9100a48e361660560c29629c"),
+    "interface-bound": (
+        "a2d94a5e690562aed1f07e58dabb9dc0878628d767c73775b4b7401468b59eaf",
+        "14b764bdec71300c1addd85a9bd06365b54b667a1b1f3ddb94ed6a0aaf5d5f3b"),
+    "angle-sweep": (
+        "2568ff2ee5c13e9e8464012b285c00bcb07cbe8c79f3be29e0aa9843f25e8a96",
+        "02a65737f6b9f7be62ad4bcd34d5efde512063761c8b484769e5bdbc47c274bf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+def test_benchmark_plans_keep_their_digests(reduced_systems, name):
+    K = reduced_systems[name].K
+    plan = reorder_with_plan(clique_graph(K), K.sizes)
+    assert stage_times.plan_digests(plan) == PLAN_DIGESTS[name]
 
 
 def test_plan_digest_tells_pattern_splits_apart():

@@ -199,3 +199,25 @@ def test_patterns_are_read_only():
     plan = symbolic_factor(g, identity_ordering(3), np.ones(3, dtype=int))
     with pytest.raises(ValueError, match="read-only"):
         plan.pattern[0][0] = 1
+
+
+@pytest.mark.parametrize("sizes, first_bad", [
+    ([1.5, 2.7, 0.2], "block size 0 is 1.5"),
+    ([-1, 2, 3], "block size 0 is -1"),
+    ([1, 2, float("nan")], "block size 2 is nan"),
+    ([1, float("inf"), 2], "block size 1 is inf"),
+    ([2.0, -0.5, 1.0], "block size 1 is -0.5"),
+])
+def test_non_integer_negative_or_non_finite_sizes_rejected(sizes, first_bad):
+    g = graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=first_bad):
+        symbolic_factor(g, identity_ordering(3), sizes)
+
+
+def test_integer_valued_float_sizes_accepted():
+    g = graph(3, [(0, 1), (1, 2)])
+    plan = symbolic_factor(g, identity_ordering(3), [2.0, 1.0, 3.0])
+    ref = symbolic_factor(g, identity_ordering(3), [2, 1, 3])
+    assert plan.sizes_perm.dtype == np.int64
+    assert plan.sizes_perm.tolist() == ref.sizes_perm.tolist() == [2, 1, 3]
+    assert plan.total_factor_entries == ref.total_factor_entries == 15

@@ -9,8 +9,10 @@ The solver is imported from ``src/`` of the tree this script sits in.
 Each argument is one geometry, ``SIDE,PPW,PXxPY`` (side in wavelengths,
 points per wavelength, tiles along x and y).  Per geometry it prints
 
-- the max RSS of a fresh process that runs ``run_pipeline`` once, and its
-  RSS before the run;
+- the max RSS of a fresh process that runs ``run_pipeline`` once: the
+  median and the range over three such processes, since one process's max
+  RSS varies by several MB from run to run; and the median RSS before the
+  run;
 - the ``tracemalloc`` peak of ``run_pipeline`` in a second fresh process,
   and per stage the peak inside the stage and what is still held after it,
   as the run's ``report.stages`` records them under ``tracemalloc``; the
@@ -41,6 +43,7 @@ MB = 1e6
 SRC = Path(__file__).resolve().parent.parent / "src"
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                    "MKL_NUM_THREADS": "1"}
+RSS_RUNS = 3  # fresh processes whose max RSS is summarised
 
 
 def parse_geometry(spec: str) -> tuple[float, float, int, int]:
@@ -127,13 +130,16 @@ def _child(mode: str, geometry) -> dict:
 
 def report(geometry) -> str:
     side, ppw, px, py = geometry
-    rss = _child("rss", geometry)
+    rss = [_child("rss", geometry) for _ in range(RSS_RUNS)]
+    max_rss = sorted(r["max_rss"] for r in rss)
+    before = sorted(r["rss_before"] for r in rss)
     tr = _child("traced", geometry)
     lines = [
         f"{side:g} wavelengths, ppw {ppw:g}, {px}x{py} tiles: "
         f"{tr['dofs']:,} dofs, max kl {tr['max_kl']}, residual {tr['residual']:.2e}",
-        f"  max RSS (fresh process)      {rss['max_rss'] / MB:8.1f} MB"
-        f"   ({rss['rss_before'] / MB:.1f} MB before the run)",
+        f"  max RSS (median of {RSS_RUNS} runs)   {max_rss[RSS_RUNS // 2] / MB:8.1f} MB"
+        f"   (range {max_rss[0] / MB:.1f}-{max_rss[-1] / MB:.1f} MB over fresh"
+        f" processes, {before[RSS_RUNS // 2] / MB:.1f} MB before the run)",
         f"  traced peak of run_pipeline  {tr['run_peak'] / MB:8.1f} MB",
         f"  band buffers (A_d, then LU)  {tr['band'] / MB:8.1f} MB",
         f"  K stored blocks              {tr['k_blocks'] / MB:8.1f} MB",
