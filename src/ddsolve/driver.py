@@ -48,7 +48,9 @@ class SolveReport:
     """One configuration's outcome.  Times are kept as measured; the CSV
     row and the text report print them to 3 decimals.  ``factor_time_s``
     and ``solve_time_s`` are the wall times of the ``numeric-factor`` and
-    ``numeric-solve`` entries of ``stages``."""
+    ``numeric-solve`` entries of ``stages``.  ``flops`` and ``n_2x2_pivots``
+    are the block factor's counts from ``FactorStats``; ``text()`` prints
+    them and the CSV row leaves them out."""
 
     case_id: str
     n_dofs: int
@@ -60,6 +62,8 @@ class SolveReport:
     peak_bytes: int
     residual_inf: float
     growth_factor: float
+    flops: int = 0
+    n_2x2_pivots: int = 0
     status: str = "ok"
     detail: str = ""
     # populated by verify runs only
@@ -84,7 +88,9 @@ class SolveReport:
                  f"factor bytes    : {self.factor_bytes}",
                  f"peak bytes      : {self.peak_bytes}",
                  f"residual (inf)  : {self.residual_inf:.3e}",
-                 f"growth factor   : {self.growth_factor:.3f}"]
+                 f"growth factor   : {self.growth_factor:.3f}",
+                 f"factor flops    : {self.flops}",
+                 f"2x2 pivots      : {self.n_2x2_pivots}"]
         if self.rel_diff_monolithic is not None:
             lines.append(f"vs monolithic   : {self.rel_diff_monolithic:.3e}")
         return "\n".join(lines)
@@ -174,6 +180,8 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
         peak_bytes=F.stats.peak_bytes,
         residual_inf=res,
         growth_factor=F.stats.growth_factor,
+        flops=F.stats.flops,
+        n_2x2_pivots=F.stats.n_2x2_pivots,
         stages=stages,
     )
     return PipelineResult(mesh, systems, rsys, plan, F, lam, sol, report)

@@ -11,18 +11,25 @@ search over the (panel, block row) keys of all slots, and one more search
 over them checks that the plan is closed, so every update entry has a
 place.  Each column's update reaches the later panels by one indexed write
 whose positions come from one sorted search over the rows of all panels.
-The solve folds the diagonal factors' row interchanges into its row maps
-once per call, so each of its steps works on a contiguous slice.
+The diagonal factors are written straight into flat arrays: one buffer of
+every column-major L_jj, and ``d``, ``e``, ``tags`` and ``perm`` in
+elimination order, which the solve reads as they are.  It folds their row
+interchanges into its row maps once per call, so each of its steps works on
+a contiguous slice.
 
-The dense kernel factors the reduced system's diagonal blocks; subdomain
-matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.  It
-follows Bunch & Kaufman (1977) with pivot tests on the true complex
+The dense Bunch-Kaufman rule factors the reduced system's diagonal blocks;
+subdomain matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.
+It follows Bunch & Kaufman (1977) with pivot tests on the true complex
 modulus.  LAPACK ``?sytrf`` is not a drop-in replacement: it tests
 ``|Re| + |Im|``, for which the 2.57 per-step growth bound does not hold.
-The trailing block is kept as one full square, symmetric to rounding, and
-each pivot step is one rank-1 or rank-2 numpy update of the whole square
-and one absolute value of it, which serves both the step's growth and the
-next step's pivot search.
+One pivot rule runs in two kernels, chosen by the block's order n.  Up to
+``SCALAR_MAX`` the scalar kernel works on Python complex numbers over the
+columns of the lower triangle, one entry at a time: a numpy call costs more
+than such a block's whole arithmetic.  Above it the numpy kernel keeps the
+trailing block as one full square, symmetric to rounding, and each pivot
+step is one rank-1 or rank-2 numpy update of the whole square and one
+absolute value of it, which serves both the step's growth and the next
+step's pivot search.  The two agree to rounding, not bit for bit.
 The factor and solve loops call scipy's BLAS directly (``ztrsm``, ``zgemm``)
 rather than mixing it with numpy's ``@``: the two packages may bundle
 separate BLAS builds, each with its own thread pool, and alternating between
@@ -47,6 +54,12 @@ DEFAULT_PIVOT_TOL = 1e-12
 # Pivot threshold constant from the 1977 Bunch-Kaufman analysis; bounds the
 # per-step element growth by 1 + 1/alpha < 2.57.
 BK_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
+
+# Largest diagonal block factored by the scalar kernel; larger ones run the
+# numpy kernel.  The scalar kernel is faster up to order 11 (README,
+# "Backends"); 10 keeps the 11- and 12-row blocks of the subdomain-bound
+# benchmark on the numpy kernel.
+SCALAR_MAX = 10
 
 
 class SingularBlockError(Exception):
@@ -149,25 +162,100 @@ def _apply_dinv(d: np.ndarray, e: np.ndarray, tags: np.ndarray,
     Z[s + 1] = (akm1 * t2 - t1) / denom
 
 
-def _bk_factor(W: np.ndarray, tol_abs: float, A: np.ndarray, w_max: float):
-    """Bunch-Kaufman elimination of the symmetric square ``W`` in place;
-    ``A`` is ``|W|`` and ``w_max`` its maximum, the base of the growth
-    factor.
+def _bk_pivot(col: list[float], row, k: int, tol_abs: float) -> tuple[int, int]:
+    """The Bunch-Kaufman pivot ``(kp, kstep)`` of elimination step ``k``.
 
-    Returns ``(perm, tags, twos, growth, info)`` as lists and floats,
-    ``twos`` listing the steps that start a 2x2 pivot.  Each step updates
-    the whole trailing square, which stays symmetric to rounding, and takes
-    one ``np.abs`` of the updated square: its maximum gives the step's
-    growth, and its columns the next step's pivot searches, which compare
-    Python floats and break ties toward the first row, as ``argmax`` does.
-    On return the strict lower triangle of ``W`` holds the unit-L columns,
-    the diagonal the 1x1 entries of D and ``W[k+1, k]`` the subdiagonal of a
+    ``col`` is |column k| of the trailing block from row k, as Python
+    floats, and ``row(i)`` returns |row i| of it from column k as a new
+    list.  Ties go to the first row, as ``argmax`` does.  Raises
+    :class:`SingularBlockError` when neither a 1x1 nor a 2x2 candidate
+    exceeds ``tol_abs``: the remaining column is numerically zero.
+    """
+    absakk = col[0]
+    colmax = 0.0
+    imax = k
+    if len(col) > 1:
+        colmax = max(col[1:])
+        imax = k + col.index(colmax, 1)
+    if max(absakk, colmax) <= tol_abs:
+        raise SingularBlockError(
+            f"no acceptable pivot at elimination step {k} "
+            f"(threshold {tol_abs:.3e})")
+    if absakk >= BK_ALPHA * colmax:
+        return k, 1
+    r = row(imax)
+    absaii = r[imax - k]
+    r[imax - k] = 0.0
+    rowmax = max(r)
+    if absakk * rowmax >= BK_ALPHA * colmax * colmax:
+        return k, 1
+    if absaii >= BK_ALPHA * rowmax:
+        return imax, 1
+    return imax, 2
+
+
+def _cache_small(fn):
+    """Cache the index arrays ``fn(n)`` for n <= 64 only: they cost
+    memory for the life of the process, and for larger squares building
+    them is cheap next to the arithmetic they index.  Cached arrays are
+    read-only, as every caller shares them."""
+    def frozen(n: int):
+        out = fn(n)
+        for a in out:
+            a.flags.writeable = False
+        return out
+    cached = lru_cache(maxsize=None)(frozen)
+
+    @wraps(fn)
+    def get(n: int):
+        return cached(n) if n <= 64 else fn(n)
+    return get
+
+
+@_cache_small
+def _square_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of an n x n square.
+
+    ``sym[q]`` is the row-major position of ``(max(a, b), min(a, b))`` for
+    column-major position ``q`` of ``(a, b)``, so taking it from a block
+    mirrors the block's lower triangle into a column-major symmetric square.
+    ``upper`` masks the upper triangle, diagonal included, in column-major
+    order, ``diag`` holds the diagonal's positions and ``eye`` is the flat
+    identity.
+    """
+    b, a = np.divmod(np.arange(n * n), n)
+    sym = np.maximum(a, b) * n + np.minimum(a, b)
+    eye = (a == b).astype(np.complex128)
+    return sym, a <= b, np.flatnonzero(a == b), eye
+
+
+def _numpy_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
+                  L: np.ndarray, d: np.ndarray, e: np.ndarray, at: int):
+    """Bunch-Kaufman factor of the lower triangle of ``B``, mirrored into
+    ``L`` as one full square ``W`` and eliminated in place there; ``d`` and
+    ``e`` are written from position ``at`` and ``(perm, tags, twos,
+    growth)`` returned, as :func:`_factor_lower` describes.
+
+    Each step updates the whole trailing square, which stays symmetric to
+    rounding, and takes one ``np.abs`` of the updated square: its maximum
+    gives the step's growth, and its columns the next step's pivot search.
+    The strict lower triangle of ``W`` collects the unit-L columns, the
+    diagonal the 1x1 entries of D and ``W[k+1, k]`` the subdiagonal of a
     2x2 pivot starting at ``k`` (the L entry there is zero).  ``perm[i]`` is
     the original index at position ``i``: interchanges swap whole rows, L
-    rows included, so one permutation describes the whole factor.  ``info``
-    is the first step with no pivot above ``tol_abs``, or -1.
+    rows included, so one permutation describes the whole factor.
     """
-    n = W.shape[0]
+    n = B.shape[0]
+    sym, upper, diag, eye = _square_index(n)
+    B.take(sym, out=L)
+    # +0.0 turns -0.0 into +0.0, as tril(B) + tril(B, -1).T would.
+    L += 0.0
+    W = L.reshape((n, n), order="F")
+    A = np.abs(W)
+    w_max = A.max() if n else 0.0
+    if not math.isfinite(w_max):
+        raise ValueError("matrix has non-finite entries")
+    tol_abs = pivot_tol * (w_max if scale is None else scale)
     perm = list(range(n))
     tags = [0] * n
     twos: list[int] = []
@@ -175,33 +263,9 @@ def _bk_factor(W: np.ndarray, tol_abs: float, A: np.ndarray, w_max: float):
     trail_max = float(w_max)
     k = 0
     while k < n:
-        # A is |W[k:, k:]|; imax - k indexes it.
-        kstep = 1
-        col = A[:, 0].tolist()
-        absakk = col[0]
-        colmax = 0.0
-        imax = k
-        if k + 1 < n:
-            colmax = max(col[1:])
-            imax = k + col.index(colmax, 1)
-        if max(absakk, colmax) <= tol_abs:
-            # Neither a 1x1 nor a 2x2 candidate clears the threshold: the
-            # remaining column is numerically zero.
-            return perm, tags, twos, growth, k
-        if absakk >= BK_ALPHA * colmax:
-            kp = k
-        else:
-            row = A[:, imax - k].tolist()
-            absaii = row[imax - k]
-            row[imax - k] = 0.0
-            rowmax = max(row)
-            if absakk * rowmax >= BK_ALPHA * colmax * colmax:
-                kp = k
-            elif absaii >= BK_ALPHA * rowmax:
-                kp = imax
-            else:
-                kp = imax
-                kstep = 2
+        # A is |W[k:, k:]|; i - k indexes it.
+        kp, kstep = _bk_pivot(A[:, 0].tolist(), lambda i: A[:, i - k].tolist(),
+                              k, tol_abs)
         kk = k + kstep - 1
         if kp != kk:
             W[[kk, kp]] = W[[kp, kk]]
@@ -243,85 +307,160 @@ def _bk_factor(W: np.ndarray, tol_abs: float, A: np.ndarray, w_max: float):
             growth = max(growth, r)
         trail_max = step_max
         k = kn
-    return perm, tags, twos, growth, -1
+    # W becomes L: its upper triangle and diagonal are overwritten by the
+    # identity's.
+    d[at:at + n] = L[diag]
+    np.copyto(L, eye, where=upper)
+    if twos:
+        s = np.array(twos)
+        e[at + s] = W[s + 1, s]
+        W[s + 1, s] = 0.0
+    return perm, tags, twos, growth
 
 
-def _cache_small(fn):
-    """Cache the index arrays ``fn(n)`` for n <= 64 only: they cost
-    memory for the life of the process, and for larger squares building
-    them is cheap next to the arithmetic they index.  Cached arrays are
-    read-only, as every caller shares them."""
-    def frozen(n: int):
-        out = fn(n)
-        for a in out:
-            a.flags.writeable = False
-        return out
-    cached = lru_cache(maxsize=None)(frozen)
-
-    @wraps(fn)
-    def get(n: int):
-        return cached(n) if n <= 64 else fn(n)
-    return get
+@lru_cache(maxsize=None)
+def _trailing(n: int, kn: int):
+    """``(q, r, s)`` of every lower-triangle entry (kn + r, kn + s) of an
+    n x n column-major square from row and column ``kn``, ``q`` its flat
+    position, column by column; and the positions alone."""
+    trail = tuple(((kn + s) * (n + 1) + r - s, r, s)
+                  for s in range(n - kn) for r in range(s, n - kn))
+    return trail, tuple(t[0] for t in trail)
 
 
-@_cache_small
-def _square_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of an n x n square.
+def _swap_lower(W: list[complex], n: int, i: int, p: int) -> None:
+    """Symmetric interchange of rows and columns ``i < p`` of the n x n
+    square whose lower triangle the column-major list ``W`` holds, L rows
+    included, as LAPACK's lower-triangle swap does."""
+    W[i:i * n:n], W[p:i * n:n] = W[p:i * n:n], W[i:i * n:n]
+    ii, pp = i * (n + 1), p * (n + 1)
+    W[ii], W[pp] = W[pp], W[ii]
+    # (c, i) and (p, c) for i < c < p
+    W[ii + 1:i * n + p], W[(i + 1) * n + p:pp:n] = \
+        W[(i + 1) * n + p:pp:n], W[ii + 1:i * n + p]
+    # (r, i) and (r, p) for r > p
+    W[i * n + p + 1:(i + 1) * n], W[pp + 1:(p + 1) * n] = \
+        W[pp + 1:(p + 1) * n], W[i * n + p + 1:(i + 1) * n]
 
-    ``sym[q]`` is the row-major position of ``(max(a, b), min(a, b))`` for
-    column-major position ``q`` of ``(a, b)``, so taking it from a block
-    mirrors the block's lower triangle into a column-major symmetric square.
-    ``upper`` masks the upper triangle, diagonal included, in column-major
-    order, ``diag`` holds the diagonal's positions and ``eye`` is the flat
-    identity.
+
+def _scalar_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
+                   L: np.ndarray, d: np.ndarray, e: np.ndarray, at: int):
+    """:func:`_numpy_kernel` on Python complex numbers, for small squares.
+
+    ``W[r + c * n]`` is entry (r, c) of the square, column-major like L;
+    past the entry checks only its lower triangle ``r >= c`` is read or
+    written.  Each step updates the trailing lower triangle entry by entry,
+    with the numpy kernel's formulas and operand order, and takes its
+    largest modulus for the growth.  CPython's complex multiply, divide and ``abs`` round differently from
+    numpy's, so the factor agrees with the numpy kernel's to rounding, not
+    bit for bit.  ``abs`` may raise ``OverflowError`` where numpy returns
+    inf.
     """
-    b, a = np.divmod(np.arange(n * n), n)
-    sym = np.maximum(a, b) * n + np.minimum(a, b)
-    eye = (a == b).astype(np.complex128)
-    return sym, a <= b, np.flatnonzero(a == b), eye
+    n = B.shape[0]
+    # The lower triangle mirrored, as in the numpy kernel; +0j turns -0.0
+    # into +0.0.
+    W = [x + 0j for x in B.take(_square_index(n)[0]).tolist()]
+    A = list(map(abs, W))
+    if not all(map(math.isfinite, A)):
+        raise ValueError("matrix has non-finite entries")
+    w_max = max(A, default=0.0)
+    tol_abs = pivot_tol * (w_max if scale is None else scale)
+    perm = list(range(n))
+    tags = [0] * n
+    twos: list[int] = []
+    growth = 1.0
+    trail_max = w_max
+    k = 0
+    while k < n:
+        c0 = k * n
+        # |column k| from the diagonal, and |row i| from column k: (i, c) is
+        # W[c * n + i] left of the diagonal and W[i * n + c] from it.
+        kp, kstep = _bk_pivot(
+            list(map(abs, W[c0 + k:c0 + n])),
+            lambda i: list(map(abs, W[c0 + i:i * (n + 1):n]))
+            + list(map(abs, W[i * (n + 1):(i + 1) * n])), k, tol_abs)
+        kk = k + kstep - 1
+        if kp != kk:
+            _swap_lower(W, n, kk, kp)
+            perm[kk], perm[kp] = perm[kp], perm[kk]
+        kn = k + kstep
+        tags[k] = kstep
+        if kstep == 2:
+            twos.append(k)
+        if kn == n:
+            break
+        trail, trail_q = _trailing(n, kn)
+        a = W[c0 + kn:c0 + n]
+        if kstep == 1:
+            lk = [c / W[c0 + k] for c in a]
+            for q, r, s in trail:
+                W[q] -= a[r] * lk[s]
+            W[c0 + kn:c0 + n] = lk
+        else:
+            c1 = c0 + n
+            b = W[c1 + kn:c1 + n]
+            d21 = W[c0 + k + 1]
+            d11 = W[c1 + k + 1] / d21
+            d22 = W[c0 + k] / d21
+            d21s = (1.0 / (d11 * d22 - 1.0)) / d21
+            wk = [d21s * (d11 * x - y) for x, y in zip(a, b)]
+            wkp = [d21s * (d22 * y - x) for x, y in zip(a, b)]
+            for q, r, s in trail:
+                W[q] -= a[r] * wk[s] + b[r] * wkp[s]
+            W[c0 + kn:c0 + n] = wk
+            W[c1 + kn:c1 + n] = wkp
+        step_max = max(map(abs, map(W.__getitem__, trail_q)))
+        if trail_max > 0.0:
+            r = step_max / trail_max
+            if kstep == 2:
+                r = math.sqrt(r)
+            growth = max(growth, r)
+        trail_max = step_max
+        k = kn
+    for s in twos:
+        e[at + s] = W[s * (n + 1) + 1]
+        W[s * (n + 1) + 1] = 0j
+    d[at:at + n] = W[::n + 1]
+    for c in range(n):
+        W[c * n:c * (n + 1) + 1] = [0j] * c + [1 + 0j]
+    L[:] = W
+    return perm, tags, twos, growth
 
 
-def _factor_lower(B: np.ndarray, pivot_tol: float,
-                  scale: float | None = None) -> tuple[DenseFactor, bool]:
+def _factor_lower(B: np.ndarray, pivot_tol: float, L: np.ndarray,
+                  d: np.ndarray, e: np.ndarray, tags: np.ndarray,
+                  perm: np.ndarray, at: int = 0, scale: float | None = None
+                  ) -> tuple[float, int, bool]:
     """Bunch-Kaufman factor of the symmetric matrix whose lower triangle is
     that of the square ``B``; the upper triangle of ``B`` is not read.
 
-    Returns the factor and whether any rows were interchanged.  The pivot
+    The factor is written into ``L`` (the n*n entries of unit-lower L,
+    column-major) and from position ``at`` into ``d``, ``e`` (zero on
+    entry), ``tags`` and ``perm``, as in :class:`DenseFactor`.  Orders up to
+    ``SCALAR_MAX`` run the scalar kernel, larger ones the numpy kernel; both
+    apply one pivot rule, :func:`_bk_pivot`.  Returns the growth, the number
+    of 2x2 pivots and whether any rows were interchanged.  The pivot
     threshold is ``pivot_tol * scale``, ``scale`` defaulting to ``max|B|``
     over the lower triangle.  Raises :class:`SingularBlockError` like
     :func:`dense_ldlt_bk`, and ``ValueError`` on non-finite entries.
     """
     n = B.shape[0]
-    sym, upper, diag, eye = _square_index(n)
-    W = B.take(sym)
-    # +0.0 turns -0.0 into +0.0, as tril(B) + tril(B, -1).T would.
-    W += 0.0
-    W = W.reshape((n, n), order="F")
-    A = np.abs(W)
-    w_max = A.max() if n else 0.0
-    if not math.isfinite(w_max):
-        raise ValueError("matrix has non-finite entries")
-    if scale is None:
-        scale = w_max
-    perm, tags, twos, growth, info = _bk_factor(W, pivot_tol * scale, A, w_max)
-    if info >= 0:
-        raise SingularBlockError(
-            f"no acceptable pivot at elimination step {info} "
-            f"(threshold {pivot_tol * scale:.3e})")
-    # W becomes L: its upper triangle and diagonal are overwritten by the
-    # identity's, through a flat column-major view.
-    Wf = W.reshape(-1, order="F")
-    d = Wf[diag]
-    np.copyto(Wf, eye, where=upper)
-    L = W
-    e = np.zeros(n, dtype=np.complex128)
-    if twos:
-        s = np.array(twos)
-        e[s] = W[s + 1, s]
-        L[s + 1, s] = 0.0
-    fac = DenseFactor(L, d, e, np.array(tags, dtype=np.int8),
-                      np.array(perm, dtype=np.int_), growth, len(twos))
-    return fac, perm != list(range(n))
+    kernel = _scalar_kernel if n <= SCALAR_MAX else _numpy_kernel
+    try:
+        p, t, twos, growth = kernel(B, pivot_tol, scale, L, d, e, at)
+    except OverflowError:
+        # a modulus past the float range, which numpy's abs returns as inf
+        p, t, twos, growth = _numpy_kernel(B, pivot_tol, scale, L, d, e, at)
+    tags[at:at + n] = t
+    perm[at:at + n] = p
+    return growth, len(twos), p != list(range(n))
+
+
+def _flat_diag(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``d``, ``e`` (zeros), ``tags`` and ``perm`` of n scalar rows, to be
+    written by the diagonal factors."""
+    return (np.empty(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128),
+            np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int_))
 
 
 def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseFactor:
@@ -343,7 +482,12 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
         asym = np.abs(M - M.T).max()
         if asym > 1e-12 * scale:
             raise ValueError(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
-    return _factor_lower(M, pivot_tol, scale)[0]
+    n = M.shape[0]
+    L = np.empty((n, n), dtype=np.complex128, order="F")
+    d, e, tags, perm = _flat_diag(n)
+    growth, n_2x2, _ = _factor_lower(M, pivot_tol, L.reshape(-1, order="F"),
+                                     d, e, tags, perm, scale=scale)
+    return DenseFactor(L, d, e, tags, perm, growth, n_2x2)
 
 
 @dataclass
@@ -370,20 +514,38 @@ class FactorStats:
 
 @dataclass(eq=False)
 class BlockFactor:
-    """Output of :func:`block_ldlt`: per-supernode dense factors in
-    elimination order plus the off-diagonal factor of every block column.
+    """Output of :func:`block_ldlt`: the diagonal factors in elimination
+    order, held in flat arrays, plus the off-diagonal factor of every block
+    column.
 
-    ``panels[j]`` stacks the blocks ``L_ij`` of column ``j``, ``i`` in
-    ``plan.pattern[j]`` order; it is a view below the diagonal block of the
-    column's working panel.  ``panel_rows[j]`` are the panel's scalar rows in
-    the permuted, concatenated unknown vector.
+    ``L[j]`` is the column-major unit-lower L of diagonal block ``j``, a view
+    of one buffer of all of them; ``d``, ``e``, ``tags`` and ``perm``
+    concatenate those of every diagonal factor as in :class:`DenseFactor`,
+    ``perm`` holding each block's own pivot order, and ``growth[j]`` is
+    block ``j``'s growth.  ``panels[j]`` stacks the blocks ``L_ij`` of
+    column ``j``, ``i`` in ``plan.pattern[j]`` order; it is a view below the
+    diagonal block of the column's working panel.  ``panel_rows[j]`` are the
+    panel's scalar rows in the permuted, concatenated unknown vector.
     """
 
     plan: EliminationPlan
-    diag: list[DenseFactor]
+    L: list[np.ndarray]
+    d: np.ndarray
+    e: np.ndarray
+    tags: np.ndarray
+    perm: np.ndarray
+    growth: np.ndarray
     panels: list[np.ndarray]
     panel_rows: list[np.ndarray]
     stats: FactorStats = field(default_factory=FactorStats)
+
+    def diag_factor(self, j: int) -> DenseFactor:
+        """Diagonal block ``j``'s factor, as views of the flat arrays."""
+        a, b = (int(x) for x in exclusive_cumsum(self.plan.sizes_perm)[j:j + 2])
+        tags = self.tags[a:b]
+        return DenseFactor(self.L[j], self.d[a:b], self.e[a:b], tags,
+                           self.perm[a:b], float(self.growth[j]),
+                           int(np.count_nonzero(tags == 2)))
 
 
 @_cache_small
@@ -406,7 +568,9 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     of all slots finds every slot, and one more checks the plan's closure.
     K is then checked by :meth:`BlockSparseSym.validate` and for non-finite
     entries (``ValueError``).  Per column: factor the lower triangle of the
-    top block; permute the panel's columns if that factor interchanged rows;
+    top block, straight into the flat arrays of all diagonal factors (the
+    scalar kernel up to ``SCALAR_MAX`` rows, the numpy kernel above); permute
+    the panel's columns if that factor interchanged rows;
     form X = L D for the rows below it by one triangular solve in place on
     the panel and keep one copy of it; recover L = X D_jj^-1 in place (one
     division when D_jj has no 2x2 pivot); form the update U = X L^T by one
@@ -425,7 +589,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     if not np.array_equal(sizes, K.sizes[plan.order.perm]):
         raise ValueError("plan and matrix disagree on block sizes")
     if nb == 0:
-        return BlockFactor(plan, [], [], [], FactorStats())
+        return BlockFactor(plan, [], *_flat_diag(0), np.ones(0), [], [])
     n = sizes.tolist()
     offsets = exclusive_cumsum(sizes)
     n_scalar = int(offsets[-1])
@@ -499,16 +663,26 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     if not np.isfinite(buf).all():      # validate skips non-finite blocks
         raise ValueError("matrix has non-finite entries")
 
-    diag: list[DenseFactor] = []
+    # The diagonal factors: every L_jj in one buffer, the rest flat.
+    sq = sizes * sizes
+    l_base = exclusive_cumsum(sq).tolist()
+    l_buf = np.empty(l_base[-1], dtype=np.complex128)
+    d, e, tags, perm = _flat_diag(n_scalar)
+    growth = np.empty(nb)
+    diag_l: list[np.ndarray] = []
     panels: list[np.ndarray] = []
     panel_rows: list[np.ndarray] = []
+    off = offsets.tolist()
     for j in range(nb):
         nj = n[j]
+        Lf = l_buf[l_base[j]:l_base[j + 1]]
         try:
-            fac, swapped = _factor_lower(work[j][:nj], pivot_tol)
+            growth[j], n_2x2, swapped = _factor_lower(
+                work[j][:nj], pivot_tol, Lf, d, e, tags, perm, off[j])
         except SingularBlockError as err:
             raise SingularBlockError(f"block column {j}: {err}") from err
-        diag.append(fac)
+        Ljj = Lf.reshape((nj, nj), order="F")
+        diag_l.append(Ljj)
         Lp = work[j][nj:]
         panels.append(Lp)
         below = slice(row0[j] + nj, row0[j + 1])
@@ -518,14 +692,15 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
             continue
         # X = L D is the transpose of L_jj^-1 (panel P^T)^T, solved in place
         # on the panel, whose transpose is column-major; L = X D^-1.
+        sj = slice(off[j], off[j + 1])
         if swapped:
-            Lp[...] = Lp[:, fac.perm]
-        _unit_lower_solve(fac.L, Lp.T)
+            Lp[...] = Lp[:, perm[sj]]
+        _unit_lower_solve(Ljj, Lp.T)
         X = Lp.copy()
-        if fac.n_2x2:
-            fac.apply_dinv(Lp.T)
+        if n_2x2:
+            _apply_dinv(d[sj], e[sj], tags[sj], Lp.T)
         else:
-            Lp /= fac.d
+            Lp /= d[sj]
         U = blas_matmul(X, Lp.T)
         # Entry (a, b) of U's lower triangle goes to row prow[a] of the panel
         # of b's block, at b's column within that block.
@@ -536,7 +711,6 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         buf[pos] -= U.ravel("F").take(at_u)
 
     m = np.diff(panel_row0) - sizes
-    sq = sizes * sizes
     k_entries = sum(blk.size for blk in K.blocks.values())
     pattern_sq = np.add.reduceat(sq[slot_blk], slot_start[:-1]) - sq
     flops = (sizes ** 3 // 3 + sq + m * sq + m * sizes
@@ -546,13 +720,14 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         flops=int(flops.sum()),
         peak_bytes=16 * int(k_entries + buf.size + sq.sum()
                             + (m * sizes + m * m).max()),
-        growth_factor=max(f.growth for f in diag),
-        n_2x2_pivots=sum(f.n_2x2 for f in diag))
-    return BlockFactor(plan, diag, panels, panel_rows, stats)
+        growth_factor=float(growth.max()),
+        n_2x2_pivots=int(np.count_nonzero(tags == 2)))
+    return BlockFactor(plan, diag_l, d, e, tags, perm, growth, panels,
+                       panel_rows, stats)
 
 
 def _solve_one(F: BlockFactor, spans: list[slice], prows: list[np.ndarray],
-               dinv, b: np.ndarray) -> None:
+               b: np.ndarray) -> None:
     """Block forward/backward substitution of one column, in place.
 
     ``b`` is one right-hand-side column in permuted, concatenated order with
@@ -560,19 +735,19 @@ def _solve_one(F: BlockFactor, spans: list[slice], prows: list[np.ndarray],
     rows of block column ``j`` and ``prows[j]`` the rows of panel ``j`` in
     that order.  Each sweep step is one unit-triangular solve in place on
     ``b[spans[j]]``, one panel product and one indexed subtraction; D^-1 is
-    applied to the whole column at once, ``dinv`` being the ``(d, e, tags)``
-    of all diagonal factors concatenated.
+    applied to the whole column at once from the factor's flat ``d``, ``e``
+    and ``tags``.
     """
-    for fac, Lp, rows, sj in zip(F.diag, F.panels, prows, spans):
-        zj = _unit_lower_solve(fac.L, b[sj])
+    for Ljj, Lp, rows, sj in zip(F.L, F.panels, prows, spans):
+        zj = _unit_lower_solve(Ljj, b[sj])
         if rows.size:
             b[rows] -= blas_matmul(Lp, zj)
-    _apply_dinv(*dinv, b)
+    _apply_dinv(F.d, F.e, F.tags, b)
     for j in range(len(spans) - 1, -1, -1):
         zj, rows = b[spans[j]], prows[j]
         if rows.size:
             zj -= blas_matmul(F.panels[j].T, b[rows])
-        _unit_lower_solve(F.diag[j].L, zj, trans=1)
+        _unit_lower_solve(F.L[j], zj, trans=1)
 
 
 def block_solve(F: BlockFactor, g: np.ndarray) -> np.ndarray:
@@ -592,13 +767,13 @@ def block_solve(F: BlockFactor, g: np.ndarray) -> np.ndarray:
     if g.ndim not in (1, 2) or g.shape[0] != n:
         raise ValueError(f"right-hand side has shape {g.shape}, "
                          f"expected ({n},) or ({n}, k)")
-    if not F.diag:
+    if not F.L:
         return g.copy()
     off = exclusive_cumsum(sizes)
     # Position in the permuted, concatenated unknown vector of each row of
     # the solve, block by block in pivot order; where[r] is the solve row of
     # position r.
-    piv = np.concatenate([f.perm for f in F.diag]) + np.repeat(off[:-1], sizes)
+    piv = F.perm + np.repeat(off[:-1], sizes)
     where = np.empty_like(piv)
     where[piv] = np.arange(n)
     # row of g at each row of the solve
@@ -612,11 +787,8 @@ def block_solve(F: BlockFactor, g: np.ndarray) -> np.ndarray:
     B = np.take((g[:, None] if g.ndim == 1 else g).T, rows, axis=1).T
     off = off.tolist()
     spans = [slice(a, b) for a, b in zip(off[:-1], off[1:])]
-    dinv = tuple(np.concatenate([getattr(f, name) for f in F.diag])
-                 for name in ("d", "e", "tags"))
     for c in range(B.shape[1]):
-        _solve_one(F, spans, prows, dinv, B[:, c:c + 1])
+        _solve_one(F, spans, prows, B[:, c:c + 1])
     x = np.empty(B.shape, dtype=np.complex128)
     x[rows] = B
     return x.reshape(g.shape)
-

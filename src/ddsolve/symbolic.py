@@ -64,7 +64,8 @@ def plan_from_rows(order: Ordering, flat: np.ndarray, start: list[int],
     """The plan whose column ``j`` has the ascending rows
     ``flat[start[j]:start[j + 1]]`` (int64): ``flat`` is made read-only and
     ``pattern[j]`` is a view of it, each parent is its column's first row,
-    and the factor entries come from one array pass over ``flat``."""
+    and the factor entries come from one array pass over ``flat``, exact
+    for any sizes: in int64 where its bound fits, else in Python ints."""
     flat.flags.writeable = False
     pattern = [flat[a:b] for a, b in zip(start, start[1:])]
     counts = np.diff(start)
@@ -72,8 +73,11 @@ def plan_from_rows(order: Ordering, flat: np.ndarray, start: list[int],
     parent = np.full(counts.size, -1, dtype=np.int64)
     parent[nonempty] = flat[np.array(start[:-1], dtype=np.int64)[nonempty]]
     sizes_perm = sizes[order.perm]
-    total = int((sizes_perm * (sizes_perm + 1) // 2).sum()
-                + (np.repeat(sizes_perm, counts) * sizes_perm[flat]).sum())
+    w = sizes_perm
+    big = int(w.max(initial=0))
+    if (w.size + flat.size) * big * (big + 1) >= 2 ** 63:
+        w = w.astype(object)     # past int64: count in Python ints
+    total = int((w * (w + 1) // 2).sum() + (np.repeat(w, counts) * w[flat]).sum())
     return EliminationPlan(order, parent, pattern, sizes_perm, total)
 
 

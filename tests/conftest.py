@@ -198,7 +198,8 @@ def scatter_factor(F: factor.BlockFactor) -> tuple[np.ndarray, np.ndarray]:
     n = int(off[-1])
     L = np.zeros((n, n), dtype=np.complex128)
     D = np.zeros((n, n), dtype=np.complex128)
-    for j, (fac, Lp, rows) in enumerate(zip(F.diag, F.panels, F.panel_rows)):
+    for j, (Lp, rows) in enumerate(zip(F.panels, F.panel_rows)):
+        fac = F.diag_factor(j)
         sj = slice(off[j], off[j + 1])
         L[off[j] + fac.perm, sj] = fac.L
         L[rows, sj] = Lp

@@ -25,9 +25,10 @@ def test_single_block_equals_dense_kernel():
     K = blockmat.from_blocks([9], [(0, 0, M)])
     F = block_ldlt(K, plan_for(K))
     ref = dense_ldlt_bk(M)
-    assert np.array_equal(F.diag[0].L, ref.L)
-    assert np.array_equal(F.diag[0].d, ref.d)
-    assert np.array_equal(F.diag[0].perm, ref.perm)
+    fac = F.diag_factor(0)
+    assert np.array_equal(fac.L, ref.L)
+    assert np.array_equal(fac.d, ref.d)
+    assert np.array_equal(fac.perm, ref.perm)
     assert F.panels[0].shape == (0, 9) and F.panel_rows[0].size == 0
 
 
@@ -135,8 +136,8 @@ def test_determinism_bit_identical():
     F1 = block_ldlt(K, plan)
     F2 = block_ldlt(K, plan)
     for j in range(K.nblocks):
-        assert np.array_equal(F1.diag[j].L, F2.diag[j].L)
-        assert np.array_equal(F1.diag[j].d, F2.diag[j].d)
+        assert np.array_equal(F1.L[j], F2.L[j])
+        assert np.array_equal(F1.diag_factor(j).d, F2.diag_factor(j).d)
         assert np.array_equal(F1.panels[j], F2.panels[j])
 
 
@@ -322,7 +323,7 @@ def test_peak_bytes_counts_what_the_factor_holds(reduced_systems):
         m = np.array([p.shape[0] for p in F.panels])
         k_entries = sum(b.size for b in rsys.K.blocks.values())
         buffer = sum(p.size for p in F.panels) + int((n * n).sum())
-        diag_l = sum(f.L.size for f in F.diag)
+        diag_l = sum(L.size for L in F.L)
         widest = int((m * n + m * m).max())
         assert F.stats.peak_bytes == 16 * (k_entries + buffer + diag_l + widest), name
         if name == "interface-bound":
@@ -334,7 +335,8 @@ def test_growth_and_pivot_stats_propagate():
     K, _ = rand_block_system(60)
     F = block_ldlt(K, plan_for(K))
     assert F.stats.growth_factor >= 1.0
-    assert F.stats.n_2x2_pivots == sum(f.n_2x2 for f in F.diag)
+    assert F.stats.n_2x2_pivots == sum(F.diag_factor(j).n_2x2
+                                       for j in range(K.nblocks))
 
 
 def test_empty_system():
@@ -387,8 +389,9 @@ def test_tiny_blocks_with_2x2_pivot():
         (i, j, S[off[i]:off[i + 1], off[j]:off[j + 1]])
         for i in range(3) for j in range(i + 1)])
     F = block_ldlt(K, plan_for(K, identity_ordering(3)))
-    assert F.diag[0].n_2x2 == 1 and list(F.diag[0].tags) == [2, 0]
-    assert F.stats.n_2x2_pivots == sum(f.n_2x2 for f in F.diag)
+    fac = F.diag_factor(0)
+    assert fac.n_2x2 == 1 and list(fac.tags) == [2, 0]
+    assert F.stats.n_2x2_pivots == sum(F.diag_factor(j).n_2x2 for j in range(3))
     L, D = scatter_factor(F)
     assert np.abs(L @ D @ L.T - S).max() <= 1e-13 * np.abs(S).max()
     rng = np.random.default_rng(63)
@@ -481,7 +484,18 @@ def reference_block_ldlt(K, plan, pivot_tol=factor.DEFAULT_PIVOT_TOL):
                              + sum(f.L.size for f in diag) + widest)
     stats.growth_factor = max((f.growth for f in diag), default=1.0)
     stats.n_2x2_pivots = sum(f.n_2x2 for f in diag)
-    return BlockFactor(plan, diag, panels, panel_rows, stats)
+    return flat_factor(plan, diag, panels, panel_rows, stats)
+
+
+def flat_factor(plan, diag, panels, panel_rows, stats):
+    """The block factor whose diagonal factors are the dense factors
+    ``diag``, their arrays concatenated."""
+    def cat(name, dtype):
+        return np.concatenate([getattr(f, name) for f in diag] + [np.zeros(0, dtype)])
+    return BlockFactor(plan, [f.L for f in diag], cat("d", np.complex128),
+                       cat("e", np.complex128), cat("tags", np.int8),
+                       cat("perm", np.int_), np.array([f.growth for f in diag]),
+                       panels, panel_rows, stats)
 
 
 def reference_block_solve(F, g):
@@ -492,15 +506,16 @@ def reference_block_solve(F, g):
     spans = [slice(e - int(n), e) for e, n in zip(ends, F.plan.sizes_perm)]
     scalar = scalar_permutation(F.plan.sizes_perm[F.plan.order.inverse()], perm)
     b = np.asarray(g, dtype=np.complex128)[scalar][:, None]
-    for fac, Lp, rows, sj in zip(F.diag, F.panels, F.panel_rows, spans):
+    diag = [F.diag_factor(j) for j in range(len(spans))]
+    for fac, Lp, rows, sj in zip(diag, F.panels, F.panel_rows, spans):
         zj = _unit_lower_solve(fac.L, b[sj][fac.perm])
         b[sj] = zj
         if rows.size:
             b[rows] -= blas_matmul(Lp, zj)
-    for fac, sj in zip(F.diag, spans):
+    for fac, sj in zip(diag, spans):
         fac.apply_dinv(b[sj])
     for j in range(len(spans) - 1, -1, -1):
-        fac, rows, sj = F.diag[j], F.panel_rows[j], spans[j]
+        fac, rows, sj = diag[j], F.panel_rows[j], spans[j]
         w = b[sj]
         if rows.size:
             w = w - blas_matmul(F.panels[j].T, b[rows])
@@ -536,8 +551,8 @@ def factor_bytes(F):
     def b(a):
         return (a.shape, a.dtype.str, a.tobytes())
     return ([b(p) for p in F.panels], [b(r) for r in F.panel_rows],
-            [(b(f.L), b(f.d), b(f.e), b(f.perm), b(f.tags), f.growth, f.n_2x2)
-             for f in F.diag],
+            [b(L) for L in F.L],
+            [b(a) for a in (F.d, F.e, F.perm, F.tags, F.growth)],
             F.stats)
 
 
@@ -606,7 +621,8 @@ def test_matches_reference_on_drawn_systems():
             seen["2x2"] += F.stats.n_2x2_pivots > 0
             seen["fill"] += bool(fill_blocks(plan, blockmat.clique_graph(K)))
             seen["empty"] += bool((K.sizes == 0).any())
-            if any((f.perm != np.arange(f.n)).any() for f in F.diag):
+            if any((f.perm != np.arange(f.n)).any()
+                   for f in map(F.diag_factor, range(K.nblocks))):
                 seen["interchange"] += 1
                 assert_columns_match_reference(F, K.order, K.nblocks + 1)
 

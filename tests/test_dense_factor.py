@@ -1,10 +1,14 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from conftest import permuted, rand_complex_symmetric, reconstruct_dense
 from ddsolve import factor
-from ddsolve.factor import BK_ALPHA, SingularBlockError, dense_ldlt_bk
+from ddsolve.factor import BK_ALPHA, SCALAR_MAX, SingularBlockError, dense_ldlt_bk
 
 GROWTH_BOUND = 2.57
 
@@ -155,6 +159,90 @@ def test_kernel_matches_column_loop_reference(seed):
         assert np.abs(got - ref).max() <= tol
 
 
+def run_kernel(kernel, M):
+    """``(L, d, e, perm, tags, n_2x2, growth)`` as ``kernel`` writes and
+    returns them, or the step at which it found no pivot."""
+    n = M.shape[0]
+    L = np.empty(n * n, dtype=np.complex128)
+    d, e, _, _ = factor._flat_diag(n)
+    try:
+        perm, tags, twos, growth = kernel(M, factor.DEFAULT_PIVOT_TOL, None,
+                                          L, d, e, 0)
+    except SingularBlockError as err:
+        return int(re.search(r"elimination step (\d+)", str(err)).group(1))
+    return L.reshape((n, n), order="F"), d, e, perm, tags, len(twos), growth
+
+
+@st.composite
+def small_symmetric(draw):
+    """Complex symmetric matrices of order 0 to ``SCALAR_MAX``: some with a
+    zero diagonal, which forces 2x2 pivots, some of rank below n, which
+    leave no pivot above the threshold; real ones carry imaginary parts of
+    +0.0 or -0.0."""
+    n = draw(st.integers(0, SCALAR_MAX))
+    kind = draw(st.sampled_from(["complex", "real", "real, -0.0 imag"]))
+    shape = draw(st.sampled_from(["full", "hollow", "rank-deficient"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rand(*size):
+        z = rng.standard_normal(size)
+        if kind == "complex":
+            return z + 1j * rng.standard_normal(size)
+        return z + 0j if kind == "real" else np.conj(z + 0j)
+
+    if shape == "rank-deficient" and n:
+        V = rand(n, draw(st.integers(0, n - 1)))
+        M = V @ V.T
+        return (M + M.T) / 2
+    M = rand(n, n)
+    M = (M + M.T) / 2
+    if shape == "hollow":
+        np.fill_diagonal(M, 0.0)
+    return M
+
+
+def test_scalar_kernel_matches_numpy_kernel():
+    """Below the cutoff both kernels apply one rule: the same pivots and
+    singular step, the factor to rounding."""
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(small_symmetric())
+    def check(M):
+        got = run_kernel(factor._scalar_kernel, M)
+        ref = run_kernel(factor._numpy_kernel, M)
+        seen[M.shape[0]] += 1
+        if isinstance(ref, int):
+            assert got == ref
+            seen["singular"] += 1
+            return
+        assert not isinstance(got, int), got
+        assert got[3:6] == ref[3:6]             # perm, tags, n_2x2
+        for a, b in zip(got[:3], ref[:3]):      # L, d, e
+            assert np.abs(a - b).max(initial=0.0) <= \
+                1e-13 * np.abs(b).max(initial=0.0)
+        assert got[6] == pytest.approx(ref[6], rel=1e-12, abs=0)
+        seen["2x2"] += ref[5] > 0
+        seen["interchange"] += ref[3] != sorted(ref[3])
+
+    check()
+    wanted = [*range(SCALAR_MAX + 1), "singular", "2x2", "interchange"]
+    assert min(seen[k] for k in wanted) > 0, seen
+
+
+@pytest.mark.parametrize("n", [SCALAR_MAX, SCALAR_MAX + 1])
+def test_kernel_is_chosen_by_order(n):
+    M = rand_complex_symmetric(n, 17)
+    M[np.diag_indices(n)] = 0.0
+    fac = dense_ldlt_bk(M)
+    kernel = factor._scalar_kernel if n <= SCALAR_MAX else factor._numpy_kernel
+    L, d, e, perm, tags, n_2x2, growth = run_kernel(kernel, M)
+    assert fac.n_2x2 == n_2x2 > 0 and fac.growth == growth
+    for got, ref in ((fac.L, L), (fac.d, d), (fac.e, e), (fac.perm, perm),
+                     (fac.tags, tags)):
+        assert np.asarray(got).tobytes() == np.asarray(ref, got.dtype).tobytes()
+
+
 @pytest.mark.parametrize("force_2x2", [False, True])
 @pytest.mark.parametrize("seed", range(6))
 def test_factor_reads_lower_triangle_only(seed, force_2x2):
@@ -223,6 +311,18 @@ def test_non_finite_entries_rejected(bad, where):
     M[where] = M[where[::-1]] = bad
     with pytest.raises(ValueError, match="non-finite"):
         dense_ldlt_bk(M)
+
+
+def test_modulus_past_the_float_range_reads_as_non_finite():
+    # CPython's abs raises where numpy's returns inf; the scalar kernel's
+    # orders fall back to the numpy kernel, which rejects the inf modulus
+    M = np.array([[1.5e308 * (1 + 1j), 1.0], [1.0, 1.0]])
+    L = np.empty(4, dtype=complex)
+    d, e, tags, perm = factor._flat_diag(2)
+    with pytest.raises(OverflowError):
+        factor._scalar_kernel(M, 1e-12, None, L, d, e, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        factor._factor_lower(M, 1e-12, L, d, e, tags, perm)
 
 
 def test_pivot_tol_scales_with_matrix():

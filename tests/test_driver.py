@@ -41,6 +41,19 @@ def test_run_records_every_stage_in_order(small_cfg, tmp_path):
                for s in report.stages)
 
 
+def test_text_report_prints_the_factor_counts(small_cfg, tmp_path):
+    r = library_run(small_cfg, tmp_path)
+    stats = r.block_factor.stats
+    assert (r.report.flops, r.report.n_2x2_pivots) == \
+        (stats.flops, stats.n_2x2_pivots)
+    lines = r.report.text().splitlines()
+    assert lines[9:12] == [f"growth factor   : {stats.growth_factor:.3f}",
+                           f"factor flops    : {stats.flops}",
+                           f"2x2 pivots      : {stats.n_2x2_pivots}"]
+    assert stats.flops > 0
+    assert len(r.report.csv_row()) == 12     # the CSV schema stays
+
+
 def test_stage_bytes_are_read_only_under_tracemalloc(small_cfg, tmp_path):
     tracemalloc.start()
     try:

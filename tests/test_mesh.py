@@ -374,7 +374,7 @@ class TestIdentityEquality:
                  (r1.reduced_system, r2.reduced_system), (r1.plan, r2.plan),
                  (r1.plan.order, r2.plan.order),
                  (r1.block_factor, r2.block_factor),
-                 (r1.block_factor.diag[0], r2.block_factor.diag[0]),
+                 (r1.block_factor.diag_factor(0), r2.block_factor.diag_factor(0)),
                  (mm.edge_table(r1.mesh.tris), mm.edge_table(r2.mesh.tris))]
         for a, b in pairs:
             assert (a == b) is False, type(a).__name__

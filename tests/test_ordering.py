@@ -309,6 +309,29 @@ def test_guard_chooses_what_the_full_natural_plan_chooses():
     assert ties and natural_smaller
 
 
+def test_factor_entries_exact_past_int64():
+    """At weights 2^40 a block has about 2^80 entries, past int64: the plan
+    counts them exactly, and the guard compares exact totals.  On the
+    5-vertex graph the natural order is strictly smaller than minimum
+    degree's, which a total wrapped modulo 2^64 would hide."""
+    w = 1 << 40
+    plan = reorder_with_plan(path_graph(3), [w] * 3)
+    assert plan.total_factor_entries == 3 * (w * (w + 1) // 2) + 2 * w * w \
+        == 4_231_240_368_652_851_378_913_280
+    assert np.array_equal(plan.order.perm, _min_degree_order(path_graph(3),
+                          np.array([w] * 3)).order.perm)  # a tie keeps it
+    g = graph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (3, 4)])
+    weights = np.array([4, 3, 2, 6, 6]) * w
+    md = _min_degree_order(g, weights)
+    natural = symbolic.symbolic_factor(g, identity_ordering(5), weights)
+    for plan in (md, natural):
+        s = plan.sizes_perm.tolist()
+        assert plan.total_factor_entries == sum(x * (x + 1) // 2 for x in s) + sum(
+            s[j] * s[i] for j, rows in enumerate(plan.pattern) for i in rows.tolist())
+    assert natural.total_factor_entries < md.total_factor_entries
+    assert_same_plan(reorder_with_plan(g, weights), natural)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(weighted_graphs())
 def test_packed_keys_keep_the_order_at_weights_near_2_to_the_40(gw):

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ddsolve import mesh as mm
 from ddsolve.config import RunConfig
 from ddsolve.driver import AGREEMENT_GATE, RESIDUAL_GATE, run_pipeline, run_verify
-from ddsolve.factor import FactorConsistencyError, block_ldlt
+from ddsolve.factor import SCALAR_MAX, FactorConsistencyError, block_ldlt
 from test_block_factor import reference_block_ldlt
 from test_geometry_reference import tilings
 
@@ -56,22 +56,32 @@ def test_multiplier_drops_close_the_cycles_at_each_node(tiling):
         assert dropped == cycle_rank(pairs), (v, pairs)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(tilings(), st.floats(0.0, 2.0 * math.pi))
-def test_gates_hold_on_drawn_tilings(tiling, theta):
-    side, ppw, px, py = tiling
-    r = run_verify(RunConfig(mm.ProblemConfig(side_lambda=side, ppw=ppw,
-                                              px=px, py=py, theta_inc=theta)))
-    assert r.report.residual_inf <= RESIDUAL_GATE
-    assert r.report.rel_diff_monolithic <= AGREEMENT_GATE
-    F = r.block_factor
-    assert F.stats.factor_entries == r.plan.total_factor_entries
-    # the panel buffer, diagonal blocks on top, the diagonal L factors and K
-    n = F.plan.sizes_perm
-    buffer = sum(p.size for p in F.panels) + int((n * n).sum())
-    diag_l = sum(f.L.size for f in F.diag)
-    k_entries = sum(b.size for b in r.reduced_system.K.blocks.values())
-    assert F.stats.peak_bytes >= 16 * (buffer + diag_l + k_entries)
+def test_gates_hold_on_drawn_tilings():
+    """The gates hold, and the drawn tilings have diagonal blocks on both
+    sides of the cutoff between the scalar and the numpy kernel."""
+    sizes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tilings(), st.floats(0.0, 2.0 * math.pi))
+    def check(tiling, theta):
+        side, ppw, px, py = tiling
+        r = run_verify(RunConfig(mm.ProblemConfig(side_lambda=side, ppw=ppw,
+                                                  px=px, py=py, theta_inc=theta)))
+        assert r.report.residual_inf <= RESIDUAL_GATE
+        assert r.report.rel_diff_monolithic <= AGREEMENT_GATE
+        F = r.block_factor
+        assert F.stats.factor_entries == r.plan.total_factor_entries
+        # the panel buffer, diagonal blocks on top, the diagonal L factors and K
+        n = F.plan.sizes_perm
+        buffer = sum(p.size for p in F.panels) + int((n * n).sum())
+        diag_l = sum(L.size for L in F.L)
+        k_entries = sum(b.size for b in r.reduced_system.K.blocks.values())
+        assert F.stats.peak_bytes >= 16 * (buffer + diag_l + k_entries)
+        sizes.update(n.tolist())
+
+    check()
+    assert any(0 < s <= SCALAR_MAX for s in sizes), sorted(sizes)
+    assert any(s > SCALAR_MAX for s in sizes), sorted(sizes)
 
 
 def named_block(err) -> tuple[int, int]:

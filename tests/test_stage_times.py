@@ -98,7 +98,7 @@ def test_plan_digest_tells_pattern_splits_apart():
 def test_factor_digest_tells_panel_shapes_apart():
     def factor(shape):
         return SimpleNamespace(panels=[np.zeros(shape, dtype=np.complex128)],
-                               panel_rows=[], diag=[])
+                               panel_rows=[], L=[])
 
     assert stage_times.factor_digest(factor((2, 1))) != \
         stage_times.factor_digest(factor((1, 2)))

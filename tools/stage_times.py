@@ -18,8 +18,8 @@ points per wavelength, tiles along x and y).  Per geometry the script runs
   whole plan (the order, ``etree_parent`` and every ``pattern[j]``, each
   prefixed by its length); of every array of the block factor (each panel,
   each ``panel_rows[j]``, and each diagonal factor's ``L``, ``d``, ``e``,
-  ``perm``, ``tags``, growth and 2x2 count, each array with its shape and
-  dtype); of ``FactorStats``; of λ; of the solution and of
+  ``perm``, ``tags``, growth and 2x2 count as ``diag_factor(j)`` views the
+  flat arrays, each array with its shape and dtype); of ``FactorStats``; of λ; of the solution and of
   ``residual_inf``.  Two commits with equal digests order, factor and solve
   to the same bits.
 
@@ -64,7 +64,8 @@ def factor_digest(F) -> str:
     h = hashlib.sha256()
     for a in (*F.panels, *F.panel_rows):
         h.update(_array_bytes(a))
-    for f in F.diag:
+    for j in range(len(F.L)):
+        f = F.diag_factor(j)
         for a in (f.L, f.d, f.e, f.perm, f.tags):
             h.update(_array_bytes(a))
         h.update(repr((f.growth, f.n_2x2)).encode())
