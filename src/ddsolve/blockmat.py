@@ -117,6 +117,22 @@ def nonnegative_integers(values, what: str, error: type[Exception]) -> np.ndarra
     return values.astype(np.int64)
 
 
+def check_adjacency(g: list[set[int]], error: type[Exception]) -> None:
+    """Raise ``error`` naming the vertex and the neighbor unless every
+    neighbor in adjacency list ``g`` is an integer (numpy integers included)
+    in range other than its vertex, listed at both ends of its edge."""
+    n = len(g)
+    for v, s in enumerate(g):
+        for u in s:
+            if not ((type(u) is int or isinstance(u, np.integer))
+                    and 0 <= u < n and u != v):
+                raise error(f"vertex {v} has neighbor {u!r}; neighbors must be "
+                            f"integers in 0..{n - 1} other than the vertex")
+            if v not in g[u]:
+                raise error(f"vertex {v} has neighbor {u}, but vertex {u} "
+                            f"does not list {v}")
+
+
 def exclusive_cumsum(counts) -> np.ndarray:
     """``[0, c_0, c_0 + c_1, ..., sum(c)]`` as int64: where each run of
     ``counts`` starts, and the total."""

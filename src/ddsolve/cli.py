@@ -61,13 +61,13 @@ def _load(path, args) -> RunConfig:
         run.ordering = check_ordering(args.ordering)
     if args.pivot_tol is not None:
         run.pivot_tol = check_pivot_tol(args.pivot_tol)
-    if args.csv is not None:
-        run.out_csv = args.csv
     return run
 
 
 def _single(args, verify: bool) -> int:
     run = _load(args.config, args)
+    if args.csv is not None:
+        run.out_csv = args.csv
     fn = run_verify if verify else run_pipeline
     result = fn(run, print_symbolic=args.print_symbolic, dump_k=args.dump_k)
     print(result.report.text())
@@ -95,6 +95,10 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         runs = [_load(p, args) for p in args.configs]
+        for path, run in zip(args.configs, runs):
+            if run.out_csv is not None:
+                raise ConfigError(f"{path}: sweep does not read out_csv; "
+                                  f"pass --csv for the sweep's CSV")
         reports, slopes = run_sweep(runs, csv_path=args.csv)
         sys.stdout.write(csv_text(reports, slopes))
         good = all(r.status == "ok" and r.residual_inf <= RESIDUAL_GATE

@@ -22,14 +22,17 @@ subdomain matrices are eliminated by LAPACK LU in :mod:`ddsolve.subdomain`.
 It follows Bunch & Kaufman (1977) with pivot tests on the true complex
 modulus.  LAPACK ``?sytrf`` is not a drop-in replacement: it tests
 ``|Re| + |Im|``, for which the 2.57 per-step growth bound does not hold.
-One pivot rule runs in two kernels, chosen by the block's order n.  Up to
-``SCALAR_MAX`` the scalar kernel works on Python complex numbers over the
-columns of the lower triangle, one entry at a time: a numpy call costs more
-than such a block's whole arithmetic.  Above it the numpy kernel keeps the
-trailing block as one full square, symmetric to rounding, and each pivot
-step is one rank-1 or rank-2 numpy update of the whole square and one
+One pivot rule runs in two kernels, chosen by the block's order n alone.
+Up to ``SCALAR_MAX`` the scalar kernel works on Python complex numbers over
+the columns of the lower triangle, one entry at a time: a numpy call costs
+more than such a block's whole arithmetic.  Above it the numpy kernel keeps
+the trailing block as one full square, symmetric to rounding, and each
+pivot step is one rank-1 or rank-2 numpy update of the whole square and one
 absolute value of it, which serves both the step's growth and the next
-step's pivot search.  The two agree to rounding, not bit for bit.
+step's pivot search.  Both swap whole rows and columns on an interchange,
+take ``pivot_tol * max|lower triangle|`` as the threshold and raise
+``ValueError`` on a non-finite entry or update; they agree to rounding, not
+bit for bit.
 The factor and solve loops call scipy's BLAS directly (``ztrsm``, ``zgemm``)
 rather than mixing it with numpy's ``@``: the two packages may bundle
 separate BLAS builds, each with its own thread pool, and alternating between
@@ -229,8 +232,8 @@ def _square_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return sym, a <= b, np.flatnonzero(a == b), eye
 
 
-def _numpy_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
-                  L: np.ndarray, d: np.ndarray, e: np.ndarray, at: int):
+def _numpy_kernel(B: np.ndarray, pivot_tol: float, L: np.ndarray,
+                  d: np.ndarray, e: np.ndarray, at: int):
     """Bunch-Kaufman factor of the lower triangle of ``B``, mirrored into
     ``L`` as one full square ``W`` and eliminated in place there; ``d`` and
     ``e`` are written from position ``at`` and ``(perm, tags, twos,
@@ -255,7 +258,7 @@ def _numpy_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
     w_max = A.max() if n else 0.0
     if not math.isfinite(w_max):
         raise ValueError("matrix has non-finite entries")
-    tol_abs = pivot_tol * (w_max if scale is None else scale)
+    tol_abs = pivot_tol * w_max
     perm = list(range(n))
     tags = [0] * n
     twos: list[int] = []
@@ -300,6 +303,8 @@ def _numpy_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
             W[kn:, k + 1] = wkp
         A = np.abs(W[kn:, kn:])
         step_max = float(A.max())
+        if not math.isfinite(step_max):
+            raise ValueError(f"non-finite entries after elimination step {k}")
         if trail_max > 0.0:
             r = step_max / trail_max
             if kstep == 2:
@@ -328,33 +333,20 @@ def _trailing(n: int, kn: int):
     return trail, tuple(t[0] for t in trail)
 
 
-def _swap_lower(W: list[complex], n: int, i: int, p: int) -> None:
-    """Symmetric interchange of rows and columns ``i < p`` of the n x n
-    square whose lower triangle the column-major list ``W`` holds, L rows
-    included, as LAPACK's lower-triangle swap does."""
-    W[i:i * n:n], W[p:i * n:n] = W[p:i * n:n], W[i:i * n:n]
-    ii, pp = i * (n + 1), p * (n + 1)
-    W[ii], W[pp] = W[pp], W[ii]
-    # (c, i) and (p, c) for i < c < p
-    W[ii + 1:i * n + p], W[(i + 1) * n + p:pp:n] = \
-        W[(i + 1) * n + p:pp:n], W[ii + 1:i * n + p]
-    # (r, i) and (r, p) for r > p
-    W[i * n + p + 1:(i + 1) * n], W[pp + 1:(p + 1) * n] = \
-        W[pp + 1:(p + 1) * n], W[i * n + p + 1:(i + 1) * n]
-
-
-def _scalar_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
-                   L: np.ndarray, d: np.ndarray, e: np.ndarray, at: int):
+def _scalar_kernel(B: np.ndarray, pivot_tol: float, L: np.ndarray,
+                   d: np.ndarray, e: np.ndarray, at: int):
     """:func:`_numpy_kernel` on Python complex numbers, for small squares.
 
-    ``W[r + c * n]`` is entry (r, c) of the square, column-major like L;
-    past the entry checks only its lower triangle ``r >= c`` is read or
-    written.  Each step updates the trailing lower triangle entry by entry,
-    with the numpy kernel's formulas and operand order, and takes its
-    largest modulus for the growth.  CPython's complex multiply, divide and ``abs`` round differently from
-    numpy's, so the factor agrees with the numpy kernel's to rounding, not
-    bit for bit.  ``abs`` may raise ``OverflowError`` where numpy returns
-    inf.
+    ``W[r + c * n]`` is entry (r, c) of the square, column-major like L.
+    Each step updates the trailing lower triangle entry by entry, with the
+    numpy kernel's formulas and operand order, and takes its largest
+    modulus for the growth.  Only an interchange reads the upper triangle:
+    it mirrors the trailing lower triangle into it, then swaps whole rows
+    and whole columns, the numpy kernel's rule.  CPython's complex
+    multiply, divide and ``abs`` round differently from numpy's, so the
+    factor agrees with the numpy kernel's to rounding, not bit for bit.
+    ``abs`` raises ``OverflowError`` past the float range, where numpy's
+    returns inf.
     """
     n = B.shape[0]
     # The lower triangle mirrored, as in the numpy kernel; +0j turns -0.0
@@ -364,7 +356,7 @@ def _scalar_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
     if not all(map(math.isfinite, A)):
         raise ValueError("matrix has non-finite entries")
     w_max = max(A, default=0.0)
-    tol_abs = pivot_tol * (w_max if scale is None else scale)
+    tol_abs = pivot_tol * w_max
     perm = list(range(n))
     tags = [0] * n
     twos: list[int] = []
@@ -381,7 +373,11 @@ def _scalar_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
             + list(map(abs, W[i * (n + 1):(i + 1) * n])), k, tol_abs)
         kk = k + kstep - 1
         if kp != kk:
-            _swap_lower(W, n, kk, kp)
+            for c in range(k, n - 1):
+                W[c * (n + 1) + n::n] = W[c * (n + 1) + 1:(c + 1) * n]
+            W[kk::n], W[kp::n] = W[kp::n], W[kk::n]
+            W[kk * n:(kk + 1) * n], W[kp * n:(kp + 1) * n] = \
+                W[kp * n:(kp + 1) * n], W[kk * n:(kk + 1) * n]
             perm[kk], perm[kp] = perm[kp], perm[kk]
         kn = k + kstep
         tags[k] = kstep
@@ -409,7 +405,11 @@ def _scalar_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
                 W[q] -= a[r] * wk[s] + b[r] * wkp[s]
             W[c0 + kn:c0 + n] = wk
             W[c1 + kn:c1 + n] = wkp
-        step_max = max(map(abs, map(W.__getitem__, trail_q)))
+        A = [abs(W[q]) for q in trail_q]
+        # the moduli are not negative: a finite sum makes every one finite
+        if not math.isfinite(sum(A)) and not all(map(math.isfinite, A)):
+            raise ValueError(f"non-finite entries after elimination step {k}")
+        step_max = max(A)
         if trail_max > 0.0:
             r = step_max / trail_max
             if kstep == 2:
@@ -429,8 +429,7 @@ def _scalar_kernel(B: np.ndarray, pivot_tol: float, scale: float | None,
 
 def _factor_lower(B: np.ndarray, pivot_tol: float, L: np.ndarray,
                   d: np.ndarray, e: np.ndarray, tags: np.ndarray,
-                  perm: np.ndarray, at: int = 0, scale: float | None = None
-                  ) -> tuple[float, int, bool]:
+                  perm: np.ndarray, at: int = 0) -> tuple[float, int, bool]:
     """Bunch-Kaufman factor of the symmetric matrix whose lower triangle is
     that of the square ``B``; the upper triangle of ``B`` is not read.
 
@@ -438,19 +437,20 @@ def _factor_lower(B: np.ndarray, pivot_tol: float, L: np.ndarray,
     column-major) and from position ``at`` into ``d``, ``e`` (zero on
     entry), ``tags`` and ``perm``, as in :class:`DenseFactor`.  Orders up to
     ``SCALAR_MAX`` run the scalar kernel, larger ones the numpy kernel; both
-    apply one pivot rule, :func:`_bk_pivot`.  Returns the growth, the number
-    of 2x2 pivots and whether any rows were interchanged.  The pivot
-    threshold is ``pivot_tol * scale``, ``scale`` defaulting to ``max|B|``
-    over the lower triangle.  Raises :class:`SingularBlockError` like
-    :func:`dense_ldlt_bk`, and ``ValueError`` on non-finite entries.
+    apply one pivot rule, :func:`_bk_pivot`, with the threshold
+    ``pivot_tol * max|B|`` over the lower triangle.  Returns the growth, the
+    number of 2x2 pivots and whether any rows were interchanged.  Raises
+    :class:`SingularBlockError` like :func:`dense_ldlt_bk`, and
+    ``ValueError`` on a non-finite entry of ``B`` or of a step's update,
+    a modulus past the float range included, whichever kernel ran.
     """
     n = B.shape[0]
     kernel = _scalar_kernel if n <= SCALAR_MAX else _numpy_kernel
     try:
-        p, t, twos, growth = kernel(B, pivot_tol, scale, L, d, e, at)
-    except OverflowError:
-        # a modulus past the float range, which numpy's abs returns as inf
-        p, t, twos, growth = _numpy_kernel(B, pivot_tol, scale, L, d, e, at)
+        p, t, twos, growth = kernel(B, pivot_tol, L, d, e, at)
+    except OverflowError as err:
+        # CPython's abs past the float range, where numpy's returns inf
+        raise ValueError("matrix has non-finite entries") from err
     tags[at:at + n] = t
     perm[at:at + n] = p
     return growth, len(twos), p != list(range(n))
@@ -467,9 +467,9 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
     """Factor a complex symmetric matrix with Bunch-Kaufman partial pivoting.
 
     The factor depends on the lower triangle of ``M`` only; the upper one
-    enters the symmetry check alone.  Raises :class:`SingularBlockError`
-    when a column offers neither an acceptable 1x1 nor 2x2 pivot relative to
-    ``pivot_tol * max|M|``.
+    enters the finiteness and symmetry checks alone.  Raises
+    :class:`SingularBlockError` and ``ValueError`` as :func:`_factor_lower`
+    does, and ``ValueError`` when ``M`` is not symmetric.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -486,7 +486,7 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
     L = np.empty((n, n), dtype=np.complex128, order="F")
     d, e, tags, perm = _flat_diag(n)
     growth, n_2x2, _ = _factor_lower(M, pivot_tol, L.reshape(-1, order="F"),
-                                     d, e, tags, perm, scale=scale)
+                                     d, e, tags, perm)
     return DenseFactor(L, d, e, tags, perm, growth, n_2x2)
 
 

@@ -24,8 +24,8 @@ from itertools import chain
 
 import numpy as np
 
-from .blockmat import nonnegative_integers
-from .symbolic import EliminationPlan, plan_from_rows, symbolic_factor
+from .blockmat import check_adjacency, nonnegative_integers
+from .symbolic import EliminationPlan, fill_walk, plan_from_rows, symbolic_factor
 
 
 class OrderingError(Exception):
@@ -169,24 +169,16 @@ def _min_degree_order(g: list[set[int]], weights: np.ndarray) -> EliminationPlan
 def _natural_is_smaller(g: list[set[int]], weights: np.ndarray, total: int) -> bool:
     """Whether the natural order's factor has fewer than ``total`` entries.
 
-    Counted column by column with :func:`symbolic_factor`'s fill rule: column
-    ``j``'s rows are its neighbors after ``j`` and the rows its children
-    pass up, and it passes all but the first, its parent, to that parent
-    (Liu 1990).  The count stops as soon as it reaches ``total``.
+    Counted column by column over :func:`~ddsolve.symbolic.fill_walk`'s
+    rows, and stopped as soon as the count reaches ``total``.
     """
     w = weights.tolist()
     count = sum(x * (x + 1) // 2 for x in w)  # diagonal blocks
-    passed = [set() for _ in g]
-    for j, s in enumerate(g):
-        rows = passed[j]
-        rows.update([u for u in s if u > j])
+    for wj, rows in zip(w, fill_walk(g, identity_ordering(len(g)))):
         if rows:
-            count += w[j] * sum(map(w.__getitem__, rows))
+            count += wj * sum(map(w.__getitem__, rows))
             if count >= total:
                 return False
-            p = min(rows)
-            rows.discard(p)
-            passed[p] |= rows
     return count < total
 
 
@@ -206,8 +198,9 @@ def reorder(g: list[set[int]], weights) -> Ordering:
 
 def reorder_with_plan(g: list[set[int]], weights) -> EliminationPlan:
     """The symbolic plan of :func:`reorder`'s order; ``plan.order`` is that
-    order.  Weights must be non-negative integers (integer-valued floats
-    included); any other raises OrderingError.
+    order.  ``g`` is checked by :func:`~ddsolve.blockmat.check_adjacency`,
+    and weights must be non-negative integers (integer-valued floats
+    included); either raises OrderingError naming the first bad entry.
 
     Minimum degree builds its plan from its own elimination graph.  The
     guard counts the natural order's factor entries column by column and
@@ -215,6 +208,7 @@ def reorder_with_plan(g: list[set[int]], weights) -> EliminationPlan:
     only when the natural order is strictly smaller; a tie keeps minimum
     degree.  Either way one plan is built, and no symbolic pass repeats.
     """
+    check_adjacency(g, OrderingError)
     n = len(g)
     if np.size(weights) != n:
         raise OrderingError("weights length does not match graph size")

@@ -7,6 +7,7 @@ numeric factorization will populate.  The elimination-tree parent of ``j`` is
 the smallest row in its pattern and inherits the rest of it, so a column's
 pattern is its original neighbors below it plus its children's inherited rows
 (Liu 1990): one set union per column, no fill edge inserted pair by pair.
+:func:`fill_walk` walks it for the plan and the natural-order guard alike.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .blockmat import nonnegative_integers
+from .blockmat import check_adjacency, nonnegative_integers
 
 if TYPE_CHECKING:
     from .ordering import Ordering
@@ -35,25 +36,37 @@ class EliminationPlan:
         return int(self.sizes_perm.size)
 
 
+def fill_walk(g: list[set[int]], order: Ordering):
+    """Each column's rows of eliminating ``g`` in ``order``, in elimination
+    order: its neighbors after it and the rows its children pass up, as a
+    set the caller must not change.  Once the caller has read it, all rows
+    but the first, the column's parent, pass up to that parent."""
+    position = order.inverse().tolist().__getitem__
+    passed = [set() for _ in g]
+    for j, i in enumerate(order.perm.tolist()):
+        rows = passed[j]
+        rows.update([b for b in map(position, g[i]) if b > j])
+        yield rows
+        if rows:
+            p = min(rows)
+            rows.remove(p)
+            passed[p] |= rows
+
+
 def symbolic_factor(g: list[set[int]], order: Ordering, sizes) -> EliminationPlan:
-    """Plan of eliminating ``g`` in ``order``; block ``sizes`` must be
-    non-negative integers (integer-valued floats included), or ValueError
-    names the first that is not."""
+    """Plan of eliminating ``g`` in ``order``.  ``g`` is checked by
+    :func:`check_adjacency`, and block ``sizes`` must be non-negative
+    integers (integer-valued floats included); either raises ValueError
+    naming the first bad entry."""
     n = len(g)
+    check_adjacency(g, ValueError)
     sizes = nonnegative_integers(sizes, "block size", ValueError)
     if order.n != n or sizes.size != n:
         raise ValueError("graph, ordering and sizes disagree on block count")
-    position = order.inverse().tolist().__getitem__
-    # below[j]: original neighbors after j, then the rows children pass up
-    below = [{b for b in map(position, g[i]) if b > j}
-             for j, i in enumerate(order.perm.tolist())]
     rows: list[int] = []
     start = [0]
-    for j in range(n):
-        r = sorted(below[j])
-        if r:
-            below[r[0]].update(r[1:])
-            rows += r
+    for r in fill_walk(g, order):
+        rows += sorted(r)
         start.append(len(rows))
     return plan_from_rows(order, np.fromiter(rows, np.int64, len(rows)), start,
                           sizes)

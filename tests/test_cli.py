@@ -285,6 +285,27 @@ class TestSweep:
         assert "error" in rows[1]
         assert "stage partition" in rows[1]
 
+    def test_sweep_rejects_out_csv_in_configs(self, tmp_path, capsys):
+        cfgs = [write_cfg(tmp_path / f"{name}.cfg", side_lambda=1.0, ppw=10,
+                          out_csv=tmp_path / f"{name}.csv") for name in "ab"]
+        for flags in ([], ["--csv", str(tmp_path / "sweep.csv")]):
+            assert main(["sweep", *cfgs, *flags]) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err and "a.cfg" in err
+            assert "out_csv" in err and "--csv" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_solve_writes_out_csv_unless_csv_flag_given(self, tmp_path,
+                                                        capsys):
+        cfg = write_cfg(tmp_path / "a.cfg", side_lambda=1.0, ppw=10,
+                        out_csv=tmp_path / "a.csv")
+        assert main(["solve", cfg]) == 0
+        assert (tmp_path / "a.csv").read_text().startswith("case_id,")
+        (tmp_path / "a.csv").unlink()
+        assert main(["solve", cfg, "--csv", str(tmp_path / "b.csv")]) == 0
+        capsys.readouterr()
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["b.csv"]
+
     def test_sweep_needs_two_configs(self, tmp_path, capsys):
         one = write_cfg(tmp_path / "one.cfg", side_lambda=1.0, ppw=10)
         rc = main(["sweep", one])

@@ -166,7 +166,7 @@ def run_kernel(kernel, M):
     L = np.empty(n * n, dtype=np.complex128)
     d, e, _, _ = factor._flat_diag(n)
     try:
-        perm, tags, twos, growth = kernel(M, factor.DEFAULT_PIVOT_TOL, None,
+        perm, tags, twos, growth = kernel(M, factor.DEFAULT_PIVOT_TOL,
                                           L, d, e, 0)
     except SingularBlockError as err:
         return int(re.search(r"elimination step (\d+)", str(err)).group(1))
@@ -315,14 +315,40 @@ def test_non_finite_entries_rejected(bad, where):
 
 def test_modulus_past_the_float_range_reads_as_non_finite():
     # CPython's abs raises where numpy's returns inf; the scalar kernel's
-    # orders fall back to the numpy kernel, which rejects the inf modulus
+    # order raises the ValueError the numpy kernel raises for an inf modulus
     M = np.array([[1.5e308 * (1 + 1j), 1.0], [1.0, 1.0]])
     L = np.empty(4, dtype=complex)
     d, e, tags, perm = factor._flat_diag(2)
     with pytest.raises(OverflowError):
-        factor._scalar_kernel(M, 1e-12, None, L, d, e, 0)
+        factor._scalar_kernel(M, 1e-12, L, d, e, 0)
     with pytest.raises(ValueError, match="non-finite"):
         factor._factor_lower(M, 1e-12, L, d, e, tags, perm)
+
+
+@pytest.mark.parametrize("top", [
+    # the update leaves -1.5e308 - 1.5e308j, a modulus past the float range
+    [[1e308, 1e308], [1e308, -0.5e308 - 1.5e308j]],
+    # the multiplier (1 + 1j) / (1 - 1j) divides to nan: the NaN step
+    # maximum would leave the growth as it was
+    [[1e308 * (1 - 1j), 1e308 * (1 + 1j)], [1e308 * (1 + 1j), 0.0]],
+], ids=["inf", "nan"])
+@pytest.mark.parametrize("n", [2, SCALAR_MAX, SCALAR_MAX + 1])
+def test_non_finite_step_is_an_error(n, top):
+    # Finite entries whose first elimination step is not finite, on either
+    # kernel; numpy's divide warns on the way to the NaN.
+    M = 1e300 * np.eye(n, dtype=complex)
+    M[:2, :2] = top
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        dense_ldlt_bk(M)
+
+
+@pytest.mark.parametrize("n", [4, SCALAR_MAX + 1])
+def test_finite_moduli_summing_past_the_float_range_factor(n):
+    # every trailing modulus is 1.7e308, finite, though their sum is not
+    fac = dense_ldlt_bk(1.7e308 * np.eye(n, dtype=complex))
+    assert np.array_equal(fac.d, np.full(n, 1.7e308))
+    assert np.array_equal(fac.L, np.eye(n)) and fac.growth == 1.0
 
 
 def test_pivot_tol_scales_with_matrix():

@@ -447,6 +447,37 @@ def test_integer_valued_float_weights_accepted():
     assert as_float.sizes_perm.dtype == np.int64
 
 
+@pytest.mark.parametrize("g, named", [
+    ([{-1}, set()], "vertex 0 has neighbor -1;"),
+    ([{5}], "vertex 0 has neighbor 5;"),
+    ([{0}], "vertex 0 has neighbor 0;"),
+    ([{1.0}, {0}], "vertex 0 has neighbor 1.0;"),
+    ([{True}, {0}], "vertex 0 has neighbor True;"),
+    ([set(), {0}], "vertex 1 has neighbor 0, but vertex 0 does not list 1"),
+    ([{1, 2}, {0, 2}, {1}], "vertex 0 has neighbor 2, but vertex 2 does not list 0"),
+], ids=["negative", "out-of-range", "self-loop", "float", "bool", "one-sided",
+        "one-sided-in-triangle"])
+def test_malformed_adjacency_rejected(g, named):
+    sizes = np.ones(len(g), dtype=np.int64)
+    with pytest.raises(OrderingError, match=named):
+        reorder(g, sizes)
+    with pytest.raises(OrderingError, match=named):
+        reorder_with_plan(g, sizes)
+    with pytest.raises(ValueError, match=named):
+        symbolic.symbolic_factor(g, identity_ordering(len(g)), sizes)
+
+
+def test_numpy_integer_neighbors_accepted():
+    rng = np.random.default_rng(11)
+    g = rand_clique_graph(rng, 12, 0.4)
+    w = rng.integers(1, 6, size=12)
+    as_numpy = [{np.int32(u) if u % 2 else np.int64(u) for u in s} for s in g]
+    assert_same_plan(reorder_with_plan(as_numpy, w), reorder_with_plan(g, w))
+    order = Ordering(rng.permutation(12))
+    assert_same_plan(symbolic.symbolic_factor(as_numpy, order, w),
+                     symbolic.symbolic_factor(g, order, w))
+
+
 class TestOrderingFile:
     def test_load(self, tmp_path):
         p = tmp_path / "ord.txt"
