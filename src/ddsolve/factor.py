@@ -37,17 +37,29 @@ The factor and solve loops call scipy's BLAS directly (``ztrsm``, ``zgemm``)
 rather than mixing it with numpy's ``@``: the two packages may bundle
 separate BLAS builds, each with its own thread pool, and alternating between
 two pools in a loop makes their idle-spinning workers compete for the CPUs.
+These two routines, and the ``zgbsv`` and ``zgbtrs`` of
+:mod:`ddsolve.subdomain`, are taken from SciPy's compiled f2py wrappers
+``scipy.linalg._fblas`` and ``scipy.linalg._flapack`` by
+:func:`scipy_linalg_routines`, which loads the extension file alone.
+Importing ``scipy.linalg`` would run its package ``__init__``, which on
+recent SciPy clones numpy's namespace and so imports ``numpy.f2py``,
+``numpy.random``, ``numpy.testing`` and more: most of a fresh process's
+start-up, none of it used by a solve.  The routines are the same machine
+code on the same BLAS either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from itertools import chain
 
 import numpy as np
-from scipy.linalg.blas import zgemm, ztrsm
 
 from .blockmat import BlockSparseSym, exclusive_cumsum, ragged_arange
 from .symbolic import EliminationPlan
@@ -71,6 +83,34 @@ class SingularBlockError(Exception):
 
 class FactorConsistencyError(Exception):
     """Numeric factorization touched a block outside the symbolic pattern."""
+
+
+def scipy_linalg_routines(module: str, *names: str) -> tuple:
+    """The routines ``names`` of SciPy's compiled module
+    ``scipy.linalg.<module>``, loaded from its file without running
+    ``scipy/__init__.py`` or ``scipy/linalg/__init__.py``.
+
+    CPython files a single-phase extension module in ``sys.modules`` as it
+    creates it; the entry that was there before, if any, is put back, so an
+    ``import scipy.linalg`` before or after loads its package as usual.
+    CPython keeps such a module per file, so that import hands out the very
+    same routines.
+    """
+    linalg = os.path.join(*find_spec("scipy").submodule_search_locations, "linalg")
+    spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        f"scipy.linalg.{module}")
+    if spec is None:
+        raise ImportError(f"no compiled module {module} in {linalg}")
+    held = sys.modules.get(spec.name)
+    loaded = module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    sys.modules.pop(spec.name, None)
+    if held is not None:
+        sys.modules[spec.name] = held
+    return tuple(getattr(loaded, name) for name in names)
+
+
+zgemm, ztrsm = scipy_linalg_routines("_fblas", "zgemm", "ztrsm")
 
 
 def _unit_lower_solve(L: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -265,53 +305,57 @@ def _numpy_kernel(B: np.ndarray, pivot_tol: float, L: np.ndarray,
     growth = 1.0
     trail_max = float(w_max)
     k = 0
-    while k < n:
-        # A is |W[k:, k:]|; i - k indexes it.
-        kp, kstep = _bk_pivot(A[:, 0].tolist(), lambda i: A[:, i - k].tolist(),
-                              k, tol_abs)
-        kk = k + kstep - 1
-        if kp != kk:
-            W[[kk, kp]] = W[[kp, kk]]
-            W[:, [kk, kp]] = W[:, [kp, kk]]
-            perm[kk], perm[kp] = perm[kp], perm[kk]
-        kn = k + kstep
-        tags[k] = kstep
-        if kstep == 2:
-            twos.append(k)
-        if kn == n:
-            break
-        if kstep == 1:
-            c = W[kn:, k]
-            lk = c / W[k, k]
-            # Outer products are formed transposed so that they share the
-            # column-major layout of W.
-            W[kn:, kn:] -= (lk[:, None] * c).T
-            W[kn:, k] = lk
-        else:
-            # |W[k+1, k]| equals the column maximum here, so the 2x2 pivot is
-            # safely invertible: |det| >= (1 - alpha^2) colmax^2.
-            d21 = W[k + 1, k]
-            d11 = W[k + 1, k + 1] / d21
-            d22 = W[k, k] / d21
-            d21s = (1.0 / (d11 * d22 - 1.0)) / d21
-            a = W[kn:, k]
-            b = W[kn:, k + 1]
-            wk = d21s * (d11 * a - b)
-            wkp = d21s * (d22 * b - a)
-            W[kn:, kn:] -= (wk[:, None] * a + wkp[:, None] * b).T
-            W[kn:, k] = wk
-            W[kn:, k + 1] = wkp
-        A = np.abs(W[kn:, kn:])
-        step_max = float(A.max())
-        if not math.isfinite(step_max):
-            raise ValueError(f"non-finite entries after elimination step {k}")
-        if trail_max > 0.0:
-            r = step_max / trail_max
+    # One errstate for the whole elimination: a step whose update leaves the
+    # float range fails by the finiteness test of its maximum, not by numpy's
+    # warning on the way there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n:
+            # A is |W[k:, k:]|; i - k indexes it.
+            kp, kstep = _bk_pivot(A[:, 0].tolist(), lambda i: A[:, i - k].tolist(),
+                                  k, tol_abs)
+            kk = k + kstep - 1
+            if kp != kk:
+                W[[kk, kp]] = W[[kp, kk]]
+                W[:, [kk, kp]] = W[:, [kp, kk]]
+                perm[kk], perm[kp] = perm[kp], perm[kk]
+            kn = k + kstep
+            tags[k] = kstep
             if kstep == 2:
-                r = math.sqrt(r)
-            growth = max(growth, r)
-        trail_max = step_max
-        k = kn
+                twos.append(k)
+            if kn == n:
+                break
+            if kstep == 1:
+                c = W[kn:, k]
+                lk = c / W[k, k]
+                # Outer products are formed transposed so that they share the
+                # column-major layout of W.
+                W[kn:, kn:] -= (lk[:, None] * c).T
+                W[kn:, k] = lk
+            else:
+                # |W[k+1, k]| equals the column maximum here, so the 2x2 pivot is
+                # safely invertible: |det| >= (1 - alpha^2) colmax^2.
+                d21 = W[k + 1, k]
+                d11 = W[k + 1, k + 1] / d21
+                d22 = W[k, k] / d21
+                d21s = (1.0 / (d11 * d22 - 1.0)) / d21
+                a = W[kn:, k]
+                b = W[kn:, k + 1]
+                wk = d21s * (d11 * a - b)
+                wkp = d21s * (d22 * b - a)
+                W[kn:, kn:] -= (wk[:, None] * a + wkp[:, None] * b).T
+                W[kn:, k] = wk
+                W[kn:, k + 1] = wkp
+            A = np.abs(W[kn:, kn:])
+            step_max = float(A.max())
+            if not math.isfinite(step_max):
+                raise ValueError(f"non-finite entries after elimination step {k}")
+            if trail_max > 0.0:
+                r = step_max / trail_max
+                if kstep == 2:
+                    r = math.sqrt(r)
+                growth = max(growth, r)
+            trail_max = step_max
+            k = kn
     # W becomes L: its upper triangle and diagonal are overwritten by the
     # identity's.
     d[at:at + n] = L[diag]
@@ -346,7 +390,8 @@ def _scalar_kernel(B: np.ndarray, pivot_tol: float, L: np.ndarray,
     multiply, divide and ``abs`` round differently from numpy's, so the
     factor agrees with the numpy kernel's to rounding, not bit for bit.
     ``abs`` raises ``OverflowError`` past the float range, where numpy's
-    returns inf.
+    returns inf: on an entry of ``B`` it propagates, and on a step's update
+    it fails the step as a non-finite one, as in the numpy kernel.
     """
     n = B.shape[0]
     # The lower triangle mirrored, as in the numpy kernel; +0j turns -0.0
@@ -405,7 +450,10 @@ def _scalar_kernel(B: np.ndarray, pivot_tol: float, L: np.ndarray,
                 W[q] -= a[r] * wk[s] + b[r] * wkp[s]
             W[c0 + kn:c0 + n] = wk
             W[c1 + kn:c1 + n] = wkp
-        A = [abs(W[q]) for q in trail_q]
+        try:
+            A = [abs(W[q]) for q in trail_q]
+        except OverflowError:   # a modulus past the float range
+            A = [math.inf]
         # the moduli are not negative: a finite sum makes every one finite
         if not math.isfinite(sum(A)) and not all(map(math.isfinite, A)):
             raise ValueError(f"non-finite entries after elimination step {k}")
@@ -449,7 +497,8 @@ def _factor_lower(B: np.ndarray, pivot_tol: float, L: np.ndarray,
     try:
         p, t, twos, growth = kernel(B, pivot_tol, L, d, e, at)
     except OverflowError as err:
-        # CPython's abs past the float range, where numpy's returns inf
+        # CPython's abs past the float range on an entry of B, where numpy's
+        # returns inf
         raise ValueError("matrix has non-finite entries") from err
     tags[at:at + n] = t
     perm[at:at + n] = p

@@ -25,12 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgbsv, zgbtrs
 
 from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, ragged_arange
-from .factor import DEFAULT_PIVOT_TOL, blas_matmul
+from .factor import DEFAULT_PIVOT_TOL, blas_matmul, scipy_linalg_routines
 from .mesh import Mesh, Partition, ProblemConfig, boundary_load, edge_lengths, \
     edge_mass, helmholtz_blocks, incident_boundary_load
+
+
+zgbsv, zgbtrs = scipy_linalg_routines("_flapack", "zgbsv", "zgbtrs")
 
 
 class SingularDomainError(Exception):

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -363,14 +364,39 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "residual (inf)" in proc.stdout
 
-    def test_import_and_solve_leave_sparse_unloaded(self):
-        """Only ``run_verify`` needs scipy.sparse; importing the package and
-        one small solve in a fresh process do not load it."""
+    def test_cold_start_loads_no_scipy_subpackage(self):
+        """A fresh process that imports the package and runs one small
+        solve loads neither ``scipy.linalg`` nor ``scipy.sparse`` (only
+        ``run_verify`` needs it) nor ``numpy.f2py``.  A later ``import
+        scipy.linalg`` there hands out the very routines the solver holds."""
         src = str(Path(ddsolve.__file__).resolve().parents[1])
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import ddsolve; "
-                "ddsolve.run_pipeline(ddsolve.RunConfig(ddsolve.ProblemConfig("
-                "side_lambda=1.0, ppw=10, px=2, py=2))); "
-                "sys.exit('scipy.sparse' in sys.modules)")
+        code = "\n".join([
+            "import json, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "import ddsolve",
+            "ddsolve.run_pipeline(ddsolve.RunConfig(ddsolve.ProblemConfig(",
+            "    side_lambda=1.0, ppw=10, px=2, py=2)))",
+            "loaded = [m for m in ('scipy.linalg', 'scipy.sparse', 'numpy.f2py')",
+            "          if m in sys.modules]",
+            "import scipy.linalg.blas as blas, scipy.linalg.lapack as lapack",
+            "from ddsolve import factor, subdomain",
+            "same = [factor.zgemm is blas.zgemm, factor.ztrsm is blas.ztrsm,",
+            "        subdomain.zgbsv is lapack.zgbsv,",
+            "        subdomain.zgbtrs is lapack.zgbtrs]",
+            "print(json.dumps([loaded, same]))"])
         proc = subprocess.run([sys.executable, "-c", code, src],
                               capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr or "scipy.sparse loaded"
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], [True] * 4]
+
+    def test_solver_loaded_after_scipy_linalg_leaves_its_modules(self):
+        """Importing the package after ``scipy.linalg`` leaves that package's
+        compiled modules in ``sys.modules`` as they were."""
+        src = str(Path(ddsolve.__file__).resolve().parents[1])
+        code = ("import sys, scipy.linalg; sys.path.insert(0, sys.argv[1]); "
+                "import ddsolve; sys.exit(not all("
+                "sys.modules[f'scipy.linalg.{m}'] is getattr(scipy.linalg, m) "
+                "for m in ('_fblas', '_flapack')))")
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr or "sys.modules changed"

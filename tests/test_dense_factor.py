@@ -1,4 +1,5 @@
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -334,12 +335,13 @@ def test_modulus_past_the_float_range_reads_as_non_finite():
 ], ids=["inf", "nan"])
 @pytest.mark.parametrize("n", [2, SCALAR_MAX, SCALAR_MAX + 1])
 def test_non_finite_step_is_an_error(n, top):
-    # Finite entries whose first elimination step is not finite, on either
-    # kernel; numpy's divide warns on the way to the NaN.
+    # Finite entries whose first elimination step is not finite: either
+    # kernel raises the step's error, and no warning on the way to it.
     M = 1e300 * np.eye(n, dtype=complex)
     M[:2, :2] = top
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="non-finite"):
+    with warnings.catch_warnings(), pytest.raises(
+            ValueError, match="^non-finite entries after elimination step 0$"):
+        warnings.simplefilter("error")
         dense_ldlt_bk(M)
 
 

@@ -30,6 +30,12 @@ def library_run(cfg, tmp_path, command="solve", flags=()):
     return fn(cli._load(cfg, args), dump_k=args.dump_k)
 
 
+def test_acceptance_gates_keep_their_values():
+    # the CLI's exit codes and the benchmark's check read these two gates
+    assert driver.RESIDUAL_GATE == 1e-10
+    assert driver.AGREEMENT_GATE == 1e-8
+
+
 def test_run_records_every_stage_in_order(small_cfg, tmp_path):
     report = library_run(small_cfg, tmp_path).report
     assert [s.stage for s in report.stages] == STAGES

@@ -1,6 +1,7 @@
 """``tools/stage_times.py`` end to end on one small geometry."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,10 @@ def run_tool(*args):
 def test_prints_stage_times_and_the_digests_of_the_library_run():
     proc = run_tool("2,10,4x4", "--repeat", "2")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    import_line, blank, *lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"import ddsolve +\d+\.\d\d ms \(best of 3 fresh processes\)",
+                        import_line)
+    assert blank == ""
 
     result = run_pipeline(RunConfig(ProblemConfig(2.0, 10.0, 4, 4, theta_inc=0.3)))
     F, plan = result.block_factor, result.plan
@@ -49,6 +53,21 @@ def test_prints_stage_times_and_the_digests_of_the_library_run():
         f"  solution sha256     {stage_times.value_digest(result.solution)}",
         "  residual sha256     "
         f"{stage_times.value_digest(result.report.residual_inf)}"]
+
+
+def test_import_time_is_the_best_of_fresh_imports_from_the_given_tree(tmp_path):
+    # each fresh interpreter imports this package, which takes 0.05 s the
+    # first time and 0.5 s every later time
+    (tmp_path / "ddsolve").mkdir()
+    (tmp_path / "count").write_text("")
+    (tmp_path / "ddsolve" / "__init__.py").write_text(
+        "import pathlib, time\n"
+        "count = pathlib.Path(__file__).parents[1] / 'count'\n"
+        "count.write_text(count.read_text() + 'x')\n"
+        "time.sleep(0.05 if count.read_text() == 'x' else 0.5)\n")
+    t = stage_times.import_seconds(tmp_path)
+    assert (tmp_path / "count").read_text() == "x" * stage_times.IMPORT_RUNS
+    assert 0.05 <= t < 0.5
 
 
 def test_runs_blas_at_one_thread_whatever_the_environment_asks(monkeypatch,

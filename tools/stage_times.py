@@ -7,9 +7,11 @@ Usage, from the root of the source tree::
 The solver is imported from ``src/`` of the tree this script sits in, so
 running the same command in two checkouts compares their stages.
 
-Each argument is one geometry, ``SIDE,PPW,PXxPY`` (side in wavelengths,
-points per wavelength, tiles along x and y).  Per geometry the script runs
-``run_pipeline`` ``--repeat`` times (incidence angle 0.3 rad) and prints
+The first line is the best of three wall times of ``import ddsolve`` from
+that ``src/``, each in a fresh interpreter.  Each argument is one geometry,
+``SIDE,PPW,PXxPY`` (side in wavelengths, points per wavelength, tiles along
+x and y).  Per geometry the script runs ``run_pipeline`` ``--repeat`` times
+(incidence angle 0.3 rad) and prints
 
 - the number of interface blocks and the factor's flop count;
 - per stage of the run's ``report.stages``, the best of its wall times;
@@ -33,9 +35,25 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import subprocess
 import sys
 
 from memory_table import ONE_BLAS_THREAD, SRC, parse_geometry, run_geometry
+
+
+IMPORT_RUNS = 3  # fresh interpreters whose best import time is printed
+
+
+def import_seconds(src) -> float:
+    """Best wall time of ``import ddsolve`` from ``src`` over ``IMPORT_RUNS``
+    fresh interpreters."""
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+            "t = time.perf_counter(); import ddsolve; "
+            "print(time.perf_counter() - t)")
+    return min(float(subprocess.run([sys.executable, "-c", code, str(src)],
+                                    capture_output=True, text=True,
+                                    check=True).stdout)
+               for _ in range(IMPORT_RUNS))
 
 
 def _int64_bytes(a) -> bytes:
@@ -120,10 +138,11 @@ def main(argv=None) -> int:
         ap.error("--repeat must be at least 1")
     # Before numpy is imported, which reads the thread count once.
     os.environ.update(ONE_BLAS_THREAD)
+    print(f"import ddsolve       {1e3 * import_seconds(SRC):.2f} ms "
+          f"(best of {IMPORT_RUNS} fresh processes)")
     sys.path.insert(0, str(SRC))
-    for i, geometry in enumerate(args.geometry):
-        if i:
-            print()
+    for geometry in args.geometry:
+        print()
         print(report(geometry, args.repeat))
     return 0
 
