@@ -110,7 +110,9 @@ def nonnegative_integers(values, what: str, error: type[Exception]) -> np.ndarra
     values = np.asarray(values)
     if values.dtype.kind not in "biuf":
         raise error(f"{what}s of dtype {values.dtype} are not numbers")
-    whole = np.isfinite(values) & (values >= 0) & (values == np.floor(values))
+    whole = values >= 0
+    if values.dtype.kind == "f":
+        whole &= np.isfinite(values) & (values == np.floor(values))
     if not whole.all():
         i = int(np.argmin(whole))
         raise error(f"{what} {i} is {values[i]}; {what}s must be non-negative integers")

@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, RunConfig, check_ordering, check_pivot_tol, \
-    parse_config_file
+from .config import ConfigError, RunConfig, check_ordering, parse_config_file
 from .driver import AGREEMENT_GATE, RESIDUAL_GATE, PipelineError, csv_text, \
     run_pipeline, run_sweep, run_verify
+from .factor import check_pivot_tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +60,10 @@ def _load(path, args) -> RunConfig:
     if args.ordering is not None:
         run.ordering = check_ordering(args.ordering)
     if args.pivot_tol is not None:
-        run.pivot_tol = check_pivot_tol(args.pivot_tol)
+        try:
+            run.pivot_tol = check_pivot_tol(args.pivot_tol)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
     return run
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .factor import DEFAULT_PIVOT_TOL
+from .factor import DEFAULT_PIVOT_TOL, check_pivot_tol
 from .mesh import ProblemConfig
 
 
@@ -30,13 +30,6 @@ def check_ordering(spec: str) -> str:
         raise ConfigError(
             f"ordering must be 'builtin' or 'file:<path>', got {spec!r}")
     return spec
-
-
-def check_pivot_tol(tol: float) -> float:
-    """``tol`` if it is a usable relative pivot threshold."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"pivot_tol must be finite and non-negative, got {tol!r}")
-    return tol
 
 
 @dataclass

@@ -66,6 +66,14 @@ from .symbolic import EliminationPlan
 
 DEFAULT_PIVOT_TOL = 1e-12
 
+
+def check_pivot_tol(tol: float) -> float:
+    """``tol`` if it is a usable relative pivot threshold, finite and not
+    negative; otherwise raises ValueError."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"pivot_tol must be finite and non-negative, got {tol!r}")
+    return tol
+
 # Pivot threshold constant from the 1977 Bunch-Kaufman analysis; bounds the
 # per-step element growth by 1 + 1/alpha < 2.57.
 BK_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
@@ -518,8 +526,10 @@ def dense_ldlt_bk(M: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> DenseF
     The factor depends on the lower triangle of ``M`` only; the upper one
     enters the finiteness and symmetry checks alone.  Raises
     :class:`SingularBlockError` and ``ValueError`` as :func:`_factor_lower`
-    does, and ``ValueError`` when ``M`` is not symmetric.
+    does, and ``ValueError`` when ``M`` is not symmetric or ``pivot_tol``
+    fails :func:`check_pivot_tol`.
     """
+    check_pivot_tol(pivot_tol)
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
@@ -629,8 +639,10 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     built from one per-row array, each row's block times the scalar order;
     past the checks, only the lower triangle of a diagonal block is read.  A
     block of K or a column's update with no place in the plan raises
-    :class:`FactorConsistencyError`.
+    :class:`FactorConsistencyError`, and a ``pivot_tol`` that fails
+    :func:`check_pivot_tol` raises ``ValueError``.
     """
+    check_pivot_tol(pivot_tol)
     nb = K.nblocks
     if plan.nblocks != nb:
         raise ValueError("plan and matrix disagree on block count")

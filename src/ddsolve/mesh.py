@@ -447,8 +447,14 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     and, within a pair, walked from their smaller endpoint in ascending
     order of that endpoint.  On grids whose interval count is not divisible
     by the tile counts, tile lines cut through cells and the chains simply
-    follow the resulting staircase of cell edges.
+    follow the resulting staircase of cell edges.  The tile counts must be
+    integers of at least 1; anything else raises :class:`PartitionError`.
     """
+    try:
+        px, py = operator.index(px), operator.index(py)
+    except TypeError:
+        raise PartitionError(f"px and py must be integers, got {px!r} and "
+                             f"{py!r}") from None
     if px < 1 or py < 1:
         raise PartitionError("px and py must be at least 1")
     lo = mesh.nodes.min(axis=0)

@@ -10,10 +10,10 @@ neighbors a vertex has when it is eliminated are its column's pattern, so
 minimum degree emits its symbolic plan itself.
 
 A natural-order guard keeps minimum degree unless the natural order's
-factor is strictly smaller.  It counts the natural order's entries column by
-column and stops as soon as they reach minimum degree's, so the natural plan
-is built only when it wins.  An externally computed permutation can be
-loaded from a text file with one index per line instead.
+factor is strictly smaller.  One walk of the natural order's fill counts its
+entries column by column and stops as soon as they reach minimum degree's;
+a walk that completes is the natural plan.  An externally computed
+permutation can be loaded from a text file with one index per line instead.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .blockmat import check_adjacency, nonnegative_integers
-from .symbolic import EliminationPlan, fill_walk, plan_from_rows, symbolic_factor
+from .symbolic import EliminationPlan, fill_plan, plan_from_rows
 
 
 class OrderingError(Exception):
@@ -37,7 +37,10 @@ class Ordering:
     perm: np.ndarray  # perm[new_position] = old_index
 
     def __post_init__(self):
-        self.perm = np.asarray(self.perm, dtype=np.int64)
+        perm = np.asarray(self.perm)
+        if perm.ndim != 1:
+            raise OrderingError("an ordering is a one-dimensional sequence")
+        self.perm = nonnegative_integers(perm, "position", OrderingError)
         check_permutation(self.perm)
 
     @property
@@ -166,22 +169,6 @@ def _min_degree_order(g: list[set[int]], weights: np.ndarray) -> EliminationPlan
     return plan_from_rows(order, flat, [0, *np.cumsum(counts).tolist()], weights)
 
 
-def _natural_is_smaller(g: list[set[int]], weights: np.ndarray, total: int) -> bool:
-    """Whether the natural order's factor has fewer than ``total`` entries.
-
-    Counted column by column over :func:`~ddsolve.symbolic.fill_walk`'s
-    rows, and stopped as soon as the count reaches ``total``.
-    """
-    w = weights.tolist()
-    count = sum(x * (x + 1) // 2 for x in w)  # diagonal blocks
-    for wj, rows in zip(w, fill_walk(g, identity_ordering(len(g)))):
-        if rows:
-            count += wj * sum(map(w.__getitem__, rows))
-            if count >= total:
-                return False
-    return count < total
-
-
 def reorder(g: list[set[int]], weights) -> Ordering:
     """Fill-reducing order of adjacency list ``g``; ``weights`` are block sizes.
 
@@ -203,10 +190,9 @@ def reorder_with_plan(g: list[set[int]], weights) -> EliminationPlan:
     included); either raises OrderingError naming the first bad entry.
 
     Minimum degree builds its plan from its own elimination graph.  The
-    guard counts the natural order's factor entries column by column and
-    stops once they reach minimum degree's, so it builds the natural plan
-    only when the natural order is strictly smaller; a tie keeps minimum
-    degree.  Either way one plan is built, and no symbolic pass repeats.
+    guard is one :func:`~ddsolve.symbolic.fill_plan` walk of the natural
+    order, stopped once its entries reach minimum degree's: a tie keeps
+    minimum degree, and no symbolic pass repeats.
     """
     check_adjacency(g, OrderingError)
     n = len(g)
@@ -214,9 +200,8 @@ def reorder_with_plan(g: list[set[int]], weights) -> EliminationPlan:
         raise OrderingError("weights length does not match graph size")
     weights = nonnegative_integers(weights, "weight", OrderingError)
     md = _min_degree_order(g, weights)
-    if _natural_is_smaller(g, weights, md.total_factor_entries):
-        return symbolic_factor(g, identity_ordering(n), weights)
-    return md
+    natural = fill_plan(g, identity_ordering(n), weights, md.total_factor_entries)
+    return md if natural is None else natural
 
 
 def identity_ordering(n: int) -> Ordering:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, ragged_arange
-from .factor import DEFAULT_PIVOT_TOL, blas_matmul, scipy_linalg_routines
+from .factor import DEFAULT_PIVOT_TOL, blas_matmul, check_pivot_tol, \
+    scipy_linalg_routines
 from .mesh import Mesh, Partition, ProblemConfig, boundary_load, edge_lengths, \
     edge_mass, helmholtz_blocks, incident_boundary_load
 
@@ -271,11 +272,13 @@ def reduce_domain(sys: SubdomainSystem,
 
     Raises :class:`SolverStateError` when the system is already reduced, as
     its ``A`` then holds the LU and not A_d, or when an earlier reduce found
-    it singular; ``ValueError`` when A_d has a non-finite entry; and
+    it singular; ``ValueError`` when A_d has a non-finite entry or
+    ``pivot_tol`` fails :func:`~ddsolve.factor.check_pivot_tol`; and
     :class:`SingularDomainError` when ``min|U_kk| <= pivot_tol * max|A_d|``,
     an exactly singular A_d included, after which ``sys.A`` is None: the
     buffer holds the failed factors, which no later stage may read as A_d.
     """
+    check_pivot_tol(pivot_tol)
     if sys.piv is not None:
         raise SolverStateError(
             f"domain {sys.domain} is already reduced: its A holds the LU factors")

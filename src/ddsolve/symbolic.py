@@ -7,12 +7,13 @@ numeric factorization will populate.  The elimination-tree parent of ``j`` is
 the smallest row in its pattern and inherits the rest of it, so a column's
 pattern is its original neighbors below it plus its children's inherited rows
 (Liu 1990): one set union per column, no fill edge inserted pair by pair.
-:func:`fill_walk` walks it for the plan and the natural-order guard alike.
+:func:`fill_plan` walks it once for the plan and the natural-order guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,21 +37,32 @@ class EliminationPlan:
         return int(self.sizes_perm.size)
 
 
-def fill_walk(g: list[set[int]], order: Ordering):
-    """Each column's rows of eliminating ``g`` in ``order``, in elimination
-    order: its neighbors after it and the rows its children pass up, as a
-    set the caller must not change.  Once the caller has read it, all rows
-    but the first, the column's parent, pass up to that parent."""
+def fill_plan(g: list[set[int]], order: Ordering, sizes: np.ndarray,
+              limit: int | None = None) -> EliminationPlan | None:
+    """Plan of eliminating ``g`` in ``order`` with int64 block ``sizes``,
+    unchecked.  Column j's rows are its later neighbors and the rows its
+    children pass up; all but the first, its parent, pass on to the parent.
+    Given a ``limit``, None once the entries, counted by column, reach it."""
     position = order.inverse().tolist().__getitem__
-    passed = [set() for _ in g]
+    if limit is not None:
+        w = sizes[order.perm].tolist()
+        count = sum(x * (x + 1) // 2 for x in w)  # diagonal blocks
+    cols = [set() for _ in g]
     for j, i in enumerate(order.perm.tolist()):
-        rows = passed[j]
+        rows = cols[j]
         rows.update([b for b in map(position, g[i]) if b > j])
-        yield rows
+        if limit is not None:
+            count += w[j] * sum(map(w.__getitem__, rows))
+            if count >= limit:
+                return None
         if rows:
             p = min(rows)
-            rows.remove(p)
-            passed[p] |= rows
+            cols[p] |= rows
+            cols[p].remove(p)
+    pattern = [sorted(rows) for rows in cols]
+    start = [0, *accumulate(map(len, pattern))]
+    return plan_from_rows(order, np.fromiter(chain.from_iterable(pattern),
+                                             np.int64, start[-1]), start, sizes)
 
 
 def symbolic_factor(g: list[set[int]], order: Ordering, sizes) -> EliminationPlan:
@@ -58,18 +70,11 @@ def symbolic_factor(g: list[set[int]], order: Ordering, sizes) -> EliminationPla
     :func:`check_adjacency`, and block ``sizes`` must be non-negative
     integers (integer-valued floats included); either raises ValueError
     naming the first bad entry."""
-    n = len(g)
     check_adjacency(g, ValueError)
     sizes = nonnegative_integers(sizes, "block size", ValueError)
-    if order.n != n or sizes.size != n:
+    if order.n != len(g) or sizes.size != len(g):
         raise ValueError("graph, ordering and sizes disagree on block count")
-    rows: list[int] = []
-    start = [0]
-    for r in fill_walk(g, order):
-        rows += sorted(r)
-        start.append(len(rows))
-    return plan_from_rows(order, np.fromiter(rows, np.int64, len(rows)), start,
-                          sizes)
+    return fill_plan(g, order, sizes)
 
 
 def plan_from_rows(order: Ordering, flat: np.ndarray, start: list[int],

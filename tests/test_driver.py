@@ -4,10 +4,14 @@ stage's failure to its ``PipelineError`` and exit code."""
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
+from conftest import rand_block_system, subdomain_system
 from ddsolve import blockmat, cli, driver, factor, ordering, subdomain, symbolic
 from ddsolve.cli import main
+from ddsolve.config import RunConfig
+from ddsolve.mesh import ProblemConfig
 from test_cli import write_cfg
 from test_memory_table import STAGES
 
@@ -34,6 +38,34 @@ def test_acceptance_gates_keep_their_values():
     # the CLI's exit codes and the benchmark's check read these two gates
     assert driver.RESIDUAL_GATE == 1e-10
     assert driver.AGREEMENT_GATE == 1e-8
+
+
+def _block_ldlt(tol):
+    K, _ = rand_block_system(0)
+    g = blockmat.clique_graph(K)
+    return factor.block_ldlt(K, symbolic.symbolic_factor(
+        g, ordering.identity_ordering(len(g)), K.sizes), tol)
+
+
+# every library entry that takes pivot_tol; the config file and --pivot-tol
+# are test_cli's
+PIVOT_TOL_ENTRIES = {
+    "dense_ldlt_bk": lambda tol: factor.dense_ldlt_bk(np.eye(2), tol),
+    "block_ldlt": _block_ldlt,
+    "reduce_domain": lambda tol: subdomain.reduce_domain(
+        subdomain_system(0, 2 * np.eye(3), np.ones(3)), tol),
+    "run_pipeline": lambda tol: driver.run_pipeline(
+        RunConfig(ProblemConfig(1.0, 10, 2, 2), pivot_tol=tol)),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("entry", sorted(PIVOT_TOL_ENTRIES))
+def test_every_entry_rejects_an_unusable_pivot_tol(entry, tol):
+    # with any of these thresholds no singularity test could fire
+    error = driver.PipelineError if entry == "run_pipeline" else ValueError
+    with pytest.raises(error, match="pivot_tol must be finite and non-negative"):
+        PIVOT_TOL_ENTRIES[entry](tol)
 
 
 def test_run_records_every_stage_in_order(small_cfg, tmp_path):

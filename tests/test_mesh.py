@@ -295,6 +295,17 @@ class TestPartition:
         with pytest.raises(mm.PartitionError):
             mm.partition_mesh(m, 5, 5)
 
+    @pytest.mark.parametrize("px,py", [(2.5, 2), (2, 2.0), ("2", 2), (2, None)])
+    def test_non_integer_tile_count_raises(self, px, py):
+        # as ProblemConfig checks them, not as a numpy cast error
+        with pytest.raises(mm.PartitionError, match="must be integers"):
+            mm.partition_mesh(mm.build_rect_mesh(1.0, 10), px, py)
+
+    def test_integer_like_tile_counts_accepted(self):
+        m = mm.build_rect_mesh(1.0, 10)
+        assert np.array_equal(mm.partition_mesh(m, np.int64(2), 2).lam_index,
+                              mm.partition_mesh(m, 2, 2).lam_index)
+
     # partition_mesh reads only the element centroids and the edge table, so
     # these hand-built meshes need not be planar: their triangles overlap.
     def test_interface_branching_at_a_node_raises(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GEOMETRIES, fill_blocks, graph, rand_clique_graph
-from ddsolve import mesh, subdomain, symbolic
+from ddsolve import mesh, ordering, subdomain, symbolic
 from ddsolve.blockmat import clique_graph
 from ddsolve.ordering import Ordering, OrderingError, _min_degree_order, \
     check_permutation, identity_ordering, load_ordering_file, reorder, \
@@ -332,6 +332,48 @@ def test_factor_entries_exact_past_int64():
     assert_same_plan(reorder_with_plan(g, weights), natural)
 
 
+def test_natural_win_checks_the_graph_once_and_walks_the_fill_once(monkeypatch):
+    """Where the natural order wins, the guard's one walk is its plan: no
+    second walk of the fill and no second check of the graph."""
+    g = graph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (3, 4)])
+    checks, walks = [], []
+    check_adjacency, fill_plan = ordering.check_adjacency, symbolic.fill_plan
+
+    def counted_check(g, error):
+        checks.append(error)
+        check_adjacency(g, error)
+
+    def counted_walk(*args):
+        walks.append(args[1])
+        return fill_plan(*args)
+
+    for module in (ordering, symbolic):
+        monkeypatch.setattr(module, "check_adjacency", counted_check)
+        monkeypatch.setattr(module, "fill_plan", counted_walk)
+    plan = reorder_with_plan(g, [4, 3, 2, 6, 6])
+    assert np.array_equal(plan.order.perm, np.arange(5))    # natural wins
+    assert checks == [OrderingError]
+    assert walks == [plan.order]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weighted_graphs(), st.data())
+def test_fill_plan_is_none_exactly_when_its_entries_reach_the_limit(gw, data):
+    """Given a limit, the walk stops once the count reaches it; otherwise it
+    returns the plan ``symbolic_factor`` gives, bit for bit."""
+    g, weights = gw
+    order = Ordering(data.draw(st.permutations(range(len(g)))))
+    full = symbolic.symbolic_factor(g, order, weights)
+    total = full.total_factor_entries
+    limit = data.draw(st.one_of(st.sampled_from([total - 1, total, total + 1]),
+                                st.integers(0, 2 * total)))
+    plan = symbolic.fill_plan(g, order, weights, limit)
+    if total >= limit:
+        assert plan is None
+    else:
+        assert_same_plan(plan, full)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(weighted_graphs())
 def test_packed_keys_keep_the_order_at_weights_near_2_to_the_40(gw):
@@ -392,6 +434,20 @@ def test_never_worse_than_identity_on_random_suite():
         w = rng.integers(1, 6, size=n)
         assert factor_entries(g, reorder(g, w), w) <= \
             factor_entries(g, identity_ordering(n), w)
+
+
+@pytest.mark.parametrize("perm,named", [([0.0, 1.7], "position 1 is 1.7"),
+                                        ([[0, 1]], "one-dimensional"),
+                                        ([1, -1], "position 1 is -1"),
+                                        (["a"], "not numbers")])
+def test_positions_must_be_a_sequence_of_integers(perm, named):
+    with pytest.raises(OrderingError, match=named):
+        Ordering(perm)
+
+
+def test_integer_valued_float_positions_accepted():
+    perm = Ordering([2.0, 0.0, 1.0]).perm
+    assert perm.dtype == np.int64 and perm.tolist() == [2, 0, 1]
 
 
 def test_invalid_permutation_rejected():
