@@ -127,7 +127,8 @@ def _unit_lower_solve(L: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarra
     Overwrites and returns ``B`` when it is a Fortran-ordered complex array;
     ``L`` is read in place when Fortran-ordered.
     """
-    return ztrsm(1.0, L, B, lower=1, trans_a=trans, diag=1, overwrite_b=1)
+    # by position: side 0 (left), lower 1, trans_a, diag 1 (unit), overwrite_b 1
+    return ztrsm(1.0, L, B, 0, 1, trans, 1, 1)
 
 
 def blas_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -137,7 +138,8 @@ def blas_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     is copied.
     """
     if A.flags.c_contiguous:
-        return zgemm(1.0, A.T, B, trans_a=1)
+        # by position: beta 0, c None (a new output), trans_a 1
+        return zgemm(1.0, A.T, B, 0.0, None, 1)
     return zgemm(1.0, A, B)
 
 
@@ -392,7 +394,8 @@ def _scalar_kernel(B: np.ndarray, pivot_tol: float, L: np.ndarray,
     ``W[r + c * n]`` is entry (r, c) of the square, column-major like L.
     Each step updates the trailing lower triangle entry by entry, with the
     numpy kernel's formulas and operand order, and takes its largest
-    modulus for the growth.  Only an interchange reads the upper triangle:
+    modulus for the growth; the first column of those moduli is the next
+    step's pivot column.  Only an interchange reads the upper triangle:
     it mirrors the trailing lower triangle into it, then swaps whole rows
     and whole columns, the numpy kernel's rule.  CPython's complex
     multiply, divide and ``abs`` round differently from numpy's, so the
@@ -416,14 +419,19 @@ def _scalar_kernel(B: np.ndarray, pivot_tol: float, L: np.ndarray,
     growth = 1.0
     trail_max = w_max
     k = 0
+
+    def row(i: int) -> list[float]:
+        # |row i| from column k: (i, c) is W[c * n + i] left of the diagonal
+        # and W[i * n + c] from it
+        return (list(map(abs, W[k * n + i:i * (n + 1):n]))
+                + list(map(abs, W[i * (n + 1):(i + 1) * n])))
+
     while k < n:
         c0 = k * n
-        # |column k| from the diagonal, and |row i| from column k: (i, c) is
-        # W[c * n + i] left of the diagonal and W[i * n + c] from it.
-        kp, kstep = _bk_pivot(
-            list(map(abs, W[c0 + k:c0 + n])),
-            lambda i: list(map(abs, W[c0 + i:i * (n + 1):n]))
-            + list(map(abs, W[i * (n + 1):(i + 1) * n])), k, tol_abs)
+        # A begins with |column k| from the diagonal: the moduli of the whole
+        # square at step 0, of the trailing triangle column by column after
+        # each update
+        kp, kstep = _bk_pivot(A[:n - k], row, k, tol_abs)
         kk = k + kstep - 1
         if kp != kk:
             for c in range(k, n - 1):

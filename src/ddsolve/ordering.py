@@ -37,7 +37,10 @@ class Ordering:
     perm: np.ndarray  # perm[new_position] = old_index
 
     def __post_init__(self):
-        perm = np.asarray(self.perm)
+        try:
+            perm = np.asarray(self.perm)
+        except ValueError as err:   # a ragged nested sequence
+            raise OrderingError("an ordering is a one-dimensional sequence") from err
         if perm.ndim != 1:
             raise OrderingError("an ordering is a one-dimensional sequence")
         self.perm = nonnegative_integers(perm, "position", OrderingError)
@@ -68,7 +71,11 @@ def _min_degree_order(g: list[set[int]], weights: np.ndarray) -> EliminationPlan
 
     ``nb[v]`` is the closed neighborhood of ``v`` as an int bitset, so ``v``
     is simplicial (its neighbors form a clique) exactly when ``nb[v]`` is a
-    subset of ``nb[u]`` for every neighbor ``u``.  Eliminating ``v`` takes
+    subset of ``nb[u]`` for every neighbor ``u``.  A neighbor that failed
+    that test is kept as ``v``'s witness and tried first next time: while it
+    is still a neighbor and still fails, ``v`` is not simplicial and no scan
+    runs.  An eliminated witness has left ``nb[v]``, and its stale bitset is
+    not read.  Eliminating ``v`` takes
     ``w[v]`` from each neighbor's degree and adds the weights of its new
     fill neighbors.
 
@@ -91,13 +98,19 @@ def _min_degree_order(g: list[set[int]], weights: np.ndarray) -> EliminationPlan
     shift = n.bit_length()  # key: not simplicial | degree | index
     index = (1 << shift) - 1
     flag = 1 << (shift + sum(w).bit_length())
+    wit = list(range(n))  # per vertex, the neighbor that last showed it not simplicial
 
     def simplicial(v: int) -> bool:
         nv = nb[v]
+        x = wit[v]
+        if nv & bit[x] and nv & nb[x] != nv:
+            return False
         rest = nv ^ bit[v]
         while rest:
             low = rest & -rest
-            if nv & nb[low.bit_length() - 1] != nv:
+            x = low.bit_length() - 1
+            if nv & nb[x] != nv:
+                wit[v] = x
                 return False
             rest ^= low
         return True

@@ -22,6 +22,7 @@ one-dimensional redundancy per cross node and make K exactly singular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,8 +160,11 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     n_nodes = mesh.n_nodes
     dom = part.domain_of_elem
 
-    # local numbering: the sorted nodes of each domain's elements
-    keys = np.unique(dom[:, None] * n_nodes + mesh.tris)
+    # local numbering: the sorted nodes of each domain's elements, by one
+    # sort and a mask of the first of equal keys (np.unique would import
+    # numpy.ma on recent numpy)
+    keys = np.sort(dom[:, None] * n_nodes + mesh.tris, axis=None)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     first = np.searchsorted(keys, np.arange(n_dom + 1) * n_nodes)
     nd = np.diff(first)
 
@@ -285,8 +289,8 @@ def reduce_domain(sys: SubdomainSystem,
     if sys.A is None:
         raise SolverStateError(
             f"domain {sys.domain} has no A_d: a failed reduce overwrote it")
-    scale = np.abs(sys.A).max()
-    if not np.isfinite(scale):
+    scale = float(np.abs(sys.A).max())
+    if not math.isfinite(scale):
         raise ValueError(f"domain {sys.domain}: matrix has non-finite entries")
     kl = sys.kl
     rows = sys.interface_rows
@@ -295,8 +299,9 @@ def reduce_domain(sys: SubdomainSystem,
     rhs = np.zeros((sys.n_dofs, m + 1), dtype=np.complex128, order="F")
     rhs[rows, :m] = D_r
     rhs[:, m] = sys.f
-    lu, piv, X, _ = zgbsv(kl, kl, sys.A, rhs, overwrite_ab=1, overwrite_b=1)
-    pivot_min = np.abs(lu[2 * kl]).min()
+    # by position: overwrite_ab 1, overwrite_b 1
+    lu, piv, X, _ = zgbsv(kl, kl, sys.A, rhs, 1, 1)
+    pivot_min = float(np.abs(lu[2 * kl]).min())
     if pivot_min <= pivot_tol * scale:
         sys.A = None
         raise SingularDomainError(
@@ -304,7 +309,8 @@ def reduce_domain(sys: SubdomainSystem,
             f"(threshold {pivot_tol * scale:.3e})")
     sys.A, sys.piv = lu, piv
     KG = blas_matmul(D_r.T, X[rows])
-    K_D = 0.5 * (KG[:, :-1] + KG[:, :-1].T)
+    K_D = KG[:, :-1] + KG[:, :-1].T
+    K_D *= 0.5
     return K_D, KG[:, -1].copy()    # a view would keep all of KG alive
 
 
@@ -355,16 +361,13 @@ def recover_primal(systems: list[SubdomainSystem],
     band LU factors and assemble the global vector, averaging the duplicated
     interface values.  ``D_d lambda`` is one product at the interface rows,
     with the entries of the flat ``lam`` that ``lam_index`` names."""
-    n_glob = 1 + max(int(s.dof_map.max()) for s in systems)
-    acc = np.zeros(n_glob, dtype=np.complex128)
-    cnt = np.zeros(n_glob)
+    cnt = np.bincount(np.concatenate([s.dof_map for s in systems]))
+    acc = np.zeros(cnt.size, dtype=np.complex128)
     for sys in systems:
         rhs = sys.f.copy()
         if sys.D.size:
             rhs[sys.interface_rows] -= blas_matmul(sys.D, lam[sys.lam_index])[:, 0]
-        E = sys.solve(rhs)
-        acc[sys.dof_map] += E
-        cnt[sys.dof_map] += 1.0
+        acc[sys.dof_map] += sys.solve(rhs)
     return acc / cnt
 
 

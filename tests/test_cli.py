@@ -367,8 +367,9 @@ class TestExitCodes:
     def test_cold_start_loads_no_scipy_subpackage(self):
         """A fresh process that imports the package and runs one small
         solve loads neither ``scipy.linalg`` nor ``scipy.sparse`` (only
-        ``run_verify`` needs it) nor ``numpy.f2py``.  A later ``import
-        scipy.linalg`` there hands out the very routines the solver holds."""
+        ``run_verify`` needs it) nor ``numpy.f2py`` nor ``numpy.ma``.  A
+        later ``import scipy.linalg`` there hands out the very routines the
+        solver holds."""
         src = str(Path(ddsolve.__file__).resolve().parents[1])
         code = "\n".join([
             "import json, sys",
@@ -376,7 +377,8 @@ class TestExitCodes:
             "import ddsolve",
             "ddsolve.run_pipeline(ddsolve.RunConfig(ddsolve.ProblemConfig(",
             "    side_lambda=1.0, ppw=10, px=2, py=2)))",
-            "loaded = [m for m in ('scipy.linalg', 'scipy.sparse', 'numpy.f2py')",
+            "loaded = [m for m in ('scipy.linalg', 'scipy.sparse', 'numpy.f2py',",
+            "                      'numpy.ma')",
             "          if m in sys.modules]",
             "import scipy.linalg.blas as blas, scipy.linalg.lapack as lapack",
             "from ddsolve import factor, subdomain",

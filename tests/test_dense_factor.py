@@ -392,6 +392,27 @@ def test_blas_matmul_matches_matmul(order):
     assert np.allclose(factor.blas_matmul(A, B[:, 0])[:, 0], A @ B[:, 0],
                        rtol=1e-14, atol=0)
     assert np.array_equal(factor.blas_matmul(A[:, :0], B[:0]), np.zeros((5, 4)))
+    # zgemm's flags go by position: each branch is its keyword call bit for
+    # bit, which pins the wrapper's argument order
+    for b in (B, B[:, 0]):
+        want = (factor.zgemm(1.0, A.T, b, trans_a=1) if order == "C"
+                else factor.zgemm(1.0, A, b))
+        assert factor.blas_matmul(A, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trans", [0, 1])
+def test_unit_lower_solve_is_keyword_ztrsm(trans):
+    # ztrsm's flags go by position: the call is its keyword form bit for
+    # bit, which pins the wrapper's argument order.  L is a full square
+    # without a unit diagonal, so the side, triangle and diag flags all
+    # change the result.
+    rng = np.random.default_rng(20 + trans)
+    L, B = (np.asfortranarray(rng.standard_normal(s) + 1j * rng.standard_normal(s))
+            for s in ((6, 6), (6, 4)))
+    want = factor.ztrsm(1.0, L, B.copy(order="F"), lower=1, trans_a=trans, diag=1)
+    got = factor._unit_lower_solve(L, B, trans)
+    assert np.shares_memory(got, B)     # overwrite_b
+    assert got.tobytes() == want.tobytes()
 
 
 def test_rejects_unsymmetric():

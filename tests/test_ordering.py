@@ -438,6 +438,7 @@ def test_never_worse_than_identity_on_random_suite():
 
 @pytest.mark.parametrize("perm,named", [([0.0, 1.7], "position 1 is 1.7"),
                                         ([[0, 1]], "one-dimensional"),
+                                        ([[0, 1], [2]], "one-dimensional"),
                                         ([1, -1], "position 1 is -1"),
                                         (["a"], "not numbers")])
 def test_positions_must_be_a_sequence_of_integers(perm, named):

@@ -358,6 +358,32 @@ class TestBandStorage:
             assert K_D.tobytes() == (0.5 * (KG[:, :-1] + KG[:, :-1].T)).tobytes()
             assert g_d.tobytes() == KG[:, -1].tobytes()
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reduce_is_keyword_zgbsv(self, seed):
+        # reduce_domain passes zgbsv's flags by position; on a random band
+        # system it gives the keyword call's LU, pivots and solution bit for
+        # bit
+        rng = np.random.default_rng(seed)
+        n, kl = 9, 2
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = np.triu(np.tril(G + G.T, kl), -kl)
+        D = np.zeros((n, 3), dtype=np.complex128)
+        D[[1, 4, 7]] = rng.standard_normal((3, 3))
+        s = subdomain_system(0, A, rng.standard_normal(n) + 0j, [(0, D, 1)])
+        rows = s.interface_rows
+        rhs = np.zeros((n, 4), dtype=np.complex128, order="F")
+        rhs[rows, :3] = s.D
+        rhs[:, 3] = s.f
+        lu, piv, X, info = sd.zgbsv(kl, kl, s.A.copy(order="F"), rhs,
+                                    overwrite_ab=1, overwrite_b=1)
+        KG = factor.blas_matmul(s.D.T, X[rows])
+        K_D, g_d = sd.reduce_domain(s)
+        assert info == 0 and s.kl == kl
+        assert s.A.tobytes() == lu.tobytes()
+        assert s.piv.tobytes() == piv.tobytes()
+        assert K_D.tobytes() == (0.5 * (KG[:, :-1] + KG[:, :-1].T)).tobytes()
+        assert g_d.tobytes() == KG[:, -1].tobytes()
+
     def test_reduce_keeps_no_second_band(self):
         # after the reduce a domain holds its band buffer, now the LU, and
         # its pivots: about 0.02 of the band bytes beyond K_D and g_d here,

@@ -52,9 +52,17 @@ MUTANTS = [
            "            for c in range(k, n - 2):\n",
            "an interchange in the scalar kernel mirrors every trailing column"),
     Mutant("src/ddsolve/factor.py",
-           "            list(map(abs, W[c0 + k:c0 + n])),\n",
-           "            [abs(x.real) + abs(x.imag) for x in W[c0 + k:c0 + n]],\n",
+           "            A = [abs(W[q]) for q in trail_q]\n",
+           "            A = [abs(W[q].real) + abs(W[q].imag) for q in trail_q]\n",
            "the scalar kernel's pivot search compares true moduli, not |Re| + |Im|"),
+    Mutant("src/ddsolve/factor.py",
+           "    return ztrsm(1.0, L, B, 0, 1, trans, 1, 1)\n",
+           "    return ztrsm(1.0, L, B, 0, trans, 1, 1, 1)\n",
+           "the triangular solve passes ztrsm's triangle and transpose flags in order"),
+    Mutant("src/ddsolve/ordering.py",
+           "        if nv & bit[x] and nv & nb[x] != nv:\n",
+           "        if nv & nb[x] != nv:\n",
+           "minimum degree trusts a simplicial witness only while it is a neighbor"),
     Mutant("src/ddsolve/factor.py",
            "    miss = np.flatnonzero(slot_key[slot_key.searchsorted(key)] != key)\n",
            "    miss = key[:0]\n",
