@@ -144,6 +144,17 @@ def exclusive_cumsum(counts) -> np.ndarray:
     return out
 
 
+def first_of_runs(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of 1-D ``a`` that differ from the one before,
+    the first entry included: on a sorted ``a``, the first of each distinct
+    value.  One slice comparison; ``np.unique`` would import ``numpy.ma`` on
+    recent numpy."""
+    mask = np.empty(a.size, dtype=bool)
+    mask[:1] = True
+    np.not_equal(a[1:], a[:-1], out=mask[1:])
+    return mask
+
+
 def ragged_arange(counts: np.ndarray) -> np.ndarray:
     """``arange(c)`` for every ``c`` in ``counts``, concatenated."""
     ends = np.cumsum(counts)

@@ -210,7 +210,9 @@ def fit_loglog_slope(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = (x > 0) & (y > 0)
-    if np.unique(x[keep]).size < 2:
+    # distinct x by a sort and a neighbour comparison (np.unique would
+    # import numpy.ma on recent numpy)
+    if np.count_nonzero(blockmat.first_of_runs(np.sort(x[keep]))) < 2:
         return float("nan")
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 

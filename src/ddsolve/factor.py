@@ -700,8 +700,8 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     # sorted search over the (panel, block row) keys of all slots.
     keys = np.fromiter(chain.from_iterable(K.blocks), np.int64,
                        2 * len(K.blocks)).reshape(-1, 2)
-    ij = plan.order.inverse()[keys]
-    hi, lo = ij.max(axis=1), ij.min(axis=1)
+    bi, bj = plan.order.inverse()[keys].T
+    hi, lo = np.maximum(bi, bj), np.minimum(bi, bj)
     slot_key = np.append(slot_panel * nb + slot_blk, nb * nb)
     key = lo * nb + hi
     at = slot_key.searchsorted(key)
@@ -712,7 +712,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
             f"unconsumed blocks: block {(int(hi[t]), int(lo[t]))} "
             f"of K has no place in the plan")
     r_in_panel = (slot_row0[at] - panel_row0[lo]).tolist()
-    flip = (ij[:, 0] < ij[:, 1]).tolist()
+    flip = (bi < bj).tolist()
     for blk, p, r, f in zip(K.blocks.values(), lo.tolist(), r_in_panel, flip):
         blk = blk.T if f else blk
         work[p][r:r + blk.shape[0]] = blk
@@ -727,7 +727,7 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         raise FactorConsistencyError(
             f"update targets block {(int(slot_blk[rest[t]]), int(parent[t]))} "
             f"outside pattern")
-    del keys, ij, hi, lo, slot_key, key, at, r_in_panel, flip, rest, parent
+    del keys, bi, bj, hi, lo, slot_key, key, at, r_in_panel, flip, rest, parent
     K.validate()
     if not np.isfinite(buf).all():      # validate skips non-finite blocks
         raise ValueError("matrix has non-finite entries")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import exclusive_cumsum, ragged_arange
+from .blockmat import exclusive_cumsum, first_of_runs, ragged_arange
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,6 +29,10 @@ _GAUSS_T = np.array([0.5 - 0.43056815579702629, 0.5 - 0.16999052179242813,
                      0.5 + 0.16999052179242813, 0.5 + 0.43056815579702629])
 _GAUSS_W = np.array([0.17392742256872692, 0.32607257743127305,
                      0.32607257743127305, 0.17392742256872692])
+# the weights of the two endpoints' P1 traces at each Gauss point, (4, 2, 1);
+# complex, so that a load's product by them is the complex multiply by a
+# broadcast complex operand that a per-point loop's scalar weight gets
+_GAUSS_ENDS = np.stack([1.0 - _GAUSS_T, _GAUSS_T], axis=1)[:, :, None] + 0j
 
 
 class AssemblyError(Exception):
@@ -96,9 +100,12 @@ class Mesh:
     def __post_init__(self):
         # boundary_normals needs each boundary edge (a, b) to run from a to b
         # in its CCW owner's order, so that the mesh lies on its left
-        t, e = self.tris[self.boundary_owner], self.boundary_edges
-        runs = (t == e[:, :1]) & (t[:, [1, 2, 0]] == e[:, 1:])
-        bad = np.flatnonzero(~runs.any(axis=1))
+        t0, t1, t2 = self.tris[self.boundary_owner].T
+        a, b = self.boundary_edges.T
+        runs = (t0 == a) & (t1 == b)
+        runs |= (t1 == a) & (t2 == b)
+        runs |= (t2 == a) & (t0 == b)
+        bad = np.flatnonzero(~runs)
         if bad.size:
             i = int(bad[0])
             raise AssemblyError(f"boundary edge {i} is not a half edge of its "
@@ -112,17 +119,11 @@ class Mesh:
     def n_tris(self) -> int:
         return int(self.tris.shape[0])
 
-    def tri_corners(self) -> np.ndarray:
-        """``(M, 3, 2)`` corner coordinates of every triangle.  ``take``
-        gathers the same rows as ``nodes[tris]`` at a tenth of its cost."""
-        return self.nodes.take(self.tris, axis=0)
-
-
-def _signed_areas(p: np.ndarray) -> np.ndarray:
-    """Signed area of each triangle of ``(M, 3, 2)`` corners, positive when
-    counter-clockwise."""
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    def corner_rows(self, corners=(0, 1, 2)):
+        """The coordinates of the given corners of every triangle as one
+        ``(2, len(corners), M)`` array: x then y, each row ``i`` holding
+        corner ``corners[i]`` of all triangles contiguously."""
+        return self.nodes.T.copy().take(self.tris.T[list(corners)], axis=1)
 
 
 @dataclass(eq=False)
@@ -149,8 +150,9 @@ def edge_table(tris: np.ndarray) -> EdgeTable:
     hi = np.maximum(a, b)
     key = lo * (1 + int(tris.max(initial=-1))) + hi
     half = np.argsort(key, kind="stable")
-    first = np.flatnonzero(np.diff(key[half], prepend=-1))
-    edges = np.column_stack([lo[half[first]], hi[half[first]]])
+    first = np.flatnonzero(first_of_runs(key[half]))
+    one = half[first]
+    edges = np.column_stack([lo[one], hi[one]])
     return EdgeTable(edges, half, np.append(first, key.size))
 
 
@@ -200,16 +202,15 @@ def _number_multipliers(ends: np.ndarray, nodes: np.ndarray, start: np.ndarray,
     interface whose ``(dom_lo, dom_hi)`` edge closes a cycle among the
     domains already connected at that node.
     """
-    sizes = np.diff(start)
+    sizes = start[1:] - start[:-1]
     owner = np.repeat(np.arange(sizes.size), sizes)
     pairs = ends.tolist()
     kept = np.ones(nodes.size, dtype=bool)
     # chain positions grouped by node: ascending node, then ascending
     # interface
     by_node = np.argsort(nodes, kind="stable")
-    cut = np.append(np.flatnonzero(np.diff(nodes[by_node], prepend=-1)),
-                    nodes.size)
-    for g in np.flatnonzero(np.diff(cut) > 1).tolist():
+    cut = np.append(np.flatnonzero(first_of_runs(nodes[by_node])), nodes.size)
+    for g in np.flatnonzero(cut[1:] - cut[:-1] > 1).tolist():
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:
@@ -250,18 +251,15 @@ def build_rect_mesh(side_lambda: float, ppw: float) -> Mesh:
     n = grid_intervals(side_lambda, ppw)
     h = side_lambda / n
     xs = np.arange(n + 1) * h
-    X, Y = np.meshgrid(xs, xs, indexing="xy")
-    nodes = np.column_stack([X.reshape(-1), Y.reshape(-1)])
+    nodes = np.empty((n + 1, n + 1, 2))
+    nodes[:, :, 0] = xs
+    nodes[:, :, 1] = xs[:, None]
+    nodes = nodes.reshape(-1, 2)
 
     # cell c = iy * n + ix holds triangles 2c = (v00, v10, v11) and
-    # 2c + 1 = (v00, v11, v01)
-    iy, ix = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    v00 = iy * (n + 1) + ix
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    tris = np.stack([np.column_stack([v00, v10, v11]),
-                     np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
+    # 2c + 1 = (v00, v11, v01), at offsets from v00 = iy * (n + 1) + ix
+    v00 = np.arange(n * (n + 1), dtype=np.int64).reshape(n, n + 1)[:, :n, None]
+    tris = (v00 + np.array([0, 1, n + 2, 0, n + 2, n + 1])).reshape(-1, 3)
 
     # boundary edges, each as half edge j of its one triangle: bottom
     # (v00, v10) of 2c, right (v10, v11) of 2c, top (v11, v01) of 2c + 1 and
@@ -279,48 +277,76 @@ def build_rect_mesh(side_lambda: float, ppw: float) -> Mesh:
 
 
 def _basis_gradients(mesh: Mesh):
-    """Areas and P1 basis gradients of every triangle: ``gx[i]`` and
+    """Signed areas and P1 basis gradients of every triangle: ``gx[i]`` and
     ``gy[i]`` are the gradient components of barycentric basis ``i``, one
     row over all elements, each the opposite edge rotated and divided by
-    twice the area.  A function of its own so that the ``(M, 3, 2)``
-    corners are freed before the stiffness products."""
-    p = mesh.tri_corners()
-    areas = _signed_areas(p)
+    twice the area.  An area that is not positive (a clockwise or
+    degenerate triangle) raises :class:`AssemblyError`.
+
+    The corners are read as contiguous rows in the order 0, 1, 2, 0, 1, so
+    that rows ``1:4`` and ``2:5`` are each corner's two successors and every
+    edge component is one subtraction of two ``(3, M)`` slices.  The area
+    is the cross product of the edges from corner 0, two of those
+    components: ``(x1 - x0)(y2 - y0) - (x0 - x2)(y0 - y1)``, whose second
+    product equals ``(x2 - x0)(y1 - y0)`` up to the sign of a zero, which
+    only a zero area can show."""
+    x, y = mesh.corner_rows((0, 1, 2, 0, 1))
+    gx = y[1:4] - y[2:5]
+    gy = x[2:5] - x[1:4]
+    areas = 0.5 * (gy[2] * gx[1] - gy[1] * gx[2])
     bad = np.flatnonzero(areas <= 0.0)
     if bad.size:
         raise AssemblyError(f"element {int(bad[0])} has non-positive area")
     two_a = 2.0 * areas
-    x, y = p[:, :, 0].T, p[:, :, 1].T
-    gx = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / two_a
-    gy = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / two_a
+    gx /= two_a
+    gy /= two_a
     return areas, gx, gy
+
+
+# the P1 mass templates: Me[e] = area / 12 * _P1_MASS, and an edge's
+# mass is h / 6 * _P1_EDGE_MASS
+_P1_MASS = np.ones((3, 3)) + np.eye(3)
+_P1_EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
+
+
+def _element_blocks(mesh: Mesh, mu_r: float):
+    """P1 stiffness and mass blocks as ``(3, 3, M)`` arrays: entry
+    ``[i, j, e]`` of element ``e``.  ``grad_i . grad_j`` is formed from the
+    gradient rows of :func:`_basis_gradients` and the mass from the module
+    constant template, so every product's inner loop runs over all
+    elements."""
+    areas, gx, gy = _basis_gradients(mesh)
+    Ke = gx[:, None] * gx[None]
+    Ke += gy[:, None] * gy[None]
+    Ke *= areas
+    Ke /= mu_r
+    return Ke, _P1_MASS[:, :, None] * (areas / 12.0)
 
 
 def element_matrices(mesh: Mesh, mu_r: float = 1.0):
     """Per-element P1 stiffness and mass blocks.
 
     Returns ``(Ke, Me)`` with ``Ke[e] = area * grad . grad / mu_r``
-    and ``Me[e] = area / 12 * (ones + I)``.  ``grad_i . grad_j`` is formed
-    as ``(3, 3, M)`` products whose inner loops run over all elements,
-    then laid out element by element.
+    and ``Me[e] = area / 12 * (ones + I)``: the blocks of
+    :func:`_element_blocks`, laid out element by element.
     """
-    areas, gx, gy = _basis_gradients(mesh)
-    Ke = gx[:, None] * gx[None]
-    Ke += gy[:, None] * gy[None]
-    Ke *= areas
-    Ke /= mu_r
-    Ke = np.ascontiguousarray(Ke.transpose(2, 0, 1))
-    Me = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]
-    return Ke, Me
+    return tuple(np.ascontiguousarray(B.transpose(2, 0, 1))
+                 for B in _element_blocks(mesh, mu_r))
 
 
 def edge_lengths(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Length of each ``(a, b)`` node pair.
+    """Length of each ``(a, b)`` node pair: :func:`vector_lengths` of
+    ``b - a``."""
+    a, b = nodes[edges.T]
+    return vector_lengths(b - a)
+
+
+def vector_lengths(d: np.ndarray) -> np.ndarray:
+    """Length of each row of ``d``.
 
     ``np.vecdot`` runs the same BLAS dot per row as ``np.linalg.norm`` does
     on one vector, so each length is bit-identical to that norm.
     """
-    d = nodes[edges[:, 1]] - nodes[edges[:, 0]]
     return np.sqrt(np.vecdot(d, d))
 
 
@@ -328,7 +354,7 @@ def edge_mass(h) -> np.ndarray:
     """1-D P1 mass matrix of an edge of length ``h``; for an array of
     lengths, one ``(2, 2)`` block per entry."""
     h = np.asarray(h, dtype=np.float64)
-    return (h / 6.0)[..., None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+    return (h / 6.0)[..., None, None] * _P1_EDGE_MASS
 
 
 def _dedup_sum(rows, cols, vals, n):
@@ -351,12 +377,15 @@ def _dedup_sum(rows, cols, vals, n):
     return sp.csr_matrix((sums, (rows[starts], cols[starts])), shape=(n, n))
 
 
-def boundary_normals(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Unit outward normal ``(dy, -dx) / |d|`` of each boundary edge, ``d``
-    running as the edge does, counter-clockwise around its owner."""
-    d = nodes[edges[:, 1]] - nodes[edges[:, 0]]
+def boundary_normals(d: np.ndarray) -> np.ndarray:
+    """Unit outward normal ``(dy, -dx) / |d|`` of each boundary edge from
+    its vector ``d = b - a``, running as the edge ``(a, b)`` does,
+    counter-clockwise around its owner.  ``|d|`` is the square root of the
+    two squares summed in column order, the bits of ``np.linalg.norm`` over
+    each row."""
     nrm = np.column_stack([d[:, 1], -d[:, 0]])
-    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    nx, ny = nrm.T
+    nrm /= np.sqrt(nx * nx + ny * ny)[:, None]
     return nrm
 
 
@@ -371,34 +400,38 @@ def boundary_load(mesh: Mesh, edges: np.ndarray, start: np.ndarray,
     ``g = dn(u_inc) - jk u_inc`` is integrated against the P1 traces on each
     edge with 4-point Gauss quadrature.
 
-    Every step but one runs once over all edges.  The projections on the
-    direction (``@``, a BLAS ``dgemv``) round a row differently depending on
-    the batch it is in, so they are taken piece by piece: each piece gets the
-    bits it would get alone.  Contributions add in the order (Gauss point,
-    endpoint, edge), as when each piece is integrated on its own.
+    Every step but one runs once over all edges and all four Gauss points,
+    as ``(Gauss point, edge)`` arrays: each value is the product
+    ``((w h) g)(1 - t)`` or ``((w h) g) t`` of a per-point loop, so it keeps
+    that loop's bits.  The projections on the direction (``@``, a BLAS
+    ``dgemv``) round a row differently depending on the batch it is in, so
+    they are taken piece by piece: each piece gets the bits it would get
+    alone.  Contributions add in the order (Gauss point, endpoint, edge), as
+    when each piece is integrated on its own.
     """
     f = np.zeros(size, dtype=np.complex128)
     if edges.size == 0:
         return f
     d = np.array([math.cos(theta_inc), math.sin(theta_inc)])
-    a = mesh.nodes[edges[:, 0]]
-    b = mesh.nodes[edges[:, 1]]
-    h = edge_lengths(mesh.nodes, edges)
+    a, b = mesh.nodes[edges.T]
+    ab = b - a
+    h = vector_lengths(ab)
     # row 0: the outward normals; row 1 + q: Gauss point q of every edge
-    x = np.concatenate([boundary_normals(mesh.nodes, edges)[None],
-                        a + _GAUSS_T[:, None, None] * (b - a)])
+    x = np.empty((1 + _GAUSS_T.size, *a.shape))
+    x[0] = boundary_normals(ab)
+    np.multiply(_GAUSS_T[:, None, None], ab, out=x[1:])
+    x[1:] += a
     proj = np.empty(x.shape[:2])
     bounds = np.asarray(start).tolist()
     for s, e in zip(bounds[:-1], bounds[1:]):
         if e > s:
-            proj[:, s:e] = x[:, s:e] @ d
+            np.matmul(x[:, s:e], d, out=proj[:, s:e])
     coef = -1j * k * (proj[0] + 1.0)              # g = coef * u_inc on each edge
-    vals = []
-    for t, w, p in zip(_GAUSS_T, _GAUSS_W, proj[1:]):
-        g = coef * np.exp(-1j * k * p)
-        vals += [w * h * g * (1.0 - t), w * h * g * t]
-    np.add.at(f, np.tile(np.asarray(at).T, (_GAUSS_T.size, 1)).reshape(-1),
-              np.concatenate(vals))
+    g = coef * np.exp(-1j * k * proj[1:])
+    wg = (_GAUSS_W[:, None] * h) * g
+    vals = wg[:, None] * _GAUSS_ENDS              # (Gauss point, endpoint, edge)
+    np.add.at(f, np.concatenate([np.asarray(at).T] * _GAUSS_T.size).reshape(-1),
+              vals.reshape(-1))
     return f
 
 
@@ -414,13 +447,14 @@ def helmholtz_blocks(mesh: Mesh, cfg: ProblemConfig, edges: np.ndarray):
     """Element blocks ``Ke - k^2 eps_r Me`` of every triangle, ``(M, 3, 3)``,
     and Robin blocks ``-jk M_edge`` of ``edges``, ``(B, 2, 2)``."""
     k = cfg.k
-    Ke, Me = element_matrices(mesh, cfg.mu_r)
+    Ke, Me = _element_blocks(mesh, cfg.mu_r)
     # subtracting in real arithmetic, then widening, gives the bits of the
-    # complex subtraction (imaginary parts 0.0 - 0.0) without its temporaries
+    # complex subtraction (imaginary parts 0.0 - 0.0) without its
+    # temporaries; the widening lays the blocks out element by element
     Me *= k * k * cfg.eps_r
     Ke -= Me
     del Me
-    return (Ke.astype(np.complex128),
+    return (Ke.transpose(2, 0, 1).astype(np.complex128, order="C"),
             (-1j * k) * edge_mass(edge_lengths(mesh.nodes, edges)))
 
 
@@ -442,6 +476,11 @@ def assemble_helmholtz(mesh: Mesh, cfg: ProblemConfig):
 def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     """Axis-aligned tiling into ``px x py`` domains by element centroid.
 
+    The tiles along x and y are found in one pass over the corners'
+    contiguous rows (:meth:`Mesh.corner_rows`): each centroid is its three
+    corners summed in order and divided by 3, which has the bits of their
+    mean, and no reduction runs over a short axis.
+
     Interfaces are the maximal chains of element edges shared by two distinct
     domains, grouped per (lower, higher) domain pair in ascending pair order
     and, within a pair, walked from their smaller endpoint in ascending
@@ -457,12 +496,14 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
                              f"{py!r}") from None
     if px < 1 or py < 1:
         raise PartitionError("px and py must be at least 1")
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-    span = hi - lo
-    centroids = mesh.tri_corners().mean(axis=1)
-    tx = np.clip(((centroids[:, 0] - lo[0]) / span[0] * px).astype(np.int64), 0, px - 1)
-    ty = np.clip(((centroids[:, 1] - lo[1]) / span[1] * py).astype(np.int64), 0, py - 1)
+    # the tile of each centroid along x (row 0) and y (row 1); a centroid is
+    # its corners summed in order and divided by 3, the bits of their mean
+    c = mesh.corner_rows()
+    nt = mesh.nodes.T.copy()
+    lo, hi = nt.min(axis=1)[:, None], nt.max(axis=1)[:, None]
+    p = np.array([[px], [py]])
+    tile = (((c[:, 0] + c[:, 1] + c[:, 2]) / 3.0 - lo) / (hi - lo) * p).astype(np.int64)
+    tx, ty = np.minimum(np.maximum(tile, 0), p - 1)
     dom = ty * px + tx
     n_domains = px * py
     counts = np.bincount(dom, minlength=n_domains)
@@ -475,16 +516,17 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     # edges shared by two triangles of distinct domains, grouped per
     # (lower, higher) domain pair, each group in sorted (lo, hi) edge order
     tab = edge_table(mesh.tris)
-    two = np.flatnonzero(np.diff(tab.start) == 2)
+    two = np.flatnonzero(tab.start[1:] - tab.start[:-1] == 2)
     d0 = dom[tab.half[tab.start[two]] // 3]
     d1 = dom[tab.half[tab.start[two] + 1] // 3]
     cross = np.flatnonzero(d0 != d1)
     pair = (np.minimum(d0, d1) * n_domains + np.maximum(d0, d1))[cross]
     by_pair = np.argsort(pair, kind="stable")
-    pairs, first = np.unique(pair[by_pair], return_index=True)
+    pair = pair[by_pair]
+    first = np.flatnonzero(first_of_runs(pair))
     shared = tab.edges[two[cross[by_pair]]].tolist()
     bounds = np.append(first, len(shared)).tolist()
-    dlos, dhis = np.divmod(pairs, n_domains)
+    dlos, dhis = np.divmod(pair[first], n_domains)
 
     # per chain: its domain pair, its nodes (concatenated) and its length
     ends, nodes, sizes = [], [], []

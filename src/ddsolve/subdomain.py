@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, ragged_arange
+from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, \
+    first_of_runs, ragged_arange
 from .factor import DEFAULT_PIVOT_TOL, blas_matmul, check_pivot_tol, \
     scipy_linalg_routines
-from .mesh import Mesh, Partition, ProblemConfig, boundary_load, edge_lengths, \
-    edge_mass, helmholtz_blocks, incident_boundary_load
+from .mesh import Mesh, Partition, ProblemConfig, boundary_load, edge_mass, \
+    helmholtz_blocks, incident_boundary_load, vector_lengths
 
 
 zgbsv, zgbtrs = scipy_linalg_routines("_flapack", "zgbsv", "zgbtrs")
@@ -111,7 +112,8 @@ class ReducedSystem:
 
 
 def _chain_mass(mesh: Mesh, nodes: np.ndarray, start: np.ndarray):
-    """Diagonal and superdiagonal of the 1-D P1 mass matrix of each chain.
+    """Diagonal and superdiagonal of the 1-D P1 mass matrix of each chain,
+    and the mask of the chain nodes that are not a chain's last.
 
     ``diag[p]`` belongs to chain node ``p``; ``off[p]`` couples ``p`` and
     ``p + 1`` within a chain and is zero at a chain's last node.
@@ -119,13 +121,13 @@ def _chain_mass(mesh: Mesh, nodes: np.ndarray, start: np.ndarray):
     interior = np.ones(nodes.size, dtype=bool)
     interior[start[1:] - 1] = False
     e = np.flatnonzero(interior)
-    blk = edge_mass(edge_lengths(mesh.nodes, np.column_stack([nodes[e], nodes[e + 1]])))
+    blk = edge_mass(vector_lengths(mesh.nodes[nodes[e + 1]] - mesh.nodes[nodes[e]]))
     diag = np.zeros(nodes.size)
     diag[e] = blk[:, 0, 0]
     diag[e + 1] += blk[:, 1, 1]
     off = np.zeros(nodes.size)
     off[e] = blk[:, 0, 1]
-    return diag, off
+    return diag, off, interior
 
 
 def _mass_entries(diag, off, base, r, c):
@@ -161,58 +163,67 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     dom = part.domain_of_elem
 
     # local numbering: the sorted nodes of each domain's elements, by one
-    # sort and a mask of the first of equal keys (np.unique would import
-    # numpy.ma on recent numpy)
-    keys = np.sort(dom[:, None] * n_nodes + mesh.tris, axis=None)
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    first = np.searchsorted(keys, np.arange(n_dom + 1) * n_nodes)
-    nd = np.diff(first)
-
-    def local(d, v):
-        return np.searchsorted(keys, d * n_nodes + v) - first[d]
-
-    loc = local(dom[:, None], mesh.tris)
+    # sort and a mask of the first of equal keys.  A node's position in
+    # keys is its local index plus first[d].
+    elem_key = dom[:, None] * n_nodes + mesh.tris
+    keys = np.sort(elem_key, axis=None)
+    keys = keys[first_of_runs(keys)]
+    first = keys.searchsorted(np.arange(n_dom + 1) * n_nodes)
+    nd = first[1:] - first[:-1]
+    pos = keys.searchsorted(elem_key)
+    p0, p1, p2 = pos.T
     kl = np.zeros(n_dom, dtype=np.int64)
-    np.maximum.at(kl, dom, loc.max(axis=1) - loc.min(axis=1))
+    np.maximum.at(kl, dom, np.maximum(np.maximum(p0, p1), p2)
+                  - np.minimum(np.minimum(p0, p1), p2))
     ld = 3 * kl + 1
     a_off = exclusive_cumsum(ld * nd)
+    # local entry (i, j) of domain d sits at a_off[d] + j ld[d] + 2 kl[d] + i - j
+    # of the buffer; in positions in keys, at base[d] + pos_i + step[d] pos_j
+    step = ld - 1
+    base = a_off[:-1] + 2 * kl - first[:-1] * ld
 
-    def entry(d, i, j):
-        """Buffer position of local entry (i, j) of domain d's band."""
-        return a_off[d] + j * ld[d] + 2 * kl[d] + i - j
+    def entry(d, pi, pj):
+        """Buffer position of the band entry of domain d at positions
+        (pi, pj) in keys."""
+        return base[d] + pi + step[d] * pj
 
     # element, then Robin blocks
     A_all = np.zeros(int(a_off[-1]), dtype=np.complex128)
     de = dom[:, None, None]
-    np.add.at(A_all, entry(de, loc[:, :, None], loc[:, None, :]).reshape(-1),
+    np.add.at(A_all, entry(de, pos[:, :, None], pos[:, None, :]).reshape(-1),
               Ae.reshape(-1))
-    db = np.repeat(np.arange(n_dom), np.diff(part.boundary_start))[:, None, None]
-    np.add.at(A_all, entry(db, local(db, bd[:, :, None]),
-                           local(db, bd[:, None, :])).reshape(-1), Be.reshape(-1))
+    db = np.repeat(np.arange(n_dom), part.boundary_start[1:] - part.boundary_start[:-1])
+    bpos = keys.searchsorted(db[:, None] * n_nodes + bd)
+    db = db[:, None, None]
+    np.add.at(A_all, entry(db, bpos[:, :, None], bpos[:, None, :]).reshape(-1),
+              Be.reshape(-1))
 
     # interface terms, slot by slot: slot t is interface inc[t] of domain
     # dom_t[t], on its lower side (side_t 0, +alpha) or its higher side
-    # (side_t 1, -alpha); row r of a slot's chain mass holds columns r - 1,
-    # r, r + 1.  at[r_off[t] + r] is the position in keys of chain node r
-    # of slot t.  Each domain's slots come in ascending interface order.
+    # (side_t 1, -alpha).  Slot row r_off[t] + r is chain node r of slot t:
+    # chain position q, position at in keys, domain dk.  Each domain's
+    # slots come in ascending interface order.  The chain mass is
+    # tridiagonal; its diagonal terms are listed first, then its super- and
+    # subdiagonal ones.  Only diagonal entries take terms from two slots (a
+    # node where interfaces meet), since an edge lies on one interface, so
+    # every entry still adds its terms in slot order.
     start = part.chain_start
-    diag, off = _chain_mass(mesh, part.chain_nodes, start)
+    diag, off, interior = _chain_mass(mesh, part.chain_nodes, start)
     inc = part.incident
-    dom_t = np.repeat(np.arange(n_dom), np.diff(part.incident_start))
+    dom_t = np.repeat(np.arange(n_dom), part.incident_start[1:] - part.incident_start[:-1])
     side_t = (part.ends[inc, 1] == dom_t).astype(np.int64)
-    n_chain = np.diff(start)[inc]
+    n_chain = (start[1:] - start[:-1])[inc]
     r_off = exclusive_cumsum(n_chain)
     t = np.repeat(np.arange(inc.size), n_chain)
-    at = np.searchsorted(keys, dom_t[t] * n_nodes
-                         + part.chain_nodes[start[inc[t]] + ragged_arange(n_chain)])
-    t, r, c = _ragged_blocks(n_chain, np.full_like(n_chain, 3))
-    c += r - 1
-    inside = (c >= 0) & (c < n_chain[t])
-    t, r, c = t[inside], r[inside], c[inside]
-    d, base = dom_t[t], start[inc[t]]
-    coef = np.array([1 * alpha, -1 * alpha])   # as sign * alpha, zero signs included
-    np.add.at(A_all, entry(d, at[r_off[t] + r] - first[d], at[r_off[t] + c] - first[d]),
-              coef[side_t[t]] * _mass_entries(diag, off, base, r, c))
+    q = start[inc[t]] + ragged_arange(n_chain)
+    dk = dom_t[t]
+    at = keys.searchsorted(dk * n_nodes + part.chain_nodes[q])
+    rb, cs = base[dk] + at, step[dk] * at     # entry(dk, at_i, at_j) = rb_i + cs_j
+    k = np.flatnonzero(interior[q])           # rows with a successor in their chain
+    coef = np.array([1 * alpha, -1 * alpha])[side_t[t]]   # sign * alpha, zero signs included
+    coef_off = coef[k] * off[q[k]]
+    np.add.at(A_all, np.concatenate([rb + cs, rb[k] + cs[k + 1], rb[k + 1] + cs[k]]),
+              np.concatenate([coef * diag[q], coef_off, coef_off]))
 
     # coupling matrices.  A domain's interface rows are its chain nodes,
     # sorted, and its D holds those rows only, one column per entry of its
@@ -222,24 +233,23 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     is_row = np.zeros(keys.size, dtype=bool)
     is_row[at] = True
     row_at = np.flatnonzero(is_row)
-    u_first = np.searchsorted(row_at, first)
-    n_u = np.diff(u_first)
+    u_first = row_at.searchsorted(first)
+    n_u = u_first[1:] - u_first[:-1]
     lam_pos = exclusive_cumsum(part.n_kept[inc])
-    n_lam = np.diff(part.lam_start)
+    n_lam = part.lam_start[1:] - part.lam_start[:-1]
     d_off = exclusive_cumsum(n_u * n_lam)
     t, r, j = _ragged_blocks(n_chain, part.n_kept[inc])
-    d, base, pos = dom_t[t], start[inc[t]], lam_pos[t] + j
-    u = np.searchsorted(row_at, at[r_off[t] + r]) - u_first[d]
-    col = np.flatnonzero(part.kept)[part.lam_index[pos]] - base
+    d, chain0, lam = dom_t[t], start[inc[t]], lam_pos[t] + j
+    u = row_at.searchsorted(at[r_off[t] + r]) - u_first[d]
+    col = np.flatnonzero(part.kept)[part.lam_index[lam]] - chain0
     D_all = np.zeros(int(d_off[-1]), dtype=np.complex128)
-    D_all[d_off[d] + u * n_lam[d] + pos - part.lam_start[d]] = \
-        (1 - 2 * side_t[t]) * _mass_entries(diag, off, base, r, col)
+    D_all[d_off[d] + u * n_lam[d] + lam - part.lam_start[d]] = \
+        (1 - 2 * side_t[t]) * _mass_entries(diag, off, chain0, r, col)
     rows_all = row_at - np.repeat(first[:-1], n_u)
 
     # loads: one piece per domain, scattered at the domains' local numbering
-    f_all = boundary_load(mesh, bd, part.boundary_start,
-                          np.searchsorted(keys, db[:, :, 0] * n_nodes + bd),
-                          keys.size, cfg.k, cfg.theta_inc)
+    f_all = boundary_load(mesh, bd, part.boundary_start, bpos, keys.size,
+                          cfg.k, cfg.theta_inc)
 
     nodes_all = keys - np.repeat(np.arange(n_dom) * n_nodes, nd)
     first, a_off, u_first, d_off, n_u, n_lam, lam_start, slot_start, inc, \
@@ -375,9 +385,10 @@ def _apply_blocks(blocks: np.ndarray, nodes: np.ndarray,
                   u: np.ndarray) -> np.ndarray:
     """``blocks[e] @ u[nodes[e]]`` for every row ``e``, as explicit products
     summed in column order."""
-    y = blocks[:, :, 0] * u[nodes[:, 0], None]
+    un = u.take(nodes)
+    y = blocks[:, :, 0] * un[:, :1]
     for j in range(1, nodes.shape[1]):
-        y += blocks[:, :, j] * u[nodes[:, j], None]
+        y += blocks[:, :, j] * un[:, j:j + 1]
     return y
 
 
@@ -389,8 +400,10 @@ def global_residual(mesh: Mesh, cfg: ProblemConfig,
     A u is taken element by element (Hughes, Levit & Winget 1983): each
     element block and each outer-boundary Robin block of
     :func:`mesh.helmholtz_blocks` is applied to its nodes' values of
-    ``solution``, and the products are summed into the nodes by
-    ``np.bincount`` on the real and imaginary parts.  f is
+    ``solution``.  The element products are summed into the nodes by
+    ``np.bincount`` on the real and imaginary parts, and the Robin products
+    are then added by ``np.add.at``: every node receives its terms in
+    element order, then in boundary-edge order.  f is
     :func:`mesh.incident_boundary_load`.  The check reads only the mesh, the
     config and the element formula, nothing of the decomposition, and holds
     no global matrix.  It rounds differently from a CSR product ``A @ u``,
@@ -401,13 +414,13 @@ def global_residual(mesh: Mesh, cfg: ProblemConfig,
         raise ValueError(f"solution has shape {solution.shape}, expected ({n},)")
     be = mesh.boundary_edges
     Ae, Be = helmholtz_blocks(mesh, cfg, be)
-    ye = _apply_blocks(Ae, mesh.tris, solution)
+    ye = _apply_blocks(Ae, mesh.tris, solution).reshape(-1)
     del Ae      # free the element blocks before the sums
-    nodes = np.concatenate([mesh.tris.reshape(-1), be.reshape(-1)])
-    y = np.concatenate([ye.reshape(-1), _apply_blocks(Be, be, solution).reshape(-1)])
+    nodes = mesh.tris.reshape(-1)
     r = np.empty(n, dtype=np.complex128)
-    r.real = np.bincount(nodes, y.real, n)
-    r.imag = np.bincount(nodes, y.imag, n)
+    r.real = np.bincount(nodes, ye.real, n)
+    r.imag = np.bincount(nodes, ye.imag, n)
+    np.add.at(r, be.reshape(-1), _apply_blocks(Be, be, solution).reshape(-1))
     f = incident_boundary_load(mesh, be, cfg.k, cfg.theta_inc)
     r -= f
     fnorm = float(np.abs(f).max()) if n else 0.0

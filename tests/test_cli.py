@@ -231,6 +231,20 @@ class TestSweep:
             assert math.isnan(fit_loglog_slope([0, 529], [1.0, 3.0e5]))
         assert fit_loglog_slope([10, 100], [1.0, 100.0]) == pytest.approx(2.0)
 
+    def test_slope_fit_leaves_numpy_ma_unloaded(self):
+        """Counting the distinct dofs imports nothing: ``np.unique`` would
+        load ``numpy.ma`` (about 10 ms) in every sweep process."""
+        src = str(Path(ddsolve.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from ddsolve.driver import fit_loglog_slope; "
+                "assert 'numpy.ma' not in sys.modules; "
+                "slopes = [fit_loglog_slope([121, 225, 361], [1.0, 2.0, 4.0]), "
+                "          fit_loglog_slope([529, 529], [1.0, 2.0])]; "
+                "sys.exit(slopes[1] == slopes[1] or 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr or "numpy.ma loaded"
+
     def test_time_slope_fitted_on_unrounded_times(self, tmp_path,
                                                   monkeypatch):
         # factor times like those of a small sweep: rounded to 3 decimals

@@ -290,6 +290,28 @@ def reference_assemble_helmholtz(mesh, cfg):
     return A, f
 
 
+def reference_global_residual(mesh, cfg, u):
+    """``|A u - f|_inf / |f|_inf`` element by element: each element block,
+    then each Robin block, is applied to its nodes' values as a sum of
+    products in column order and added into its nodes one by one, in
+    element order and then in boundary-edge order."""
+    be = mesh.boundary_edges
+    Ae, Be = mm.helmholtz_blocks(mesh, cfg, be)
+    r = [0j] * mesh.n_nodes
+    for blocks, nodes in ((Ae, mesh.tris), (Be, be)):
+        for blk, idx in zip(blocks.tolist(), nodes.tolist()):
+            x = [u[v] for v in idx]
+            for row, v in zip(blk, idx):
+                y = row[0] * x[0]
+                for a, b in zip(row[1:], x[1:]):
+                    y += a * b
+                r[v] += y
+    f = reference_incident_boundary_load(mesh, be, mesh.boundary_owner, cfg.k,
+                                         cfg.theta_inc)
+    # the moduli by numpy's hypot, which may round apart from Python's abs
+    return float(np.abs(np.array(r) - f).max()) / float(np.abs(f).max())
+
+
 # ---------------------------------------------------------------- comparison
 
 def assert_same(a, b, what):
@@ -502,3 +524,25 @@ def test_every_multiplier_couples_the_two_domains_of_its_interface(tiling):
             for mult in range(kept_start[c.interface], kept_start[c.interface + 1])]
     for mult, doms in enumerate(seen):
         assert doms == part.ends[owner[mult]].tolist(), mult
+
+
+def assert_residual_matches(side, ppw, theta, seed):
+    m = mm.build_rect_mesh(side, ppw)
+    cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, theta_inc=theta)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(m.n_nodes) + 1j * rng.standard_normal(m.n_nodes)
+    got = sd.global_residual(m, cfg, u)
+    assert_same(got, reference_global_residual(m, cfg, u.tolist()), "residual")
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_global_residual_matches_loop_reference(name):
+    side, ppw, _ = GEOMETRIES[name]
+    assert_residual_matches(side, ppw, math.radians(37.0), seed=len(name))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(tilings(), st.integers(0, 2**32 - 1))
+def test_global_residual_matches_loop_reference_on_random_tilings(tiling, seed):
+    side, ppw, _, _ = tiling
+    assert_residual_matches(side, ppw, math.radians(123.4), seed)

@@ -13,7 +13,7 @@ import pytest
 from ddsolve.blockmat import clique_graph
 from ddsolve.config import RunConfig
 from ddsolve.driver import run_pipeline
-from ddsolve.mesh import ProblemConfig
+from ddsolve.mesh import ProblemConfig, build_rect_mesh
 from ddsolve.ordering import reorder_with_plan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +45,9 @@ def test_prints_stage_times_and_the_digests_of_the_library_run():
     order_sha, plan_sha = stage_times.plan_digests(plan)
     assert lines[1 + len(STAGES):] == [
         f"  factor entries      {plan.total_factor_entries}",
+        f"  mesh sha256         {stage_times.mesh_digest(result.mesh)}",
+        f"  systems sha256      {stage_times.systems_digest(result.systems)}",
+        f"  reduced sha256      {stage_times.reduced_digest(result.reduced_system)}",
         f"  order sha256        {order_sha}",
         f"  plan sha256         {plan_sha}",
         f"  factor sha256       {stage_times.factor_digest(F)}",
@@ -123,6 +126,61 @@ def test_factor_digest_tells_panel_shapes_apart():
         stage_times.factor_digest(factor((1, 2)))
     assert stage_times.factor_digest(factor((2, 1))) == \
         stage_times.factor_digest(factor((2, 1)))
+
+
+def _tells_one_changed_entry_apart(digest, make, parts):
+    """``digest(make())`` is reproducible, and changes when one entry of
+    any array ``part(obj)`` of a fresh ``obj = make()`` changes."""
+    base = digest(make())
+    assert digest(make()) == base
+    for i, part in enumerate(parts):
+        obj = make()
+        a = part(obj)
+        a.flat[a.size // 2] += 1
+        assert digest(obj) != base, i
+
+
+MESH_ARRAYS = ("nodes", "tris", "boundary_edges", "boundary_owner")
+SYSTEM_ARRAYS = ("dof_map", "interface_rows", "D", "f", "lam_index", "A", "piv")
+
+
+def test_mesh_digest_tells_one_changed_entry_apart():
+    m = build_rect_mesh(1.0, 10.0)
+
+    def make():
+        return SimpleNamespace(**{k: getattr(m, k).copy() for k in MESH_ARRAYS})
+
+    _tells_one_changed_entry_apart(stage_times.mesh_digest, make,
+                                   [lambda o, k=k: getattr(o, k) for k in MESH_ARRAYS])
+
+
+def test_systems_digest_tells_one_changed_entry_apart():
+    systems = run_pipeline(RunConfig(ProblemConfig(1.0, 10.0, 2, 2))).systems
+
+    def make():
+        return [SimpleNamespace(**{k: getattr(s, k).copy() for k in SYSTEM_ARRAYS})
+                for s in systems]
+
+    _tells_one_changed_entry_apart(stage_times.systems_digest, make,
+                                   [lambda o, k=k: getattr(o[-1], k) for k in SYSTEM_ARRAYS])
+
+
+def test_reduced_digest_tells_one_changed_entry_apart():
+    rsys = run_pipeline(RunConfig(ProblemConfig(1.0, 10.0, 2, 2))).reduced_system
+
+    def make():
+        K = SimpleNamespace(sizes=rsys.K.sizes.copy(),
+                            blocks={k: b.copy() for k, b in rsys.K.blocks.items()})
+        return SimpleNamespace(K=K, g=rsys.g.copy())
+
+    last = list(rsys.K.blocks)[-1]
+    _tells_one_changed_entry_apart(stage_times.reduced_digest, make,
+                                   [lambda r: r.K.sizes, lambda r: r.K.blocks[last],
+                                    lambda r: r.g])
+    # the same keys and blocks in another order
+    reordered = make()
+    reordered.K.blocks = dict(reversed(reordered.K.blocks.items()))
+    assert stage_times.reduced_digest(reordered) != stage_times.reduced_digest(make())
 
 
 def test_rejects_a_malformed_geometry():

@@ -75,6 +75,26 @@ MUTANTS = [
            "                 + ragged_arange(n_slot))\n",
            "                 + np.repeat(n_slot, n_slot) - 1 - ragged_arange(n_slot))\n",
            "each interface's multipliers are numbered in chain order"),
+    Mutant("src/ddsolve/mesh.py",
+           "_GAUSS_ENDS = np.stack([1.0 - _GAUSS_T, _GAUSS_T], axis=1)[:, :, None] + 0j\n",
+           "_GAUSS_ENDS = np.stack([_GAUSS_T, 1.0 - _GAUSS_T], axis=1)[:, :, None] + 0j\n",
+           "the one-pass boundary load weighs endpoint a by 1 - t and b by t"),
+    Mutant("src/ddsolve/mesh.py",
+           "    wg = (_GAUSS_W[:, None] * h) * g\n",
+           "    wg = _GAUSS_W[:, None] * (h * g)\n",
+           "the one-pass boundary load keeps the per-point product order ((w h) g)"),
+    Mutant("src/ddsolve/mesh.py",
+           "        runs |= (t2 == a) & (t0 == b)\n",
+           "",
+           "the half-edge check accepts a boundary edge as any of its owner's three"),
+    Mutant("src/ddsolve/mesh.py",
+           "_P1_MASS = np.ones((3, 3)) + np.eye(3)\n",
+           "_P1_MASS = np.ones((3, 3))\n",
+           "the P1 mass template has 2 on its diagonal"),
+    Mutant("src/ddsolve/subdomain.py",
+           "    np.maximum.at(kl, dom, np.maximum(np.maximum(p0, p1), p2)\n",
+           "    np.maximum.at(kl, dom, np.maximum(p0, p1)\n",
+           "a domain's bandwidth spans all three corners of its elements"),
     Mutant("src/ddsolve/driver.py",
            "RESIDUAL_GATE = 1e-10\n",
            "RESIDUAL_GATE = 1e-6\n",

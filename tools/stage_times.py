@@ -16,6 +16,11 @@ x and y).  Per geometry the script runs ``run_pipeline`` ``--repeat`` times
 - the number of interface blocks and the factor's flop count;
 - per stage of the run's ``report.stages``, the best of its wall times;
 - the plan's ``total_factor_entries``;
+- sha256 digests of what the front end returns: the mesh (nodes,
+  triangles, boundary edges and owners); the subdomain systems as the run
+  leaves them (per domain its ``dof_map``, ``interface_rows``, ``D``,
+  ``f``, ``lam_index``, band buffer and pivots); and the reduced system
+  (K's sizes, its keys in order, its blocks, and g);
 - sha256 digests of the order (``perm`` as little-endian int64) and of the
   whole plan (the order, ``etree_parent`` and every ``pattern[j]``, each
   prefixed by its length); of every array of the block factor (each panel,
@@ -77,6 +82,36 @@ def _array_bytes(a) -> bytes:
     return repr((a.shape, a.dtype.str)).encode() + a.tobytes()
 
 
+def mesh_digest(mesh) -> str:
+    """sha256 of the mesh's four arrays."""
+    h = hashlib.sha256()
+    for a in (mesh.nodes, mesh.tris, mesh.boundary_edges, mesh.boundary_owner):
+        h.update(_array_bytes(a))
+    return h.hexdigest()
+
+
+def systems_digest(systems) -> str:
+    """sha256 of every subdomain system's arrays, in domain order."""
+    h = hashlib.sha256()
+    for s in systems:
+        for a in (s.dof_map, s.interface_rows, s.D, s.f, s.lam_index, s.A, s.piv):
+            h.update(_array_bytes(a))
+    return h.hexdigest()
+
+
+def reduced_digest(rsys) -> str:
+    """sha256 of the reduced system: K's sizes, its keys in order, its
+    blocks, and g."""
+    import numpy as np
+
+    h = hashlib.sha256(_array_bytes(np.asarray(rsys.K.sizes)))
+    h.update(_array_bytes(np.array(list(rsys.K.blocks), dtype="<i8").reshape(-1, 2)))
+    for blk in rsys.K.blocks.values():
+        h.update(_array_bytes(blk))
+    h.update(_array_bytes(rsys.g))
+    return h.hexdigest()
+
+
 def factor_digest(F) -> str:
     """sha256 of every array of the block factor, in factor order."""
     h = hashlib.sha256()
@@ -117,6 +152,9 @@ def report(geometry, repeat: int) -> str:
         *(f"  {stage:<20}{1e3 * t:.2f} ms (best of {repeat})"
           for stage, t in best.items()),
         f"  factor entries      {plan.total_factor_entries}",
+        f"  mesh sha256         {mesh_digest(result.mesh)}",
+        f"  systems sha256      {systems_digest(result.systems)}",
+        f"  reduced sha256      {reduced_digest(result.reduced_system)}",
         f"  order sha256        {order_sha}",
         f"  plan sha256         {plan_sha}",
         f"  factor sha256       {factor_digest(F)}",
