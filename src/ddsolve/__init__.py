@@ -17,7 +17,7 @@ from .mesh import AssemblyError, Mesh, Partition, PartitionError, ProblemConfig,
 from .ordering import Ordering, OrderingError, load_ordering_file, reorder
 from .subdomain import ReducedSystem, SingularDomainError, SubdomainSystem, \
     assemble_reduced, build_subdomain_systems, global_residual, recover_primal, \
-    reduce_domain
+    reduce_domain, reduce_domains, tile_classes
 from .symbolic import EliminationPlan, symbolic_factor
 
 __version__ = "0.1.0"
@@ -33,6 +33,6 @@ __all__ = [
     "build_subdomain_systems", "clique_graph", "dense_ldlt_bk",
     "from_blocks", "global_residual", "load_blk", "load_ordering_file",
     "parse_config_file", "partition_mesh", "recover_primal",
-    "reduce_domain", "reorder", "run_pipeline", "run_sweep", "run_verify",
-    "save_blk", "symbolic_factor",
+    "reduce_domain", "reduce_domains", "reorder", "run_pipeline", "run_sweep",
+    "run_verify", "save_blk", "symbolic_factor", "tile_classes",
 ]

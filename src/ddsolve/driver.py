@@ -49,8 +49,9 @@ class SolveReport:
     row and the text report print them to 3 decimals.  ``factor_time_s``
     and ``solve_time_s`` are the wall times of the ``numeric-factor`` and
     ``numeric-solve`` entries of ``stages``.  ``flops`` and ``n_2x2_pivots``
-    are the block factor's counts from ``FactorStats``; ``text()`` prints
-    them and the CSV row leaves them out."""
+    are the block factor's counts from ``FactorStats``, and ``n_classes``
+    the number of tile classes the reduce factored (one band LU each);
+    ``text()`` prints them and the CSV row leaves them out."""
 
     case_id: str
     n_dofs: int
@@ -64,6 +65,7 @@ class SolveReport:
     growth_factor: float
     flops: int = 0
     n_2x2_pivots: int = 0
+    n_classes: int = 0
     status: str = "ok"
     detail: str = ""
     # populated by verify runs only
@@ -90,7 +92,8 @@ class SolveReport:
                  f"residual (inf)  : {self.residual_inf:.3e}",
                  f"growth factor   : {self.growth_factor:.3f}",
                  f"factor flops    : {self.flops}",
-                 f"2x2 pivots      : {self.n_2x2_pivots}"]
+                 f"2x2 pivots      : {self.n_2x2_pivots}",
+                 f"tile classes    : {self.n_classes}"]
         if self.rel_diff_monolithic is not None:
             lines.append(f"vs monolithic   : {self.rel_diff_monolithic:.3e}")
         return "\n".join(lines)
@@ -152,8 +155,8 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
     part = _staged(stages, "partition", partition_mesh, mesh, cfg.px, cfg.py)
     systems = _staged(stages, "subdomains", subdomain.build_subdomain_systems,
                       mesh, part, cfg)
-    reduced = _staged(stages, "reduce", lambda: [
-        subdomain.reduce_domain(s, run.pivot_tol) for s in systems])
+    reduced, n_classes = _staged(stages, "reduce", subdomain.reduce_domains,
+                                 systems, run.pivot_tol)
     rsys = _staged(stages, "assemble-reduced", subdomain.assemble_reduced,
                    reduced, part)
     del reduced     # K and g hold copies of every (K_D, g_d)
@@ -174,6 +177,7 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
         n_dofs=mesh.n_nodes,
         n_lambda=rsys.n_lambda,
         n_blocks=rsys.K.nblocks,
+        n_classes=n_classes,
         factor_time_s=wall["numeric-factor"],
         solve_time_s=wall["numeric-solve"],
         factor_bytes=16 * F.stats.factor_entries,

@@ -13,6 +13,17 @@ nodes, so it is built and solved in LAPACK band storage (``zgbsv``); no
 dense n_d x n_d array is formed.  Eliminating the subdomain unknowns yields
 the reduced block system ``K lambda = g`` with one supernode per interface.
 
+Tile classes: the medium is homogeneous and the mesh's coordinates are
+exact multiples of its spacing (:func:`mesh.grid_spacing`), so tiles of one
+shape and one position pattern of interfaces and signs get byte-equal band
+buffers, coupling rows and interface rows.  :func:`tile_classes` groups
+them (9 classes on any tiling of at least 3x3 tiles that divides the grid),
+and :func:`reduce_domains` factors each class once, as finite-array domain
+decomposition factors one unit cell for every repeated cell (Vouvakis,
+Cendes & Lee 2006).  Only the members' loads differ, and an interior tile
+carries none.  Every K_D, g_d and recovered value keeps the bits it gets
+when its domain is reduced and recovered alone.
+
 Multiplier space: one dof per interface chain node, except that at nodes
 where several interfaces meet, the interfaces whose domain pair closes a
 cycle in the local domain-connectivity graph drop their dof at that node.
@@ -270,6 +281,86 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     return systems
 
 
+def tile_classes(systems: list[SubdomainSystem]) -> list[list[int]]:
+    """Positions in ``systems`` of the domains that share one band system,
+    class by class in order of each class's first member, each class in
+    domain order.
+
+    Two domains share a class when their band buffers, coupling rows
+    ``D`` and ``interface_rows`` are byte-equal: they then factor to the
+    same LU and give the same K_D.  Domains are grouped by a cheap key (the
+    band's and D's shapes and the interface rows' bytes), and a candidate
+    joins a class only when its D and its whole band buffer equal the
+    class's first member's.
+    """
+    reps: dict[tuple, list[list[int]]] = {}
+    classes: list[list[int]] = []
+    for i, s in enumerate(systems):
+        if s.A is None:     # a failed reduce's domain: alone, so that it raises
+            classes.append([i])
+            continue
+        key = (s.A.shape, s.D.shape, s.interface_rows.tobytes())
+        for members in reps.setdefault(key, []):
+            rep = systems[members[0]]
+            # bytes compare bits (-0.0 is not +0.0); A.T reads a
+            # Fortran-ordered band buffer in memory order
+            if (rep.D.tobytes() == s.D.tobytes()
+                    and rep.A.T.tobytes() == s.A.T.tobytes()):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+            reps[key].append(classes[-1])
+    return classes
+
+
+def _reduce_class(members: list[SubdomainSystem], pivot_tol: float):
+    """``(K_D, g_d)`` of every member of one tile class: one ``zgbsv`` on
+    the first member's band, whose right-hand side holds D's columns at the
+    interface rows and one column per member with a nonzero load.  K_D is
+    one array shared by the members; a member without load gets a zero g_d.
+    Every member then holds the one LU and its pivots."""
+    check_pivot_tol(pivot_tol)
+    for s in members:
+        if s.piv is not None:
+            raise SolverStateError(
+                f"domain {s.domain} is already reduced: its A holds the LU factors")
+        if s.A is None:
+            raise SolverStateError(
+                f"domain {s.domain} has no A_d: a failed reduce overwrote it")
+    rep = members[0]
+    scale = float(np.abs(rep.A).max())
+    if not math.isfinite(scale):
+        raise ValueError(f"domain {rep.domain}: matrix has non-finite entries")
+    kl = rep.kl
+    rows = rep.interface_rows
+    D_r = rep.D
+    m = D_r.shape[1]
+    loaded = [np.count_nonzero(s.f) != 0 for s in members]
+    loads = [s.f for s, has_load in zip(members, loaded) if has_load]
+    rhs = np.zeros((rep.n_dofs, m + len(loads)), dtype=np.complex128, order="F")
+    rhs[rows, :m] = D_r
+    for col, f in enumerate(loads, m):
+        rhs[:, col] = f
+    # by position: overwrite_ab 1, overwrite_b 1
+    lu, piv, X, _ = zgbsv(kl, kl, rep.A, rhs, 1, 1)
+    pivot_min = float(np.abs(lu[2 * kl]).min())
+    if pivot_min <= pivot_tol * scale:
+        rep.A = None
+        raise SingularDomainError(
+            f"domain {rep.domain} is singular: smallest LU pivot {pivot_min:.3e} "
+            f"(threshold {pivot_tol * scale:.3e})")
+    for s in members:
+        s.A, s.piv = lu, piv
+    KG = blas_matmul(D_r.T, X[rows])
+    K_D = KG[:, :m] + KG[:, :m].T
+    K_D *= 0.5
+    # one copy of the load columns, as a view would keep all of KG alive
+    g = iter(KG[:, m:].T.copy())
+    return [(K_D, next(g) if has_load else np.zeros(m, dtype=np.complex128))
+            for has_load in loaded]
+
+
 def reduce_domain(sys: SubdomainSystem,
                   pivot_tol: float = DEFAULT_PIVOT_TOL):
     """Eliminate the subdomain unknowns: one LAPACK call (``zgbsv``: band LU
@@ -277,8 +368,10 @@ def reduce_domain(sys: SubdomainSystem,
     ``K_D = D^T A^-1 D`` (symmetrized, as A_d is complex symmetric) and
     ``g_d = D^T A^-1 f``, ordered by the domain's ``lam_index``.  D is
     nonzero only at the interface rows r, so it enters the right-hand side
-    there, and ``[K_D g_d] = D_r^T X[r]``; K_D is exactly symmetric.  The
-    factors are cached on the system for primal recovery.
+    there, and ``[K_D g_d] = D_r^T X[r]``; K_D is exactly symmetric.  A zero
+    load takes no solve column and gives a zero g_d.  The factors are cached
+    on the system for primal recovery.  This is :func:`reduce_domains` for
+    a class of one.
 
     A_d is factored in place: afterwards ``sys.A`` holds the LU and
     ``sys.piv`` its pivots, also when f2py has to copy an ``A`` that is not
@@ -292,36 +385,24 @@ def reduce_domain(sys: SubdomainSystem,
     an exactly singular A_d included, after which ``sys.A`` is None: the
     buffer holds the failed factors, which no later stage may read as A_d.
     """
-    check_pivot_tol(pivot_tol)
-    if sys.piv is not None:
-        raise SolverStateError(
-            f"domain {sys.domain} is already reduced: its A holds the LU factors")
-    if sys.A is None:
-        raise SolverStateError(
-            f"domain {sys.domain} has no A_d: a failed reduce overwrote it")
-    scale = float(np.abs(sys.A).max())
-    if not math.isfinite(scale):
-        raise ValueError(f"domain {sys.domain}: matrix has non-finite entries")
-    kl = sys.kl
-    rows = sys.interface_rows
-    D_r = sys.D
-    m = D_r.shape[1]
-    rhs = np.zeros((sys.n_dofs, m + 1), dtype=np.complex128, order="F")
-    rhs[rows, :m] = D_r
-    rhs[:, m] = sys.f
-    # by position: overwrite_ab 1, overwrite_b 1
-    lu, piv, X, _ = zgbsv(kl, kl, sys.A, rhs, 1, 1)
-    pivot_min = float(np.abs(lu[2 * kl]).min())
-    if pivot_min <= pivot_tol * scale:
-        sys.A = None
-        raise SingularDomainError(
-            f"domain {sys.domain} is singular: smallest LU pivot {pivot_min:.3e} "
-            f"(threshold {pivot_tol * scale:.3e})")
-    sys.A, sys.piv = lu, piv
-    KG = blas_matmul(D_r.T, X[rows])
-    K_D = KG[:, :-1] + KG[:, :-1].T
-    K_D *= 0.5
-    return K_D, KG[:, -1].copy()    # a view would keep all of KG alive
+    return _reduce_class([sys], pivot_tol)[0]
+
+
+def reduce_domains(systems: list[SubdomainSystem],
+                   pivot_tol: float = DEFAULT_PIVOT_TOL):
+    """:func:`reduce_domain` of every domain, one band LU per tile class
+    (:func:`tile_classes`): returns the ``(K_D, g_d)`` pairs in domain
+    order and the number of classes.  Each pair has the bits that
+    :func:`reduce_domain` gives that domain alone.  Classes are reduced in
+    order of their first member, so a singular A_d raises for the lowest
+    domain that has it."""
+    reduced = [None] * len(systems)
+    classes = tile_classes(systems)
+    for members in classes:
+        pairs = _reduce_class([systems[i] for i in members], pivot_tol)
+        for i, pair in zip(members, pairs):
+            reduced[i] = pair
+    return reduced, len(classes)
 
 
 def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
@@ -370,14 +451,37 @@ def recover_primal(systems: list[SubdomainSystem],
     """Back-substitute ``E_d = A_d^-1 (f_d - D_d lambda)`` with the cached
     band LU factors and assemble the global vector, averaging the duplicated
     interface values.  ``D_d lambda`` is one product at the interface rows,
-    with the entries of the flat ``lam`` that ``lam_index`` names."""
+    with the entries of the flat ``lam`` that ``lam_index`` names.
+
+    Systems that hold one LU, the members of a tile class after
+    :func:`reduce_domains`, are solved together: one product ``D Lambda``
+    and one ``zgbtrs``, one column per member.  Each column has the bits of
+    that member's solve alone, and the columns add into the global vector
+    in domain order."""
     cnt = np.bincount(np.concatenate([s.dof_map for s in systems]))
     acc = np.zeros(cnt.size, dtype=np.complex128)
-    for sys in systems:
-        rhs = sys.f.copy()
+    # an unreduced system is a class of its own, whose solve raises
+    classes: dict[int, list[int]] = {}
+    for i, s in enumerate(systems):
+        classes.setdefault(id(s if s.piv is None else s.piv), []).append(i)
+    E = [None] * len(systems)
+    for members in classes.values():
+        sys = systems[members[0]]
+        if len(members) == 1:
+            rhs = sys.f.copy()
+            if sys.D.size:
+                rhs[sys.interface_rows] -= blas_matmul(sys.D, lam[sys.lam_index])[:, 0]
+            E[members[0]] = sys.solve(rhs)
+            continue
+        rhs = np.array([systems[i].f for i in members]).T     # Fortran-ordered
         if sys.D.size:
-            rhs[sys.interface_rows] -= blas_matmul(sys.D, lam[sys.lam_index])[:, 0]
-        acc[sys.dof_map] += sys.solve(rhs)
+            lam_cols = lam[np.array([systems[i].lam_index for i in members]).T]
+            rhs[sys.interface_rows] -= blas_matmul(sys.D, lam_cols)
+        X = sys.solve(rhs)
+        for j, i in enumerate(members):
+            E[i] = X[:, j]
+    for sys, x in zip(systems, E):
+        acc[sys.dof_map] += x
     return acc / cnt
 
 

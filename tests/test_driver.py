@@ -85,9 +85,12 @@ def test_text_report_prints_the_factor_counts(small_cfg, tmp_path):
     assert (r.report.flops, r.report.n_2x2_pivots) == \
         (stats.flops, stats.n_2x2_pivots)
     lines = r.report.text().splitlines()
-    assert lines[9:12] == [f"growth factor   : {stats.growth_factor:.3f}",
+    assert lines[9:13] == [f"growth factor   : {stats.growth_factor:.3f}",
                            f"factor flops    : {stats.flops}",
-                           f"2x2 pivots      : {stats.n_2x2_pivots}"]
+                           f"2x2 pivots      : {stats.n_2x2_pivots}",
+                           f"tile classes    : {r.report.n_classes}"]
+    # one band LU per class, which every member holds
+    assert r.report.n_classes == len({id(s.A) for s in r.systems})
     assert stats.flops > 0
     assert len(r.report.csv_row()) == 12     # the CSV schema stays
 
@@ -127,18 +130,18 @@ def test_schur_complements_are_freed_once_k_is_assembled(small_cfg, tmp_path,
     # assemble_reduced copies every (K_D, g_d) into K and g, so none of them
     # may outlive the assemble-reduced stage
     refs, alive = [], []
-    reduce_domain, clique_graph = subdomain.reduce_domain, blockmat.clique_graph
+    reduce_domains, clique_graph = subdomain.reduce_domains, blockmat.clique_graph
 
     def watched_reduce(*args, **kwargs):
-        out = reduce_domain(*args, **kwargs)
-        refs.extend(weakref.ref(a) for a in out)
+        out = reduce_domains(*args, **kwargs)
+        refs.extend(weakref.ref(a) for pair in out[0] for a in pair)
         return out
 
     def counting_clique_graph(K):
         alive.append(sum(r() is not None for r in refs))
         return clique_graph(K)
 
-    monkeypatch.setattr(subdomain, "reduce_domain", watched_reduce)
+    monkeypatch.setattr(subdomain, "reduce_domains", watched_reduce)
     monkeypatch.setattr(blockmat, "clique_graph", counting_clique_graph)
     result = library_run(small_cfg, tmp_path)
     assert len(refs) == 2 * len(result.systems) and alive == [0]
@@ -162,7 +165,7 @@ FAILURES = [
     ("mesh", driver, "build_rect_mesh", "solve", []),
     ("partition", driver, "partition_mesh", "solve", []),
     ("subdomains", subdomain, "build_subdomain_systems", "solve", []),
-    ("reduce", subdomain, "reduce_domain", "solve", []),
+    ("reduce", subdomain, "reduce_domains", "solve", []),
     ("assemble-reduced", subdomain, "assemble_reduced", "solve", []),
     ("dump-k", blockmat, "save_blk", "solve", DUMP_K),
     ("clique-graph", blockmat, "clique_graph", "solve", []),

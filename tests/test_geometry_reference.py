@@ -10,6 +10,7 @@ densified first; the dense copies must equal the loops' dense arrays.
 """
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,10 +23,36 @@ from ddsolve import blockmat, mesh as mm, subdomain as sd
 
 # ---------------------------------------------------------------- references
 
+# 4-point Gauss-Legendre rule on [0, 1]: the points 1/2 -+ x/2 and the
+# weights w/2 of the rule on [-1, 1] (x = 0.8611363115940526 with weight
+# 0.3478548451374538, x = 0.3399810435848563 with weight 0.6521451548625461)
+REF_GAUSS = [(0.5 - 0.43056815579702629, 0.17392742256872692),
+             (0.5 - 0.16999052179242813, 0.32607257743127305),
+             (0.5 + 0.16999052179242813, 0.32607257743127305),
+             (0.5 + 0.43056815579702629, 0.17392742256872692)]
+
+
+def reference_grid_spacing(side_lambda, n):
+    """The double ``side_lambda / n`` rounded, ties to even, to the nearest
+    multiple of the power of two that leaves it ``53 - n.bit_length()``
+    significant bits, in exact rational arithmetic: then ``n * h`` needs at
+    most 53 bits."""
+    q = Fraction(side_lambda / n)
+    bits = 53 - n.bit_length()
+    # 2**(e - 1) <= q < 2**e
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if q >= Fraction(2) ** e:
+        e += 1
+    elif q < Fraction(2) ** (e - 1):
+        e -= 1
+    unit = Fraction(2) ** (e - bits)
+    return float(round(q / unit) * unit)
+
+
 def reference_build_rect_mesh(side_lambda, ppw):
     n = mm.grid_intervals(side_lambda, ppw)
-    h = side_lambda / n
-    xs = np.arange(n + 1) * h
+    h = reference_grid_spacing(side_lambda, n)
+    xs = np.array([float(i * Fraction(h)) for i in range(n + 1)])
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([X.reshape(-1), Y.reshape(-1)])
 
@@ -186,7 +213,7 @@ def reference_incident_boundary_load(mesh, edges, owners, k, theta_inc):
     nrm[(nrm * inward).sum(axis=1) > 0.0] *= -1.0
     h = mm.edge_lengths(mesh.nodes, edges)
     coef = -1j * k * (nrm @ d + 1.0)
-    for t, w in zip(mm._GAUSS_T, mm._GAUSS_W):
+    for t, w in REF_GAUSS:
         pts = a + t * (b - a)
         uinc = np.exp(-1j * k * (pts @ d))
         g = coef * uinc

@@ -8,6 +8,9 @@ import pytest
 
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import memory_table  # noqa: E402
+
 STAGES = ["mesh", "partition", "subdomains", "reduce", "assemble-reduced",
           "clique-graph", "ordering", "numeric-factor", "numeric-solve",
           "recover", "residual"]
@@ -32,6 +35,8 @@ def test_prints_every_measure_and_stage():
     for label in ("max RSS (median of 3 runs)", "traced peak of run_pipeline",
                   "band buffers (A_d, then LU)", "K stored blocks", "SuperLU L+U"):
         assert label in out
+    # 9 tile classes of 16 domains: each class's one LU and pivots counted once
+    assert "MB   (9 tile classes, one LU each)" in out
     # the median of three fresh processes lies in their range
     label = "max RSS (median of 3 runs)"
     low, high = out.split(label)[1].split("(range ")[1].split(" MB")[0].split("-")
@@ -49,3 +54,12 @@ def test_rejects_a_malformed_geometry():
     proc = run_tool("2,10")
     assert proc.returncode == 2
     assert "SIDE,PPW,PXxPY" in proc.stderr
+
+
+def test_band_bytes_count_each_class_lu_once():
+    tr = memory_table.child_traced((2.0, 10.0, 4, 4))
+    systems = memory_table.run_geometry((2.0, 10.0, 4, 4)).systems
+    distinct = {id(s.A): s for s in systems}.values()
+    assert tr["classes"] == len(distinct) == 9
+    assert tr["band"] == sum(s.A.nbytes + s.piv.nbytes for s in distinct)
+    assert tr["band"] < sum(s.A.nbytes + s.piv.nbytes for s in systems)

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ class TestBuildRectMesh:
             mm.build_rect_mesh(-1.0, 10)
         with pytest.raises(ValueError):
             mm.build_rect_mesh(1.0, 1)
+
+    @pytest.mark.parametrize("side,ppw", [
+        (1.0, 22), (2.4, 10), (2.0, 10), (7.0, 13), (8.0, 20), (16.0, 10),
+        (0.7, 23), (1.3, 11), (20.0, 26), (3.0, 13)])
+    def test_every_coordinate_is_exactly_i_times_h(self, side, ppw):
+        m = mm.build_rect_mesh(side, ppw)
+        n = mm.grid_intervals(side, ppw)
+        xs = m.nodes[:n + 1, 0]
+        h = Fraction(float(xs[1]))
+        # exact rational arithmetic: no rounding in i * h
+        assert [Fraction(float(x)) for x in xs] == [i * h for i in range(n + 1)]
+        assert np.array_equal(m.nodes.reshape(n + 1, n + 1, 2)[:, 0, 1], xs)
+        # h moved from side / n by at most 2**(bit_length(n) - 53) relative
+        assert abs(h / Fraction(side / n) - 1) <= Fraction(2) ** (n.bit_length() - 53)
+
+    def test_equal_cells_have_byte_equal_element_blocks(self):
+        # coordinate differences are exact, so every lower (upper) triangle
+        # of the grid has the same stiffness and mass bits
+        Ke, Me = mm.element_matrices(mm.build_rect_mesh(2.4, 10))
+        for B in (Ke, Me):
+            for parity in (0, 1):
+                bits = B.view(np.uint64)
+                assert (bits[parity::2] == bits[parity]).all()
 
 
 class TestElementMatrices:

@@ -10,12 +10,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from ddsolve import mesh as mm
+from ddsolve import mesh as mm, subdomain as sd
 from ddsolve.config import RunConfig
 from ddsolve.driver import AGREEMENT_GATE, RESIDUAL_GATE, run_pipeline, run_verify
-from ddsolve.factor import SCALAR_MAX, FactorConsistencyError, block_ldlt
+from ddsolve.factor import SCALAR_MAX, FactorConsistencyError, blas_matmul, \
+    block_ldlt, block_solve
 from test_block_factor import reference_block_ldlt
 from test_geometry_reference import tilings
 
@@ -113,3 +114,57 @@ def test_factor_rejects_a_plan_missing_an_inherited_block(tiling, data):
     a, b = named_block(err.value)
     assert a > b and a not in pattern[b].tolist()
     assert (a, b) == named_block(ref.value)
+
+
+def reference_reduce_domain(s):
+    """The reduce of one domain on its own: one ``zgbsv`` whose right-hand
+    side is D's columns and the load, whatever the load."""
+    rows, m = s.interface_rows, s.D.shape[1]
+    rhs = np.zeros((s.n_dofs, m + 1), dtype=np.complex128, order="F")
+    rhs[rows, :m] = s.D
+    rhs[:, m] = s.f
+    s.A, s.piv, X, info = sd.zgbsv(s.kl, s.kl, s.A, rhs)
+    assert info == 0
+    KG = blas_matmul(s.D.T, X[rows])
+    return 0.5 * (KG[:, :-1] + KG[:, :-1].T), KG[:, -1].copy()
+
+
+def reference_recover_primal(systems, lam):
+    """Back-substitution domain by domain, one solve each."""
+    cnt = np.bincount(np.concatenate([s.dof_map for s in systems]))
+    acc = np.zeros(cnt.size, dtype=np.complex128)
+    for s in systems:
+        rhs = s.f.copy()
+        if s.D.size:
+            rhs[s.interface_rows] -= blas_matmul(s.D, lam[s.lam_index])[:, 0]
+        acc[s.dof_map] += s.solve(rhs)
+    return acc / cnt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tilings(), st.floats(0.0, 2.0 * math.pi))
+@example((1.0, 10, 1, 1), 0.3)        # one domain, no interface
+@example((2.4, 10, 12, 12), 0.3)      # 9 classes of 144 domains
+@example((7.0, 13, 5, 5), 1.1)        # tiles that do not divide the grid
+def test_tile_classes_keep_every_bit_of_the_per_domain_path(tiling, theta):
+    """Reducing and recovering once per tile class gives K, g, lambda, the
+    solution and the residual of the domain-by-domain path bit for bit."""
+    side, ppw, px, py = tiling
+    problem = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=px, py=py,
+                               theta_inc=theta)
+    r = run_pipeline(RunConfig(problem))
+    m = mm.build_rect_mesh(side, ppw)
+    part = mm.partition_mesh(m, px, py)
+    systems = sd.build_subdomain_systems(m, part, problem)
+    rsys = sd.assemble_reduced([reference_reduce_domain(s) for s in systems], part)
+    K = r.reduced_system.K
+    assert list(K.blocks) == list(rsys.K.blocks)
+    for key, blk in rsys.K.blocks.items():
+        assert K.blocks[key].tobytes() == blk.tobytes(), key
+    assert r.reduced_system.g.tobytes() == rsys.g.tobytes()
+    lam = block_solve(r.block_factor, rsys.g)
+    assert lam.tobytes() == r.lam.tobytes()
+    sol = reference_recover_primal(systems, lam)
+    assert sol.tobytes() == r.solution.tobytes()
+    assert sd.global_residual(m, problem, sol) == r.report.residual_inf
+    assert r.report.n_classes == len({id(s.piv) for s in r.systems}) <= len(systems)

@@ -37,7 +37,8 @@ def test_prints_stage_times_and_the_digests_of_the_library_run():
 
     result = run_pipeline(RunConfig(ProblemConfig(2.0, 10.0, 4, 4, theta_inc=0.3)))
     F, plan = result.block_factor, result.plan
-    assert lines[0] == ("2 wavelengths, ppw 10, 4x4 tiles: 24 blocks, "
+    assert result.report.n_classes == 9
+    assert lines[0] == ("2 wavelengths, ppw 10, 4x4 tiles: 9 tile classes, 24 blocks, "
                         f"{F.stats.flops:.3g} flops")
     timed = lines[1:1 + len(STAGES)]
     assert [line.split()[0] for line in timed] == STAGES

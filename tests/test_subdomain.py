@@ -356,7 +356,13 @@ class TestBandStorage:
             assert s.A.tobytes() == lu.tobytes()
             assert s.piv.tobytes() == piv.tobytes()
             assert K_D.tobytes() == (0.5 * (KG[:, :-1] + KG[:, :-1].T)).tobytes()
-            assert g_d.tobytes() == KG[:, -1].tobytes()
+            if s.f.any():
+                assert g_d.tobytes() == KG[:, -1].tobytes()
+            else:
+                # no solve column: +0.0 where the solve of a zero load may
+                # leave -0.0, which adds into g as +0.0 does
+                assert g_d.tobytes() == np.zeros_like(g_d).tobytes()
+                assert not KG[:, -1].any()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reduce_is_keyword_zgbsv(self, seed):
@@ -402,6 +408,21 @@ class TestBandStorage:
         returned = sum(K_D.nbytes + g_d.nbytes for K_D, g_d in reduced)
         assert held - returned < 0.25 * band
 
+    def test_bandwidth_reads_all_three_corners(self):
+        # in the grid's own corner order an upper triangle's corners 0 and 1
+        # already span its nodes; rolled one place (same triangle, same
+        # orientation) its highest node is corner 2, as in every lower one
+        m = mm.build_rect_mesh(1.0, 10)
+        part = mm.partition_mesh(m, 2, 2)
+        tris = m.tris.copy()
+        tris[1::2] = np.roll(tris[1::2], 1, axis=1)
+        assert (tris.argmax(axis=1) == 2).all()
+        rolled = mm.Mesh(m.nodes, tris, m.boundary_edges, m.boundary_owner)
+        cfg = mm.ProblemConfig(side_lambda=1.0, ppw=10, px=2, py=2)
+        for s in sd.build_subdomain_systems(rolled, part, cfg):
+            loc = np.searchsorted(s.dof_map, tris[part.domain_of_elem == s.domain])
+            assert s.kl == (loc.max(axis=1) - loc.min(axis=1)).max()
+
     def test_factor_is_band_lu(self):
         cfg = mm.ProblemConfig(side_lambda=1.0, ppw=22, px=2, py=2, theta_inc=0.3)
         m = mm.build_rect_mesh(1.0, 22)
@@ -413,6 +434,80 @@ class TestBandStorage:
             rhs = np.arange(s.n_dofs) + 1j
             x = s.solve(rhs)
             assert np.abs(A @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def _tile(domain, f, band_delta=0.0, D=((1.0,), (0.0,), (0.5,))):
+    """A 3-dof domain; ``band_delta`` is added to its A_d[1, 1] in the band
+    buffer, after the build, so that only the band differs."""
+    s = subdomain_system(domain, 4.0 * np.eye(3) + 1.0, f,
+                         [(0, np.array(D, dtype=complex), 1)])
+    s.A[2 * s.kl, 1] += band_delta
+    return s
+
+
+class TestTileClasses:
+    def test_equal_keys_with_one_differing_band_entry_are_two_classes(self):
+        systems = [_tile(0, np.ones(3)), _tile(1, np.ones(3), band_delta=1e-12),
+                   _tile(2, np.zeros(3)), _tile(3, np.ones(3), D=((1.0,), (0.0,), (0.25,)))]
+        # one key (shapes, interface rows); 1 differs in a band entry, 3 in D
+        key = [(s.A.shape, s.D.shape, s.interface_rows.tobytes()) for s in systems]
+        assert key[0] == key[1] == key[2] == key[3]
+        assert systems[0].D.tobytes() == systems[1].D.tobytes() != systems[3].D.tobytes()
+        assert sd.tile_classes(systems) == [[0, 2], [1], [3]]
+
+    def test_classes_follow_the_tile_grid(self):
+        # interior tiles of one kind share a class; a tiling whose tiles do
+        # not divide the grid (91 intervals over 5 tiles) repeats none
+        for (side, ppw, tiles), want in [((2.4, 10, 12), 9), ((2.0, 10, 4), 9),
+                                         ((1.0, 22, 2), 4), ((7.0, 13, 5), 25)]:
+            cfg = mm.ProblemConfig(side, ppw, tiles, tiles)
+            m = mm.build_rect_mesh(side, ppw)
+            systems = sd.build_subdomain_systems(m, mm.partition_mesh(m, tiles, tiles), cfg)
+            classes = sd.tile_classes(systems)
+            assert len(classes) == want, (side, ppw, tiles)
+            assert sorted(i for c in classes for i in c) == list(range(len(systems)))
+            assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+
+    def test_a_class_shares_one_lu_and_loads_only_its_loaded_members(self, monkeypatch):
+        systems = [_tile(0, np.ones(3)), _tile(1, np.zeros(3)), _tile(2, [1.0, 2.0, 0.5j])]
+        alone = [sd.reduce_domain(_tile(s.domain, s.f)) for s in systems]
+        widths, zgbsv = [], sd.zgbsv
+
+        def counted_zgbsv(kl, ku, ab, b, *flags):
+            widths.append(b.shape[1])
+            return zgbsv(kl, ku, ab, b, *flags)
+
+        monkeypatch.setattr(sd, "zgbsv", counted_zgbsv)
+        reduced, n_classes = sd.reduce_domains(systems)
+        assert n_classes == 1
+        assert widths == [1 + 2]        # D's column and two loads
+        assert all(s.A is systems[0].A and s.piv is systems[0].piv for s in systems)
+        for (K_D, g_d), (K_ref, g_ref) in zip(reduced, alone):
+            assert K_D.tobytes() == K_ref.tobytes()
+            assert g_d.tobytes() == g_ref.tobytes()
+        assert reduced[1][1].tobytes() == np.zeros(1, dtype=complex).tobytes()
+        # recovery solves the class in one call, column by column bit for bit
+        lam = np.array([0.3 - 0.7j])
+        one = [_tile(s.domain, s.f) for s in systems]
+        for s in one:
+            sd.reduce_domain(s)
+        for s, t in zip(systems, one):
+            s.dof_map = t.dof_map = np.arange(3) + 3 * s.domain
+        assert sd.recover_primal(systems, lam).tobytes() == \
+            sd.recover_primal(one, lam).tobytes()
+
+    def test_a_singular_class_raises_for_its_first_member(self):
+        def singular(domain):
+            return subdomain_system(domain, np.ones((2, 2)), np.ones(2))
+
+        good = subdomain_system(0, 2.0 * np.eye(2), np.ones(2))
+        systems = [good, singular(3), singular(5)]
+        with pytest.raises(sd.SingularDomainError, match="domain 3"):
+            sd.reduce_domains(systems)
+        assert good.piv is not None
+        assert systems[1].A is None
+        # the other member still holds its A_d, unfactored
+        assert systems[2].piv is None and systems[2].A is not None
 
 
 class TestAssembleReduced:

@@ -17,10 +17,15 @@ points per wavelength, tiles along x and y).  Per geometry it prints
   and per stage the peak inside the stage and what is still held after it,
   as the run's ``report.stages`` records them under ``tracemalloc``; the
   run's peak is the largest stage peak;
-- the bytes of the band buffers, each of which holds its A_d until the
-  reduce stage factors it in place into its LU, with the LU's pivots, and
-  of the stored blocks of the reduced matrix K, which the assemble-reduced
-  stage returns;
+- the bytes of the distinct band buffers the systems hold, each counted
+  once: a tile class's band holds its A_d until the reduce stage factors
+  it in place into the class's one LU, which every member then holds, with
+  the LU's pivots; and the number of tile classes; the build allocates
+  every domain's band in one buffer, which stays held as long as one LU
+  is a view of it, so the held bytes after ``reduce`` can exceed the
+  distinct LUs;
+- the bytes of the stored blocks of the reduced matrix K, which the
+  assemble-reduced stage returns;
 - 16 bytes per stored entry of the L and U factors of
   ``scipy.sparse.linalg.splu`` (default options) on the monolithic matrix,
   SuperLU's own working memory not included, and the run's traced peak
@@ -108,7 +113,9 @@ def child_traced(geometry) -> dict:
     return {
         "dofs": result.mesh.n_nodes,
         "max_kl": max(s.kl for s in result.systems),
-        "band": sum(s.A.nbytes + s.piv.nbytes for s in result.systems),
+        "band": sum(s.A.nbytes + s.piv.nbytes
+                    for s in {id(s.A): s for s in result.systems}.values()),
+        "classes": result.report.n_classes,
         "k_blocks": sum(b.nbytes for b in result.reduced_system.K.blocks.values()),
         "residual": result.report.residual_inf,
         "run_peak": max(s["peak_bytes"] for s in stages),
@@ -141,7 +148,8 @@ def report(geometry) -> str:
         f"   (range {max_rss[0] / MB:.1f}-{max_rss[-1] / MB:.1f} MB over fresh"
         f" processes, {before[RSS_RUNS // 2] / MB:.1f} MB before the run)",
         f"  traced peak of run_pipeline  {tr['run_peak'] / MB:8.1f} MB",
-        f"  band buffers (A_d, then LU)  {tr['band'] / MB:8.1f} MB",
+        f"  band buffers (A_d, then LU)  {tr['band'] / MB:8.1f} MB"
+        f"   ({tr['classes']} tile classes, one LU each)",
         f"  K stored blocks              {tr['k_blocks'] / MB:8.1f} MB",
         f"  SuperLU L+U                  {tr['superlu'] / MB:8.1f} MB",
         f"  traced peak / SuperLU L+U    {tr['run_peak'] / tr['superlu']:8.2f}",

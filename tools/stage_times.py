@@ -13,7 +13,8 @@ that ``src/``, each in a fresh interpreter.  Each argument is one geometry,
 x and y).  Per geometry the script runs ``run_pipeline`` ``--repeat`` times
 (incidence angle 0.3 rad) and prints
 
-- the number of interface blocks and the factor's flop count;
+- the number of tile classes (one band LU each, ``report.n_classes``), the
+  number of interface blocks and the factor's flop count;
 - per stage of the run's ``report.stages``, the best of its wall times;
 - the plan's ``total_factor_entries``;
 - sha256 digests of what the front end returns: the mesh (nodes,
@@ -148,7 +149,8 @@ def report(geometry, repeat: int) -> str:
     side, ppw, px, py = geometry
     return "\n".join([
         f"{side:g} wavelengths, ppw {ppw:g}, {px}x{py} tiles: "
-        f"{result.report.n_blocks} blocks, {F.stats.flops:.3g} flops",
+        f"{result.report.n_classes} tile classes, {result.report.n_blocks} blocks, "
+        f"{F.stats.flops:.3g} flops",
         *(f"  {stage:<20}{1e3 * t:.2f} ms (best of {repeat})"
           for stage, t in best.items()),
         f"  factor entries      {plan.total_factor_entries}",
