@@ -82,25 +82,35 @@ class BlockSparseSym:
         return S
 
     def validate(self) -> None:
-        """Check the diagonal blocks for symmetry, batched over the blocks of
-        each size; raises for the lowest-numbered asymmetric block.  A block
-        with a non-finite entry is not checked."""
+        """Check the diagonal blocks by :func:`check_diagonal_blocks`,
+        batched over the blocks of each size."""
         by_size: dict[int, list[int]] = {}
         for i, n in enumerate(self.sizes.tolist()):
             if n and (i, i) in self.blocks:
                 by_size.setdefault(n, []).append(i)
-        bad = []
-        for ids in by_size.values():
-            D = np.stack([self.blocks[(i, i)] for i in ids])
-            scale = np.abs(D).max(axis=(1, 2))
-            with np.errstate(invalid="ignore"):     # inf - inf in a skipped block
-                asym = np.abs(D - D.transpose(0, 2, 1)).max(axis=(1, 2))
-            hit = np.flatnonzero((scale > 0.0) & (asym > _DIAG_SYM_RTOL * scale))
-            if hit.size:
-                bad.append((ids[hit[0]], asym[hit[0]]))
-        if bad:
-            i, asym = min(bad)
-            raise BlockMatrixError(f"diagonal block {i} asymmetric: {asym:.3e}")
+        check_diagonal_blocks((np.array(ids), np.stack([self.blocks[(i, i)] for i in ids]))
+                              for ids in by_size.values())
+
+
+def check_diagonal_blocks(groups) -> None:
+    """The symmetry rule of diagonal blocks.  ``groups`` yields pairs
+    ``(ids, D)`` of a stack ``D`` of square blocks of one size and their
+    block numbers; raises :class:`BlockMatrixError` for the lowest-numbered
+    block whose largest ``|B - B^T|`` exceeds ``_DIAG_SYM_RTOL`` times its
+    largest modulus.  A block with a non-finite entry is not checked: its
+    comparison is with inf or nan."""
+    bad = []
+    for ids, D in groups:
+        scale = np.abs(D).max(axis=(1, 2))
+        with np.errstate(invalid="ignore"):     # inf - inf in a skipped block
+            asym = np.abs(D - D.transpose(0, 2, 1)).max(axis=(1, 2))
+        hit = np.flatnonzero((scale > 0.0) & (asym > _DIAG_SYM_RTOL * scale))
+        if hit.size:
+            t = hit[np.argmin(ids[hit])]
+            bad.append((int(ids[t]), asym[t]))
+    if bad:
+        i, asym = min(bad)
+        raise BlockMatrixError(f"diagonal block {i} asymmetric: {asym:.3e}")
 
 
 def nonnegative_integers(values, what: str, error: type[Exception]) -> np.ndarray:

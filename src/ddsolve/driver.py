@@ -13,7 +13,8 @@ import numpy as np
 
 from . import blockmat, factor, ordering, subdomain, symbolic
 from .config import RunConfig
-from .mesh import Mesh, assemble_helmholtz, build_rect_mesh, partition_mesh
+from .mesh import Mesh, assemble_helmholtz, build_rect_mesh, partition_graph, \
+    partition_mesh
 from .symbolic import format_plan
 
 CSV_COLUMNS = ["case_id", "n_dofs", "n_lambda", "n_blocks", "factor_time_s",
@@ -145,10 +146,27 @@ def make_plan(spec: str, g, sizes,
     raise PipelineError("ordering", ValueError(f"unknown ordering spec {spec!r}"))
 
 
+def dump_reduced(path, reduced, part) -> None:
+    """Write the K that :func:`subdomain.assemble_reduced` builds from the
+    Schur blocks (``--dump-k``) to ``path``."""
+    blockmat.save_blk(path, subdomain.assemble_reduced(reduced, part).K)
+
+
+def place_in_panels(reduced, part, plan):
+    """The panels of ``plan`` (:func:`factor.panel_layout`) with every
+    domain's Schur block placed in them, and the reduced system's g and
+    sizes (:func:`subdomain.place_reduced`)."""
+    layout = factor.panel_layout(plan)
+    return layout, subdomain.place_reduced(reduced, part, layout)
+
+
 def run_pipeline(run: RunConfig, print_symbolic: bool = False,
                  dump_k: str | None = None) -> PipelineResult:
     """Run every solver stage for one configuration; the report lists them
-    in ``stages``."""
+    in ``stages``.  The block graph and the plan come from the partition
+    (:func:`mesh.partition_graph`), and every Schur block is placed
+    straight into the factor's panels: the run builds no K, unless
+    ``dump_k`` asks for it to be written."""
     cfg = run.problem
     stages: list[Stage] = []
     mesh = _staged(stages, "mesh", build_rect_mesh, cfg.side_lambda, cfg.ppw)
@@ -157,17 +175,18 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
                       mesh, part, cfg)
     reduced, n_classes = _staged(stages, "reduce", subdomain.reduce_domains,
                                  systems, run.pivot_tol)
-    rsys = _staged(stages, "assemble-reduced", subdomain.assemble_reduced,
-                   reduced, part)
-    del reduced     # K and g hold copies of every (K_D, g_d)
     if dump_k is not None:
-        _staged(stages, "dump-k", blockmat.save_blk, dump_k, rsys.K)
-    g = _staged(stages, "clique-graph", blockmat.clique_graph, rsys.K)
-    plan = make_plan(run.ordering, g, rsys.K.sizes, stages)
+        _staged(stages, "dump-k", dump_reduced, dump_k, reduced, part)
+    g = _staged(stages, "clique-graph", partition_graph, part)
+    plan = make_plan(run.ordering, g, part.n_kept, stages)
     if print_symbolic:
         print(format_plan(plan))
-    F = _staged(stages, "numeric-factor", factor.block_ldlt, rsys.K, plan,
+    layout, rsys = _staged(stages, "assemble-reduced", place_in_panels,
+                           reduced, part, plan)
+    del reduced     # the panels and g hold copies of every (K_D, g_d)
+    F = _staged(stages, "numeric-factor", factor.factor_panels, layout,
                 run.pivot_tol)
+    del layout      # its buffer is F's panels
     lam = _staged(stages, "numeric-solve", factor.block_solve, F, rsys.g)
     sol = _staged(stages, "recover", subdomain.recover_primal, systems, lam)
     res = _staged(stages, "residual", subdomain.global_residual, mesh, cfg, sol)
@@ -176,7 +195,7 @@ def run_pipeline(run: RunConfig, print_symbolic: bool = False,
         case_id=run.case_id,
         n_dofs=mesh.n_nodes,
         n_lambda=rsys.n_lambda,
-        n_blocks=rsys.K.nblocks,
+        n_blocks=rsys.sizes.size,
         n_classes=n_classes,
         factor_time_s=wall["numeric-factor"],
         solve_time_s=wall["numeric-solve"],

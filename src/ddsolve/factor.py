@@ -6,11 +6,18 @@ confined to itself, so no pivot is ever deferred into another supernode and
 the numeric factor occupies exactly the entries predicted symbolically.  The
 block factor holds each block column in one panel allocated from the plan
 (supernodal column storage, Ng & Peyton 1993), all panels in one buffer.
-Each stored block of K is copied whole into its slot, found by one sorted
-search over the (panel, block row) keys of all slots, and one more search
-over them checks that the plan is closed, so every update entry has a
-place.  Each column's update reaches the later panels by one indexed write
-whose positions come from one sorted search over the rows of all panels.
+It runs in three parts: :func:`panel_layout` allocates the panels and
+checks, by one sorted search over the (panel, block row) keys of all
+slots, that the plan is closed, so every update entry has a place; a
+placement writes the matrix into its slots, each found by one more such
+search (:func:`place_blocks` copies the stored blocks of a
+:class:`BlockSparseSym`, and :func:`subdomain.place_reduced` adds the
+per-domain Schur blocks, as frontal and multifrontal solvers assemble
+element matrices straight into their fronts, Duff & Reid 1983); and
+:func:`factor_panels` runs the column loop.  :func:`block_ldlt` is the
+three on a stored K.  Each column's update reaches the later panels by one
+indexed write whose positions come from one sorted search over the rows of
+all panels.
 The diagonal factors are written straight into flat arrays: one buffer of
 every column-major L_jj, and ``d``, ``e``, ``tags`` and ``perm`` in
 elimination order, which the solve reads as they are.  It folds their row
@@ -61,7 +68,8 @@ from itertools import chain
 
 import numpy as np
 
-from .blockmat import BlockSparseSym, exclusive_cumsum, ragged_arange
+from .blockmat import BlockSparseSym, check_diagonal_blocks, exclusive_cumsum, \
+    first_of_runs, ragged_arange
 from .symbolic import EliminationPlan
 
 DEFAULT_PIVOT_TOL = 1e-12
@@ -565,7 +573,8 @@ class FactorStats:
     the panels' entries.  ``flops`` counts per block column j, with n_j rows
     and m_j panel rows below them, the diagonal factor, X = L D and its
     scaling, and the update of every pattern pair.  ``peak_bytes`` is 16
-    bytes per complex entry held at once: K's stored blocks, the buffer of
+    bytes per complex entry held at once: K's stored blocks (counted as the
+    slots a placement filled, whether or not a K was built), the buffer of
     all panels, the dense L of every diagonal factor (n_j^2 each), and X and
     U = X L^T of the column with the largest m_j n_j + m_j^2.  It counts
     complex entries only; the int64 index arrays that place each column's
@@ -623,43 +632,84 @@ def _lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, rows + cols * m
 
 
-def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
-               pivot_tol: float = DEFAULT_PIVOT_TOL) -> BlockFactor:
-    """Right-looking block LDL^T of ``K`` following ``plan``.
+@dataclass(eq=False)
+class PanelLayout:
+    """The panels of one block factor, laid out from its plan before any
+    entry of the matrix is placed (:func:`panel_layout`).
 
-    Block column j lives in one zero-initialised, row-major panel allocated
-    from the plan: block rows ``[j] + pattern[j]``, diagonal block on top;
-    all panels share one buffer.  K's stored blocks are written first, each
-    by one slice assignment into its slot, transposed where the permutation
-    of ``plan`` flips it; one sorted search over the (panel, block row) keys
-    of all slots finds every slot, and one more checks the plan's closure.
-    K is then checked by :meth:`BlockSparseSym.validate` and for non-finite
-    entries (``ValueError``).  Per column: factor the lower triangle of the
-    top block, straight into the flat arrays of all diagonal factors (the
-    scalar kernel up to ``SCALAR_MAX`` rows, the numpy kernel above); permute
-    the panel's columns if that factor interchanged rows;
-    form X = L D for the rows below it by one triangular solve in place on
-    the panel and keep one copy of it; recover L = X D_jj^-1 in place (one
-    division when D_jj has no 2x2 pivot); form the update U = X L^T by one
-    product; and subtract the lower triangle of U from the later panels by
-    one indexed subtraction.  Its positions come from one sorted search over
-    the (panel, scalar row) keys of all panel rows, with the update's keys
-    built from one per-row array, each row's block times the scalar order;
-    past the checks, only the lower triangle of a diagonal block is read.  A
-    block of K or a column's update with no place in the plan raises
-    :class:`FactorConsistencyError`, and a ``pivot_tol`` that fails
-    :func:`check_pivot_tol` raises ``ValueError``.
+    Slot ``s`` is block row ``slot_blk[s]`` of panel ``slot_panel[s]``: the
+    block rows ``[j] + pattern[j]`` of every panel j, panel by panel, keyed
+    ``panel * nblocks + block row`` in ``slot_key`` (ascending, then a
+    sentinel that matches no key).  ``buf`` holds all panels, row-major and
+    zero-initialised; ``work[j]`` is panel j as a view of it, its diagonal
+    block on top.  A slot is one contiguous run of ``buf`` from
+    ``slot_at[s]``, its block row's rows by its panel's columns.  ``in_k``
+    marks the slots that a placement filled (:meth:`slots`).  The row
+    arrays map each column's update into the later panels, as
+    :func:`factor_panels` describes.
     """
-    check_pivot_tol(pivot_tol)
-    nb = K.nblocks
-    if plan.nblocks != nb:
-        raise ValueError("plan and matrix disagree on block count")
+
+    plan: EliminationPlan
+    buf: np.ndarray
+    work: list[np.ndarray]
+    slot_key: np.ndarray
+    slot_at: np.ndarray
+    in_k: np.ndarray
+    slot_blk: np.ndarray
+    slot_start: np.ndarray
+    panel_row0: np.ndarray
+    row_scalar: np.ndarray
+    row_in_blk: np.ndarray
+    row_bkey: np.ndarray
+    row_base: np.ndarray
+    row_key: np.ndarray
+
+    def slots(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """The slot of block row ``hi[t]`` in panel ``lo[t]`` for every
+        t, in elimination order, each marked in ``in_k``.  One sorted search
+        finds them all; a block with no slot raises
+        :class:`FactorConsistencyError` naming the first such ``(hi, lo)``.
+        """
+        key = lo * self.plan.nblocks + hi
+        at = self.slot_key.searchsorted(key)
+        miss = np.flatnonzero(self.slot_key[at] != key)
+        if miss.size:
+            t = miss[0]
+            raise FactorConsistencyError(
+                f"unconsumed blocks: block {(int(hi[t]), int(lo[t]))} "
+                f"of K has no place in the plan")
+        self.in_k[at] = True
+        return at
+
+    def check_placed(self) -> None:
+        """Check what was placed: the diagonal blocks, the tops of the
+        panels, by :func:`blockmat.check_diagonal_blocks`, gathered from
+        the buffer one stack per block size and named by their numbers in
+        K; then every entry for finiteness (``ValueError``)."""
+        sizes = self.plan.sizes_perm
+        top = self.slot_at[self.slot_start[:-1]]
+        by_size = np.argsort(sizes, kind="stable")
+        cut = np.flatnonzero(first_of_runs(sizes[by_size])).tolist() + [sizes.size]
+        groups = []
+        for a, b in zip(cut[:-1], cut[1:]):
+            js = by_size[a:b]
+            n = int(sizes[js[0]])
+            if n:
+                D = self.buf[top[js, None] + np.arange(n * n)].reshape(-1, n, n)
+                groups.append((self.plan.order.perm[js], D))
+        check_diagonal_blocks(groups)
+        if not np.isfinite(self.buf).all():     # the check skips non-finite blocks
+            raise ValueError("matrix has non-finite entries")
+
+
+def panel_layout(plan: EliminationPlan) -> PanelLayout:
+    """Allocate the panels of ``plan`` and check that the plan is closed:
+    column j's rows past its parent p (its first row) must be slots of
+    panel p, so that every update entry has a place (Liu 1990, fill paths);
+    otherwise raises :class:`FactorConsistencyError` naming the first
+    missing block."""
+    nb = plan.nblocks
     sizes = plan.sizes_perm
-    if not np.array_equal(sizes, K.sizes[plan.order.perm]):
-        raise ValueError("plan and matrix disagree on block sizes")
-    if nb == 0:
-        return BlockFactor(plan, [], *_flat_diag(0), np.ones(0), [], [])
-    n = sizes.tolist()
     offsets = exclusive_cumsum(sizes)
     n_scalar = int(offsets[-1])
 
@@ -670,8 +720,11 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     n_slots = np.fromiter(map(len, plan.pattern), np.int64, nb) + 1
     slot_start = exclusive_cumsum(n_slots)
     blocks = np.arange(nb)
-    slot_blk = np.insert(np.concatenate(plan.pattern), slot_start[:-1] - blocks,
-                         blocks)
+    slot_blk = np.empty(int(slot_start[-1]), dtype=np.int64)
+    own = np.zeros(slot_blk.size, dtype=bool)
+    own[slot_start[:-1]] = True
+    slot_blk[own] = blocks
+    slot_blk[~own] = np.concatenate([blocks[:0], *plan.pattern])
     slot_panel = np.repeat(blocks, n_slots)
     slot_rows = sizes[slot_blk]
     slot_row0 = exclusive_cumsum(slot_rows)
@@ -689,35 +742,13 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
     row_base = exclusive_cumsum(sizes[row_panel])
     bases = row_base[panel_row0].tolist()
     row0 = panel_row0.tolist()
+    n = sizes.tolist()
     buf = np.zeros(bases[-1], dtype=np.complex128)
     work = [buf[bases[j]:bases[j + 1]].reshape(row0[j + 1] - row0[j], n[j])
             for j in range(nb)]
     row_key = np.append(row_panel * n_scalar + row_scalar, nb * n_scalar)
-    del row_panel
 
-    # Place K: block (i, j) goes whole to its (hi, lo) slot in panel lo,
-    # transposed where the permutation flips it; the slots are found by one
-    # sorted search over the (panel, block row) keys of all slots.
-    keys = np.fromiter(chain.from_iterable(K.blocks), np.int64,
-                       2 * len(K.blocks)).reshape(-1, 2)
-    bi, bj = plan.order.inverse()[keys].T
-    hi, lo = np.maximum(bi, bj), np.minimum(bi, bj)
     slot_key = np.append(slot_panel * nb + slot_blk, nb * nb)
-    key = lo * nb + hi
-    at = slot_key.searchsorted(key)
-    miss = np.flatnonzero(slot_key[at] != key)
-    if miss.size:
-        t = miss[0]
-        raise FactorConsistencyError(
-            f"unconsumed blocks: block {(int(hi[t]), int(lo[t]))} "
-            f"of K has no place in the plan")
-    r_in_panel = (slot_row0[at] - panel_row0[lo]).tolist()
-    flip = (bi < bj).tolist()
-    for blk, p, r, f in zip(K.blocks.values(), lo.tolist(), r_in_panel, flip):
-        blk = blk.T if f else blk
-        work[p][r:r + blk.shape[0]] = blk
-    # Closure: column j's rows past its parent p (its first row) are slots
-    # of panel p; then every update has its slots (Liu 1990, fill paths).
     rest = np.flatnonzero(ragged_arange(n_slots) >= 2)
     parent = slot_blk[slot_start[slot_panel[rest]] + 1]
     key = parent * nb + slot_blk[rest]
@@ -727,10 +758,81 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         raise FactorConsistencyError(
             f"update targets block {(int(slot_blk[rest[t]]), int(parent[t]))} "
             f"outside pattern")
-    del keys, bi, bj, hi, lo, slot_key, key, at, r_in_panel, flip, rest, parent
-    K.validate()
-    if not np.isfinite(buf).all():      # validate skips non-finite blocks
-        raise ValueError("matrix has non-finite entries")
+    return PanelLayout(plan, buf, work, slot_key, row_base[slot_row0[:-1]],
+                       np.zeros(slot_blk.size, dtype=bool), slot_blk, slot_start,
+                       panel_row0, row_scalar, row_in_blk, row_bkey, row_base,
+                       row_key)
+
+
+def place_blocks(layout: PanelLayout, K: BlockSparseSym) -> None:
+    """Copy every stored block of ``K`` whole into its slot of ``layout``
+    by one slice assignment, transposed where the plan's permutation flips
+    it: block (i, j) goes to the slot of its larger position in the panel
+    of its smaller one.  :meth:`PanelLayout.slots` finds the slots."""
+    keys = np.fromiter(chain.from_iterable(K.blocks), np.int64,
+                       2 * len(K.blocks)).reshape(-1, 2)
+    bi, bj = layout.plan.order.inverse()[keys].T
+    at = layout.slots(np.maximum(bi, bj), np.minimum(bi, bj))
+    buf = layout.buf
+    for blk, s, f in zip(K.blocks.values(), layout.slot_at[at].tolist(),
+                         (bi < bj).tolist()):
+        blk = blk.T if f else blk
+        buf[s:s + blk.size].reshape(blk.shape)[...] = blk
+
+
+def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
+               pivot_tol: float = DEFAULT_PIVOT_TOL) -> BlockFactor:
+    """Right-looking block LDL^T of ``K`` following ``plan``: the panels
+    of :func:`panel_layout`, K's stored blocks copied into them by
+    :func:`place_blocks`, then :func:`factor_panels`.  A ``pivot_tol`` that
+    fails :func:`check_pivot_tol` and a plan whose block count or sizes
+    differ from K's raise ``ValueError``; a block of K or a column's update
+    with no place in the plan raises :class:`FactorConsistencyError`."""
+    check_pivot_tol(pivot_tol)
+    if plan.nblocks != K.nblocks:
+        raise ValueError("plan and matrix disagree on block count")
+    if not np.array_equal(plan.sizes_perm, K.sizes[plan.order.perm]):
+        raise ValueError("plan and matrix disagree on block sizes")
+    layout = panel_layout(plan)
+    place_blocks(layout, K)
+    return factor_panels(layout, pivot_tol)
+
+
+def factor_panels(layout: PanelLayout,
+                  pivot_tol: float = DEFAULT_PIVOT_TOL) -> BlockFactor:
+    """Right-looking block LDL^T of the matrix placed in ``layout``'s
+    panels, in place: the buffer becomes the factor's panels.
+
+    The placement is checked first (:meth:`PanelLayout.check_placed`).
+    Per column: factor the lower triangle of the top block, straight into
+    the flat arrays of all diagonal factors (the scalar kernel up to
+    ``SCALAR_MAX`` rows, the numpy kernel above); permute the panel's
+    columns if that factor interchanged rows; form X = L D for the rows
+    below it by one triangular solve in place on the panel and keep one
+    copy of it; recover L = X D_jj^-1 in place (one division when D_jj has
+    no 2x2 pivot); form the update U = X L^T by one product; and subtract
+    the lower triangle of U from the later panels by one indexed
+    subtraction.  Its positions come from one sorted search over the
+    (panel, scalar row) keys of all panel rows, with the update's keys
+    built from one per-row array, each row's block times the scalar order;
+    past the checks, only the lower triangle of a diagonal block is read.
+    A ``pivot_tol`` that fails :func:`check_pivot_tol` raises
+    ``ValueError``.
+    """
+    check_pivot_tol(pivot_tol)
+    plan = layout.plan
+    nb = plan.nblocks
+    if nb == 0:
+        return BlockFactor(plan, [], *_flat_diag(0), np.ones(0), [], [])
+    layout.check_placed()
+    sizes = plan.sizes_perm
+    n = sizes.tolist()
+    offsets = exclusive_cumsum(sizes)
+    n_scalar = int(offsets[-1])
+    buf, work = layout.buf, layout.work
+    row0 = layout.panel_row0.tolist()
+    row_scalar, row_in_blk = layout.row_scalar, layout.row_in_blk
+    row_bkey, row_base, row_key = layout.row_bkey, layout.row_base, layout.row_key
 
     # The diagonal factors: every L_jj in one buffer, the rest flat.
     sq = sizes * sizes
@@ -779,8 +881,11 @@ def block_ldlt(K: BlockSparseSym, plan: EliminationPlan,
         pos = row_base.take(at) + row_in_blk[below].take(cols)
         buf[pos] -= U.ravel("F").take(at_u)
 
-    m = np.diff(panel_row0) - sizes
-    k_entries = sum(blk.size for blk in K.blocks.values())
+    m = np.diff(layout.panel_row0) - sizes
+    slot_blk, slot_start = layout.slot_blk, layout.slot_start
+    # K's entries: those of the slots a placement filled
+    slot_panel = np.repeat(np.arange(nb), np.diff(slot_start))
+    k_entries = (sizes[slot_blk] * sizes[slot_panel])[layout.in_k].sum()
     pattern_sq = np.add.reduceat(sq[slot_blk], slot_start[:-1]) - sq
     flops = (sizes ** 3 // 3 + sq + m * sq + m * sizes
              + sizes * (m * m + pattern_sq) // 2)

@@ -594,3 +594,22 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return part
+
+
+def partition_graph(part: Partition) -> list[set[int]]:
+    """The graph of the reduced system's blocks, read off the partition:
+    one vertex per interface, and an edge between two interfaces of one
+    domain, since that domain's Schur complement couples them.  It is the
+    clique graph of the assembled K (``blockmat.clique_graph``), an
+    interface without multipliers included; entry ``i`` holds the neighbors
+    of interface ``i``."""
+    inc = part.incident.tolist()
+    start = part.incident_start.tolist()
+    g: list[set[int]] = [set() for _ in range(part.n_kept.size)]
+    for a, b in zip(start[:-1], start[1:]):
+        shared = inc[a:b]
+        for i in shared:
+            g[i].update(shared)
+    for i, nbrs in enumerate(g):
+        nbrs.discard(i)
+    return g

@@ -40,13 +40,21 @@ import numpy as np
 
 from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, \
     first_of_runs, ragged_arange
-from .factor import DEFAULT_PIVOT_TOL, blas_matmul, check_pivot_tol, \
+from .factor import DEFAULT_PIVOT_TOL, PanelLayout, blas_matmul, check_pivot_tol, \
     scipy_linalg_routines
 from .mesh import Mesh, Partition, ProblemConfig, boundary_load, edge_mass, \
     helmholtz_blocks, incident_boundary_load, vector_lengths
 
 
 zgbsv, zgbtrs = scipy_linalg_routines("_flapack", "zgbsv", "zgbtrs")
+
+
+# Runs of Schur-block entries this long or longer are placed into the
+# factor's panels by slices, run by run; shorter ones by index arrays over
+# all their entries (:func:`place_reduced`).  A slice costs 2-4 us a run,
+# the index arrays about 10 ns an entry plus a fixed 40 us; the two break
+# even at runs of 81-144 entries on the tilings measured.
+SLICE_MIN = 100
 
 
 class SingularDomainError(Exception):
@@ -73,9 +81,10 @@ class SubdomainSystem:
     ``|i - j| <= kl``, and its first ``kl`` rows are zero.  The reduce
     factors it in place and sets ``piv``: from then on ``A`` holds the
     LAPACK band LU ``P A_d = L U`` (``zgbsv``, partial pivoting), whose U
-    has ``2 kl`` superdiagonals and its diagonal in row ``2 kl``.  A reduce
-    that finds A_d singular sets ``A`` to None, as the buffer then holds
-    neither A_d nor a usable LU.  The couplings are zero outside the rows
+    has ``2 kl`` superdiagonals and its diagonal in row ``2 kl``, or a copy
+    of it that :func:`reduce_domains` makes.  A reduce that finds A_d
+    singular sets ``A`` to None, as the buffer then holds neither A_d nor a
+    usable LU.  The couplings are zero outside the rows
     ``interface_rows``, and ``D`` holds those rows only, C-ordered, with one
     column per multiplier of ``lam_index`` (see :attr:`Partition.lam_index`);
     each coupling's ``D`` is a view of its interface's columns."""
@@ -111,15 +120,20 @@ class SubdomainSystem:
 
 @dataclass(eq=False)
 class ReducedSystem:
-    """``K lambda = g``; ``g`` is a flat vector in K's block order, the
-    multiplier numbering of :attr:`Partition.lam_index`."""
+    """``K lambda = g``: ``g`` is a flat vector in block order, the
+    multiplier numbering of :attr:`Partition.lam_index`, and ``sizes`` the
+    block sizes, the multipliers of each interface.  ``K`` is the block
+    matrix that :func:`assemble_reduced` builds; :func:`place_reduced`
+    adds the blocks straight into the factor's panels, builds no K and
+    leaves it None."""
 
-    K: BlockSparseSym
     g: np.ndarray
+    sizes: np.ndarray
+    K: BlockSparseSym | None = None
 
     @property
     def n_lambda(self) -> int:
-        return self.K.order
+        return int(self.g.size)
 
 
 def _chain_mass(mesh: Mesh, nodes: np.ndarray, start: np.ndarray):
@@ -314,12 +328,14 @@ def tile_classes(systems: list[SubdomainSystem]) -> list[list[int]]:
     return classes
 
 
-def _reduce_class(members: list[SubdomainSystem], pivot_tol: float):
+def _reduce_class(members: list[SubdomainSystem], pivot_tol: float,
+                  copy_lu: bool = False):
     """``(K_D, g_d)`` of every member of one tile class: one ``zgbsv`` on
     the first member's band, whose right-hand side holds D's columns at the
     interface rows and one column per member with a nonzero load.  K_D is
     one array shared by the members; a member without load gets a zero g_d.
-    Every member then holds the one LU and its pivots."""
+    Every member then holds the one LU, factored in place on the first
+    member's band or, with ``copy_lu``, copied out of it, and its pivots."""
     check_pivot_tol(pivot_tol)
     for s in members:
         if s.piv is not None:
@@ -350,6 +366,8 @@ def _reduce_class(members: list[SubdomainSystem], pivot_tol: float):
         raise SingularDomainError(
             f"domain {rep.domain} is singular: smallest LU pivot {pivot_min:.3e} "
             f"(threshold {pivot_tol * scale:.3e})")
+    if copy_lu:
+        lu = lu.copy(order="F")
     for s in members:
         s.A, s.piv = lu, piv
     KG = blas_matmul(D_r.T, X[rows])
@@ -395,14 +413,43 @@ def reduce_domains(systems: list[SubdomainSystem],
     order and the number of classes.  Each pair has the bits that
     :func:`reduce_domain` gives that domain alone.  Classes are reduced in
     order of their first member, so a singular A_d raises for the lowest
-    domain that has it."""
+    domain that has it.
+
+    With fewer classes than domains, each class's LU is copied out of the
+    band it was factored on, so that the build's one buffer of every band
+    is freed: the LUs then take less than it.  With one class per domain
+    they would take all of it, and each LU stays where it was factored."""
     reduced = [None] * len(systems)
     classes = tile_classes(systems)
+    copy_lu = len(classes) < len(systems)
     for members in classes:
-        pairs = _reduce_class([systems[i] for i in members], pivot_tol)
+        pairs = _reduce_class([systems[i] for i in members], pivot_tol, copy_lu)
         for i, pair in zip(members, pairs):
             reduced[i] = pair
     return reduced, len(classes)
+
+
+def _check_reduced(reduced, part: Partition) -> None:
+    """Raise ``ValueError`` unless ``reduced`` holds one ``(K_D, g_d)``
+    pair per domain of ``part``, each of the domain's multiplier count."""
+    if len(reduced) != part.n_domains:
+        raise ValueError(f"{len(reduced)} reduced domains given, the partition "
+                         f"has {part.n_domains}")
+    for d, ((K_D, g_d), n) in enumerate(zip(reduced, np.diff(part.lam_start).tolist())):
+        if K_D.shape != (n, n):
+            raise ValueError(f"domain {d}: reduced block is {K_D.shape}, "
+                             f"expected ({n}, {n})")
+        if g_d.shape != (n,):
+            raise ValueError(f"domain {d}: reduced load is {g_d.shape}, "
+                             f"expected ({n},)")
+
+
+def _reduced_load(reduced, part: Partition) -> np.ndarray:
+    """g: every g_d summed through ``lam_index`` by one ``np.add.at``, in
+    domain order."""
+    g = np.zeros(int(part.n_kept.sum()), dtype=np.complex128)
+    np.add.at(g, part.lam_index, np.concatenate([g_d for _, g_d in reduced]))
+    return g
 
 
 def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
@@ -416,34 +463,116 @@ def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
     and ``g`` is summed through ``lam_index`` by one ``np.add.at`` in the same
     order.  K's symmetry is checked by :func:`factor.block_ldlt`.
     """
-    if len(reduced) != part.n_domains:
-        raise ValueError(f"{len(reduced)} reduced domains given, the partition "
-                         f"has {part.n_domains}")
+    _check_reduced(reduced, part)
     # slot s is interface inc[s] of domain d; its rows in K_D are
     # row[s]:row[s + 1] shifted by row[start[d]]
     inc = part.incident.tolist()
     start = part.incident_start.tolist()
     row = exclusive_cumsum(part.n_kept[part.incident]).tolist()
-    nd = np.diff(part.lam_start).tolist()
     K = BlockSparseSym(part.n_kept)
-    for d, (K_D, g_d) in enumerate(reduced):
-        n = nd[d]
-        if K_D.shape != (n, n):
-            raise ValueError(f"domain {d}: reduced block is {K_D.shape}, "
-                             f"expected ({n}, {n})")
-        if g_d.shape != (n,):
-            raise ValueError(f"domain {d}: reduced load is {g_d.shape}, "
-                             f"expected ({n},)")
+    for d, (K_D, _) in enumerate(reduced):
         r0 = row[start[d]]
         slots = [(inc[s], slice(row[s] - r0, row[s + 1] - r0))
                  for s in range(start[d], start[d + 1])]
         for a, (ia, ra) in enumerate(slots):
             for ib, rb in slots[:a + 1]:
                 K.add(ia, ib, K_D[ra, rb])
+    return ReducedSystem(_reduced_load(reduced, part), K.sizes, K)
 
-    g = np.zeros(K.order, dtype=np.complex128)
-    np.add.at(g, part.lam_index, np.concatenate([g_d for _, g_d in reduced]))
-    return ReducedSystem(K, g)
+
+def place_reduced(reduced, part: Partition, layout: PanelLayout) -> ReducedSystem:
+    """Add the per-domain Schur blocks straight into the panels of
+    ``layout``, whose plan orders the interfaces of ``part``: the blocks
+    of :func:`assemble_reduced`'s K, bit for bit, with no K built.  Returns
+    g, summed as there, and the block sizes.
+
+    Each pair ``(a, b)``, ``b`` at or before ``a``, of a domain's interfaces
+    lands as one contiguous run in its slot (:meth:`PanelLayout.slots`):
+    the block row of the one that comes later in elimination order, in the
+    panel of the other.  K_D is exactly symmetric, as ``(x + y) * 0.5``
+    commutes, so every run reads K_D at the later interface's rows and the
+    earlier one's columns, flipped pair or not, and needs no transpose.
+    The run that reaches a slot first, in domain order, is copied into it
+    and the later ones are added in domain order, as K's copy and in-place
+    sums do.  Runs of ``SLICE_MIN`` entries or more are written slice by
+    slice; the smaller ones by one gather from the distinct K_D (a tile
+    class's members share one) and one assignment (the first runs) and one
+    ``np.add.at`` (the others) over all their entries.  All runs into one slot have one size, so each slot is written
+    one way.  A pair with no slot raises
+    :class:`~ddsolve.factor.FactorConsistencyError`; symmetry and
+    finiteness are checked by :func:`~ddsolve.factor.factor_panels`.
+    """
+    _check_reduced(reduced, part)
+    inc = part.incident
+    n_inc = part.incident_start[1:] - part.incident_start[:-1]
+    dom = np.arange(part.n_domains).repeat(n_inc)
+    nk = part.n_kept[inc]
+    nd = part.lam_start[1:] - part.lam_start[:-1]    # K_D's order per domain
+    # slot s is interface inc[s] of domain dom[s], at row r0[s] of its K_D
+    r0 = exclusive_cumsum(nk)[:-1] - part.lam_start[dom]
+    # pair t joins slots sa[t] and sb[t] <= sa[t] of one domain, domain by
+    # domain, as assemble_reduced's loops visit them
+    local = ragged_arange(n_inc)
+    sa = np.arange(inc.size).repeat(local + 1)
+    sb = sa - local.repeat(local + 1) + ragged_arange(local + 1)
+    pos = layout.plan.order.inverse()[inc]
+    pa, pb = pos[sa], pos[sb]
+    at = layout.slots(np.maximum(pa, pb), np.minimum(pa, pb))
+    hi = np.where(pa < pb, sb, sa)              # the slot whose rows the run has
+    lo = sa + sb - hi
+    # run t is K_D[a[t]:, b[t]:] of domain d[t], n_rows[t] rows of width[t]
+    # entries, into the buffer from dst0[t]; first[t] if it is the first
+    # run into its slot
+    d, n_rows, width, a, b = dom[sa], nk[hi], nk[lo], r0[hi], r0[lo]
+    size = n_rows * width
+    dst0 = layout.slot_at[at]
+    by_slot = at.argsort(kind="stable")
+    first = np.zeros(at.size, dtype=bool)
+    first[by_slot[first_of_runs(at[by_slot])]] = True
+    buf = layout.buf
+
+    big = size >= SLICE_MIN
+    for t, i, j, n, w, s, f in np.stack([d, a, b, n_rows, width, dst0, first],
+                                        axis=1)[big].tolist():
+        run = buf[s:s + n * w].reshape(n, w)
+        blk = reduced[t][0][i:i + n, j:j + w]
+        if f:
+            run[...] = blk
+        else:
+            run += blk
+
+    # the small runs, the first ones and then the others, each in domain
+    # order, read from the distinct K_D concatenated (a tile class's members
+    # share one) from src0; row r of a run starts at src and dst, and holds
+    # w entries
+    small = np.flatnonzero(~big)
+    if small.size:
+        distinct = {}
+        for K_D, _ in reduced:
+            distinct.setdefault(id(K_D), K_D)
+        kd_at = dict(zip(distinct, exclusive_cumsum(
+            [K_D.size for K_D in distinct.values()]).tolist()))
+        src0 = np.array([kd_at[id(K_D)] for K_D, _ in reduced], dtype=np.int64)[d]
+        src0 += a * nd[d] + b
+        copied = small[first[small]]
+        small = np.concatenate([copied, small[~first[small]]])
+        run = small.repeat(n_rows[small])
+        r = ragged_arange(n_rows[small])
+        src = src0[run] + r * nd[d[run]]
+        dst = dst0[run] + r * width[run]
+        w = width[run]
+        j = ragged_arange(w)
+        src = src.repeat(w)
+        src += j
+        vals = np.concatenate(list(distinct.values()), axis=None).take(src)
+        del src
+        dst = dst.repeat(w)
+        dst += j
+        del j
+        n_copy = int(size[copied].sum())
+        buf[dst[:n_copy]] = vals[:n_copy]
+        np.add.at(buf, dst[n_copy:], vals[n_copy:])
+    return ReducedSystem(_reduced_load(reduced, part), part.n_kept)
 
 
 def recover_primal(systems: list[SubdomainSystem],

@@ -228,8 +228,9 @@ def test_consistency_errors_name_blocks_in_elimination_order():
 @pytest.mark.parametrize("order", [None, identity_ordering(3)])
 def test_asymmetric_diagonal_block_rejected(order):
     # add_block alone does not validate, so only the factor sees the
-    # asymmetric diagonal block (1, 1); the factor checks K by validate, and
-    # a non-finite entry anywhere in K raises before any column is factored
+    # asymmetric diagonal block (1, 1); the factor checks the placed diagonal
+    # blocks by validate's rule, and a non-finite entry anywhere in K raises
+    # before any column is factored
     sizes = [2, 3, 2]
     K = blockmat.BlockSparseSym(sizes)
     for i, s in enumerate(sizes):

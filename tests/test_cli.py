@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ddsolve
-from ddsolve import blockmat, cli, driver, ordering, symbolic
+from ddsolve import blockmat, cli, driver, mesh, ordering, symbolic
 from ddsolve.cli import main
 from ddsolve.config import ConfigError, parse_config_file
 from ddsolve.driver import AGREEMENT_GATE, CSV_COLUMNS, fit_loglog_slope, \
@@ -179,10 +179,11 @@ class TestSolveVerify:
     def test_builtin_plan_is_the_separate_passes_plan(self, small_cfg):
         """The pipeline takes the plan the ordering guard computed; it is
         the one a separate symbolic pass over the same order gives."""
-        result = driver.run_pipeline(parse_config_file(small_cfg))
-        K = result.reduced_system.K
-        g = blockmat.clique_graph(K)
-        ref = symbolic.symbolic_factor(g, ordering.reorder(g, K.sizes), K.sizes)
+        run = parse_config_file(small_cfg)
+        result = driver.run_pipeline(run)
+        part = mesh.partition_mesh(result.mesh, run.problem.px, run.problem.py)
+        g, sizes = mesh.partition_graph(part), part.n_kept
+        ref = symbolic.symbolic_factor(g, ordering.reorder(g, sizes), sizes)
         plan = result.plan
         assert np.array_equal(plan.order.perm, ref.order.perm)
         assert np.array_equal(plan.etree_parent, ref.etree_parent)

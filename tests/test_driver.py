@@ -112,45 +112,73 @@ def test_stage_bytes_are_read_only_under_tracemalloc(small_cfg, tmp_path):
 
 
 def test_run_checks_k_symmetry_once(small_cfg, tmp_path, monkeypatch):
-    # the factor, the stage that needs a symmetric K, is the one to check it
-    calls = []
-    validate = blockmat.BlockSparseSym.validate
+    # the factor, the stage that needs a symmetric K, is the one to check it:
+    # once, on every diagonal block placed in its panels; the run builds no
+    # K to validate
+    checked, validated = [], []
+    check = factor.check_diagonal_blocks
 
-    def counted(K):
-        calls.append(K)
-        validate(K)
+    def counted(groups):
+        checked.append(sum(len(ids) for ids, _ in groups))
+        check(groups)
 
-    monkeypatch.setattr(blockmat.BlockSparseSym, "validate", counted)
+    monkeypatch.setattr(factor, "check_diagonal_blocks", counted)
+    monkeypatch.setattr(blockmat.BlockSparseSym, "validate", validated.append)
     result = library_run(small_cfg, tmp_path)
-    assert calls == [result.reduced_system.K]
+    assert checked == [np.count_nonzero(result.plan.sizes_perm)]
+    assert validated == []
+
+
+@pytest.mark.parametrize("flags,built", [([], 0), (DUMP_K, 1)])
+def test_run_builds_k_only_to_dump_it(small_cfg, tmp_path, monkeypatch, flags,
+                                      built):
+    # the plan comes from the partition and the Schur blocks go straight
+    # into the factor's panels: a run builds no K and no clique graph of
+    # one, unless --dump-k asks for K to be written
+    made, graphs = [], []
+    init, clique_graph = blockmat.BlockSparseSym.__init__, blockmat.clique_graph
+
+    def counted_init(K, sizes):
+        made.append(K)
+        init(K, sizes)
+
+    def counted_clique_graph(K):
+        graphs.append(K)
+        return clique_graph(K)
+
+    monkeypatch.setattr(blockmat.BlockSparseSym, "__init__", counted_init)
+    monkeypatch.setattr(blockmat, "clique_graph", counted_clique_graph)
+    result = library_run(small_cfg, tmp_path, "solve", flags)
+    assert len(made) == built and graphs == []
+    assert result.reduced_system.K is None
 
 
 def test_schur_complements_are_freed_once_k_is_assembled(small_cfg, tmp_path,
                                                          monkeypatch):
-    # assemble_reduced copies every (K_D, g_d) into K and g, so none of them
-    # may outlive the assemble-reduced stage
+    # the assemble-reduced stage copies every (K_D, g_d) into the factor's
+    # panels and g, so none of them may outlive it
     refs, alive = [], []
-    reduce_domains, clique_graph = subdomain.reduce_domains, blockmat.clique_graph
+    reduce_domains, factor_panels = subdomain.reduce_domains, factor.factor_panels
 
     def watched_reduce(*args, **kwargs):
         out = reduce_domains(*args, **kwargs)
         refs.extend(weakref.ref(a) for pair in out[0] for a in pair)
         return out
 
-    def counting_clique_graph(K):
+    def counting_factor_panels(*args, **kwargs):
         alive.append(sum(r() is not None for r in refs))
-        return clique_graph(K)
+        return factor_panels(*args, **kwargs)
 
     monkeypatch.setattr(subdomain, "reduce_domains", watched_reduce)
-    monkeypatch.setattr(blockmat, "clique_graph", counting_clique_graph)
+    monkeypatch.setattr(factor, "factor_panels", counting_factor_panels)
     result = library_run(small_cfg, tmp_path)
     assert len(refs) == 2 * len(result.systems) and alive == [0]
     assert not hasattr(result.reduced_system, "lam")
 
 
 @pytest.mark.parametrize("command,flags,stages", [
-    ("solve", FILE_ORDER, STAGES[:7] + ["symbolic"] + STAGES[7:]),
-    ("solve", DUMP_K, STAGES[:5] + ["dump-k"] + STAGES[5:]),
+    ("solve", FILE_ORDER, STAGES[:6] + ["symbolic"] + STAGES[6:]),
+    ("solve", DUMP_K, STAGES[:4] + ["dump-k"] + STAGES[4:]),
     ("verify", [], STAGES + ["monolithic"]),
 ])
 def test_optional_stages_are_recorded(small_cfg, tmp_path, command, flags,
@@ -166,13 +194,15 @@ FAILURES = [
     ("partition", driver, "partition_mesh", "solve", []),
     ("subdomains", subdomain, "build_subdomain_systems", "solve", []),
     ("reduce", subdomain, "reduce_domains", "solve", []),
-    ("assemble-reduced", subdomain, "assemble_reduced", "solve", []),
+    ("dump-k", subdomain, "assemble_reduced", "solve", DUMP_K),
     ("dump-k", blockmat, "save_blk", "solve", DUMP_K),
-    ("clique-graph", blockmat, "clique_graph", "solve", []),
+    ("clique-graph", driver, "partition_graph", "solve", []),
     ("ordering", ordering, "reorder_with_plan", "solve", []),
     ("ordering", ordering, "load_ordering_file", "solve", FILE_ORDER),
     ("symbolic", symbolic, "symbolic_factor", "solve", FILE_ORDER),
-    ("numeric-factor", factor, "block_ldlt", "solve", []),
+    ("assemble-reduced", factor, "panel_layout", "solve", []),
+    ("assemble-reduced", subdomain, "place_reduced", "solve", []),
+    ("numeric-factor", factor, "factor_panels", "solve", []),
     ("numeric-solve", factor, "block_solve", "solve", []),
     ("recover", subdomain, "recover_primal", "solve", []),
     ("residual", subdomain, "global_residual", "solve", []),

@@ -11,8 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import memory_table  # noqa: E402
 
-STAGES = ["mesh", "partition", "subdomains", "reduce", "assemble-reduced",
-          "clique-graph", "ordering", "numeric-factor", "numeric-solve",
+STAGES = ["mesh", "partition", "subdomains", "reduce", "clique-graph",
+          "ordering", "assemble-reduced", "numeric-factor", "numeric-solve",
           "recover", "residual"]
 
 

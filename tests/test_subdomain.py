@@ -1,5 +1,7 @@
 import tracemalloc
 import warnings
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -335,6 +337,32 @@ class TestBandStorage:
         band = s.A = np.ascontiguousarray(s.A)
         sd.reduce_domain(s)
         assert s.A.flags.f_contiguous and not np.shares_memory(s.A, band)
+
+    @pytest.mark.parametrize("side,ppw,tiles,copied", [(2.0, 10, 4, True),
+                                                       (1.0, 22, 2, False)])
+    def test_class_lus_free_the_build_buffer(self, side, ppw, tiles, copied):
+        # the build allocates every band in one buffer; with fewer tile
+        # classes than domains (9 of 16) each class's LU is copied out of it,
+        # so the buffer is freed, and with one class per domain (4 of 4) the
+        # LUs would fill it, so each stays where it was factored
+        cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=tiles, py=tiles,
+                               theta_inc=0.3)
+        m = mm.build_rect_mesh(side, ppw)
+        part = mm.partition_mesh(m, tiles, tiles)
+        systems = sd.build_subdomain_systems(m, part, cfg)
+        root = systems[0].A
+        while root.base is not None:
+            root = root.base
+        assert all(np.shares_memory(s.A, root) for s in systems)
+        buffer = weakref.ref(root)
+        del root
+        n_classes = sd.reduce_domains(systems)[1]
+        assert (n_classes < len(systems)) is copied
+        if copied:
+            assert all(s.A.flags.f_contiguous and s.A.base is None for s in systems)
+            assert buffer() is None
+        else:
+            assert all(np.shares_memory(s.A, buffer()) for s in systems)
 
     @pytest.mark.parametrize("name", sorted(GEOMETRIES))
     def test_reduce_is_zgbtrf_on_a_copy_byte_for_byte(self, name):
@@ -797,3 +825,16 @@ def assert_residual_matches_csr(side, ppw, theta):
     ref = np.abs(A @ u - f).max() / np.abs(f).max()
     assert ref > 0.1
     assert abs(sd.global_residual(m, cfg, u) - ref) <= 1e-12 * ref
+
+
+def test_partition_graph_links_interfaces_without_multipliers():
+    # interface 1 keeps no multiplier, yet the Schur blocks of both its
+    # domains couple it to the other interfaces there, as K's empty blocks do
+    part = SimpleNamespace(n_domains=2, incident=np.array([0, 1, 1, 2]),
+                           incident_start=np.array([0, 2, 4]),
+                           n_kept=np.array([3, 0, 2]),
+                           lam_start=np.array([0, 3, 5]),
+                           lam_index=np.arange(5))
+    reduced = [(np.eye(n, dtype=complex), np.zeros(n, dtype=complex)) for n in (3, 2)]
+    K = sd.assemble_reduced(reduced, part).K
+    assert mm.partition_graph(part) == blockmat.clique_graph(K) == [{1}, {0, 2}, {1}]

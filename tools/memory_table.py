@@ -21,11 +21,13 @@ points per wavelength, tiles along x and y).  Per geometry it prints
   once: a tile class's band holds its A_d until the reduce stage factors
   it in place into the class's one LU, which every member then holds, with
   the LU's pivots; and the number of tile classes; the build allocates
-  every domain's band in one buffer, which stays held as long as one LU
-  is a view of it, so the held bytes after ``reduce`` can exceed the
-  distinct LUs;
-- the bytes of the stored blocks of the reduced matrix K, which the
-  assemble-reduced stage returns;
+  every domain's band in one buffer, and with fewer classes than domains
+  each class's LU is copied out of it, so the buffer is freed after the
+  reduce;
+- the bytes of the stored blocks of the reduced matrix K as the library
+  path assembles it (:func:`library_reduced`): the pipeline places them
+  straight into the factor's panels, and ``FactorStats.peak_bytes`` still
+  counts them;
 - 16 bytes per stored entry of the L and U factors of
   ``scipy.sparse.linalg.splu`` (default options) on the monolithic matrix,
   SuperLU's own working memory not included, and the run's traced peak
@@ -83,6 +85,20 @@ def run_geometry(geometry):
     return run_pipeline(RunConfig(_problem(geometry)))
 
 
+def library_reduced(geometry):
+    """The reduced system of the geometry, K included, as the library path
+    assembles it (``subdomain.assemble_reduced``): ``run_pipeline`` places
+    the Schur blocks straight into the factor's panels and keeps no K.  The
+    blocks have the bits of the pipeline's placed ones."""
+    from ddsolve import mesh, subdomain
+
+    cfg = _problem(geometry)
+    m = mesh.build_rect_mesh(cfg.side_lambda, cfg.ppw)
+    part = mesh.partition_mesh(m, cfg.px, cfg.py)
+    systems = subdomain.build_subdomain_systems(m, part, cfg)
+    return subdomain.assemble_reduced(subdomain.reduce_domains(systems)[0], part)
+
+
 def child_rss(geometry) -> dict:
     """Max RSS of this process before and after one run."""
     import ddsolve.driver  # noqa: F401  (imports count in the baseline)
@@ -116,7 +132,7 @@ def child_traced(geometry) -> dict:
         "band": sum(s.A.nbytes + s.piv.nbytes
                     for s in {id(s.A): s for s in result.systems}.values()),
         "classes": result.report.n_classes,
-        "k_blocks": sum(b.nbytes for b in result.reduced_system.K.blocks.values()),
+        "k_blocks": sum(b.nbytes for b in library_reduced(geometry).K.blocks.values()),
         "residual": result.report.residual_inf,
         "run_peak": max(s["peak_bytes"] for s in stages),
         "stages": stages,

@@ -70,6 +70,26 @@ MUTANTS = [
            "    miss = np.flatnonzero(slot_key[slot_key.searchsorted(key)] != key)\n",
            "    miss = key[:0]\n",
            "block_ldlt rejects a plan that is not closed under the fill"),
+    Mutant("src/ddsolve/factor.py",
+           "        miss = np.flatnonzero(self.slot_key[at] != key)\n",
+           "        miss = key[:0]\n",
+           "a block of K, or a domain's pair of interfaces, with no slot in the plan raises"),
+    Mutant("src/ddsolve/subdomain.py",
+           "        buf[dst[:n_copy]] = vals[:n_copy]\n",
+           "        buf[dst[:n_copy]] += vals[:n_copy]\n",
+           "a short run that reaches its slot first is copied in, so -0.0 stays -0.0"),
+    Mutant("src/ddsolve/subdomain.py",
+           "            run[...] = blk\n",
+           "            run += blk\n",
+           "a long run that reaches its slot first is copied in, so -0.0 stays -0.0"),
+    Mutant("src/ddsolve/subdomain.py",
+           "    copy_lu = len(classes) < len(systems)\n",
+           "    copy_lu = False\n",
+           "with fewer tile classes than domains the class LUs free the build's band buffer"),
+    Mutant("src/ddsolve/subdomain.py",
+           "    hi = np.where(pa < pb, sb, sa)",
+           "    hi = np.where(pa > pb, sb, sa)",
+           "a run is read at the rows of the interface eliminated later"),
     Mutant("src/ddsolve/mesh.py",
            "    nrm = np.column_stack([d[:, 1], -d[:, 0]])\n",
            "    nrm = np.column_stack([-d[:, 1], d[:, 0]])\n",

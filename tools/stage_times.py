@@ -21,7 +21,10 @@ x and y).  Per geometry the script runs ``run_pipeline`` ``--repeat`` times
   triangles, boundary edges and owners); the subdomain systems as the run
   leaves them (per domain its ``dof_map``, ``interface_rows``, ``D``,
   ``f``, ``lam_index``, band buffer and pivots); and the reduced system
-  (K's sizes, its keys in order, its blocks, and g);
+  (K's sizes, its keys in order, its blocks, and g) as the library path
+  assembles it on the same geometry (``memory_table.library_reduced``),
+  since ``run_pipeline`` places the blocks straight into the factor's
+  panels and builds no K;
 - sha256 digests of the order (``perm`` as little-endian int64) and of the
   whole plan (the order, ``etree_parent`` and every ``pattern[j]``, each
   prefixed by its length); of every array of the block factor (each panel,
@@ -44,7 +47,8 @@ import os
 import subprocess
 import sys
 
-from memory_table import ONE_BLAS_THREAD, SRC, parse_geometry, run_geometry
+from memory_table import ONE_BLAS_THREAD, SRC, library_reduced, parse_geometry, \
+    run_geometry
 
 
 IMPORT_RUNS = 3  # fresh interpreters whose best import time is printed
@@ -156,7 +160,7 @@ def report(geometry, repeat: int) -> str:
         f"  factor entries      {plan.total_factor_entries}",
         f"  mesh sha256         {mesh_digest(result.mesh)}",
         f"  systems sha256      {systems_digest(result.systems)}",
-        f"  reduced sha256      {reduced_digest(result.reduced_system)}",
+        f"  reduced sha256      {reduced_digest(library_reduced(geometry))}",
         f"  order sha256        {order_sha}",
         f"  plan sha256         {plan_sha}",
         f"  factor sha256       {factor_digest(F)}",
