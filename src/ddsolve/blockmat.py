@@ -22,9 +22,11 @@ class BlockMatrixError(Exception):
 class BlockSparseSym:
     """Lower-triangle block storage with implicit transposed upper blocks.
 
-    ``blocks`` maps ``(i, j)``, ``i >= j``, to an owned, C-ordered complex
-    array, keyed in order of first insertion.  Block sizes must be
-    non-negative integers; integer-valued floats are accepted.
+    ``blocks`` maps ``(i, j)``, ``i >= j``, to a C-ordered complex array,
+    keyed in order of first insertion; the blocks that
+    :func:`subdomain.assemble_reduced` builds are views of one buffer.
+    Block sizes must be non-negative integers; integer-valued floats are
+    accepted.
     """
 
     def __init__(self, sizes):
@@ -51,17 +53,6 @@ class BlockSparseSym:
             raise BlockMatrixError(
                 f"block ({i}, {j}) has shape {block.shape}, expected {want}")
         return block
-
-    def add(self, i: int, j: int, block: np.ndarray) -> None:
-        """Add the complex array ``block`` to block ``(i, j)``: a C-ordered
-        copy when the block is new, an in-place sum otherwise, so duplicates
-        sum in call order.  The key, the shape and the dtype are the caller's
-        to check (:meth:`_checked`)."""
-        stored = self.blocks.get((i, j))
-        if stored is None:
-            self.blocks[(i, j)] = block.copy()
-        else:
-            stored += block
 
     def items(self):
         """Stored blocks in deterministic (column, row) order."""
@@ -182,13 +173,18 @@ def _ragged_blocks(n_rows: np.ndarray, n_cols: np.ndarray):
 
 def from_blocks(sizes, block_list) -> BlockSparseSym:
     """Build a block matrix from ``(i, j, array)`` triples, each checked for
-    its key and shape and then added (:meth:`BlockSparseSym.add`):
-    duplicates sum in list order, keys in order of first appearance.  The
-    diagonal blocks are then checked for symmetry."""
+    its key and shape, then copied into a new block or summed into the
+    stored one in place: duplicates sum in list order, keys in order of
+    first appearance.  The diagonal blocks are then checked for symmetry."""
     K = BlockSparseSym(sizes)
     for i, j, blk in block_list:
         i, j = int(i), int(j)
-        K.add(i, j, K._checked(i, j, blk))
+        blk = K._checked(i, j, blk)
+        stored = K.blocks.get((i, j))
+        if stored is None:
+            K.blocks[(i, j)] = blk.copy()
+        else:
+            stored += blk
     K.validate()
     return K
 

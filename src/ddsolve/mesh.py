@@ -167,7 +167,8 @@ class Partition:
     - ``boundary_edges[boundary_start[d]:boundary_start[d + 1]]`` are domain
       ``d``'s outer boundary edges in the mesh's order and orientation.
     - ``incident[incident_start[d]:incident_start[d + 1]]`` are the
-      interfaces of domain ``d``, ascending.
+      interfaces of domain ``d``, ascending.  Entry ``s`` of ``incident`` is
+      a slot, one side of an interface, and ``slot_domain[s]`` its domain.
     - ``kept`` marks the chain nodes that carry a multiplier dof, and
       ``n_kept[i]`` counts them per interface.  Multipliers are numbered
       over the kept nodes, interface by interface in chain order, so
@@ -187,6 +188,7 @@ class Partition:
     boundary_start: np.ndarray
     incident: np.ndarray
     incident_start: np.ndarray
+    slot_domain: np.ndarray
     kept: np.ndarray
     n_kept: np.ndarray
     lam_index: np.ndarray
@@ -588,7 +590,7 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
         n_domains, dom, ends, nodes, start,
         mesh.boundary_edges[by_dom],
         exclusive_cumsum(np.bincount(bdom, minlength=n_domains)),
-        incident, incident_start,
+        incident, incident_start, np.sort(side),
         *_number_multipliers(ends, nodes, start, incident, incident_start))
     for a in vars(part).values():
         if isinstance(a, np.ndarray):
@@ -596,20 +598,31 @@ def partition_mesh(mesh: Mesh, px: int, py: int) -> Partition:
     return part
 
 
+def interface_pairs(part: Partition):
+    """Every pair of one domain's interfaces, each with itself included, a
+    block of the domain's Schur complement: pair ``t`` joins slots ``sa[t]``
+    and ``sb[t] <= sa[t]`` of one domain, ``sa`` ascending, then ``sb``."""
+    # row sa, column k: slot sa - w + 1 + k, a pair where it is in sa's domain
+    start = part.incident_start
+    w = int((start[1:] - start[:-1]).max(initial=0))
+    sa = np.arange(part.incident.size)
+    sb = sa[:, None] + np.arange(1 - w, 1)
+    pair = sb >= start[part.slot_domain][:, None]
+    return pair.nonzero()[0], sb[pair]
+
+
 def partition_graph(part: Partition) -> list[set[int]]:
     """The graph of the reduced system's blocks, read off the partition:
-    one vertex per interface, and an edge between two interfaces of one
-    domain, since that domain's Schur complement couples them.  It is the
-    clique graph of the assembled K (``blockmat.clique_graph``), an
-    interface without multipliers included; entry ``i`` holds the neighbors
-    of interface ``i``."""
+    one vertex per interface, and an edge for every pair of two interfaces
+    of one domain (:func:`interface_pairs`), since that domain's Schur
+    complement couples them.  It is the clique graph of the assembled K
+    (``blockmat.clique_graph``), an interface without multipliers included;
+    entry ``i`` holds the neighbors of interface ``i``."""
     inc = part.incident.tolist()
-    start = part.incident_start.tolist()
+    sa, sb = interface_pairs(part)
+    off = sa != sb
     g: list[set[int]] = [set() for _ in range(part.n_kept.size)]
-    for a, b in zip(start[:-1], start[1:]):
-        shared = inc[a:b]
-        for i in shared:
-            g[i].update(shared)
-    for i, nbrs in enumerate(g):
-        nbrs.discard(i)
+    for a, b in zip(sa[off].tolist(), sb[off].tolist()):
+        g[inc[a]].add(inc[b])
+        g[inc[b]].add(inc[a])
     return g

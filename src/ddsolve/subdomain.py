@@ -43,17 +43,17 @@ from .blockmat import BlockSparseSym, _ragged_blocks, exclusive_cumsum, \
 from .factor import DEFAULT_PIVOT_TOL, PanelLayout, blas_matmul, check_pivot_tol, \
     scipy_linalg_routines
 from .mesh import Mesh, Partition, ProblemConfig, boundary_load, edge_mass, \
-    helmholtz_blocks, incident_boundary_load, vector_lengths
+    helmholtz_blocks, incident_boundary_load, interface_pairs, vector_lengths
 
 
 zgbsv, zgbtrs = scipy_linalg_routines("_flapack", "zgbsv", "zgbtrs")
 
 
-# Runs of Schur-block entries this long or longer are placed into the
-# factor's panels by slices, run by run; shorter ones by index arrays over
-# all their entries (:func:`place_reduced`).  A slice costs 2-4 us a run,
-# the index arrays about 10 ns an entry plus a fixed 40 us; the two break
-# even at runs of 81-144 entries on the tilings measured.
+# Runs of Schur-block entries this long or longer are written by slices,
+# run by run; shorter ones by index arrays over all their entries
+# (:func:`_add_schur_blocks`).  A slice costs 2-4 us a run, the index arrays
+# about 10 ns an entry plus a fixed 40 us; the two break even at runs of
+# 81-144 entries on the tilings measured.
 SLICE_MIN = 100
 
 
@@ -235,7 +235,7 @@ def build_subdomain_systems(mesh: Mesh, part: Partition,
     start = part.chain_start
     diag, off, interior = _chain_mass(mesh, part.chain_nodes, start)
     inc = part.incident
-    dom_t = np.repeat(np.arange(n_dom), part.incident_start[1:] - part.incident_start[:-1])
+    dom_t = part.slot_domain
     side_t = (part.ends[inc, 1] == dom_t).astype(np.int64)
     n_chain = (start[1:] - start[:-1])[inc]
     r_off = exclusive_cumsum(n_chain)
@@ -332,10 +332,10 @@ def _reduce_class(members: list[SubdomainSystem], pivot_tol: float,
                   copy_lu: bool = False):
     """``(K_D, g_d)`` of every member of one tile class: one ``zgbsv`` on
     the first member's band, whose right-hand side holds D's columns at the
-    interface rows and one column per member with a nonzero load.  K_D is
-    one array shared by the members; a member without load gets a zero g_d.
-    Every member then holds the one LU, factored in place on the first
-    member's band or, with ``copy_lu``, copied out of it, and its pivots."""
+    interface rows and one load column per member.  K_D is one array shared
+    by the members.  Every member then holds the one LU, factored in place
+    on the first member's band or, with ``copy_lu``, copied out of it, and
+    its pivots."""
     check_pivot_tol(pivot_tol)
     for s in members:
         if s.piv is not None:
@@ -352,12 +352,9 @@ def _reduce_class(members: list[SubdomainSystem], pivot_tol: float,
     rows = rep.interface_rows
     D_r = rep.D
     m = D_r.shape[1]
-    loaded = [np.count_nonzero(s.f) != 0 for s in members]
-    loads = [s.f for s, has_load in zip(members, loaded) if has_load]
-    rhs = np.zeros((rep.n_dofs, m + len(loads)), dtype=np.complex128, order="F")
+    rhs = np.zeros((rep.n_dofs, m + len(members)), dtype=np.complex128, order="F")
     rhs[rows, :m] = D_r
-    for col, f in enumerate(loads, m):
-        rhs[:, col] = f
+    rhs[:, m:] = np.array([s.f for s in members]).T
     # by position: overwrite_ab 1, overwrite_b 1
     lu, piv, X, _ = zgbsv(kl, kl, rep.A, rhs, 1, 1)
     pivot_min = float(np.abs(lu[2 * kl]).min())
@@ -374,9 +371,7 @@ def _reduce_class(members: list[SubdomainSystem], pivot_tol: float,
     K_D = KG[:, :m] + KG[:, :m].T
     K_D *= 0.5
     # one copy of the load columns, as a view would keep all of KG alive
-    g = iter(KG[:, m:].T.copy())
-    return [(K_D, next(g) if has_load else np.zeros(m, dtype=np.complex128))
-            for has_load in loaded]
+    return [(K_D, g_d) for g_d in KG[:, m:].T.copy()]
 
 
 def reduce_domain(sys: SubdomainSystem,
@@ -387,9 +382,9 @@ def reduce_domain(sys: SubdomainSystem,
     ``g_d = D^T A^-1 f``, ordered by the domain's ``lam_index``.  D is
     nonzero only at the interface rows r, so it enters the right-hand side
     there, and ``[K_D g_d] = D_r^T X[r]``; K_D is exactly symmetric.  A zero
-    load takes no solve column and gives a zero g_d.  The factors are cached
-    on the system for primal recovery.  This is :func:`reduce_domains` for
-    a class of one.
+    load takes its solve column too, which leaves K_D's bits as they are.
+    The factors are cached on the system for primal recovery.  This is
+    :func:`reduce_domains` for a class of one.
 
     A_d is factored in place: afterwards ``sys.A`` holds the LU and
     ``sys.piv`` its pivots, also when f2py has to copy an ``A`` that is not
@@ -444,92 +439,48 @@ def _check_reduced(reduced, part: Partition) -> None:
                              f"expected ({n},)")
 
 
-def _reduced_load(reduced, part: Partition) -> np.ndarray:
-    """g: every g_d summed through ``lam_index`` by one ``np.add.at``, in
-    domain order."""
-    g = np.zeros(int(part.n_kept.sum()), dtype=np.complex128)
-    np.add.at(g, part.lam_index, np.concatenate([g_d for _, g_d in reduced]))
-    return g
+def _add_schur_blocks(reduced, part: Partition, pos, blocks_at) -> np.ndarray:
+    """Add every domain's Schur blocks into one buffer, interface ``i`` at
+    elimination position ``pos[i]``, and return g, the g_d summed through
+    ``lam_index`` by one ``np.add.at`` in domain order.
 
-
-def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
-    """Add per-domain Schur blocks into the block-sparse reduced system.
-
-    ``reduced[d]`` is the ``(K_D, g_d)`` pair of domain ``d`` with rows and
-    columns ordered as its multipliers in :attr:`Partition.lam_index`.  For
-    every domain, in domain order, each pair ``(a, b)``, ``a >= b``, of its
-    interfaces adds the slice of K_D at their rows and columns to block
-    ``(a, b)`` of K (:meth:`BlockSparseSym.add`: a copy, then in-place sums),
-    and ``g`` is summed through ``lam_index`` by one ``np.add.at`` in the same
-    order.  K's symmetry is checked by :func:`factor.block_ldlt`.
-    """
-    _check_reduced(reduced, part)
-    # slot s is interface inc[s] of domain d; its rows in K_D are
-    # row[s]:row[s + 1] shifted by row[start[d]]
-    inc = part.incident.tolist()
-    start = part.incident_start.tolist()
-    row = exclusive_cumsum(part.n_kept[part.incident]).tolist()
-    K = BlockSparseSym(part.n_kept)
-    for d, (K_D, _) in enumerate(reduced):
-        r0 = row[start[d]]
-        slots = [(inc[s], slice(row[s] - r0, row[s + 1] - r0))
-                 for s in range(start[d], start[d + 1])]
-        for a, (ia, ra) in enumerate(slots):
-            for ib, rb in slots[:a + 1]:
-                K.add(ia, ib, K_D[ra, rb])
-    return ReducedSystem(_reduced_load(reduced, part), K.sizes, K)
-
-
-def place_reduced(reduced, part: Partition, layout: PanelLayout) -> ReducedSystem:
-    """Add the per-domain Schur blocks straight into the panels of
-    ``layout``, whose plan orders the interfaces of ``part``: the blocks
-    of :func:`assemble_reduced`'s K, bit for bit, with no K built.  Returns
-    g, summed as there, and the block sizes.
-
-    Each pair ``(a, b)``, ``b`` at or before ``a``, of a domain's interfaces
-    lands as one contiguous run in its slot (:meth:`PanelLayout.slots`):
-    the block row of the one that comes later in elimination order, in the
-    panel of the other.  K_D is exactly symmetric, as ``(x + y) * 0.5``
-    commutes, so every run reads K_D at the later interface's rows and the
-    earlier one's columns, flipped pair or not, and needs no transpose.
-    The run that reaches a slot first, in domain order, is copied into it
-    and the later ones are added in domain order, as K's copy and in-place
-    sums do.  Runs of ``SLICE_MIN`` entries or more are written slice by
-    slice; the smaller ones by one gather from the distinct K_D (a tile
-    class's members share one) and one assignment (the first runs) and one
-    ``np.add.at`` (the others) over all their entries.  All runs into one slot have one size, so each slot is written
-    one way.  A pair with no slot raises
-    :class:`~ddsolve.factor.FactorConsistencyError`; symmetry and
-    finiteness are checked by :func:`~ddsolve.factor.factor_panels`.
-    """
+    Each pair of a domain's interfaces (:func:`mesh.interface_pairs`) is a
+    run of its K_D: the rows of the interface eliminated later, the columns
+    of the other (K_D is exactly symmetric, as ``(x + y) * 0.5`` commutes),
+    into block row ``hi`` of panel ``lo``.  ``blocks_at(hi, lo, shape,
+    run0)`` of the distinct blocks, in ascending key order with their first
+    runs, gives the buffer and each block's start.  A block's first run in
+    domain order is copied, keeping a -0.0, and the other one added: an
+    interface has two domains, and a two-term sum commutes bit for bit.
+    Runs of ``SLICE_MIN`` entries or more are written by slices; the others
+    by one gather from the distinct K_D (a tile class shares one), one
+    assignment and one indexed sum over all their entries."""
     _check_reduced(reduced, part)
     inc = part.incident
-    n_inc = part.incident_start[1:] - part.incident_start[:-1]
-    dom = np.arange(part.n_domains).repeat(n_inc)
     nk = part.n_kept[inc]
     nd = part.lam_start[1:] - part.lam_start[:-1]    # K_D's order per domain
-    # slot s is interface inc[s] of domain dom[s], at row r0[s] of its K_D
-    r0 = exclusive_cumsum(nk)[:-1] - part.lam_start[dom]
-    # pair t joins slots sa[t] and sb[t] <= sa[t] of one domain, domain by
-    # domain, as assemble_reduced's loops visit them
-    local = ragged_arange(n_inc)
-    sa = np.arange(inc.size).repeat(local + 1)
-    sb = sa - local.repeat(local + 1) + ragged_arange(local + 1)
-    pos = layout.plan.order.inverse()[inc]
-    pa, pb = pos[sa], pos[sb]
-    at = layout.slots(np.maximum(pa, pb), np.minimum(pa, pb))
+    # slot s is interface inc[s] of its domain, at row r0[s] of its K_D
+    r0 = exclusive_cumsum(nk)[:-1] - part.lam_start[part.slot_domain]
+    sa, sb = interface_pairs(part)
+    pa, pb = pos[inc[sa]], pos[inc[sb]]
     hi = np.where(pa < pb, sb, sa)              # the slot whose rows the run has
     lo = sa + sb - hi
-    # run t is K_D[a[t]:, b[t]:] of domain d[t], n_rows[t] rows of width[t]
-    # entries, into the buffer from dst0[t]; first[t] if it is the first
-    # run into its slot
-    d, n_rows, width, a, b = dom[sa], nk[hi], nk[lo], r0[hi], r0[lo]
+    # run t: K_D[a[t]:, b[t]:] of domain d[t], n_rows[t] x width[t], into the
+    # buffer from dst0[t]; first[t] if it is the first run into its block
+    d, n_rows, width, a, b = part.slot_domain[sa], nk[hi], nk[lo], r0[hi], r0[lo]
+    p_hi, p_lo = np.maximum(pa, pb), np.minimum(pa, pb)
+    key = p_lo * pos.size + p_hi
+    by_key = key.argsort(kind="stable")
+    new = first_of_runs(key[by_key])
+    run0 = by_key[new]
+    buf, at = blocks_at(p_hi[run0], p_lo[run0],
+                        np.stack([n_rows, width], axis=1)[run0], run0)
+    dst0 = np.empty_like(by_key)
+    dst0[by_key] = at[np.cumsum(new) - 1]
+    first = np.zeros(key.size, dtype=bool)
+    first[run0] = True
     size = n_rows * width
-    dst0 = layout.slot_at[at]
-    by_slot = at.argsort(kind="stable")
-    first = np.zeros(at.size, dtype=bool)
-    first[by_slot[first_of_runs(at[by_slot])]] = True
-    buf = layout.buf
+    del sa, sb, pa, pb, hi, lo, p_hi, p_lo, key, by_key, new, run0, at
 
     big = size >= SLICE_MIN
     for t, i, j, n, w, s, f in np.stack([d, a, b, n_rows, width, dst0, first],
@@ -542,14 +493,11 @@ def place_reduced(reduced, part: Partition, layout: PanelLayout) -> ReducedSyste
             run += blk
 
     # the small runs, the first ones and then the others, each in domain
-    # order, read from the distinct K_D concatenated (a tile class's members
-    # share one) from src0; row r of a run starts at src and dst, and holds
-    # w entries
+    # order, read from the distinct K_D concatenated from src0; row r of a
+    # run starts at src and dst, and holds w entries
     small = np.flatnonzero(~big)
     if small.size:
-        distinct = {}
-        for K_D, _ in reduced:
-            distinct.setdefault(id(K_D), K_D)
+        distinct = {id(K_D): K_D for K_D, _ in reduced}     # first-seen order
         kd_at = dict(zip(distinct, exclusive_cumsum(
             [K_D.size for K_D in distinct.values()]).tolist()))
         src0 = np.array([kd_at[id(K_D)] for K_D, _ in reduced], dtype=np.int64)[d]
@@ -571,8 +519,54 @@ def place_reduced(reduced, part: Partition, layout: PanelLayout) -> ReducedSyste
         del j
         n_copy = int(size[copied].sum())
         buf[dst[:n_copy]] = vals[:n_copy]
-        np.add.at(buf, dst[n_copy:], vals[n_copy:])
-    return ReducedSystem(_reduced_load(reduced, part), part.n_kept)
+        buf[dst[n_copy:]] += vals[n_copy:]
+    g = np.zeros(int(part.n_kept.sum()), dtype=np.complex128)
+    np.add.at(g, part.lam_index, np.concatenate([g_d for _, g_d in reduced]))
+    return g
+
+
+def assemble_reduced(reduced, part: Partition) -> ReducedSystem:
+    """Add per-domain Schur blocks into the block-sparse reduced system.
+
+    ``reduced[d]`` is the ``(K_D, g_d)`` pair of domain ``d`` with rows and
+    columns ordered as its multipliers in :attr:`Partition.lam_index`.  For
+    every domain, in domain order, each pair ``(a, b)``, ``a >= b``, of its
+    interfaces adds the slice of K_D at their rows and columns to block
+    ``(a, b)`` of K: :func:`place_reduced`'s writer with every interface at
+    its own position, into one buffer whose views are K's blocks, keyed in
+    order of first insertion.  K's symmetry is checked by
+    :func:`factor.block_ldlt`.
+    """
+    K = BlockSparseSym(part.n_kept)
+
+    def blocks_at(hi, lo, shape, run0):
+        size = shape[:, 0] * shape[:, 1]
+        in_order = run0.argsort()
+        at = np.empty_like(in_order)
+        at[in_order] = exclusive_cumsum(size[in_order])[:-1]
+        buf = np.empty(int(size.sum()), dtype=np.complex128)
+        for i, j, s, n, w in np.column_stack([hi, lo, at, shape])[in_order].tolist():
+            K.blocks[(i, j)] = buf[s:s + n * w].reshape(n, w)
+        return buf, at
+
+    g = _add_schur_blocks(reduced, part, np.arange(part.n_kept.size), blocks_at)
+    return ReducedSystem(g, K.sizes, K)
+
+
+def place_reduced(reduced, part: Partition, layout: PanelLayout) -> ReducedSystem:
+    """Add the per-domain Schur blocks straight into the panels of
+    ``layout``, whose plan orders the interfaces of ``part``: the blocks of
+    :func:`assemble_reduced`'s K, bit for bit, by the same writer at the
+    plan's positions, with no K built.  Returns g and the block sizes.  One
+    sorted search finds the distinct blocks' slots (:meth:`PanelLayout.slots`),
+    and a block with no slot raises
+    :class:`~ddsolve.factor.FactorConsistencyError`.  Symmetry and finiteness
+    are checked by :func:`~ddsolve.factor.factor_panels`."""
+    def blocks_at(hi, lo, shape, run0):
+        return layout.buf, layout.slot_at[layout.slots(hi, lo)]
+
+    g = _add_schur_blocks(reduced, part, layout.plan.order.inverse(), blocks_at)
+    return ReducedSystem(g, part.n_kept)
 
 
 def recover_primal(systems: list[SubdomainSystem],
@@ -584,9 +578,9 @@ def recover_primal(systems: list[SubdomainSystem],
 
     Systems that hold one LU, the members of a tile class after
     :func:`reduce_domains`, are solved together: one product ``D Lambda``
-    and one ``zgbtrs``, one column per member.  Each column has the bits of
-    that member's solve alone, and the columns add into the global vector
-    in domain order."""
+    and one ``zgbtrs``, one column per member, a class of one included.
+    Each column has the bits of that member's solve alone, and the columns
+    add into the global vector in domain order."""
     cnt = np.bincount(np.concatenate([s.dof_map for s in systems]))
     acc = np.zeros(cnt.size, dtype=np.complex128)
     # an unreduced system is a class of its own, whose solve raises
@@ -596,12 +590,6 @@ def recover_primal(systems: list[SubdomainSystem],
     E = [None] * len(systems)
     for members in classes.values():
         sys = systems[members[0]]
-        if len(members) == 1:
-            rhs = sys.f.copy()
-            if sys.D.size:
-                rhs[sys.interface_rows] -= blas_matmul(sys.D, lam[sys.lam_index])[:, 0]
-            E[members[0]] = sys.solve(rhs)
-            continue
         rhs = np.array([systems[i].f for i in members]).T     # Fortran-ordered
         if sys.D.size:
             lam_cols = lam[np.array([systems[i].lam_index for i in members]).T]

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import GEOMETRIES, add_block, dense_coupling, dense_matrix, interfaces
 from ddsolve import blockmat, mesh as mm, subdomain as sd
@@ -481,6 +481,46 @@ def tilings(draw):
 def test_front_end_matches_loop_reference_on_random_tilings(tiling):
     side, ppw, px, py = tiling
     assert_front_end_matches(side, ppw, px, py, theta=math.radians(37.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tilings())
+@example((7.0, 13, 5, 5))       # tiles that do not divide the grid
+@example((2.4, 10, 12, 12))     # 9 tile classes of 144 domains share their K_D
+@example((1.0, 10, 1, 1))       # one domain, no interface
+def test_assembled_k_matches_reference_on_random_tilings(tiling):
+    """K's keys in insertion order and every block byte for byte, as the
+    block-by-block copy and sums give them, from the Schur blocks that the
+    tile classes share."""
+    side, ppw, px, py = tiling
+    cfg = mm.ProblemConfig(side_lambda=side, ppw=ppw, px=px, py=py, theta_inc=0.3)
+    m = mm.build_rect_mesh(side, ppw)
+    part = mm.partition_mesh(m, px, py)
+    reduced, _ = sd.reduce_domains(sd.build_subdomain_systems(m, part, cfg))
+    rsys = sd.assemble_reduced(reduced, part)
+    assert all(b.flags.c_contiguous for b in rsys.K.blocks.values())
+    assert_reduced_matches(rsys, *reference_assemble_reduced(
+        reduced, reference_partition_mesh(m, px, py)))
+
+
+def test_assembled_k_matches_reference_with_an_interface_without_multipliers():
+    # interface 1 keeps no multiplier: its blocks are empty and still keyed
+    itf = [SimpleNamespace(dom_lo=0, dom_hi=0, nodes=np.array([0, 1, 2])),
+           SimpleNamespace(dom_lo=0, dom_hi=1, nodes=np.zeros(0, dtype=np.int64)),
+           SimpleNamespace(dom_lo=1, dom_hi=1, nodes=np.array([3, 4]))]
+    part = SimpleNamespace(n_domains=2, incident=np.array([0, 1, 1, 2]),
+                           incident_start=np.array([0, 2, 4]),
+                           slot_domain=np.array([0, 0, 1, 1]),
+                           n_kept=np.array([3, 0, 2]),
+                           lam_start=np.array([0, 3, 5]), lam_index=np.arange(5))
+    rng = np.random.default_rng(3)
+    reduced = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                rng.standard_normal(n) + 0j) for n in (3, 2)]
+    reduced[0][0][1, 2] = complex(-0.0, -0.0)
+    rsys = sd.assemble_reduced(reduced, part)
+    assert list(rsys.K.blocks) == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
+    assert_reduced_matches(rsys, *reference_assemble_reduced(
+        reduced, SimpleNamespace(interfaces=itf)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

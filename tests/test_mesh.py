@@ -297,13 +297,15 @@ class TestPartition:
         ends = p.ends.tolist()
         flat = [i for d in range(p.n_domains) for i, e in enumerate(ends) if d in e]
         assert p.incident.tolist() == flat
+        assert p.slot_domain.tolist() == [d for d in range(p.n_domains)
+                                          for e in ends if d in e]
         assert np.diff(p.incident_start).tolist() == [
             sum(d in e for e in ends) for d in range(p.n_domains)]
 
     def test_arrays_are_read_only(self):
         p = mm.partition_mesh(mm.build_rect_mesh(1.3, 11), 3, 2)
         arrays = {k: a for k, a in vars(p).items() if isinstance(a, np.ndarray)}
-        assert len(arrays) == 12
+        assert len(arrays) == 13
         for name, a in arrays.items():
             assert not a.flags.writeable, name
 

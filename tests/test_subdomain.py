@@ -384,13 +384,9 @@ class TestBandStorage:
             assert s.A.tobytes() == lu.tobytes()
             assert s.piv.tobytes() == piv.tobytes()
             assert K_D.tobytes() == (0.5 * (KG[:, :-1] + KG[:, :-1].T)).tobytes()
-            if s.f.any():
-                assert g_d.tobytes() == KG[:, -1].tobytes()
-            else:
-                # no solve column: +0.0 where the solve of a zero load may
-                # leave -0.0, which adds into g as +0.0 does
-                assert g_d.tobytes() == np.zeros_like(g_d).tobytes()
-                assert not KG[:, -1].any()
+            # a zero load takes its solve column too, whose -0.0 adds into
+            # g as +0.0 does
+            assert g_d.tobytes() == KG[:, -1].tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reduce_is_keyword_zgbsv(self, seed):
@@ -496,7 +492,7 @@ class TestTileClasses:
             assert sorted(i for c in classes for i in c) == list(range(len(systems)))
             assert [c[0] for c in classes] == sorted(c[0] for c in classes)
 
-    def test_a_class_shares_one_lu_and_loads_only_its_loaded_members(self, monkeypatch):
+    def test_a_class_shares_one_lu_and_takes_one_load_column_per_member(self, monkeypatch):
         systems = [_tile(0, np.ones(3)), _tile(1, np.zeros(3)), _tile(2, [1.0, 2.0, 0.5j])]
         alone = [sd.reduce_domain(_tile(s.domain, s.f)) for s in systems]
         widths, zgbsv = [], sd.zgbsv
@@ -508,12 +504,14 @@ class TestTileClasses:
         monkeypatch.setattr(sd, "zgbsv", counted_zgbsv)
         reduced, n_classes = sd.reduce_domains(systems)
         assert n_classes == 1
-        assert widths == [1 + 2]        # D's column and two loads
+        assert widths == [1 + 3]        # D's column and every member's load
         assert all(s.A is systems[0].A and s.piv is systems[0].piv for s in systems)
         for (K_D, g_d), (K_ref, g_ref) in zip(reduced, alone):
             assert K_D.tobytes() == K_ref.tobytes()
             assert g_d.tobytes() == g_ref.tobytes()
-        assert reduced[1][1].tobytes() == np.zeros(1, dtype=complex).tobytes()
+        # the zero load's g_d may hold -0.0, which adds into g's +0.0 as +0.0
+        zero = np.zeros(1, dtype=complex)
+        assert (zero + reduced[1][1]).tobytes() == zero.tobytes()
         # recovery solves the class in one call, column by column bit for bit
         lam = np.array([0.3 - 0.7j])
         one = [_tile(s.domain, s.f) for s in systems]
@@ -832,6 +830,7 @@ def test_partition_graph_links_interfaces_without_multipliers():
     # domains couple it to the other interfaces there, as K's empty blocks do
     part = SimpleNamespace(n_domains=2, incident=np.array([0, 1, 1, 2]),
                            incident_start=np.array([0, 2, 4]),
+                           slot_domain=np.array([0, 0, 1, 1]),
                            n_kept=np.array([3, 0, 2]),
                            lam_start=np.array([0, 3, 5]),
                            lam_index=np.arange(5))

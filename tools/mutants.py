@@ -18,6 +18,12 @@ a run ends in neither a pass nor a test failure.
 
 A change that moves mutated code updates its entry.  A surviving mutant is
 mended by a test that kills it, never by removing the mutant.
+
+Left out as equivalent: copying a block's later run and adding its first
+one, for example by marking the last run of each block key as ``first`` in
+``subdomain._add_schur_blocks``.  A block of K takes the Schur blocks of at
+most two domains, and a two-term sum ``x + y`` has the bits of ``y + x``,
+signed zeros included, so no output can tell which run was copied.
 """
 
 from __future__ import annotations
@@ -82,6 +88,18 @@ MUTANTS = [
            "            run[...] = blk\n",
            "            run += blk\n",
            "a long run that reaches its slot first is copied in, so -0.0 stays -0.0"),
+    Mutant("src/ddsolve/subdomain.py",
+           "        buf[dst[n_copy:]] += vals[n_copy:]\n",
+           "        buf[dst[n_copy:]] = vals[n_copy:]\n",
+           "a short run that reaches its block second is added to the first"),
+    Mutant("src/ddsolve/subdomain.py",
+           "    first[run0] = True\n",
+           "    first[:] = True\n",
+           "only each block's first run is copied; the other one is added"),
+    Mutant("src/ddsolve/mesh.py",
+           "    sb = sa[:, None] + np.arange(1 - w, 1)\n",
+           "    sb = sa[:, None] + np.arange(1 - w, 0)\n",
+           "a domain's interface pairs include each interface with itself"),
     Mutant("src/ddsolve/subdomain.py",
            "    copy_lu = len(classes) < len(systems)\n",
            "    copy_lu = False\n",
